@@ -3,8 +3,11 @@
 Weights live in a dense float64 array indexed by value.  Mass removed by
 upper-tail truncation, by sub-1e-300 cleanup, or by cutting an unbounded
 offspring law is never renormalized away: it accumulates in `leaked_mass`.
-Retained means and generating-function values are therefore certified
-lower bounds for the untruncated quantities.
+In the direct-convolution regime, retained means and generating-function
+values are therefore certified lower bounds for the untruncated quantities.
+Above `_DIRECT_CONV_OPS` convolutions go through the FFT: round-off below
+zero is clipped but the positive noise is kept, which biases retained means
+upward, so there they are approximations, not certified lower bounds.
 """
 
 from __future__ import annotations
@@ -49,8 +52,7 @@ class FinitePmf:
             raise ValueError("weights must be finite")
         if np.any(probs < 0.0):
             raise ValueError("weights must be nonnegative")
-        nz = np.flatnonzero(probs)
-        probs = probs[: nz[-1] + 1] if nz.size else probs[:0]
+        probs = probs[: _trimmed_size(probs)]
         leak = float(self.leaked_mass)
         if not 0.0 <= leak <= 1.0 + MASS_TOL:
             raise ValueError(f"leaked_mass {leak} outside [0, 1]")
@@ -105,6 +107,23 @@ class FinitePmf:
         if value <= 0:
             return self.total_mass
         return float(self.probs[value:].sum())
+
+
+def _trimmed_size(probs: np.ndarray) -> int:
+    """Length of probs without its trailing zeros.
+
+    Checks the last entry first and scans back in growing blocks only when
+    it is zero, so a pmf without trailing zeros costs O(1) here.
+    """
+    end, block = probs.size, 64
+    while end and probs[end - 1] == 0.0:
+        tail = probs[max(0, end - block):end]
+        nz = np.flatnonzero(tail)
+        if nz.size:
+            return end - tail.size + int(nz[-1]) + 1
+        end -= tail.size
+        block *= 2
+    return end
 
 
 def mean(p: FinitePmf) -> float:

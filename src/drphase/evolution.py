@@ -10,7 +10,11 @@ Per-step free-energy bounds: with mu = E N,
     q_upper(n) = E X_n / mu^n          (non-increasing in n)
     q_lower(n) = (E X_n - a/(mu-1)) / mu^n   (non-decreasing in n)
 
-so every trace row carries a certified bracket around the limit.
+A leak-free row computed wholly in the direct-convolution regime therefore
+carries a certified bracket around the limit.  Leaked mass lowers the
+retained E X_n and with it both bounds.  Once a step goes through the FFT
+(dists._DIRECT_CONV_OPS), the kept positive round-off noise biases E X_n,
+and with it both bounds, upward; those rows are not certified.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sp_fft
 
 from . import dists
 from .dists import FinitePmf, ModelSpec
@@ -94,29 +99,38 @@ def q_bounds(mean_xn: float, n: int, model: ModelSpec) -> tuple[float, float]:
 
 def step(x: FinitePmf, model: ModelSpec,
          tail_eps: float = DEFAULT_TAIL_EPS) -> FinitePmf:
-    """One generation: mixture over N of clip-shifted convolution powers."""
+    """One generation: mixture over N of clip-shifted convolution powers.
+
+    Powers are built one by one while each convolution fits the direct
+    budget (dists._DIRECT_CONV_OPS).  From the first power that would go
+    through the FFT on, the rest of the mixture comes from one spectrum
+    (see _spectral_powers), so a step the budget keeps fully direct is
+    computed exactly as by the plain loop.
+    """
     if x.probs.size == 0:
         return FinitePmf(np.zeros(0), 1.0)
     law = model.offspring.materialized()
     w = law.weights
     a = model.a
     kmax = int(np.flatnonzero(w)[-1])
-    out_len = max(1, kmax * (x.probs.size - 1) + 1 - a)
+    n = x.probs.size
+    out_len = max(1, kmax * (n - 1) + 1 - a)
     acc = np.zeros(out_len)
     leak = law.truncation_leak
     pw = x
     for k in range(1, kmax + 1):
         if k > 1:
+            if pw.probs.size * n > dists._DIRECT_CONV_OPS:
+                mix, mix_leak = _spectral_powers(pw, x, w[k:kmax + 1])
+                leak += mix_leak
+                _add_clipped(acc, 1.0, mix, a)
+                break
             pw = dists.convolve(pw, x)
         wk = float(w[k])
         if wk == 0.0:
             continue
         leak += wk * pw.leaked_mass
-        pp = pw.probs
-        acc[0] += wk * float(pp[: a + 1].sum())
-        tail = pp[a + 1:]
-        if tail.size:
-            acc[1: 1 + tail.size] += wk * tail
+        _add_clipped(acc, wk, pw.probs, a)
     tiny = (acc > 0.0) & (acc < dists.WEIGHT_FLOOR)
     if tiny.any():
         leak += float(acc[tiny].sum())
@@ -124,8 +138,10 @@ def step(x: FinitePmf, model: ModelSpec,
     # The exact mixture conserves mass, but convolution powers amplify any
     # float drift by a factor of E N per step (squaring maps 1+d to 1+2d),
     # which would breach the conservation band within ~20 generations.
-    # Re-pin the step's total by assigning the ~1e-15 residual to the
-    # heaviest bin; far below every stated tolerance.
+    # Re-pin the step's total by assigning the residual to the heaviest bin
+    # when it is at most 1e-9.  Direct convolution leaves a residual near
+    # 1e-15; the positive transform noise kept in the FFT regime can leave
+    # more, and all of it up to 1e-9 is re-pinned without a record.
     idx = int(np.argmax(acc))
     if acc[idx] > 0.0:
         others = float(np.sum(acc[:idx], dtype=np.longdouble)
@@ -137,6 +153,42 @@ def step(x: FinitePmf, model: ModelSpec,
     if tail_eps > 0.0:
         out = dists.truncate(out, tail_eps)
     return out
+
+
+def _add_clipped(acc: np.ndarray, wk: float, pp: np.ndarray, a: int) -> None:
+    """acc += wk * law of (V - a)+ for V with weights pp."""
+    acc[0] += wk * float(pp[: a + 1].sum())
+    tail = pp[a + 1:]
+    if tail.size:
+        acc[1: 1 + tail.size] += wk * tail
+
+
+def _spectral_powers(base: FinitePmf, x: FinitePmf,
+                     v: np.ndarray) -> tuple[np.ndarray, float]:
+    """sum_i v[i-1] base * x^{*i} (i = 1..len(v)) over its full support,
+    and the mass the terms leak.
+
+    One inverse transform: the spectrum is rfft(base) times the polynomial
+    sum_i v[i-1] phi^i in phi = rfft(x), evaluated by Horner's rule.  When
+    base is x itself its transform is reused, so a step whose second power
+    is already over budget takes one forward and one inverse transform in
+    place of three per power.  Round-off below zero is clipped as in
+    dists.convolve.  Term i leaks 1 - (1 - l_base)(1 - l_x)^i.
+    """
+    n = x.probs.size
+    size = base.probs.size + v.size * (n - 1)
+    nfft = sp_fft.next_fast_len(size, real=True)
+    phi = sp_fft.rfft(x.probs, nfft)
+    spec = np.zeros_like(phi)
+    for vi in v[::-1]:
+        spec += vi
+        spec *= phi
+    spec *= phi if base is x else sp_fft.rfft(base.probs, nfft)
+    mix = sp_fft.irfft(spec, nfft)[:size]
+    np.clip(mix, 0.0, None, out=mix)
+    i = np.arange(1, v.size + 1, dtype=np.float64)
+    kept = np.log1p(-base.leaked_mass) + i * np.log1p(-x.leaked_mass)
+    return mix, float(np.dot(v, -np.expm1(kept)))
 
 
 def _trace_row(x: FinitePmf, n: int, model: ModelSpec) -> TraceRow:

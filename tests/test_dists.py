@@ -168,6 +168,42 @@ def test_finite_pmf_drops_explicit_zeros():
     assert p.support_max == 5
 
 
+def _flatnonzero_trim(probs):
+    """The full-scan trailing-zero trim, kept as the reference."""
+    nz = np.flatnonzero(probs)
+    return probs[: nz[-1] + 1] if nz.size else probs[:0]
+
+
+@pytest.mark.parametrize("probs, leak", [
+    ([0.25, 0.0, 0.75, 0.0, 0.0], 0.0),           # trailing zeros
+    ([0.5] + [0.0] * 300 + [0.5] + [0.0] * 5000, 0.0),  # zeros past a block
+    ([0.0, 0.0, 0.0], 1.0),                       # all zeros
+    ([], 1.0),                                    # empty
+    ([1.0], 0.0),                                 # single entry
+    ([0.0], 1.0),                                 # single zero
+    ([0.0, 0.5, 0.0, 0.5], 0.0),                  # nonzero last entry
+])
+def test_finite_pmf_trims_like_full_scan(probs, leak):
+    arr = np.asarray(probs, dtype=np.float64)
+    p = FinitePmf(arr, leak)
+    ref = _flatnonzero_trim(arr)
+    assert p.probs.dtype == np.float64
+    assert np.array_equal(p.probs, ref)
+    assert p.support_max == ref.size - 1
+    # the stored weights are a read-only copy, never a view of the input
+    assert not np.shares_memory(p.probs, arr)
+    assert not p.probs.flags.writeable
+
+
+def test_finite_pmf_trim_keeps_validation():
+    with pytest.raises(ValueError, match="finite"):
+        FinitePmf(np.array([0.5, np.nan, 0.5, 0.0]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        FinitePmf(np.array([0.5, 0.6, -0.1]))
+    with pytest.raises(ValueError, match="band"):
+        FinitePmf(np.array([0.5, 0.6, 0.0]))
+
+
 def test_offspring_deterministic_validation():
     with pytest.raises(ValueError, match="must be an integer >= 2"):
         OffspringLaw.deterministic(1)

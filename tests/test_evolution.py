@@ -1,11 +1,21 @@
 """Law evolution: pinned one-step oracles, bound formulas, trace invariants."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from drphase.dists import FinitePmf, ModelSpec, OffspringLaw, pgf_deriv, pgf_eval
+from drphase import dists, evolution
+from drphase.dists import (
+    MASS_TOL,
+    FinitePmf,
+    ModelSpec,
+    OffspringLaw,
+    mean,
+    pgf_deriv,
+    pgf_eval,
+)
 from drphase.evolution import (
     LeakBudgetExceeded,
     SupportCapExceeded,
@@ -66,6 +76,147 @@ def test_step_mass_conserved_leak_free():
         for _ in range(5):
             x = step(x, model, tail_eps=0.0)
             assert abs(x.total_mass + x.leaked_mass - 1.0) <= 1e-12
+
+
+# -- single-transform compound step -------------------------------------------
+
+def _smooth_pmf(size, leak=0.0):
+    """A unimodal law with a geometric tail over 0..size-1."""
+    v = np.arange(size, dtype=np.float64)
+    w = np.exp(-((v - 0.4 * size) / (0.15 * size)) ** 2) \
+        + 0.3 * np.exp(-v / (0.1 * size))
+    return FinitePmf(w * ((1.0 - leak) / w.sum()), leak)
+
+
+def _spy(monkeypatch):
+    """Record the sizes of every convolution step() asks for and count its
+    spectral calls."""
+    seen = {"convolve": [], "spectral": 0}
+    convolve, spectral = dists.convolve, evolution._spectral_powers
+
+    def spy_convolve(p, q):
+        seen["convolve"].append(p.probs.size * q.probs.size)
+        return convolve(p, q)
+
+    def spy_spectral(*args):
+        seen["spectral"] += 1
+        return spectral(*args)
+    monkeypatch.setattr(dists, "convolve", spy_convolve)
+    monkeypatch.setattr(evolution, "_spectral_powers", spy_spectral)
+    return seen
+
+
+def _power_loop_step(x, model):
+    """The per-power convolution loop of step() with tail_eps=0, kept as
+    the bit-for-bit reference of the direct regime."""
+    law = model.offspring.materialized()
+    w, a = law.weights, model.a
+    kmax = int(np.flatnonzero(w)[-1])
+    acc = np.zeros(max(1, kmax * (x.probs.size - 1) + 1 - a))
+    leak = law.truncation_leak
+    pw = x
+    for k in range(1, kmax + 1):
+        if k > 1:
+            pw = dists.convolve(pw, x)
+        wk = float(w[k])
+        if wk == 0.0:
+            continue
+        leak += wk * pw.leaked_mass
+        acc[0] += wk * float(pw.probs[: a + 1].sum())
+        tail = pw.probs[a + 1:]
+        acc[1: 1 + tail.size] += wk * tail
+    tiny = (acc > 0.0) & (acc < dists.WEIGHT_FLOOR)
+    leak += float(acc[tiny].sum())
+    acc[tiny] = 0.0
+    idx = int(np.argmax(acc))
+    others = float(np.sum(acc[:idx], dtype=np.longdouble)
+                   + np.sum(acc[idx + 1:], dtype=np.longdouble))
+    pinned = (1.0 - leak) - others
+    if pinned > 0.0 and abs(pinned - acc[idx]) <= 1e-9:
+        acc[idx] = pinned
+    return FinitePmf(acc, leak)
+
+
+@pytest.mark.parametrize("law, size, leak, budget", [
+    # the spectrum starts at the second power (base x) ...
+    (OffspringLaw.deterministic(2), 4200, 0.0, None),
+    (OffspringLaw.deterministic(2), 4200, 1e-10, None),
+    (OffspringLaw.deterministic(3), 4200, 0.0, None),
+    # ... or after some direct powers (base x^(k-1))
+    (OffspringLaw.deterministic(3), 3000, 0.0, None),
+    (OffspringLaw.deterministic(4), 2400, 0.0, None),
+    (OffspringLaw.finite_support({1: 0.3, 4: 0.7}), 2400, 0.0, None),
+    (OffspringLaw.finite_support({1: 0.3, 4: 0.7}), 2400, 1e-10, None),
+    # a small budget puts 45 geometric weights and the cutoff leak into
+    # one spectrum at small cost
+    (OffspringLaw.geometric(0.5), 200, 1e-10, 1 << 16),
+])
+def test_step_fft_regime_matches_direct_reference(monkeypatch, law, size,
+                                                  leak, budget):
+    model = ModelSpec(a=2, x0=FinitePmf.from_dict({0: 0.5, 3: 0.5}),
+                      offspring=law)
+    x = _smooth_pmf(size, leak)
+    with monkeypatch.context() as m:
+        m.setattr(dists, "_DIRECT_CONV_OPS", 1 << 62)
+        ref = step(x, model, tail_eps=0.0)
+    if budget is not None:
+        monkeypatch.setattr(dists, "_DIRECT_CONV_OPS", budget)
+    seen = _spy(monkeypatch)
+    out = step(x, model, tail_eps=0.0)
+    # one spectrum for the powers over budget, no FFT convolutions
+    assert seen["spectral"] == 1
+    assert all(ops <= dists._DIRECT_CONV_OPS for ops in seen["convolve"])
+    assert mean(out) == pytest.approx(mean(ref), rel=1e-12)
+    assert abs(out.total_mass + out.leaked_mass - 1.0) <= MASS_TOL
+    # closed form: cutoff leak + sum_k w_k (1 - (1 - l)^k), in exact
+    # rational arithmetic
+    law = law.materialized()
+    keep = 1 - Fraction(leak)
+    closed = Fraction(law.truncation_leak) + sum(
+        Fraction(float(wk)) * (1 - keep ** k) for k, wk in enumerate(law.counts))
+    assert out.leaked_mass == pytest.approx(float(closed), rel=1e-12,
+                                            abs=1e-300)
+    assert out.leaked_mass == pytest.approx(ref.leaked_mass, rel=1e-12,
+                                            abs=1e-300)
+
+
+@pytest.mark.parametrize("law, size", [
+    (OffspringLaw.deterministic(2), 4096),
+    (OffspringLaw.deterministic(4), 2365),
+    (OffspringLaw.finite_support({1: 0.3, 4: 0.7}), 2365),
+])
+def test_step_at_threshold_is_the_power_loop(monkeypatch, law, size):
+    # the largest inputs whose last power is still direct: bit for bit the
+    # per-power loop; one entry more and the spectral path takes over
+    model = ModelSpec(a=2, x0=FinitePmf.from_dict({0: 0.5, 3: 0.5}),
+                      offspring=law)
+    x = _smooth_pmf(size, 1e-10)
+    ref = _power_loop_step(x, model)
+    seen = _spy(monkeypatch)
+    out = step(x, model, tail_eps=0.0)
+    assert seen["spectral"] == 0
+    assert out.probs.tobytes() == ref.probs.tobytes()
+    assert out.leaked_mass == ref.leaked_mass
+    step(_smooth_pmf(size + 1), model, tail_eps=0.0)
+    assert seen["spectral"] == 1
+
+
+def test_step_stays_direct_when_the_floor_trims_powers(monkeypatch):
+    # x^(kmax-1) would be over budget at full length, but its top entries
+    # fall under WEIGHT_FLOOR and are trimmed, so every convolution the loop
+    # makes is direct: the step must still be the loop, bit for bit
+    model = ModelSpec(a=1, x0=FinitePmf.from_dict({0: 0.5, 3: 0.5}),
+                      offspring=OffspringLaw.finite_support({1: 0.75, 3: 0.25}))
+    head = _smooth_pmf(1500).probs * (1.0 - 1534e-299)
+    x = FinitePmf(np.concatenate([head, np.full(1534, 1e-299)]))
+    assert ((3 - 1) * (x.probs.size - 1) + 1) * x.probs.size \
+        > dists._DIRECT_CONV_OPS
+    ref = _power_loop_step(x, model)
+    seen = _spy(monkeypatch)
+    out = step(x, model, tail_eps=0.0)
+    assert seen["spectral"] == 0
+    assert out.probs.tobytes() == ref.probs.tobytes()
+    assert out.leaked_mass == ref.leaked_mass
 
 
 # -- generating-function route ------------------------------------------------
