@@ -1,0 +1,81 @@
+"""Before/after timings of the log-space pgf and of CLI check-lemmas.
+
+Times `dists.log_pgf_eval` and `dists.log_pgf_deriv` on laws of 10, 150,
+2,000 and 100,000 positive weights and on `geometric_x0_pmf(1e-5)` (about
+3.2M entries), and `drphase check-lemmas` in-process on the README model
+and on the bounded-N model of perfbench's exact-evolve workload, for a
+baseline revision and the working tree (see passes.py for the pass
+scheme).  BENCH_gf.json also holds each side's outputs, the pgf values and
+the check-lemmas stdout, and whether the two sides' outputs are identical.
+
+    python benchmarks/bench_gf.py --baseline REV
+"""
+
+from passes import best_of, main
+
+S = 1.2
+SIZES = (10, 150, 2_000, 100_000)
+# (name, a, x0, N): the README model and a bounded-N one
+MODELS = (
+    ("readme", 1, [[0, 0.5], [2, 0.5]], {"type": "deterministic", "n": 2}),
+    ("bounded", 1, [[0, 0.6], [2, 0.4]],
+     {"type": "finite", "pmf": [[1, 0.6], [3, 0.4]]}),
+)
+
+
+def pgf_cases():
+    import numpy as np
+    from drphase.dists import FinitePmf
+    from drphase.scan import geometric_x0_pmf
+    rng = np.random.default_rng(11)
+    for size in SIZES:
+        w = rng.random(size) + 0.01
+        yield f"n{size}", FinitePmf(w / w.sum())
+    yield "geometric_x0_r1e-5", geometric_x0_pmf(1e-5)
+
+
+def check_lemmas(path):
+    import io
+    from contextlib import redirect_stdout
+    from drphase import cli
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["check-lemmas", "--config", path])
+    return code, out.getvalue()
+
+
+def measure():
+    """Timings (s) and outputs of the drphase found on sys.path."""
+    import json
+    import os
+    import tempfile
+    import numpy as np
+    import scipy
+    from drphase import dists
+    timings, outputs = {}, {}
+    for name, p in pgf_cases():
+        for fn in (dists.log_pgf_eval, dists.log_pgf_deriv):
+            case = f"{fn.__name__}.{name}"
+            outputs[case] = repr(fn(p, S))
+            timings[case] = best_of(lambda: fn(p, S))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, a, x0, law in MODELS:
+            path = os.path.join(tmp, f"{name}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump({"a": a, "x0": {"type": "finite", "pmf": x0},
+                           "N": law}, fh)
+            case = f"cli.check_lemmas.{name}"
+            outputs[case] = check_lemmas(path)
+            timings[case] = best_of(lambda: check_lemmas(path))
+    return {"timings_s": timings, "outputs": outputs,
+            "numpy": np.__version__, "scipy": scipy.__version__}
+
+
+def outputs_identical(result):
+    result["outputs_identical"] = {
+        k: result["after"]["outputs"][k] == v
+        for k, v in result["before"]["outputs"].items()}
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(__doc__, __file__, measure, outputs_identical))

@@ -5,6 +5,12 @@ command reads it, validates it fully before computing anything, and writes
 deterministic output.  Exit codes: 0 success, 2 configuration error,
 3 numerical failure (leak budget, support overflow); check-lemmas exits 1
 when an audited inequality fails.
+
+check-lemmas audits lemmas 1 and 3 on one shared leak-free evolution under
+AUDIT_SUPPORT_CAP, each on its own prefix of generations, so each reports
+as if it had evolved the model for its own step count.  lemma2 (uncapped,
+Subcritical models only) and lemma4 (laws evolved with the default tail
+cut) evolve separately.
 """
 
 from __future__ import annotations
@@ -176,13 +182,18 @@ def _block(cfg: dict, name: str) -> dict:
     return _as_object(cfg.get(name, {}), name)
 
 
+def _parse_count(block: dict, key: str, path: str, default: int) -> int:
+    val = _get(block, key, path, default, int)
+    if val < 0:
+        raise ConfigError(f"{path}.{key}: must be >= 0, got {val}")
+    return val
+
+
 def _parse_steps(block: dict, path: str, args, default: int = DEFAULT_STEPS
                  ) -> int:
-    steps = args.steps if args.steps is not None else \
-        _get(block, "steps", path, default, int)
-    if steps < 0:
-        raise ConfigError(f"{path}.steps: must be >= 0, got {steps}")
-    return steps
+    if args.steps is not None:  # the flag overrides the config
+        block = {"steps": args.steps}
+    return _parse_count(block, "steps", path, default)
 
 
 # ---------------------------------------------------------------------------
@@ -268,19 +279,26 @@ def _trace_cells(rows) -> list[list]:
              r.cumulative_leak] for r in rows]
 
 
+def _evolve_options(cfg: dict, name: str, args) -> tuple[int, dict]:
+    """Step count and evolution.evolve keywords from a command's block."""
+    block = _block(cfg, name)
+    steps = _parse_steps(block, name, args)
+    return steps, {
+        "tail_eps": float(_get(block, "tail_eps", name,
+                               evolution.DEFAULT_TAIL_EPS, (int, float))),
+        "leak_budget": float(_get(block, "leak_budget", name,
+                                  evolution.DEFAULT_LEAK_BUDGET, (int, float))),
+        "support_cap": _get(block, "support_cap", name,
+                            DEFAULT_SUPPORT_CAP, int),
+    }
+
+
 def cmd_evolve(cfg: dict, args) -> int:
     model = parse_model(cfg)
-    block = _block(cfg, "evolve")
-    steps = _parse_steps(block, "evolve", args)
-    tail_eps = float(_get(block, "tail_eps", "evolve",
-                          evolution.DEFAULT_TAIL_EPS, (int, float)))
-    budget = float(_get(block, "leak_budget", "evolve",
-                        evolution.DEFAULT_LEAK_BUDGET, (int, float)))
-    cap = _get(block, "support_cap", "evolve", DEFAULT_SUPPORT_CAP, int)
+    steps, options = _evolve_options(cfg, "evolve", args)
     header = EVOLVE_CSV_HEADER.split(",")
     try:
-        trace = evolution.evolve(model, steps, tail_eps=tail_eps,
-                                 leak_budget=budget, support_cap=cap)
+        trace = evolution.evolve(model, steps, **options)
     except (LeakBudgetExceeded, SupportCapExceeded) as exc:
         _emit_rows(header, _trace_cells(exc.rows), args.output)
         print(f"error: {exc}", file=sys.stderr)
@@ -291,16 +309,9 @@ def cmd_evolve(cfg: dict, args) -> int:
 
 def cmd_estimate_q(cfg: dict, args) -> int:
     model = parse_model(cfg)
-    block = _block(cfg, "estimate_q")
-    steps = _parse_steps(block, "estimate_q", args)
-    tail_eps = float(_get(block, "tail_eps", "estimate_q",
-                          evolution.DEFAULT_TAIL_EPS, (int, float)))
-    budget = float(_get(block, "leak_budget", "estimate_q",
-                        evolution.DEFAULT_LEAK_BUDGET, (int, float)))
-    cap = _get(block, "support_cap", "estimate_q", DEFAULT_SUPPORT_CAP, int)
+    steps, options = _evolve_options(cfg, "estimate_q", args)
     try:
-        trace = evolution.evolve(model, steps, tail_eps=tail_eps,
-                                 leak_budget=budget, support_cap=cap)
+        trace = evolution.evolve(model, steps, **options)
     except (LeakBudgetExceeded, SupportCapExceeded) as exc:
         last = exc.rows[-1]
         print(f"error: {exc}", file=sys.stderr)
@@ -434,25 +445,56 @@ def _rel_margin(diff, ref) -> float:
     return diff.sign * math.exp(min(diff.log - ref.log, 709.0))
 
 
-def _lemma1_audit(model: ModelSpec, steps: int) -> tuple[str, str]:
+def _growth_points(model: ModelSpec) -> list[float]:
+    """The lemma1 s-grid points where the criterion value is positive."""
     mu = model.offspring.mean
     s_star = mu ** (1.0 / model.a)
     grid = [c * s_star for c in (0.9, 0.95, 0.99) if c * s_star > 1.0]
-    audited = [s for s in grid if criteria.d0(model, s, mu) > 0.0]
+    return [s for s in grid if criteria.d0(model, s, mu) > 0.0]
+
+
+class _SharedEvolution:
+    """One leak-free evolution under the audit cap whose prefixes serve
+    lemma1 and lemma3.
+
+    A failure is kept, not raised, and re-raised only by prefix() calls
+    that reach the failed generation: every audit then reports exactly as
+    if it had evolved the model itself for its own step count.
+    """
+
+    def __init__(self, model: ModelSpec, steps: int):
+        self.failure: Exception | None = None
+        try:
+            self.pmfs = evolution.evolve(
+                model, steps, tail_eps=0.0, keep_pmfs=True,
+                support_cap=AUDIT_SUPPORT_CAP).pmfs
+        except (LeakBudgetExceeded, SupportCapExceeded) as exc:
+            self.pmfs, self.failure = exc.pmfs, exc
+
+    def prefix(self, steps: int) -> tuple[FinitePmf, ...]:
+        """Laws of generations 0..steps."""
+        if steps >= len(self.pmfs):
+            raise self.failure
+        return self.pmfs[:steps + 1]
+
+
+def _lemma1_audit(model: ModelSpec, audited: list[float],
+                  shared: _SharedEvolution | None, steps: int
+                  ) -> tuple[str, str]:
     if not audited:
         return "SKIPPED", "criterion value not positive on the s-grid"
-    worst = math.inf
     try:
-        for s in audited:
-            for row in criteria.lemma1_growth_check(
-                    model, s, steps, support_cap=AUDIT_SUPPORT_CAP):
-                gap = _rel_margin(row.lhs_log - row.floor_log, row.floor_log)
-                worst = min(worst, gap)
-                if not row.holds:
-                    return "FAIL", (f"s={_fmt(s)} n={row.n}: lhs below "
-                                    f"floor by {_fmt(-gap)} of the floor")
+        pmfs = shared.prefix(steps)
     except SupportCapExceeded:
         return "SKIPPED", "support grew beyond the audit cap"
+    worst = math.inf
+    for s in audited:
+        for row in criteria.lemma1_growth_rows(model, s, pmfs):
+            gap = _rel_margin(row.lhs_log - row.floor_log, row.floor_log)
+            worst = min(worst, gap)
+            if not row.holds:
+                return "FAIL", (f"s={_fmt(s)} n={row.n}: lhs below "
+                                f"floor by {_fmt(-gap)} of the floor")
     return "PASS", (f"{len(audited)} s-points, worst lhs margin "
                     f"{_fmt(worst)} of the floor")
 
@@ -467,28 +509,27 @@ def _lemma2_audit(model: ModelSpec, steps: int) -> tuple[str, str]:
     return "FAIL", f"worst tail ratio {_fmt(worst)} exceeds 1"
 
 
-def _lemma3_audit(model: ModelSpec, steps: int) -> tuple[str, str]:
+def _lemma3_audit(model: ModelSpec, shared: _SharedEvolution | None,
+                  steps: int) -> tuple[str, str]:
     bound = model.offspring.bound
     if bound is None:
         return "SKIPPED", "requires bounded N"
-    s0 = 1.0 + (bound - 1.0) / model.a
-    worst = math.inf
     try:
-        for s in (s0, 2.0 * s0):
-            rows = criteria.lemma3_contraction_check(
-                model, s, steps, support_cap=AUDIT_SUPPORT_CAP)
-            for row in rows:
-                if row.bound_log is None:
-                    continue
-                gap = _rel_margin(row.bound_log - row.d_next_log,
-                                  row.bound_log)
-                worst = min(worst, gap)
-                if not row.holds:
-                    return "FAIL", (f"s={_fmt(s)} n={row.n}: value above "
-                                    f"contraction bound by {_fmt(-gap)} "
-                                    f"of the bound")
+        pmfs = shared.prefix(steps)
     except SupportCapExceeded:
         return "SKIPPED", "support grew beyond the audit cap"
+    s0 = 1.0 + (bound - 1.0) / model.a
+    worst = math.inf
+    for s in (s0, 2.0 * s0):
+        for row in criteria.lemma3_contraction_rows(model, s, pmfs):
+            if row.bound_log is None:
+                continue
+            gap = _rel_margin(row.bound_log - row.d_next_log, row.bound_log)
+            worst = min(worst, gap)
+            if not row.holds:
+                return "FAIL", (f"s={_fmt(s)} n={row.n}: value above "
+                                f"contraction bound by {_fmt(-gap)} "
+                                f"of the bound")
     return "PASS", f"worst contraction margin {_fmt(worst)} of the bound"
 
 
@@ -525,14 +566,25 @@ def _lemma4_audit(model: ModelSpec, steps: int) -> tuple[str, str]:
 def cmd_check_lemmas(cfg: dict, args) -> int:
     model = parse_model(cfg)
     block = _block(cfg, "check_lemmas")
-    growth_steps = _get(block, "growth_steps", "check_lemmas", 8, int)
-    tail_steps = _get(block, "tail_steps", "check_lemmas", 20, int)
-    contraction_steps = _get(block, "contraction_steps", "check_lemmas", 10, int)
-    association_steps = _get(block, "association_steps", "check_lemmas", 10, int)
+    growth_steps, tail_steps, contraction_steps, association_steps = (
+        _parse_count(block, key, "check_lemmas", default)
+        for key, default in (("growth_steps", 8), ("tail_steps", 20),
+                             ("contraction_steps", 10),
+                             ("association_steps", 10)))
+    # lemma1 and lemma3 read their laws off one evolution, as long as the
+    # longer of the two audits that run
+    audited = _growth_points(model)
+    shared_steps = [n for n, runs in (
+        (growth_steps, bool(audited)),
+        (contraction_steps, model.offspring.bound is not None)) if runs]
+    shared = _SharedEvolution(model, max(shared_steps)) \
+        if shared_steps else None
     audits = [
-        ("lemma1 growth-floor", _lemma1_audit(model, growth_steps)),
+        ("lemma1 growth-floor",
+         _lemma1_audit(model, audited, shared, growth_steps)),
         ("lemma2 tail-bound", _lemma2_audit(model, tail_steps)),
-        ("lemma3 contraction", _lemma3_audit(model, contraction_steps)),
+        ("lemma3 contraction",
+         _lemma3_audit(model, shared, contraction_steps)),
         ("lemma4 association", _lemma4_audit(model, association_steps)),
     ]
     if args.output == "json":

@@ -20,6 +20,7 @@ float64 within a few generations on growing instances.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,18 +122,31 @@ def lemma1_growth_check(model: ModelSpec, s: float, steps: int, *,
     lhs(n) = (mu-1) s F_n'(s) - a F_n(s); the claim is the geometric growth
     of the supercritical criterion value, valid for 1 < s < mu^(1/a).
     """
-    mu = model.offspring.mean
-    a = model.a
-    if not 1.0 < s < mu ** (1.0 / a):
-        raise ValueError(
-            f"s must lie in the open interval (1, {mu ** (1.0 / a)}), got {s}")
+    _check_growth_point(model, s)
     trace = evolve(model, steps, tail_eps=0.0, keep_pmfs=True,
                    support_cap=support_cap)
+    return lemma1_growth_rows(model, s, trace.pmfs)
+
+
+def _check_growth_point(model: ModelSpec, s: float) -> None:
+    s_max = model.offspring.mean ** (1.0 / model.a)
+    if not 1.0 < s < s_max:
+        raise ValueError(
+            f"s must lie in the open interval (1, {s_max}), got {s}")
+
+
+def lemma1_growth_rows(model: ModelSpec, s: float,
+                       pmfs: Sequence[FinitePmf]) -> list[GrowthRow]:
+    """lemma1_growth_check's rows on given laws, pmfs[n] being X_n's
+    leak-free law; several audits can share one evolution this way."""
+    _check_growth_point(model, s)
+    mu = model.offspring.mean
+    a = model.a
     log_rate = math.log(mu) - a * math.log(s)
     slack = LogReal.from_float(GROWTH_SLACK)
     rows: list[GrowthRow] = []
-    lhs0 = _d_log(trace.pmfs[0], s, mu, a)
-    for n, x in enumerate(trace.pmfs):
+    lhs0 = _d_log(pmfs[0], s, mu, a)
+    for n, x in enumerate(pmfs):
         lhs = _d_log(x, s, mu, a)
         floor = lhs0 * LogReal.from_log(n * log_rate)
         holds = (lhs - floor + slack).sign >= 0
@@ -192,22 +206,35 @@ def lemma3_contraction_check(model: ModelSpec, s: float, steps: int, *,
     s >= 1 + (M-1)/a.  A negative D being contracted stays negative, which
     is the sign-persistence consequence the subcritical argument uses.
     """
+    _check_contraction_point(model, s)
+    trace = evolve(model, steps, tail_eps=0.0, keep_pmfs=True,
+                   support_cap=support_cap)
+    return lemma3_contraction_rows(model, s, trace.pmfs)
+
+
+def _check_contraction_point(model: ModelSpec, s: float) -> None:
     bound = model.offspring.bound
     if bound is None:
         raise ValueError("contraction audit requires bounded offspring counts")
-    a = model.a
-    threshold = 1.0 + (bound - 1.0) / a
+    threshold = 1.0 + (bound - 1.0) / model.a
     if s < threshold:
         raise ValueError(f"s must be >= {threshold}, got {s}")
-    m = float(bound)
+
+
+def lemma3_contraction_rows(model: ModelSpec, s: float,
+                            pmfs: Sequence[FinitePmf]
+                            ) -> list[ContractionRow]:
+    """lemma3_contraction_check's rows on given laws, pmfs[n] being X_n's
+    leak-free law."""
+    _check_contraction_point(model, s)
+    a = model.a
     law = model.offspring
-    trace = evolve(model, steps, tail_eps=0.0, keep_pmfs=True,
-                   support_cap=support_cap)
+    m = float(law.bound)
     log_s = math.log(s)
     rows: list[ContractionRow] = []
     d_prev: LogReal | None = None
     factor_prev: LogReal | None = None
-    for n, x in enumerate(trace.pmfs):
+    for n, x in enumerate(pmfs):
         d_here = _d_log(x, s, m, a)
         if n == 0:
             rows.append(ContractionRow(0, d_here.to_float(), None, True,

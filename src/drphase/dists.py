@@ -18,7 +18,6 @@ from typing import Mapping
 
 import numpy as np
 from scipy.signal import fftconvolve
-from scipy.special import logsumexp
 
 from . import kernels
 
@@ -153,6 +152,24 @@ def pgf_deriv(p: FinitePmf, s: float) -> float:
     return float(np.dot(p.probs[idx] * k, np.power(float(s), k - 1.0)))
 
 
+def _logsumexp(t: np.ndarray) -> float:
+    """log(sum(exp(t))) for a non-empty array of finite terms.
+
+    The max-shifted sum with the maximal terms split off (Blanchard, Higham
+    & Higham, IMA J. Numer. Anal. 41(4), 2021), in exactly the operations
+    scipy.special.logsumexp performs, so results agree bit for bit, without
+    its fixed per-call cost.  The numpy scalar log1p/log are kept on
+    purpose: math.log1p and math.log can differ in the last bit.
+    """
+    top = t.max()
+    at_top = t == top
+    m = np.count_nonzero(at_top)
+    e = np.exp(t - top)
+    e[at_top] = 0.0
+    s = e.sum() / m
+    return float(np.log1p(s) + np.log(m) + top)
+
+
 def log_pgf_eval(p: FinitePmf, s: float) -> float:
     """log E s^X, stable far beyond float64 range."""
     if s <= 0.0:
@@ -161,7 +178,7 @@ def log_pgf_eval(p: FinitePmf, s: float) -> float:
     if idx.size == 0:
         return -math.inf
     terms = np.log(p.probs[idx]) + idx.astype(np.float64) * math.log(s)
-    return float(logsumexp(terms))
+    return _logsumexp(terms)
 
 
 def log_pgf_deriv(p: FinitePmf, s: float) -> float:
@@ -174,7 +191,7 @@ def log_pgf_deriv(p: FinitePmf, s: float) -> float:
         return -math.inf
     k = idx.astype(np.float64)
     terms = np.log(p.probs[idx]) + np.log(k) + (k - 1.0) * math.log(s)
-    return float(logsumexp(terms))
+    return _logsumexp(terms)
 
 
 def convolve(p: FinitePmf, q: FinitePmf) -> FinitePmf:
@@ -354,14 +371,14 @@ class OffspringLaw:
         w = self.counts
         idx = np.flatnonzero(w)
         terms = np.log(w[idx]) + idx.astype(np.float64) * log_v
-        return float(logsumexp(terms))
+        return _logsumexp(terms)
 
     def log_pgf_deriv(self, log_v: float) -> float:
         w = self.counts
         idx = np.flatnonzero(w)
         k = idx.astype(np.float64)
         terms = np.log(w[idx]) + np.log(k) + (k - 1.0) * log_v
-        return float(logsumexp(terms))
+        return _logsumexp(terms)
 
 
 @dataclass(frozen=True)

@@ -66,19 +66,26 @@ class LeakBudgetExceeded(RuntimeError):
     """Cumulative truncation leak passed the configured budget.
 
     rows holds the trace completed so far, last row being the offender.
+    pmfs holds the laws of the generations before the offender when the
+    evolution kept them (keep_pmfs=True), None otherwise.
     """
 
-    def __init__(self, message: str, rows: tuple[TraceRow, ...]):
+    def __init__(self, message: str, rows: tuple[TraceRow, ...],
+                 pmfs: tuple[FinitePmf, ...] | None = None):
         super().__init__(message)
         self.rows = rows
+        self.pmfs = pmfs
 
 
 class SupportCapExceeded(RuntimeError):
-    """The evolving support outgrew the caller's cap; rows as above."""
+    """The evolving support outgrew the caller's cap; rows and pmfs as
+    above."""
 
-    def __init__(self, message: str, rows: tuple[TraceRow, ...]):
+    def __init__(self, message: str, rows: tuple[TraceRow, ...],
+                 pmfs: tuple[FinitePmf, ...] | None = None):
         super().__init__(message)
         self.rows = rows
+        self.pmfs = pmfs
 
 
 def q_bounds(mean_xn: float, n: int, model: ModelSpec) -> tuple[float, float]:
@@ -214,11 +221,13 @@ def evolve(model: ModelSpec, steps: int = DEFAULT_STEPS, *,
         if support_cap is not None and x.support_max > support_cap:
             raise SupportCapExceeded(
                 f"support max {x.support_max} exceeds cap {support_cap} "
-                f"at generation {n}", tuple(rows))
+                f"at generation {n}", tuple(rows),
+                tuple(pmfs) if keep_pmfs else None)
         if x.leaked_mass > leak_budget:
             raise LeakBudgetExceeded(
                 f"cumulative leak {x.leaked_mass:.3e} exceeds budget "
-                f"{leak_budget:.3e} at generation {n}", tuple(rows))
+                f"{leak_budget:.3e} at generation {n}", tuple(rows),
+                tuple(pmfs) if keep_pmfs else None)
         if keep_pmfs:
             pmfs.append(x)
     return EvolutionTrace(model, tuple(rows),

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from drphase import cli
+from drphase import cli, criteria
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -376,6 +376,52 @@ def test_check_lemmas_fail_exits_one(tmp_path, capsys, monkeypatch):
     code, out, _ = run_main(["check-lemmas", "--config", cfg], capsys)
     assert code == 1
     assert "lemma2 tail-bound: FAIL (forced for the test)" in out.splitlines()
+
+
+@pytest.mark.parametrize("key", ["growth_steps", "tail_steps",
+                                 "contraction_steps", "association_steps"])
+def test_check_lemmas_negative_steps_is_config_error(tmp_path, capsys,
+                                                     monkeypatch, key):
+    def no_evolution(*args, **kwargs):
+        raise AssertionError("evolved before validating the config")
+    monkeypatch.setattr(cli.evolution, "evolve", no_evolution)
+    monkeypatch.setattr(cli.evolution, "step", no_evolution)
+    monkeypatch.setattr(criteria, "evolve", no_evolution)
+    cfg = write_config(tmp_path, base_config(check_lemmas={key: -3}))
+    code, out, err = run_main(["check-lemmas", "--config", cfg], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"check_lemmas.{key}: must be >= 0, got -3" in err
+
+
+def test_check_lemmas_cap_between_growth_and_contraction(tmp_path, capsys):
+    # support max 200 * 3^n - (3^n - 1) / 2 first passes the 2^21 audit cap
+    # at n = 9: inside contraction_steps, past growth_steps
+    growth_steps = 4
+    doc = base_config(N={"type": "deterministic", "n": 3},
+                      check_lemmas={"growth_steps": growth_steps,
+                                    "tail_steps": 1,
+                                    "contraction_steps": 12,
+                                    "association_steps": 1})
+    doc["x0"] = {"type": "finite", "pmf": [[0, 0.5], [200, 0.5]]}
+    cfg = write_config(tmp_path, doc)
+    code, out, _ = run_main(["check-lemmas", "--config", cfg], capsys)
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[2] == ("lemma3 contraction: SKIPPED "
+                        "(support grew beyond the audit cap)")
+    # lemma1 reads as it does from the per-s-point public audit, which
+    # evolves the model itself for growth_steps only
+    model = cli.parse_model(doc)
+    points = cli._growth_points(model)
+    worst = min(
+        cli._rel_margin(row.lhs_log - row.floor_log, row.floor_log)
+        for s in points
+        for row in criteria.lemma1_growth_check(
+            model, s, growth_steps, support_cap=cli.AUDIT_SUPPORT_CAP))
+    assert lines[0] == (f"lemma1 growth-floor: PASS ({len(points)} s-points, "
+                        f"worst lhs margin {cli._fmt(worst)} of the floor)")
+    assert len(points) == 3
 
 
 def test_check_lemmas_csv_round_trips_quoted_details(tmp_path, capsys):

@@ -1,8 +1,12 @@
 """Exact-distribution layer: pinned enumeration oracles plus property loops."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
+from drphase import dists
 from drphase.dists import (
     GEOMETRIC_TAIL,
     FinitePmf,
@@ -149,6 +153,56 @@ def test_log_pgf_matches_plain_in_overlap():
                 pgf_eval(p, s), rel=1e-12)
             assert np.exp(log_pgf_deriv(p, s)) == pytest.approx(
                 pgf_deriv(p, s), rel=1e-12)
+
+
+# -- log-sum-exp against scipy, bit for bit ----------------------------------
+
+def lse_cases():
+    rng = np.random.default_rng(17)
+    yield np.array([3.25])
+    yield np.array([-700.0])
+    yield np.array([2.0, 2.0, 2.0])
+    for spread in (1.0, 10.0, 1e3):
+        for n in (2, 5, 150, 2000):
+            t = rng.standard_normal(n) * spread + rng.uniform(-50.0, 50.0)
+            yield t
+            tied = t.copy()
+            tied[rng.choice(n, size=min(n, 3), replace=False)] = t.max()
+            yield tied
+            yield np.round(t)
+    yield rng.standard_normal(1_000_000) * 10.0
+
+
+def test_logsumexp_matches_scipy_bit_for_bit():
+    for t in lse_cases():
+        assert dists._logsumexp(t) == float(logsumexp(t))
+
+
+def test_log_pgf_matches_scipy_expressions_bit_for_bit():
+    rng = np.random.default_rng(18)
+    laws = [rand_pmf(rng, max_val=40, max_pts=12) for _ in range(30)]
+    w = rng.random(300) + 0.01
+    laws.append(FinitePmf(w / w.sum()))
+    for p in laws:
+        idx = p.support
+        k = idx.astype(np.float64)
+        for s in (0.3, 1.0, 1.7, 25.0):
+            terms = np.log(p.probs[idx]) + k * math.log(s)
+            assert log_pgf_eval(p, s) == float(logsumexp(terms))
+            k1, i1 = k[idx >= 1], idx[idx >= 1]
+            terms = np.log(p.probs[i1]) + np.log(k1) + (k1 - 1.0) * math.log(s)
+            assert log_pgf_deriv(p, s) == float(logsumexp(terms))
+    for law in (OffspringLaw.deterministic(3),
+                OffspringLaw.finite_support({1: 0.3, 2: 0.2, 5: 0.5}),
+                OffspringLaw.geometric(0.4).with_cutoff()):
+        w = law.counts
+        idx = np.flatnonzero(w)
+        k = idx.astype(np.float64)
+        for log_v in (-2.0, 0.0, 0.7, 40.0):
+            terms = np.log(w[idx]) + k * log_v
+            assert law.log_pgf(log_v) == float(logsumexp(terms))
+            terms = np.log(w[idx]) + np.log(k) + (k - 1.0) * log_v
+            assert law.log_pgf_deriv(log_v) == float(logsumexp(terms))
 
 
 # -- validation -------------------------------------------------------------
