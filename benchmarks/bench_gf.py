@@ -11,7 +11,7 @@ the check-lemmas stdout, and whether the two sides' outputs are identical.
     python benchmarks/bench_gf.py --baseline REV
 """
 
-from passes import best_of, main
+from passes import best_of, main, outputs_identical
 
 S = 1.2
 SIZES = (10, 150, 2_000, 100_000)
@@ -69,12 +69,6 @@ def measure():
             timings[case] = best_of(lambda: check_lemmas(path))
     return {"timings_s": timings, "outputs": outputs,
             "numpy": np.__version__, "scipy": scipy.__version__}
-
-
-def outputs_identical(result):
-    result["outputs_identical"] = {
-        k: result["after"]["outputs"][k] == v
-        for k, v in result["before"]["outputs"].items()}
 
 
 if __name__ == "__main__":

@@ -86,6 +86,13 @@ def summarize(passes):
     return out
 
 
+def outputs_identical(result):
+    """finish() hook: per output, whether the two sides' first passes agree."""
+    result["outputs_identical"] = {
+        k: result["after"]["outputs"][k] == v
+        for k, v in result["before"]["outputs"].items()}
+
+
 def main(doc, script, measure, finish=None):
     """Command line of the bench script `script` with docstring `doc`;
     finish(result) may add entries to the result before it is written."""

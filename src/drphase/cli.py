@@ -28,9 +28,7 @@ from .logreal import LogReal
 # the package re-exports scan.scan, so "from . import scan" would grab the
 # function; import the names this module needs instead
 from .scan import (CriterionUnavailable, Family, GeometricX0Family,
-                   NoSignChange, TwoPointFamily, geometric_x0_pmf,
-                   bisect_boundary)
-from .scan import scan as scan_grid
+                   TwoPointFamily, boundary_report, geometric_x0_pmf)
 
 DEFAULT_STEPS = 30
 DEFAULT_POP_SIZE = 100_000
@@ -395,29 +393,22 @@ def cmd_scan(cfg: dict, args) -> int:
     if tol <= 0.0:
         raise ConfigError(f"scan.tolerance: must be positive, got {tol}")
 
-    grid = scan_grid(family, grid_points)
+    report = boundary_report(family, grid_points, tol)
     rows = [[param, verdict.verdict, verdict.d_super, verdict.d_sub]
-            for param, verdict in grid]
+            for param, verdict in report.grid]
 
     notes: list[str] = []
-    bounds: dict[str, tuple[float, float] | None] = {}
-    for which in ("super", "sub"):
-        try:
-            lo, hi = bisect_boundary(family, which, tol)
-            bounds[which] = (lo, hi)
+    for which, bound, missing in (
+            ("super", report.super_boundary, report.super_missing),
+            ("sub", report.sub_boundary, report.sub_missing)):
+        if bound is not None:
+            lo, hi = bound
             notes.append(f"{which}_boundary: [{_fmt(lo)}, {_fmt(hi)}]")
-        except NoSignChange:
-            bounds[which] = None
+        elif isinstance(missing, CriterionUnavailable):
+            notes.append(f"{which}_boundary: n/a ({missing})")
+        else:
             notes.append(f"{which}_boundary: no boundary in range")
-        except CriterionUnavailable as exc:
-            bounds[which] = None
-            notes.append(f"{which}_boundary: n/a ({exc})")
-    band = None
-    if bounds["super"] is not None and bounds["sub"] is not None:
-        lo = min(bounds["super"][1], bounds["sub"][1])
-        hi = max(bounds["super"][0], bounds["sub"][0])
-        if lo < hi:
-            band = (lo, hi)
+    band = report.undetermined_band
     notes.append("undetermined_band: none" if band is None else
                  f"undetermined_band: [{_fmt(band[0])}, {_fmt(band[1])}]")
     if probe and band is not None:

@@ -6,9 +6,9 @@ The classifier evaluates the criterion functional
 
 at two designated points: s = mu^(1/a) with m = mu (mean offspring count)
 for the supercritical test, and s = 1 + (M-1)/a with m = M (the essential
-supremum) for the subcritical test.  Both conditions are sufficient, not
-necessary, so three verdicts exist; values within a narrow band of zero are
-never promoted to a phase claim.
+supremum) for the subcritical test (`super_point`, `sub_point`).  Both
+conditions are sufficient, not necessary, so three verdicts exist; values
+within a narrow band of zero are never promoted to a phase claim.
 
 The lemma*_check functions re-verify the inequality chain behind the
 criteria on concrete evolved laws.  They return evidence rows rather than
@@ -62,44 +62,63 @@ class PhaseVerdict:
 def d0(model: ModelSpec, s: float, m: float) -> float:
     """Criterion functional of the initial law at multiplier m."""
     with np.errstate(over="ignore"):
-        first = (m - 1.0) * s * dists.pgf_deriv(model.x0, s)
-        second = model.a * dists.pgf_eval(model.x0, s)
+        f, fp = dists.pgf_pair(model.x0, s)
+    first = (m - 1.0) * s * fp
+    second = model.a * f
     if math.isfinite(first) and math.isfinite(second):
         return first - second
-    # A wide initial law evaluated past its radius of convergence overflows
-    # float64; only the sign decides the verdict, so finish in log space.
-    return _d_log(model.x0, s, m, model.a).to_float()
+    # Past float64 range: either the sums overflowed, or pgf_pair saw before
+    # evaluating that s^(support_max-1) must overflow and returned inf.  Only
+    # the sign decides the verdict, so the value comes from log space.
+    return _d_log(dists.log_pgf_pair(model.x0, s), s, m, model.a).to_float()
+
+
+def super_point(model: ModelSpec) -> tuple[float, float]:
+    """(s, m) of the supercritical test: s = mu^(1/a), m = mu."""
+    mu = model.offspring.mean
+    return mu ** (1.0 / model.a), mu
+
+
+def sub_point(model: ModelSpec) -> tuple[float, float] | None:
+    """(s, m) of the subcritical test: s = 1 + (M-1)/a, m = M; None for an
+    unbounded offspring law, where the test does not apply."""
+    bound = model.offspring.bound
+    if bound is None:
+        return None
+    return 1.0 + (bound - 1.0) / model.a, float(bound)
 
 
 def classify(model: ModelSpec) -> PhaseVerdict:
-    """Apply both sufficient conditions with a +/- 1e-12 strictness band."""
-    mu = model.offspring.mean
-    a = model.a
-    s_super = mu ** (1.0 / a)
-    d_super = d0(model, s_super, mu)
-    bound = model.offspring.bound
+    """Apply both sufficient conditions with a +/- 1e-12 strictness band.
+
+    When both tests use the same (s, m), as for a deterministic N with
+    a = 1, the criterion is evaluated once.
+    """
+    sup = super_point(model)
+    sub = sub_point(model)
+    d_super = d0(model, *sup)
     d_sub: float | None = None
-    s_sub: float | None = None
-    if bound is not None:
-        s_sub = 1.0 + (bound - 1.0) / a
-        d_sub = d0(model, s_sub, float(bound))
+    if sub is not None:
+        d_sub = d_super if sub == sup else d0(model, *sub)
     if d_super > STRICTNESS_BAND:
         verdict = SUPERCRITICAL
     elif d_sub is not None and d_sub < -STRICTNESS_BAND:
         verdict = SUBCRITICAL
     else:
         verdict = UNDETERMINED
-    details = {"s_super": s_super, "s_sub": s_sub,
-               "offspring_mean": mu, "offspring_bound": bound}
+    details = {"s_super": sup[0], "s_sub": None if sub is None else sub[0],
+               "offspring_mean": model.offspring.mean,
+               "offspring_bound": model.offspring.bound}
     return PhaseVerdict(verdict, d_super, d_sub, details)
 
 
-def _d_log(x: FinitePmf, s: float, m: float, a: int) -> LogReal:
-    """(m-1) s F'(s) - a F(s) for an evolved law, in signed log space."""
-    first = LogReal.from_float((m - 1.0) * s) \
-        * LogReal.from_log(dists.log_pgf_deriv(x, s))
-    second = LogReal.from_float(float(a)) \
-        * LogReal.from_log(dists.log_pgf_eval(x, s))
+def _d_log(log_pair: tuple[float, float], s: float, m: float, a: int
+           ) -> LogReal:
+    """(m-1) s F'(s) - a F(s) in signed log space, from the pair
+    (log F(s), log F'(s))."""
+    log_f, log_fp = log_pair
+    first = LogReal.from_float((m - 1.0) * s) * LogReal.from_log(log_fp)
+    second = LogReal.from_float(float(a)) * LogReal.from_log(log_f)
     return first - second
 
 
@@ -145,10 +164,9 @@ def lemma1_growth_rows(model: ModelSpec, s: float,
     log_rate = math.log(mu) - a * math.log(s)
     slack = LogReal.from_float(GROWTH_SLACK)
     rows: list[GrowthRow] = []
-    lhs0 = _d_log(pmfs[0], s, mu, a)
-    for n, x in enumerate(pmfs):
-        lhs = _d_log(x, s, mu, a)
-        floor = lhs0 * LogReal.from_log(n * log_rate)
+    lhs_all = [_d_log(dists.log_pgf_pair(x, s), s, mu, a) for x in pmfs]
+    for n, lhs in enumerate(lhs_all):
+        floor = lhs_all[0] * LogReal.from_log(n * log_rate)
         holds = (lhs - floor + slack).sign >= 0
         rows.append(GrowthRow(n, lhs.to_float(), floor.to_float(), holds,
                               lhs, floor))
@@ -235,7 +253,8 @@ def lemma3_contraction_rows(model: ModelSpec, s: float,
     d_prev: LogReal | None = None
     factor_prev: LogReal | None = None
     for n, x in enumerate(pmfs):
-        d_here = _d_log(x, s, m, a)
+        log_pair = dists.log_pgf_pair(x, s)
+        d_here = _d_log(log_pair, s, m, a)
         if n == 0:
             rows.append(ContractionRow(0, d_here.to_float(), None, True,
                                        d_here, None))
@@ -246,7 +265,7 @@ def lemma3_contraction_rows(model: ModelSpec, s: float,
             holds = (d_here - rhs).sign <= 0
             rows.append(ContractionRow(n, d_here.to_float(), bnd.to_float(),
                                        holds, d_here, bnd))
-        log_f = dists.log_pgf_eval(x, s)
+        log_f = log_pair[0]
         factor_prev = LogReal.from_log(
             math.log(m) + law.log_pgf(log_f) - log_f - a * log_s)
         d_prev = d_here
@@ -257,8 +276,9 @@ def lemma4_association_check(p: FinitePmf, s: float) -> tuple[float, float]:
     """(E X s^X, E X * E s^X); the first dominates for s > 1."""
     if s <= 1.0:
         raise ValueError(f"association inequality is claimed for s > 1, got {s}")
-    lhs = s * dists.pgf_deriv(p, s)
-    rhs = dists.mean(p) * dists.pgf_eval(p, s)
+    f, fp = dists.pgf_pair(p, s)
+    lhs = s * fp
+    rhs = dists.mean(p) * f
     return lhs, rhs
 
 
@@ -268,9 +288,9 @@ def lemma4_association_check_log(p: FinitePmf, s: float
     generating function overflows float64."""
     if s <= 1.0:
         raise ValueError(f"association inequality is claimed for s > 1, got {s}")
-    lhs = LogReal.from_float(s) * LogReal.from_log(dists.log_pgf_deriv(p, s))
-    rhs = LogReal.from_float(dists.mean(p)) \
-        * LogReal.from_log(dists.log_pgf_eval(p, s))
+    log_f, log_fp = dists.log_pgf_pair(p, s)
+    lhs = LogReal.from_float(s) * LogReal.from_log(log_fp)
+    rhs = LogReal.from_float(dists.mean(p)) * LogReal.from_log(log_f)
     return lhs, rhs
 
 

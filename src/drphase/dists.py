@@ -8,6 +8,12 @@ values are therefore certified lower bounds for the untruncated quantities.
 Above `_DIRECT_CONV_OPS` convolutions go through the FFT: round-off below
 zero is clipped but the positive noise is kept, which biases retained means
 upward, so there they are approximations, not certified lower bounds.
+
+`pgf_pair` and `log_pgf_pair` evaluate a law's generating function and its
+derivative at one point in one pass over the support, in float64 and in
+log space.  The float pair returns inf without evaluating when
+s^(support_max-1) is certain to overflow.  `pgf_eval`, `pgf_deriv`,
+`log_pgf_eval` and `log_pgf_deriv` are one side of those pairs.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sp_fft
 
 from . import kernels
 
@@ -29,6 +35,8 @@ WEIGHT_FLOOR = 1e-300
 GEOMETRIC_TAIL = 1e-14
 # Direct convolution up to this many multiply-adds, transform above.
 _DIRECT_CONV_OPS = 1 << 24
+# s^k overflows float64 for k log s above log(DBL_MAX) = 709.78...
+_LOG_OVERFLOW = 710.0
 
 
 @dataclass(frozen=True)
@@ -130,26 +138,24 @@ def mean(p: FinitePmf) -> float:
     return float(np.dot(p.probs, np.arange(p.probs.size, dtype=np.float64)))
 
 
-def pgf_eval(p: FinitePmf, s: float) -> float:
-    """E s^X over the retained weights; overflows to inf for huge supports."""
+def _check_argument(s: float) -> None:
     if s <= 0.0:
         raise ValueError(f"pgf argument must be positive, got {s}")
-    idx = p.support
-    if idx.size == 0:
-        return 0.0
-    return float(np.dot(p.probs[idx], np.power(float(s), idx.astype(np.float64))))
 
 
-def pgf_deriv(p: FinitePmf, s: float) -> float:
-    """d/ds E s^X over the retained weights."""
-    if s <= 0.0:
-        raise ValueError(f"pgf argument must be positive, got {s}")
-    idx = p.support
-    idx = idx[idx >= 1]
-    if idx.size == 0:
-        return 0.0
-    k = idx.astype(np.float64)
-    return float(np.dot(p.probs[idx] * k, np.power(float(s), k - 1.0)))
+def _support(p: FinitePmf) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """(w, k, j, dense): the positive weights of p, their values as float64,
+    the index of the first value >= 1, and whether p has no zero weight.
+
+    A dense law gives probs itself and an arange: the numbers flatnonzero
+    and fancy indexing would copy out, without the copies.
+    """
+    probs = p.probs
+    if np.count_nonzero(probs) == probs.size:
+        return probs, np.arange(probs.size, dtype=np.float64), 1, True
+    idx = np.flatnonzero(probs)
+    j = int(idx.size > 0 and idx[0] == 0)
+    return probs[idx], idx.astype(np.float64), j, False
 
 
 def _logsumexp(t: np.ndarray) -> float:
@@ -164,34 +170,77 @@ def _logsumexp(t: np.ndarray) -> float:
     top = t.max()
     at_top = t == top
     m = np.count_nonzero(at_top)
-    e = np.exp(t - top)
+    e = t - top
+    np.exp(e, out=e)
     e[at_top] = 0.0
     s = e.sum() / m
     return float(np.log1p(s) + np.log(m) + top)
 
 
+def pgf_pair(p: FinitePmf, s: float, *, deriv: bool = True
+             ) -> tuple[float, float | None]:
+    """(E s^X, d/ds E s^X) over the retained weights; overflows to inf for
+    huge supports.  deriv=False leaves the derivative out (None).
+
+    When (support_max - 1) log s > 710, s^(support_max - 1) is certain to
+    overflow, so both sums are inf; they are returned as such without
+    evaluating anything.  A dense law's derivative reads its powers
+    s^(k-1) off the value's s^k.
+    """
+    _check_argument(s)
+    w, k, j, dense = _support(p)
+    if k.size and s > 1.0 and (k[-1] - 1.0) * math.log(s) > _LOG_OVERFLOW:
+        return math.inf, math.inf if deriv else None
+    powers = np.power(float(s), k)
+    value = float(np.dot(w, powers))
+    if not deriv:
+        return value, None
+    k1 = k[j:]
+    shifted = powers[:-1] if dense else np.power(float(s), k1 - 1.0)
+    return value, float(np.dot(w[j:] * k1, shifted))
+
+
+def log_pgf_pair(p: FinitePmf, s: float, *, deriv: bool = True
+                 ) -> tuple[float, float | None]:
+    """(log E s^X, log d/ds E s^X), stable far beyond float64 range, from
+    one pass over the support and the log weights.  deriv=False leaves the
+    derivative out (None).  A dense law's (k-1) log s terms are read off
+    the value's k log s terms."""
+    _check_argument(s)
+    w, k, j, dense = _support(p)
+    if k.size == 0:
+        return -math.inf, -math.inf if deriv else None
+    log_s = math.log(s)
+    log_w = np.log(w)
+    k_log_s = k * log_s
+    log_value = _logsumexp(log_w + k_log_s)
+    if not deriv:
+        return log_value, None
+    k1 = k[j:]
+    if k1.size == 0:
+        return log_value, -math.inf
+    shifted = k_log_s[:-1] if dense else (k1 - 1.0) * log_s
+    return log_value, _logsumexp(log_w[j:] + np.log(k1) + shifted)
+
+
+def pgf_eval(p: FinitePmf, s: float) -> float:
+    """E s^X over the retained weights; overflows to inf for huge supports."""
+    return pgf_pair(p, s, deriv=False)[0]
+
+
+def pgf_deriv(p: FinitePmf, s: float) -> float:
+    """d/ds E s^X over the retained weights."""
+    return pgf_pair(p, s)[1]
+
+
 def log_pgf_eval(p: FinitePmf, s: float) -> float:
     """log E s^X, stable far beyond float64 range."""
-    if s <= 0.0:
-        raise ValueError(f"pgf argument must be positive, got {s}")
-    idx = p.support
-    if idx.size == 0:
-        return -math.inf
-    terms = np.log(p.probs[idx]) + idx.astype(np.float64) * math.log(s)
-    return _logsumexp(terms)
+    return log_pgf_pair(p, s, deriv=False)[0]
 
 
 def log_pgf_deriv(p: FinitePmf, s: float) -> float:
     """log of d/ds E s^X, stable far beyond float64 range."""
-    if s <= 0.0:
-        raise ValueError(f"pgf argument must be positive, got {s}")
-    idx = p.support
-    idx = idx[idx >= 1]
-    if idx.size == 0:
-        return -math.inf
-    k = idx.astype(np.float64)
-    terms = np.log(p.probs[idx]) + np.log(k) + (k - 1.0) * math.log(s)
-    return _logsumexp(terms)
+    return log_pgf_pair(p, s)[1]
 
 
 def convolve(p: FinitePmf, q: FinitePmf) -> FinitePmf:
@@ -202,13 +251,22 @@ def convolve(p: FinitePmf, q: FinitePmf) -> FinitePmf:
     if p.probs.size * q.probs.size <= _DIRECT_CONV_OPS:
         w = kernels.get_backend().conv_direct(p.probs, q.probs)
     else:
-        w = fftconvolve(p.probs, q.probs)
+        w = _fft_convolve(p.probs, q.probs)
         np.clip(w, 0.0, None, out=w)
     tiny = (w > 0.0) & (w < WEIGHT_FLOOR)
     if tiny.any():
         leak += float(w[tiny].sum())
         w[tiny] = 0.0
     return FinitePmf(w, leak)
+
+
+def _fft_convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Full linear convolution by real transforms at the next fast length:
+    the operations scipy.signal.fftconvolve performs on 1-D float input, so
+    results agree bit for bit, without importing scipy.signal."""
+    size = x.size + y.size - 1
+    n = sp_fft.next_fast_len(size, real=True)
+    return sp_fft.irfft(sp_fft.rfft(x, n) * sp_fft.rfft(y, n), n)[:size]
 
 
 def truncate(p: FinitePmf, tail_eps: float) -> FinitePmf:

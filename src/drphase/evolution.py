@@ -295,8 +295,7 @@ def gf_step_deriv_log(x: FinitePmf, model: ModelSpec, s: float) -> LogReal:
     law = model.offspring
     a = model.a
     log_s = math.log(s)
-    log_f = dists.log_pgf_eval(x, s)
-    log_fp = dists.log_pgf_deriv(x, s)
+    log_f, log_fp = dists.log_pgf_pair(x, s)
     total = LogReal.from_log(law.log_pgf_deriv(log_f) + log_fp - a * log_s)
     total = total - LogReal.from_log(law.log_pgf(log_f)
                                      + math.log(a) - (a + 1) * log_s)

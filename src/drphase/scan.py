@@ -9,7 +9,7 @@ explicitly instead of papering over it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -104,14 +104,18 @@ class BoundaryReport:
     """Scan grid plus bisected criterion boundaries.
 
     Intervals are (lo, hi) in the family parameter; a boundary is None when
-    its criterion never changes sign (or never applies).  The undetermined
-    band spans between the two roots when they are distinct.
+    its criterion never changes sign (or never applies), and the matching
+    *_missing field holds the NoSignChange or CriterionUnavailable that says
+    so.  The undetermined band spans between the two roots when they are
+    distinct.
     """
 
     grid: tuple[tuple[float, PhaseVerdict], ...]
     super_boundary: tuple[float, float] | None
     sub_boundary: tuple[float, float] | None
     undetermined_band: tuple[float, float] | None
+    super_missing: RuntimeError | None = field(default=None, compare=False)
+    sub_missing: RuntimeError | None = field(default=None, compare=False)
 
 
 def scan(family: Family, grid_points: int) -> list[tuple[float, PhaseVerdict]]:
@@ -124,13 +128,14 @@ def scan(family: Family, grid_points: int) -> list[tuple[float, PhaseVerdict]]:
 
 
 def _criterion_value(family: Family, which: str, param: float) -> float:
-    verdict = criteria.classify(family.model(param))
-    if which == "super":
-        return verdict.d_super
-    if verdict.d_sub is None:
+    """The chosen criterion alone, at the family member `param`."""
+    model = family.model(param)
+    point = criteria.super_point(model) if which == "super" \
+        else criteria.sub_point(model)
+    if point is None:
         raise CriterionUnavailable(
             "the subcritical criterion requires a bounded offspring law")
-    return verdict.d_sub
+    return criteria.d0(model, *point)
 
 
 def bisect_boundary(family: Family, which: str,
@@ -161,22 +166,23 @@ def bisect_boundary(family: Family, which: str,
 
 def boundary_report(family: Family, grid_points: int = 9,
                     tol: float = DEFAULT_TOL) -> BoundaryReport:
-    """Grid verdicts plus both boundaries; missing boundaries become None."""
+    """Grid verdicts plus both boundaries; missing boundaries become None,
+    with the reason kept in super_missing/sub_missing."""
     grid = tuple(scan(family, grid_points))
-    super_b: tuple[float, float] | None
-    sub_b: tuple[float, float] | None
-    try:
-        super_b = bisect_boundary(family, "super", tol)
-    except NoSignChange:
-        super_b = None
-    try:
-        sub_b = bisect_boundary(family, "sub", tol)
-    except (NoSignChange, CriterionUnavailable):
-        sub_b = None
+    found: dict[str, tuple[float, float] | None] = {}
+    missing: dict[str, RuntimeError | None] = {"super": None, "sub": None}
+    for which in ("super", "sub"):
+        try:
+            found[which] = bisect_boundary(family, which, tol)
+        except (NoSignChange, CriterionUnavailable) as exc:
+            # without its traceback, whose frames would keep the laws alive
+            found[which], missing[which] = None, exc.with_traceback(None)
+    super_b, sub_b = found["super"], found["sub"]
     band = None
     if super_b is not None and sub_b is not None:
         lo = min(super_b[1], sub_b[1])
         hi = max(super_b[0], sub_b[0])
         if lo < hi:
             band = (lo, hi)
-    return BoundaryReport(grid, super_b, sub_b, band)
+    return BoundaryReport(grid, super_b, sub_b, band,
+                          missing["super"], missing["sub"])

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 from scipy.special import logsumexp
 
 from drphase import dists
@@ -203,6 +204,139 @@ def test_log_pgf_matches_scipy_expressions_bit_for_bit():
             assert law.log_pgf(log_v) == float(logsumexp(terms))
             terms = np.log(w[idx]) + np.log(k) + (k - 1.0) * log_v
             assert law.log_pgf_deriv(log_v) == float(logsumexp(terms))
+
+
+# -- one-pass evaluator against the per-function code it replaced -----------
+# The four functions below are the pre-evaluator pgf_eval, pgf_deriv,
+# log_pgf_eval and log_pgf_deriv, kept as oracles (scipy's logsumexp, which
+# dists._logsumexp equals bit for bit, stands in for the numpy one).
+
+def old_pgf_eval(p, s):
+    idx = p.support
+    if idx.size == 0:
+        return 0.0
+    return float(np.dot(p.probs[idx], np.power(float(s), idx.astype(np.float64))))
+
+
+def old_pgf_deriv(p, s):
+    idx = p.support
+    idx = idx[idx >= 1]
+    if idx.size == 0:
+        return 0.0
+    k = idx.astype(np.float64)
+    return float(np.dot(p.probs[idx] * k, np.power(float(s), k - 1.0)))
+
+
+def old_log_pgf_eval(p, s):
+    idx = p.support
+    if idx.size == 0:
+        return -math.inf
+    terms = np.log(p.probs[idx]) + idx.astype(np.float64) * math.log(s)
+    return float(logsumexp(terms))
+
+
+def old_log_pgf_deriv(p, s):
+    idx = p.support
+    idx = idx[idx >= 1]
+    if idx.size == 0:
+        return -math.inf
+    k = idx.astype(np.float64)
+    terms = np.log(p.probs[idx]) + np.log(k) + (k - 1.0) * math.log(s)
+    return float(logsumexp(terms))
+
+
+def same_bits(x, y):
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+# (k - 1) log s at the top of the support, around log(DBL_MAX) = 709.78
+EDGE_EXPONENTS = (700.0, 709.0, 709.78, 709.79, 710.0, 710.001, 711.0)
+
+
+def evaluator_cases():
+    rng = np.random.default_rng(19)
+    laws = [FinitePmf.delta(0), FinitePmf.delta(1), FinitePmf.delta(4),
+            FinitePmf(np.zeros(0), 1.0)]
+    for size in (2, 3, 150, 1001, 20_000):
+        w = rng.random(size) + 0.01
+        laws.append(FinitePmf(w / w.sum()))  # dense
+        w[rng.random(size) < 0.5] = 0.0
+        w[-1] = 0.2
+        w[0] = 0.1
+        laws.append(FinitePmf(w / w.sum()))  # sparse with mass at 0
+        w[0] = 0.0
+        laws.append(FinitePmf(w / w.sum()))  # sparse without mass at 0
+    laws += [rand_pmf(rng, max_val=40, max_pts=12) for _ in range(20)]
+    for p in laws:
+        points = [0.3, 0.999, 1.0, 1.5, 2.0, 25.0]
+        if p.support_max >= 3:
+            points += [math.exp(t / (p.support_max - 1)) for t in EDGE_EXPONENTS]
+        for s in points:
+            yield p, s
+
+
+def test_pgf_pairs_equal_the_old_functions_bit_for_bit():
+    for p, s in evaluator_cases():
+        with np.errstate(over="ignore"):
+            f, fp = dists.pgf_pair(p, s)
+            old_f, old_fp = old_pgf_eval(p, s), old_pgf_deriv(p, s)
+            assert dists.pgf_pair(p, s, deriv=False) == (f, None)
+            assert (pgf_eval(p, s), pgf_deriv(p, s)) == (f, fp)
+        assert same_bits(f, old_f) and same_bits(fp, old_fp), (p.support_max, s)
+        log_f, log_fp = dists.log_pgf_pair(p, s)
+        assert same_bits(log_f, old_log_pgf_eval(p, s)), (p.support_max, s)
+        assert same_bits(log_fp, old_log_pgf_deriv(p, s)), (p.support_max, s)
+        assert dists.log_pgf_pair(p, s, deriv=False) == (log_f, None)
+        assert (log_pgf_eval(p, s), log_pgf_deriv(p, s)) == (log_f, log_fp)
+
+
+def test_pgf_pair_skips_a_certain_overflow():
+    w = np.full(1001, 1.0 / 1001)
+    p = FinitePmf(w)
+    # past 710 nothing is evaluated, so no overflow is ever raised
+    with np.errstate(over="raise"):
+        assert dists.pgf_pair(p, math.exp(710.001 / 999)) == (math.inf, math.inf)
+        assert dists.pgf_pair(p, math.exp(711.0 / 999), deriv=False) \
+            == (math.inf, None)
+        with pytest.raises(FloatingPointError):
+            dists.pgf_pair(p, math.exp(709.9 / 999))
+    # a law on {0} at a tiny argument is evaluated, not skipped
+    assert dists.pgf_pair(FinitePmf.delta(0), 1e-308) == (1.0, 0.0)
+    with pytest.raises(ValueError):
+        dists.pgf_pair(p, 0.0)
+    with pytest.raises(ValueError):
+        dists.log_pgf_pair(p, -1.0)
+
+
+# -- FFT convolution against scipy.signal.fftconvolve, bit for bit ------------
+
+def test_fft_convolve_equals_scipy_fftconvolve():
+    rng = np.random.default_rng(20)
+    for _ in range(60):
+        n1, n2 = (int(v) for v in rng.integers(1, 5000, size=2))
+        x = rng.random(n1)
+        y = rng.random(n2) * rng.random(n2)
+        assert np.array_equal(dists._fft_convolve(x, y), fftconvolve(x, y))
+        assert np.array_equal(dists._fft_convolve(x, x), fftconvolve(x, x))
+    # through convolve() in the transform regime, self-convolution included
+    w = rng.random(5000)
+    p = FinitePmf(w / w.sum())
+    assert p.probs.size ** 2 > dists._DIRECT_CONV_OPS
+    for q in (p, FinitePmf(np.ones(4097) / 4097)):
+        want = fftconvolve(p.probs, q.probs)
+        np.clip(want, 0.0, None, out=want)
+        want[want < dists.WEIGHT_FLOOR] = 0.0
+        got = convolve(p, q).probs  # trailing zeros trimmed
+        assert np.array_equal(got, want[:got.size])
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    import subprocess
+    import sys
+    code = "import sys, drphase.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 # -- validation -------------------------------------------------------------

@@ -1,11 +1,16 @@
 """Parameter-family scans and boundary bisection."""
 
+import importlib
 import math
 
+import numpy as np
 import pytest
 
-from drphase.criteria import SUBCRITICAL, SUPERCRITICAL, UNDETERMINED
-from drphase.dists import OffspringLaw
+from drphase import criteria, dists
+from drphase.criteria import (SUBCRITICAL, SUPERCRITICAL, UNDETERMINED,
+                              PhaseVerdict)
+from drphase.dists import ModelSpec, OffspringLaw
+from drphase.logreal import LogReal
 from drphase.scan import (
     CriterionUnavailable,
     GeometricX0Family,
@@ -16,6 +21,11 @@ from drphase.scan import (
     geometric_x0_pmf,
     scan,
 )
+from test_dists import (old_log_pgf_deriv, old_log_pgf_eval, old_pgf_deriv,
+                        old_pgf_eval)
+
+# the package re-exports scan.scan, which shadows the module attribute
+scan_module = importlib.import_module("drphase.scan")
 
 
 def unit_family():
@@ -150,3 +160,129 @@ def test_geometric_x0_family_scans():
     # closed-form root of the criterion in r is 3/4; the 1e-14 support
     # truncation shifts the computed root by a few 1e-7 at most
     assert abs((lo + hi) / 2 - 0.75) < 1e-5
+
+
+# -- classify and scans against the per-function code they replaced ---------
+
+def old_d0(model, s, m):
+    """d0 as it was before the one-pass evaluator, on the kept functions."""
+    x = model.x0
+    with np.errstate(over="ignore"):
+        first = (m - 1.0) * s * old_pgf_deriv(x, s)
+        second = model.a * old_pgf_eval(x, s)
+    if math.isfinite(first) and math.isfinite(second):
+        return first - second
+    first = LogReal.from_float((m - 1.0) * s) \
+        * LogReal.from_log(old_log_pgf_deriv(x, s))
+    second = LogReal.from_float(float(model.a)) \
+        * LogReal.from_log(old_log_pgf_eval(x, s))
+    return (first - second).to_float()
+
+
+def old_classify(model):
+    """classify as it was: both criteria, each evaluated on its own."""
+    mu = model.offspring.mean
+    a = model.a
+    s_super = mu ** (1.0 / a)
+    d_super = old_d0(model, s_super, mu)
+    bound = model.offspring.bound
+    d_sub = s_sub = None
+    if bound is not None:
+        s_sub = 1.0 + (bound - 1.0) / a
+        d_sub = old_d0(model, s_sub, float(bound))
+    if d_super > criteria.STRICTNESS_BAND:
+        verdict = SUPERCRITICAL
+    elif d_sub is not None and d_sub < -criteria.STRICTNESS_BAND:
+        verdict = SUBCRITICAL
+    else:
+        verdict = UNDETERMINED
+    details = {"s_super": s_super, "s_sub": s_sub,
+               "offspring_mean": mu, "offspring_bound": bound}
+    return PhaseVerdict(verdict, d_super, d_sub, details)
+
+
+def sweep_families():
+    """The 90 two-point families of the benchmark's scan sweep."""
+    laws = (OffspringLaw.deterministic(2), OffspringLaw.deterministic(3),
+            OffspringLaw.finite_support({1: 0.5, 3: 0.5}),
+            OffspringLaw.finite_support({1: 0.5, 2: 0.5}),
+            OffspringLaw.geometric(0.5))
+    return [TwoPointFamily(a, high, law)
+            for a in (1, 2, 3) for high in range(1, 7) for law in laws]
+
+
+def same_verdict(v, w):
+    return (v.verdict, repr(v.d_super), repr(v.d_sub), v.details) \
+        == (w.verdict, repr(w.d_super), repr(w.d_sub), w.details)
+
+
+@pytest.mark.parametrize("r", [1e-2, 1e-3, 1e-4, 1e-5])
+def test_classify_on_geometric_x0_equals_old_code(r):
+    model = ModelSpec(1, geometric_x0_pmf(r), OffspringLaw.deterministic(2))
+    assert same_verdict(criteria.classify(model), old_classify(model))
+
+
+def test_classify_and_reports_on_sweep_families_equal_old_code(monkeypatch):
+    families = sweep_families()
+    for fam in families:
+        for p, v in scan(fam, 41):
+            assert same_verdict(v, old_classify(fam.model(p))), (fam, p)
+    reports = [boundary_report(fam, 41, 1e-9) for fam in families]
+
+    def old_criterion_value(family, which, param):
+        verdict = old_classify(family.model(param))
+        if which == "super":
+            return verdict.d_super
+        if verdict.d_sub is None:
+            raise CriterionUnavailable("unbounded")
+        return verdict.d_sub
+
+    monkeypatch.setattr(scan_module, "_criterion_value", old_criterion_value)
+    monkeypatch.setattr(criteria, "classify", old_classify)
+    for fam, rep in zip(families, reports):
+        old = boundary_report(fam, 41, 1e-9)
+        assert (rep.super_boundary, rep.sub_boundary, rep.undetermined_band) \
+            == (old.super_boundary, old.sub_boundary, old.undetermined_band)
+        assert all(same_verdict(v, w) for (_, v), (_, w) in zip(rep.grid, old.grid))
+
+
+def count_evaluations(monkeypatch):
+    calls = []
+    real = dists.pgf_pair
+
+    def counted(p, s, **kw):
+        calls.append(s)
+        return real(p, s, **kw)
+    monkeypatch.setattr(dists, "pgf_pair", counted)
+    return calls
+
+
+def test_classify_evaluates_each_distinct_point_once(monkeypatch):
+    calls = count_evaluations(monkeypatch)
+    same = TwoPointFamily(1, 2, OffspringLaw.deterministic(2)).model(0.3)
+    v = criteria.classify(same)
+    assert calls == [2.0] and v.d_sub == v.d_super
+    calls.clear()
+    apart = TwoPointFamily(1, 2, OffspringLaw.finite_support({1: 0.5, 3: 0.5}))
+    criteria.classify(apart.model(0.3))
+    assert calls == [2.0, 3.0]
+
+
+def test_bisection_evaluates_only_the_requested_criterion(monkeypatch):
+    calls = count_evaluations(monkeypatch)
+    fam = TwoPointFamily(2, 3, OffspringLaw.finite_support({1: 0.5, 3: 0.5}))
+    bisect_boundary(fam, "sub", tol=1e-3)
+    assert set(calls) == {2.0}
+    calls.clear()
+    bisect_boundary(fam, "super", tol=1e-3)
+    assert set(calls) == {math.sqrt(2.0)}
+
+
+def test_boundary_report_records_why_a_boundary_is_missing():
+    rep = boundary_report(TwoPointFamily(3, 2, OffspringLaw.deterministic(2)), 5)
+    assert rep.super_boundary is None
+    assert isinstance(rep.super_missing, NoSignChange)
+    rep = boundary_report(TwoPointFamily(1, 2, OffspringLaw.geometric(0.5)), 5)
+    assert rep.sub_boundary is None and rep.super_missing is None
+    assert isinstance(rep.sub_missing, CriterionUnavailable)
+    assert rep.super_boundary is not None
