@@ -49,7 +49,7 @@ from .evolution import (
     q_bounds,
     step,
 )
-from .kernels import apply_thread_cap, available_backends, get_backend
+from .kernels import get_backend
 from .logreal import LogReal
 from .montecarlo import (
     Population,
@@ -90,7 +90,7 @@ __all__ = [
     "LeakBudgetExceeded", "SupportCapExceeded",
     "step", "evolve", "q_bounds",
     "gf_step_eval", "gf_step_deriv", "gf_step_eval_log", "gf_step_deriv_log",
-    "apply_thread_cap", "available_backends", "get_backend",
+    "get_backend",
     "LogReal",
     "Population", "QEstimate",
     "init_population", "mc_step", "mc_estimate_q",

@@ -21,7 +21,7 @@ import json
 import math
 import sys
 
-from . import criteria, evolution, kernels, montecarlo
+from . import criteria, evolution, montecarlo
 from .dists import FinitePmf, ModelSpec, OffspringLaw
 from .evolution import LeakBudgetExceeded, SupportCapExceeded
 from .logreal import LogReal
@@ -625,11 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        kernels.apply_thread_cap()
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     try:
         cfg = load_config(args.config)
         return _COMMANDS[args.command](cfg, args)

@@ -1,30 +1,18 @@
-"""Hot numeric kernels: a numba-compiled path and a pure-numpy fallback.
+"""Hot numeric kernels: direct convolution and the two samplers, in numpy.
 
-The active implementation is chosen per process.  Set DRPHASE_BACKEND=numpy
-to force the fallback, DRPHASE_BACKEND=numba to require the compiled path;
-the default is numba whenever it imports.  Both paths implement the same
-arithmetic, and the sampling kernels produce bit-identical arrays because
-every random draw is a pure function of (seed, generation, sample index,
-draw index) pushed through splitmix64 -- no sequential generator state, so
-results cannot depend on thread count or chunking.
+`get_backend()` returns the one kernel table; `dists.convolve` and
+`montecarlo` look its entries up at call time, so a test or a profiler can
+substitute one.  Every random draw is a pure function of (seed, generation,
+sample index, draw index) pushed through splitmix64 -- no sequential
+generator state -- so sampler output is reproducible to the byte and
+cannot depend on chunking or scheduling.
 """
 
 from __future__ import annotations
 
-import os
+from types import SimpleNamespace
 
 import numpy as np
-
-try:
-    import numba
-    from numba import njit, prange
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-BACKEND_ENV = "DRPHASE_BACKEND"
-THREADS_ENV = "DRPHASE_THREADS"
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GAMMA = 0x9E3779B97F4A7C15
@@ -32,7 +20,7 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _INV53 = 2.0 ** -53
 
-# Offspring-law codes shared by both kernel paths.
+# Offspring-law codes understood by the count samplers.
 KIND_DETERMINISTIC = 0
 KIND_FINITE = 1
 KIND_GEOMETRIC = 2
@@ -63,11 +51,6 @@ def uniform53(h: int) -> float:
     return (h >> 11) * _INV53
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-
 def _sm64_np(z: np.ndarray) -> np.ndarray:
     z = z + np.uint64(_GAMMA)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
@@ -85,7 +68,7 @@ def _draw_counts_np(u: np.ndarray, kind: int, det_n: int, cdf: np.ndarray,
         np.minimum(idx, len(cdf) - 1, out=idx)
         return idx.astype(np.int64) + 1
     # Geometric on {1, 2, ...}: scan the cdf with incremental powers so the
-    # float sequence matches the compiled per-sample loop bit for bit.
+    # float sequence matches the scalar loop of draw_count bit for bit.
     n = np.ones(u.shape, dtype=np.int64)
     c = geom_p
     m = geom_p
@@ -102,13 +85,31 @@ def _draw_counts_np(u: np.ndarray, kind: int, det_n: int, cdf: np.ndarray,
     return n
 
 
-def _conv_numpy(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return np.convolve(p, q)
+def draw_count(u: float, kind: int, det_n: int, cdf: np.ndarray,
+               geom_p: float) -> int:
+    """Scalar twin of `_draw_counts_np`: one offspring count from one uniform.
+
+    The deterministic kind ignores `u`; a caller that draws uniforms one at
+    a time (`montecarlo.tree_sample`) draws none for it.
+    """
+    if kind == KIND_DETERMINISTIC:
+        return det_n
+    if kind == KIND_FINITE:
+        k = int(np.searchsorted(cdf, u, side="right"))
+        return min(k, len(cdf) - 1) + 1
+    k, c, m = 1, geom_p, geom_p
+    while u >= c:
+        m *= 1.0 - geom_p
+        if m <= _GEOM_MASS_FLOOR:
+            break
+        c += m
+        k += 1
+    return k
 
 
-def _mc_step_numpy(samples: np.ndarray, a: int, master: int, gen: int,
-                   kind: int, det_n: int, cdf: np.ndarray,
-                   geom_p: float) -> np.ndarray:
+def _mc_step(samples: np.ndarray, a: int, master: int, gen: int,
+             kind: int, det_n: int, cdf: np.ndarray,
+             geom_p: float) -> np.ndarray:
     npop = samples.shape[0]
     with np.errstate(over="ignore"):
         prefix = hash_path(master, gen)
@@ -127,8 +128,8 @@ def _mc_step_numpy(samples: np.ndarray, a: int, master: int, gen: int,
     return np.maximum(acc - a, 0)
 
 
-def _gw_sizes_numpy(seeds: np.ndarray, depth: int, kind: int, det_n: int,
-                    cdf: np.ndarray, geom_p: float) -> np.ndarray:
+def _gw_sizes(seeds: np.ndarray, depth: int, kind: int, det_n: int,
+              cdf: np.ndarray, geom_p: float) -> np.ndarray:
     out = np.empty(len(seeds), dtype=np.int64)
     with np.errstate(over="ignore"):
         for t in range(len(seeds)):
@@ -142,170 +143,11 @@ def _gw_sizes_numpy(seeds: np.ndarray, depth: int, kind: int, det_n: int,
     return out
 
 
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, inline="always")
-    def _sm64_nb(z):
-        z = z + np.uint64(_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
-
-    @njit(cache=True, inline="always")
-    def _draw_count_nb(u, kind, det_n, cdf, geom_p):
-        if kind == KIND_DETERMINISTIC:
-            return det_n
-        if kind == KIND_FINITE:
-            k = 0
-            last = len(cdf) - 1
-            while k < last and u >= cdf[k]:
-                k += 1
-            return k + 1
-        k = 1
-        c = geom_p
-        m = geom_p
-        while u >= c:
-            m *= 1.0 - geom_p
-            if m <= _GEOM_MASS_FLOOR:
-                break
-            c += m
-            k += 1
-        return k
-
-    @njit(cache=True)
-    def _conv_numba(p, q):
-        out = np.zeros(p.shape[0] + q.shape[0] - 1)
-        for i in range(p.shape[0]):
-            pi = p[i]
-            if pi != 0.0:
-                for j in range(q.shape[0]):
-                    out[i + j] += pi * q[j]
-        return out
-
-    @njit(cache=True, parallel=True)
-    def _mc_step_numba(samples, a, master, gen, kind, det_n, cdf, geom_p):
-        npop = samples.shape[0]
-        out = np.empty(npop, dtype=np.int64)
-        prefix = _sm64_nb(_sm64_nb(master) ^ gen)
-        for i in prange(npop):
-            base = _sm64_nb(prefix ^ np.uint64(i))
-            u0 = np.float64(_sm64_nb(base ^ np.uint64(0)) >> np.uint64(11)) * _INV53
-            n = _draw_count_nb(u0, kind, det_n, cdf, geom_p)
-            acc = 0
-            for j in range(1, n + 1):
-                u = np.float64(_sm64_nb(base ^ np.uint64(j)) >> np.uint64(11)) * _INV53
-                pick = np.int64(u * npop)
-                if pick >= npop:
-                    pick = npop - 1
-                acc += samples[pick]
-            v = acc - a
-            out[i] = v if v > 0 else 0
-        return out
-
-    @njit(cache=True, parallel=True)
-    def _gw_sizes_numba(seeds, depth, kind, det_n, cdf, geom_p):
-        out = np.empty(seeds.shape[0], dtype=np.int64)
-        for t in prange(seeds.shape[0]):
-            z = 1
-            for level in range(depth):
-                prefix = _sm64_nb(_sm64_nb(seeds[t]) ^ np.uint64(level))
-                tot = 0
-                for node in range(z):
-                    u = (np.float64(_sm64_nb(prefix ^ np.uint64(node)) >> np.uint64(11))
-                         * _INV53)
-                    tot += _draw_count_nb(u, kind, det_n, cdf, geom_p)
-                z = tot
-            out[t] = z
-        return out
+# The kernel table.  Callers look entries up at call time, never bind them.
+_KERNELS = SimpleNamespace(name="numpy", conv_direct=np.convolve,
+                           mc_step=_mc_step, gw_sizes=_gw_sizes)
 
 
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-
-class Backend:
-    """One kernel implementation: direct convolution plus the two samplers."""
-
-    def __init__(self, name, conv_direct, mc_step, gw_sizes):
-        self.name = name
-        self.conv_direct = conv_direct
-        self.mc_step = mc_step
-        self.gw_sizes = gw_sizes
-
-    def __repr__(self):
-        return f"Backend({self.name!r})"
-
-
-def _numpy_backend() -> Backend:
-    return Backend("numpy", _conv_numpy, _mc_step_numpy, _gw_sizes_numpy)
-
-
-def _numba_backend() -> Backend:
-    def mc_step(samples, a, master, gen, kind, det_n, cdf, geom_p):
-        return _mc_step_numba(
-            np.ascontiguousarray(samples, dtype=np.int64),
-            np.int64(a), np.uint64(master & _MASK), np.uint64(gen),
-            np.int64(kind), np.int64(det_n),
-            np.ascontiguousarray(cdf, dtype=np.float64), np.float64(geom_p))
-
-    def gw_sizes(seeds, depth, kind, det_n, cdf, geom_p):
-        return _gw_sizes_numba(
-            np.ascontiguousarray(seeds, dtype=np.uint64),
-            np.int64(depth), np.int64(kind), np.int64(det_n),
-            np.ascontiguousarray(cdf, dtype=np.float64), np.float64(geom_p))
-
-    def conv_direct(p, q):
-        return _conv_numba(np.ascontiguousarray(p, dtype=np.float64),
-                           np.ascontiguousarray(q, dtype=np.float64))
-
-    return Backend("numba", conv_direct, mc_step, gw_sizes)
-
-
-_CACHE: dict[str, Backend] = {}
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numpy", "numba") if HAVE_NUMBA else ("numpy",)
-
-
-def get_backend(name: str | None = None) -> Backend:
-    """Resolve a backend by name, env var, or default (numba if importable)."""
-    if name is None:
-        name = os.environ.get(BACKEND_ENV, "").strip().lower() or None
-    if name is None:
-        name = "numba" if HAVE_NUMBA else "numpy"
-    if name not in ("numpy", "numba"):
-        raise ValueError(f"unknown backend {name!r}; expected numpy or numba")
-    if name == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    if name not in _CACHE:
-        _CACHE[name] = _numba_backend() if name == "numba" else _numpy_backend()
-    return _CACHE[name]
-
-
-def apply_thread_cap(requested: int | None = None) -> int:
-    """Cap internal parallelism; reads DRPHASE_THREADS when not given.
-
-    Results never depend on the effective thread count: parallel kernels
-    write disjoint outputs whose values are functions of per-sample hashes.
-    """
-    if requested is None:
-        raw = os.environ.get(THREADS_ENV, "").strip()
-        if not raw:
-            return numba.get_num_threads() if HAVE_NUMBA else 1
-        try:
-            requested = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
-    if requested < 1:
-        raise ValueError(f"thread cap must be >= 1, got {requested}")
-    if not HAVE_NUMBA:
-        return 1
-    effective = min(requested, numba.config.NUMBA_NUM_THREADS)
-    numba.set_num_threads(effective)
-    return effective
+def get_backend() -> SimpleNamespace:
+    """The kernel table: `conv_direct`, `mc_step` and `gw_sizes`."""
+    return _KERNELS

@@ -11,10 +11,11 @@ Two independent estimators live here:
   grows like (E N)^depth per sample.
 
 Every random draw is a pure function of (master seed, generation, sample
-index, draw index), so runs reproduce bit for bit regardless of backend,
-thread count, or scheduling.  The geometric offspring sampler draws from
-the untruncated law (the cdf scan saturates only below 1e-18 mass), so no
-truncation cutoff is consulted here.
+index, draw index), so runs reproduce bit for bit regardless of host or
+scheduling.  The offspring count draws are `kernels.draw_count` and its
+vector twin; the geometric one draws from the untruncated law (the cdf
+scan saturates only below 1e-18 mass), so no truncation cutoff is
+consulted here.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class Population:
 
     The master seed plus (generation, sample index, draw index) fully
     determine every draw used to produce the pool, which is what makes
-    populations reproducible across hosts and thread counts.
+    populations reproducible across hosts.
     """
 
     samples: np.ndarray
@@ -179,29 +180,16 @@ def tree_sample(model: ModelSpec, n: int, seed: int) -> int:
         counter += 1
         return u
 
-    def draw_count() -> int:
-        if kind == kernels.KIND_DETERMINISTIC:
-            return det_n
-        u = next_u()
-        if kind == kernels.KIND_FINITE:
-            k = int(np.searchsorted(count_cdf, u, side="right"))
-            return min(k, len(count_cdf) - 1) + 1
-        k, c, m = 1, geom_p, geom_p
-        while u >= c:
-            m *= 1.0 - geom_p
-            if m <= 1e-18:
-                break
-            c += m
-            k += 1
-        return k
-
     def rec(level: int) -> int:
         if level == 0:
             u = next_u()
             pick = int(np.searchsorted(x0_cdf, u, side="right"))
             return int(values[min(pick, len(values) - 1)])
+        # a deterministic N draws no uniform
+        n_kids = det_n if kind == kernels.KIND_DETERMINISTIC else \
+            kernels.draw_count(next_u(), kind, det_n, count_cdf, geom_p)
         total = 0
-        for _ in range(draw_count()):
+        for _ in range(n_kids):
             total += rec(level - 1)
         return max(total - a, 0)
 

@@ -55,7 +55,10 @@ def geometric_x0_pmf(r: float) -> FinitePmf:
 
 
 class Family:
-    """A curve of models indexed by a parameter in (0, 1)."""
+    """A curve of models indexed by a parameter in (0, 1), all sharing one
+    offspring law."""
+
+    offspring: OffspringLaw
 
     def model(self, param: float) -> ModelSpec:
         raise NotImplementedError
@@ -132,9 +135,6 @@ def _criterion_value(family: Family, which: str, param: float) -> float:
     model = family.model(param)
     point = criteria.super_point(model) if which == "super" \
         else criteria.sub_point(model)
-    if point is None:
-        raise CriterionUnavailable(
-            "the subcritical criterion requires a bounded offspring law")
     return criteria.d0(model, *point)
 
 
@@ -145,6 +145,10 @@ def bisect_boundary(family: Family, which: str,
         raise ValueError(f"which must be 'super' or 'sub', got {which!r}")
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
+    if which == "sub" and family.offspring.bound is None:
+        # known from the family alone: build no law to learn it
+        raise CriterionUnavailable(
+            "the subcritical criterion requires a bounded offspring law")
     lo, hi = EPS_PARAM, 1.0 - EPS_PARAM
     f_lo = _criterion_value(family, which, lo)
     f_hi = _criterion_value(family, which, hi)

@@ -1,4 +1,4 @@
-"""Kernel-level checks: hashing, count draws, and backend agreement."""
+"""Kernel-level checks: hashing, count draws, and scalar/vector agreement."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,8 @@ from drphase.kernels import (
     KIND_DETERMINISTIC,
     KIND_FINITE,
     KIND_GEOMETRIC,
-    apply_thread_cap,
-    available_backends,
+    _draw_counts_np,
+    draw_count,
     get_backend,
     hash_path,
     splitmix64,
@@ -26,16 +26,12 @@ def test_splitmix_reference_values():
     assert splitmix64(2**64 - 1) == splitmix64(-1)  # wraps mod 2^64
 
 
-def test_splitmix_python_numpy_numba_agree():
+def test_splitmix_python_numpy_agree():
     zs = [0, 1, 2**31, 2**63, 2**64 - 1, 0xDEADBEEF]
     arr = np.array(zs, dtype=np.uint64)
     from_np = kernels._sm64_np(arr)
     for z, got in zip(zs, from_np):
         assert int(got) == splitmix64(z)
-    if "numba" in available_backends():
-        nb = kernels._sm64_nb
-        for z in zs:
-            assert int(nb(np.uint64(z))) == splitmix64(z)
 
 
 def test_hash_path_order_sensitivity():
@@ -89,72 +85,56 @@ def test_draw_counts_geometric_saturates_in_far_tail():
     assert lower[0] <= out[0]
 
 
-@pytest.mark.parametrize("name", available_backends())
-def test_conv_direct_small_case(name):
-    be = get_backend(name)
+def test_conv_direct_small_case():
     p = np.array([0.5, 0.0, 0.5])
-    out = be.conv_direct(p, p)
+    out = get_backend().conv_direct(p, p)
     assert np.allclose(out, [0.25, 0.0, 0.5, 0.0, 0.25], rtol=0, atol=0)
 
 
-def test_conv_backends_agree_to_rounding():
-    if "numba" not in available_backends():
-        pytest.skip("numba unavailable")
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        p = rng.random(int(rng.integers(2, 40)))
-        q = rng.random(int(rng.integers(2, 40)))
-        a = get_backend("numpy").conv_direct(p, q)
-        b = get_backend("numba").conv_direct(p, q)
-        # summation order differs between the two kernels: last-ulp only
-        assert np.allclose(a, b, rtol=1e-13, atol=0.0)
+def test_get_backend_is_one_numpy_table():
+    table = get_backend()
+    assert table is get_backend()
+    assert table.name == "numpy"
 
 
-def _mc_args():
-    samples = np.arange(64, dtype=np.int64) % 5
-    return samples, 1, 1234, 1, KIND_FINITE, 0, np.array([0.5, 1.0]), 0.0
+def parity_uniforms(knots: np.ndarray) -> np.ndarray:
+    """Hashed uniforms plus the cdf knots, one ulp either side of each, and
+    both ends of [0, 1)."""
+    hashed = np.array([uniform53(hash_path(29, i)) for i in range(10_000)])
+    return np.concatenate([
+        hashed, knots, np.nextafter(knots, 0.0), np.nextafter(knots, 1.0),
+        [0.0, 1.0 - 2.0**-53]])
 
 
-def test_mc_step_backends_bit_identical():
-    if "numba" not in available_backends():
-        pytest.skip("numba unavailable")
-    args = _mc_args()
-    a = get_backend("numpy").mc_step(*args)
-    b = get_backend("numba").mc_step(*args)
-    assert a.dtype == b.dtype == np.int64
-    assert np.array_equal(a, b)
+def assert_scalar_matches_vector(u, kind, cdf, geom_p):
+    vector = _draw_counts_np(u, kind, 0, cdf, geom_p)
+    scalar = [draw_count(float(x), kind, 0, cdf, geom_p) for x in u]
+    assert vector.tolist() == scalar
 
 
-def test_gw_sizes_backends_bit_identical():
-    if "numba" not in available_backends():
-        pytest.skip("numba unavailable")
-    seeds = kernels._sm64_np(np.arange(50, dtype=np.uint64))
-    args = (seeds, 6, KIND_GEOMETRIC, 0, NO_CDF, 0.5)
-    a = get_backend("numpy").gw_sizes(*args)
-    b = get_backend("numba").gw_sizes(*args)
-    assert np.array_equal(a, b)
+@pytest.mark.parametrize("weights", [[0.2, 0.5, 0.3], [0.1] * 10,
+                                     [1.0 / 3.0] * 3, [0.0, 0.4, 0.0, 0.6]])
+def test_draw_count_matches_vector_sampler_finite(weights):
+    cdf = np.cumsum(weights)
+    knots = cdf[cdf < 1.0]
+    assert_scalar_matches_vector(parity_uniforms(knots), KIND_FINITE, cdf, 0.0)
 
 
-def test_mc_step_independent_of_thread_count():
-    if "numba" not in available_backends():
-        pytest.skip("numba unavailable")
-    args = _mc_args()
-    apply_thread_cap(1)
-    one = get_backend("numba").mc_step(*args)
-    apply_thread_cap(4)  # clamped to the host's thread budget
-    four = get_backend("numba").mc_step(*args)
-    assert np.array_equal(one, four)
+@pytest.mark.parametrize("p", [0.37, 0.5, 0.63, 0.9])
+def test_draw_count_matches_vector_sampler_geometric(p):
+    # the knots are the partial sums the incremental cdf scan compares with
+    c, m, knots = p, p, [p]
+    while True:
+        m *= 1.0 - p
+        if m <= kernels._GEOM_MASS_FLOOR:
+            break
+        c += m
+        knots.append(c)
+    knots = np.array([k for k in knots if k < 1.0])
+    assert_scalar_matches_vector(parity_uniforms(knots), KIND_GEOMETRIC,
+                                 NO_CDF, p)
 
 
-def test_apply_thread_cap_validation():
-    with pytest.raises(ValueError):
-        apply_thread_cap(0)
-    assert apply_thread_cap(1) == 1
-    assert apply_thread_cap(10**6) >= 1  # clamped, never errors
-
-
-def test_get_backend_rejects_unknown(monkeypatch):
-    with pytest.raises(ValueError):
-        get_backend("fortran")
-    monkeypatch.setenv(kernels.BACKEND_ENV, "numpy")
-    assert get_backend().name == "numpy"
+def test_draw_count_deterministic_ignores_u():
+    assert {draw_count(u, KIND_DETERMINISTIC, 3, NO_CDF, 0.0)
+            for u in (0.0, 0.5, 1.0 - 2.0**-53)} == {3}

@@ -7,7 +7,6 @@ import pytest
 
 from drphase.dists import FinitePmf, ModelSpec, OffspringLaw
 from drphase.evolution import evolve
-from drphase.kernels import available_backends, get_backend
 from drphase.montecarlo import (
     TREE_DEPTH_LIMIT,
     Population,
@@ -65,26 +64,6 @@ def test_mc_step_reproducible_and_immutable():
     assert pop.generation == 0
     with pytest.raises(ValueError):
         pop.samples[0] = 99  # snapshots are read-only
-
-
-def test_mc_step_backends_bit_identical():
-    if "numba" not in available_backends():
-        pytest.skip("numba unavailable")
-    import drphase.montecarlo as mc
-    pop = init_population(super_model(), 5000, master_seed=17)
-    outs = {}
-    for name in ("numpy", "numba"):
-        be = get_backend(name)
-        orig = mc.kernels.get_backend
-        mc.kernels.get_backend = lambda n=None: be
-        try:
-            out = pop
-            for _ in range(5):
-                out = mc_step(out, super_model())
-            outs[name] = out.samples
-        finally:
-            mc.kernels.get_backend = orig
-    assert np.array_equal(outs["numpy"], outs["numba"])
 
 
 def test_all_zero_pool_is_absorbing():

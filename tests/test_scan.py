@@ -125,6 +125,22 @@ def test_criterion_unavailable_for_unbounded_offspring():
     assert hi - lo <= 1e-9
 
 
+@pytest.mark.parametrize("family", [
+    TwoPointFamily(1, 2, OffspringLaw.geometric(0.5)),
+    GeometricX0Family(1, OffspringLaw.geometric(0.5)),
+])
+def test_unavailable_criterion_builds_no_law(monkeypatch, family):
+    built = []
+    cls = type(family)
+    real = cls.model
+    monkeypatch.setattr(cls, "model",
+                        lambda self, p: built.append(p) or real(self, p))
+    with pytest.raises(CriterionUnavailable,
+                       match="requires a bounded offspring law"):
+        bisect_boundary(family, "sub")
+    assert built == []
+
+
 def test_family_parameter_validation():
     fam = unit_family()
     with pytest.raises(ValueError):
