@@ -1,0 +1,64 @@
+"""Before/after timings of CLI check-lemmas.
+
+Times `drphase check-lemmas` in-process on the README model, on the model
+a=1, N=3, x0 {0: .5, 200: .5} at contraction_steps 4 and 12 (its evolved
+laws go through the FFT from n = 4 and pass 2^21 entries at n = 9), and on
+a model drawn like those of perfbench's audit workload, for a baseline
+revision and the working tree (see passes.py for the pass scheme).
+BENCH_audit.json also holds each side's exit codes and stdout, and
+whether the two sides' outputs are identical.
+
+    python benchmarks/bench_audit.py --baseline REV
+"""
+
+from passes import best_of, main, outputs_identical
+
+REPRO = {"a": 1, "x0": {"type": "finite", "pmf": [[0, 0.5], [200, 0.5]]},
+         "N": {"type": "deterministic", "n": 3}}
+# lemma2 and lemma4 evolve laws on both sides; one step keeps them cheap
+REPRO_STEPS = {"growth_steps": 4, "tail_steps": 1, "association_steps": 1}
+CONFIGS = {
+    "readme": {"a": 1, "x0": {"type": "finite", "pmf": [[0, 0.5], [2, 0.5]]},
+               "N": {"type": "deterministic", "n": 2}},
+    "repro_c4": dict(REPRO, check_lemmas=dict(REPRO_STEPS,
+                                              contraction_steps=4)),
+    "repro_c12": dict(REPRO, check_lemmas=dict(REPRO_STEPS,
+                                               contraction_steps=12)),
+    "audit": {"a": 2, "x0": {"type": "finite",
+                             "pmf": [[0, 0.58], [1, 0.13], [3, 0.29]]},
+              "N": {"type": "finite", "pmf": [[1, 0.4], [2, 0.6]]}},
+}
+
+
+def check_lemmas(path):
+    import io
+    from contextlib import redirect_stdout
+    from drphase import cli
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["check-lemmas", "--config", path])
+    return code, out.getvalue()
+
+
+def measure():
+    """Timings (s) and outputs of the drphase found on sys.path."""
+    import json
+    import os
+    import tempfile
+    import numpy as np
+    import scipy
+    timings, outputs = {}, {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in CONFIGS.items():
+            path = os.path.join(tmp, f"{name}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            case = f"cli.check_lemmas.{name}"
+            outputs[case] = check_lemmas(path)
+            timings[case] = best_of(lambda: check_lemmas(path))
+    return {"timings_s": timings, "outputs": outputs,
+            "numpy": np.__version__, "scipy": scipy.__version__}
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(__doc__, __file__, measure, outputs_identical))

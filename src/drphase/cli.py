@@ -6,11 +6,11 @@ deterministic output.  Exit codes: 0 success, 2 configuration error,
 3 numerical failure (leak budget, support overflow); check-lemmas exits 1
 when an audited inequality fails.
 
-check-lemmas audits lemmas 1 and 3 on one shared leak-free evolution under
-AUDIT_SUPPORT_CAP, each on its own prefix of generations, so each reports
-as if it had evolved the model for its own step count.  lemma2 (uncapped,
-Subcritical models only) and lemma4 (laws evolved with the default tail
-cut) evolve separately.
+check-lemmas audits lemmas 1 and 3 along the generating-function orbit
+(evolution.gf_orbit), which evolves no law and so has no support cap, no
+leak and no FFT regime.  lemma2 (uncapped, Subcritical models only) and
+lemma4 (laws evolved with the default tail cut and leak budget, under
+AUDIT_SUPPORT_CAP) evolve laws.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ DEFAULT_TOL = 1e-9
 # Hard stop for the exact engine's support; crossing it is a numerical
 # failure (exit 3), not a config error.
 DEFAULT_SUPPORT_CAP = 1 << 22
-# Leak-free audits grow faster than truncated runs; stop earlier.
+# Support cap of the law evolutions behind simulate's exact column and the
+# lemma4 audit; those stop quietly at the last generation within it.
 AUDIT_SUPPORT_CAP = 1 << 21
 
 EVOLVE_CSV_HEADER = "n,mean,q_upper,q_lower,support_max,leaked_mass"
@@ -444,43 +445,13 @@ def _growth_points(model: ModelSpec) -> list[float]:
     return [s for s in grid if criteria.d0(model, s, mu) > 0.0]
 
 
-class _SharedEvolution:
-    """One leak-free evolution under the audit cap whose prefixes serve
-    lemma1 and lemma3.
-
-    A failure is kept, not raised, and re-raised only by prefix() calls
-    that reach the failed generation: every audit then reports exactly as
-    if it had evolved the model itself for its own step count.
-    """
-
-    def __init__(self, model: ModelSpec, steps: int):
-        self.failure: Exception | None = None
-        try:
-            self.pmfs = evolution.evolve(
-                model, steps, tail_eps=0.0, keep_pmfs=True,
-                support_cap=AUDIT_SUPPORT_CAP).pmfs
-        except (LeakBudgetExceeded, SupportCapExceeded) as exc:
-            self.pmfs, self.failure = exc.pmfs, exc
-
-    def prefix(self, steps: int) -> tuple[FinitePmf, ...]:
-        """Laws of generations 0..steps."""
-        if steps >= len(self.pmfs):
-            raise self.failure
-        return self.pmfs[:steps + 1]
-
-
-def _lemma1_audit(model: ModelSpec, audited: list[float],
-                  shared: _SharedEvolution | None, steps: int
-                  ) -> tuple[str, str]:
+def _lemma1_audit(model: ModelSpec, steps: int) -> tuple[str, str]:
+    audited = _growth_points(model)
     if not audited:
         return "SKIPPED", "criterion value not positive on the s-grid"
-    try:
-        pmfs = shared.prefix(steps)
-    except SupportCapExceeded:
-        return "SKIPPED", "support grew beyond the audit cap"
     worst = math.inf
     for s in audited:
-        for row in criteria.lemma1_growth_rows(model, s, pmfs):
+        for row in criteria.lemma1_growth_check(model, s, steps):
             gap = _rel_margin(row.lhs_log - row.floor_log, row.floor_log)
             worst = min(worst, gap)
             if not row.holds:
@@ -500,19 +471,14 @@ def _lemma2_audit(model: ModelSpec, steps: int) -> tuple[str, str]:
     return "FAIL", f"worst tail ratio {_fmt(worst)} exceeds 1"
 
 
-def _lemma3_audit(model: ModelSpec, shared: _SharedEvolution | None,
-                  steps: int) -> tuple[str, str]:
+def _lemma3_audit(model: ModelSpec, steps: int) -> tuple[str, str]:
     bound = model.offspring.bound
     if bound is None:
         return "SKIPPED", "requires bounded N"
-    try:
-        pmfs = shared.prefix(steps)
-    except SupportCapExceeded:
-        return "SKIPPED", "support grew beyond the audit cap"
     s0 = 1.0 + (bound - 1.0) / model.a
     worst = math.inf
     for s in (s0, 2.0 * s0):
-        for row in criteria.lemma3_contraction_rows(model, s, pmfs):
+        for row in criteria.lemma3_contraction_check(model, s, steps):
             if row.bound_log is None:
                 continue
             gap = _rel_margin(row.bound_log - row.d_next_log, row.bound_log)
@@ -526,13 +492,11 @@ def _lemma3_audit(model: ModelSpec, shared: _SharedEvolution | None,
 
 def _lemma4_audit(model: ModelSpec, steps: int) -> tuple[str, str]:
     slack = LogReal.from_float(1e-12)
-    pmfs = [model.x0]
-    x = model.x0
-    for _ in range(steps):
-        x = evolution.step(x, model)
-        if x.support_max > AUDIT_SUPPORT_CAP:
-            break
-        pmfs.append(x)
+    try:
+        pmfs = evolution.evolve(model, steps, keep_pmfs=True,
+                                support_cap=AUDIT_SUPPORT_CAP).pmfs
+    except (LeakBudgetExceeded, SupportCapExceeded) as exc:
+        pmfs = exc.pmfs  # the laws before the offending generation
     worst = math.inf
     for x in pmfs:
         for s in (1.5, 2.0):
@@ -562,20 +526,10 @@ def cmd_check_lemmas(cfg: dict, args) -> int:
         for key, default in (("growth_steps", 8), ("tail_steps", 20),
                              ("contraction_steps", 10),
                              ("association_steps", 10)))
-    # lemma1 and lemma3 read their laws off one evolution, as long as the
-    # longer of the two audits that run
-    audited = _growth_points(model)
-    shared_steps = [n for n, runs in (
-        (growth_steps, bool(audited)),
-        (contraction_steps, model.offspring.bound is not None)) if runs]
-    shared = _SharedEvolution(model, max(shared_steps)) \
-        if shared_steps else None
     audits = [
-        ("lemma1 growth-floor",
-         _lemma1_audit(model, audited, shared, growth_steps)),
+        ("lemma1 growth-floor", _lemma1_audit(model, growth_steps)),
         ("lemma2 tail-bound", _lemma2_audit(model, tail_steps)),
-        ("lemma3 contraction",
-         _lemma3_audit(model, shared, contraction_steps)),
+        ("lemma3 contraction", _lemma3_audit(model, contraction_steps)),
         ("lemma4 association", _lemma4_audit(model, association_steps)),
     ]
     if args.output == "json":

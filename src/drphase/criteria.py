@@ -11,8 +11,10 @@ conditions are sufficient, not necessary, so three verdicts exist; values
 within a narrow band of zero are never promoted to a phase claim.
 
 The lemma*_check functions re-verify the inequality chain behind the
-criteria on concrete evolved laws.  They return evidence rows rather than
-booleans so the CLI audit command and the tests can report margins.
+criteria: lemmas 1 and 3 along the generating-function orbit
+(evolution.gf_orbit), which evolves no law, lemma 2 on evolved laws.
+They return evidence rows rather than booleans so the CLI audit command
+and the tests can report margins.
 Comparisons run in signed log space: the audited quantities overflow
 float64 within a few generations on growing instances.
 """
@@ -20,14 +22,13 @@ float64 within a few generations on growing instances.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dists
 from .dists import FinitePmf, ModelSpec, OffspringLaw
-from .evolution import evolve
+from .evolution import evolve, gf_orbit
 from .logreal import LogReal
 
 # |value| <= band counts as "indistinguishable from zero": no phase claim.
@@ -35,6 +36,9 @@ STRICTNESS_BAND = 1e-12
 # Absolute slack for the growth-floor audit, relative slack for contraction.
 GROWTH_SLACK = 1e-9
 CONTRACTION_SLACK = 1e-9
+# Rounded operations behind a contraction row's two logs (_contraction_holds).
+ROUNDING_OPS = 17
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 SUPERCRITICAL = "Supercritical"
 SUBCRITICAL = "Subcritical"
@@ -70,7 +74,9 @@ def d0(model: ModelSpec, s: float, m: float) -> float:
     # Past float64 range: either the sums overflowed, or pgf_pair saw before
     # evaluating that s^(support_max-1) must overflow and returned inf.  Only
     # the sign decides the verdict, so the value comes from log space.
-    return _d_log(dists.log_pgf_pair(model.x0, s), s, m, model.a).to_float()
+    log_f, log_fp = dists.log_pgf_pair(model.x0, s)
+    return _d_log(LogReal.from_log(log_f), LogReal.from_log(log_fp), s, m,
+                  model.a).to_float()
 
 
 def super_point(model: ModelSpec) -> tuple[float, float]:
@@ -112,13 +118,10 @@ def classify(model: ModelSpec) -> PhaseVerdict:
     return PhaseVerdict(verdict, d_super, d_sub, details)
 
 
-def _d_log(log_pair: tuple[float, float], s: float, m: float, a: int
-           ) -> LogReal:
-    """(m-1) s F'(s) - a F(s) in signed log space, from the pair
-    (log F(s), log F'(s))."""
-    log_f, log_fp = log_pair
-    first = LogReal.from_float((m - 1.0) * s) * LogReal.from_log(log_fp)
-    second = LogReal.from_float(float(a)) * LogReal.from_log(log_f)
+def _d_log(f: LogReal, fp: LogReal, s: float, m: float, a: int) -> LogReal:
+    """(m-1) s F'(s) - a F(s) in signed log space, from F(s) and F'(s)."""
+    first = LogReal.from_float((m - 1.0) * s) * fp
+    second = LogReal.from_float(float(a)) * f
     return first - second
 
 
@@ -134,43 +137,36 @@ class GrowthRow:
     floor_log: LogReal
 
 
-def lemma1_growth_check(model: ModelSpec, s: float, steps: int, *,
-                        support_cap: int | None = None) -> list[GrowthRow]:
-    """Audit lhs(n) >= (mu/s^a)^n * lhs(0) on a leak-free evolution.
+def lemma1_growth_check(model: ModelSpec, s: float, steps: int
+                        ) -> list[GrowthRow]:
+    """Audit lhs(n) >= (mu/s^a)^n * lhs(0) along the generating-function
+    orbit (evolution.gf_orbit).
 
     lhs(n) = (mu-1) s F_n'(s) - a F_n(s); the claim is the geometric growth
     of the supercritical criterion value, valid for 1 < s < mu^(1/a).
     """
-    _check_growth_point(model, s)
-    trace = evolve(model, steps, tail_eps=0.0, keep_pmfs=True,
-                   support_cap=support_cap)
-    return lemma1_growth_rows(model, s, trace.pmfs)
-
-
-def _check_growth_point(model: ModelSpec, s: float) -> None:
     s_max = model.offspring.mean ** (1.0 / model.a)
     if not 1.0 < s < s_max:
         raise ValueError(
             f"s must lie in the open interval (1, {s_max}), got {s}")
-
-
-def lemma1_growth_rows(model: ModelSpec, s: float,
-                       pmfs: Sequence[FinitePmf]) -> list[GrowthRow]:
-    """lemma1_growth_check's rows on given laws, pmfs[n] being X_n's
-    leak-free law; several audits can share one evolution this way."""
-    _check_growth_point(model, s)
     mu = model.offspring.mean
     a = model.a
     log_rate = math.log(mu) - a * math.log(s)
     slack = LogReal.from_float(GROWTH_SLACK)
     rows: list[GrowthRow] = []
-    lhs_all = [_d_log(dists.log_pgf_pair(x, s), s, mu, a) for x in pmfs]
+    lhs_all = [_d_log(f, fp, s, mu, a) for f, fp, _ in _orbit(model, s, steps)]
     for n, lhs in enumerate(lhs_all):
         floor = lhs_all[0] * LogReal.from_log(n * log_rate)
         holds = (lhs - floor + slack).sign >= 0
         rows.append(GrowthRow(n, lhs.to_float(), floor.to_float(), holds,
                               lhs, floor))
     return rows
+
+
+def _orbit(model: ModelSpec, s: float, steps: int) -> list:
+    """gf_orbit of the model, with an unbounded N cut as step() cuts it."""
+    return gf_orbit(model.x0, model.offspring.materialized(), model.a, s,
+                    steps)
 
 
 def lemma2_tail_check(model: ModelSpec, steps: int) -> float:
@@ -215,61 +211,69 @@ class ContractionRow:
     bound_log: LogReal | None
 
 
-def lemma3_contraction_check(model: ModelSpec, s: float, steps: int, *,
-                             support_cap: int | None = None
+def lemma3_contraction_check(model: ModelSpec, s: float, steps: int
                              ) -> list[ContractionRow]:
-    """Audit D_{n+1}(s) <= (M G(F_n(s)) / (F_n(s) s^a)) * D_n(s).
+    """Audit D_{n+1}(s) <= (M G(F_n(s)) / (F_n(s) s^a)) * D_n(s) along the
+    generating-function orbit (evolution.gf_orbit).
 
     Requires an essentially bounded offspring law (bound M) and
     s >= 1 + (M-1)/a.  A negative D being contracted stays negative, which
     is the sign-persistence consequence the subcritical argument uses.
+    Each row holds within the relative slack of _contraction_holds.
     """
-    _check_contraction_point(model, s)
-    trace = evolve(model, steps, tail_eps=0.0, keep_pmfs=True,
-                   support_cap=support_cap)
-    return lemma3_contraction_rows(model, s, trace.pmfs)
-
-
-def _check_contraction_point(model: ModelSpec, s: float) -> None:
     bound = model.offspring.bound
     if bound is None:
         raise ValueError("contraction audit requires bounded offspring counts")
     threshold = 1.0 + (bound - 1.0) / model.a
     if s < threshold:
         raise ValueError(f"s must be >= {threshold}, got {s}")
-
-
-def lemma3_contraction_rows(model: ModelSpec, s: float,
-                            pmfs: Sequence[FinitePmf]
-                            ) -> list[ContractionRow]:
-    """lemma3_contraction_check's rows on given laws, pmfs[n] being X_n's
-    leak-free law."""
-    _check_contraction_point(model, s)
     a = model.a
-    law = model.offspring
-    m = float(law.bound)
+    m = float(bound)
     log_s = math.log(s)
     rows: list[ContractionRow] = []
     d_prev: LogReal | None = None
     factor_prev: LogReal | None = None
-    for n, x in enumerate(pmfs):
-        log_pair = dists.log_pgf_pair(x, s)
-        d_here = _d_log(log_pair, s, m, a)
+    for n, (f, fp, log_g) in enumerate(_orbit(model, s, steps)):
+        d_here = _d_log(f, fp, s, m, a)
         if n == 0:
             rows.append(ContractionRow(0, d_here.to_float(), None, True,
                                        d_here, None))
         else:
             bnd = factor_prev * d_prev
-            # slack is relative to |bound|, one-sided upward
-            rhs = bnd + LogReal.from_log(bnd.log + math.log(CONTRACTION_SLACK))
-            holds = (d_here - rhs).sign <= 0
             rows.append(ContractionRow(n, d_here.to_float(), bnd.to_float(),
-                                       holds, d_here, bnd))
-        log_f = log_pair[0]
-        factor_prev = LogReal.from_log(
-            math.log(m) + law.log_pgf(log_f) - log_f - a * log_s)
+                                       _contraction_holds(d_here, bnd),
+                                       d_here, bnd))
+        factor_prev = LogReal.from_log(math.log(m) + log_g - f.log - a * log_s)
         d_prev = d_here
     return rows
+
+
+def _contraction_holds(d_next: LogReal, bound: LogReal) -> bool:
+    """d_next <= bound, up to a relative slack of
+    max(CONTRACTION_SLACK, ROUNDING_OPS * u * |log |bound||), u = 2^-53.
+
+    The second term is float64 resolution, not a tolerance.  Both sides
+    are logs computed from the orbit state (log F_{n-1}, log F'_{n-1}); a
+    rounded operation whose result is a log of size at most
+    L = |log |bound|| errs by at most u L in the log, a relative u L in
+    the value, and one on a log of size O(1) by O(u), which
+    CONTRACTION_SLACK covers.  L is large only where F_n grows; there the
+    LogReal differences subtract a term smaller by a tiny ratio, so to
+    first order they pass on only the larger term's error, and adding the
+    clip terms (at most a) leaves a log above ~40 unchanged.  Counted:
+    log bound takes 9 (log G(F_{n-1}): k log F, + log w_k, + the max in
+    the log-sum-exp; log factor: + log M, - log F, - a log s; log D_{n-1}:
+    the product with F'_{n-1}, the difference; the final sum), and log D_n
+    takes 8 (log G'(F_{n-1}) 3; times F'_{n-1} over s^a 2; the difference
+    forming F'_n; D_n's product and difference).  So ROUNDING_OPS = 17,
+    and at |log bound| <= 1e3 the term stays below 1.9e-12: ordinary
+    audits keep the CONTRACTION_SLACK decision.
+    """
+    slack = max(CONTRACTION_SLACK,
+                ROUNDING_OPS * _UNIT_ROUNDOFF * abs(bound.log))
+    # slack is relative to |bound|, one-sided upward
+    rhs = bound + LogReal.from_log(bound.log + math.log(slack))
+    return (d_next - rhs).sign <= 0
 
 
 def lemma4_association_check(p: FinitePmf, s: float) -> tuple[float, float]:

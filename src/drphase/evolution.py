@@ -1,9 +1,10 @@
 """Law evolution for the clipped-sum recursion X' = (sum of N copies - a)+.
 
 Two independent routes to the same object: step() pushes the pmf forward by
-explicit convolution powers, while gf_step_eval/gf_step_deriv map the
-generating function F(s) = E s^X forward in closed form.  They must agree,
-and the test suite holds them to 1e-10 of each other.
+explicit convolution powers, while gf_orbit maps the generating function
+F(s) = E s^X forward in closed form, from a head of the initial law and
+without evolving any law (gf_step_eval/gf_step_deriv are one step of it).
+They must agree, and the test suite holds them to 1e-10 of each other.
 
 Per-step free-energy bounds: with mu = E N,
 
@@ -14,7 +15,9 @@ A leak-free row computed wholly in the direct-convolution regime therefore
 carries a certified bracket around the limit.  Leaked mass lowers the
 retained E X_n and with it both bounds.  Once a step goes through the FFT
 (dists._DIRECT_CONV_OPS), the kept positive round-off noise biases E X_n,
-and with it both bounds, upward; those rows are not certified.
+and with it both bounds, upward; those rows are not certified.  gf_orbit
+convolves only heads of a weights per remaining step, so it has
+no FFT regime.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 from scipy import fft as sp_fft
 
 from . import dists
-from .dists import FinitePmf, ModelSpec
+from .dists import FinitePmf, ModelSpec, OffspringLaw
 from .logreal import ONE, LogReal
 
 DEFAULT_TAIL_EPS = 1e-14
@@ -234,34 +237,95 @@ def evolve(model: ModelSpec, steps: int = DEFAULT_STEPS, *,
                           tuple(pmfs) if keep_pmfs else None)
 
 
-def _compound_head(x: FinitePmf, weights: np.ndarray, a: int) -> np.ndarray:
-    """First `a` coefficients of the law of (sum of N copies of X).
+def _compound_head(x: np.ndarray, weights: np.ndarray, length: int
+                   ) -> np.ndarray:
+    """First `length` coefficients of the law of the sum of N copies of X,
+    from the first `length` weights of X.
 
-    Convolution powers are carried head-truncated to length a, which is all
-    the clip term of the generating-function map ever consumes.
+    Convolution powers are carried head-truncated to `length`: coefficient
+    j of a sum depends only on the summands' weights below j + 1.
     """
-    head = np.zeros(a)
-    h1 = np.zeros(a)
-    take = min(a, x.probs.size)
-    h1[:take] = x.probs[:take]
+    head = np.zeros(length)
+    h1 = np.zeros(length)
+    take = min(length, x.size)
+    h1[:take] = x[:take]
     hk = h1
     kmax = int(np.flatnonzero(weights)[-1])
     for k in range(1, kmax + 1):
         if k > 1:
-            hk = np.convolve(hk, h1)[:a]
+            hk = np.convolve(hk, h1)[:length]
         wk = float(weights[k])
         if wk != 0.0:
             head += wk * hk
     return head
 
 
-def gf_step_eval(x: FinitePmf, model: ModelSpec, s: float) -> float:
-    """Image of F(s) under one generation, computed without step().
-
-    F'(s) = G(F(s))/s^a + sum_{p<a} c_p (1 - s^(p-a)), where c_p are the
-    head coefficients of the compound law: exactly the mass the clip at
-    zero rounds up, rebooked at value 0.
+def _clip_heads(x0: np.ndarray, weights: np.ndarray, a: int, steps: int
+                ) -> list[np.ndarray]:
+    """P(S_n = p), p < a, n < steps, S_n the sum of N copies of X_n, from
+    the first a * steps weights of x0.  P(X_{n+1} = 0) = P(S_n <= a) and
+    P(X_{n+1} = k) = P(S_n = k + a), so X_n is carried with a head of
+    length a (steps - n): no law is evolved, nothing is cut, nothing leaks.
     """
+    heads = []
+    x = x0[:a * steps]
+    for n in range(steps):
+        sums = _compound_head(x, weights, a * (steps - n))
+        heads.append(sums[:a])
+        x = np.concatenate(([sums[:a + 1].sum()], sums[a + 1:]))
+    return heads
+
+
+def gf_orbit(x0: FinitePmf, law: OffspringLaw, a: int, s: float, steps: int
+             ) -> list[tuple[LogReal, LogReal, float]]:
+    """(F_n(s), F_n'(s), log G(F_n(s))) for n = 0..steps, F_n(s) = E s^X_n
+    along the recursion from x0, G the generating function of law, which
+    must carry weights (cut an unbounded law first).
+
+    The generating-function recursion (Collet, Eckmann, Glaser & Martin,
+    CMP 1984; Derrida & Retaux, JSP 2014, with G in place of v -> v^2):
+
+        F_{n+1}(s) = G(F_n(s)) / s^a + sum_{p<a} c_p (1 - s^(p-a)),
+        F_{n+1}'(s) = G'(F_n(s)) F_n'(s) / s^a - a G(F_n(s)) / s^(a+1)
+                      + sum_{p<a} c_p (a - p) s^(p-a-1),
+
+    with c_p = P(S_n = p) (_clip_heads): the mass the clip at zero rounds
+    up, rebooked at value 0.  Values are signed log-space scalars; on a
+    law collapsing onto 0 the computed F_n' is cancellation noise and may
+    come out negative.
+    """
+    if s <= 0.0:
+        raise ValueError(f"generating-function argument must be positive, got {s}")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    heads = _clip_heads(x0.probs, law.counts, a, steps)
+    log_s = math.log(s)
+    log_f, log_fp = dists.log_pgf_pair(x0, s)
+    f, fp = LogReal.from_log(log_f), LogReal.from_log(log_fp)
+    rows = []
+    for n in range(steps + 1):
+        log_g = law.log_pgf(f.log)
+        rows.append((f, fp, log_g))
+        if n == steps:
+            break
+        f_next = LogReal.from_log(log_g - a * log_s)
+        fp_next = LogReal.from_log(law.log_pgf_deriv(f.log) + fp.log
+                                   - a * log_s, fp.sign)
+        fp_next = fp_next - LogReal.from_log(log_g + math.log(a)
+                                             - (a + 1) * log_s)
+        for p, cp in enumerate(heads[n].tolist()):
+            if cp > 0.0:
+                clip = ONE - LogReal.from_log((p - a) * log_s)
+                f_next = f_next + LogReal.from_float(cp) * clip
+                fp_next = fp_next + LogReal.from_float(cp * (a - p)) \
+                    * LogReal.from_log((p - a - 1) * log_s)
+        f, fp = f_next, fp_next
+    return rows
+
+
+def gf_step_eval(x: FinitePmf, model: ModelSpec, s: float) -> float:
+    """Image of F(s) = E s^X under one generation, computed without step():
+    one step of gf_orbit from x."""
     return gf_step_eval_log(x, model, s).to_float()
 
 
@@ -271,39 +335,11 @@ def gf_step_deriv(x: FinitePmf, model: ModelSpec, s: float) -> float:
 
 
 def gf_step_eval_log(x: FinitePmf, model: ModelSpec, s: float) -> LogReal:
-    """gf_step_eval in signed log space; exact far beyond float64 range."""
-    if s <= 0.0:
-        raise ValueError(f"generating-function argument must be positive, got {s}")
-    law = model.offspring
-    a = model.a
-    log_s = math.log(s)
-    log_f = dists.log_pgf_eval(x, s)
-    total = LogReal.from_log(law.log_pgf(log_f) - a * log_s)
-    head = _compound_head(x, law.counts, a)
-    for p in range(a):
-        cp = float(head[p])
-        if cp > 0.0:
-            clip = ONE - LogReal.from_log((p - a) * log_s)
-            total = total + LogReal.from_float(cp) * clip
-    return total
+    """gf_step_eval in signed log space; exact far beyond float64 range.
+    An unbounded offspring law must carry a cutoff (with_cutoff)."""
+    return gf_orbit(x, model.offspring, model.a, s, 1)[1][0]
 
 
 def gf_step_deriv_log(x: FinitePmf, model: ModelSpec, s: float) -> LogReal:
     """gf_step_deriv in signed log space."""
-    if s <= 0.0:
-        raise ValueError(f"generating-function argument must be positive, got {s}")
-    law = model.offspring
-    a = model.a
-    log_s = math.log(s)
-    log_f, log_fp = dists.log_pgf_pair(x, s)
-    total = LogReal.from_log(law.log_pgf_deriv(log_f) + log_fp - a * log_s)
-    total = total - LogReal.from_log(law.log_pgf(log_f)
-                                     + math.log(a) - (a + 1) * log_s)
-    head = _compound_head(x, law.counts, a)
-    for p in range(a):
-        cp = float(head[p])
-        if cp > 0.0:
-            term = LogReal.from_float(cp * (a - p)) \
-                * LogReal.from_log((p - a - 1) * log_s)
-            total = total + term
-    return total
+    return gf_orbit(x, model.offspring, model.a, s, 1)[1][1]

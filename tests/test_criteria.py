@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from drphase import criteria, evolution
 from drphase.criteria import (
     STRICTNESS_BAND,
     SUBCRITICAL,
@@ -19,6 +20,7 @@ from drphase.criteria import (
     offspring_association_check,
 )
 from drphase.dists import FinitePmf, ModelSpec, OffspringLaw
+from drphase.logreal import LogReal
 
 from conftest import rand_model_light
 from test_dists import rand_pmf
@@ -222,6 +224,35 @@ def test_lemma3_requires_bounded_and_threshold():
         lemma3_contraction_check(geo, s=2.0, steps=3)
     with pytest.raises(ValueError):
         lemma3_contraction_check(two_point(0.1), s=1.5, steps=3)  # below 1+(M-1)/a
+
+
+def test_lemma1_and_lemma3_evolve_no_law(monkeypatch):
+    def no_evolution(*args, **kwargs):
+        raise AssertionError("evolved a law")
+    monkeypatch.setattr(evolution, "evolve", no_evolution)
+    monkeypatch.setattr(evolution, "step", no_evolution)
+    monkeypatch.setattr(criteria, "evolve", no_evolution)
+    assert all(r.holds for r in lemma1_growth_check(two_point(0.5), 1.9, 8))
+    rows = lemma3_contraction_check(two_point(0.1), 2.0, 10)
+    assert len(rows) == 11 and all(r.holds for r in rows)
+    # an unbounded N is audited through the cutoff step() uses
+    x0 = FinitePmf.from_dict({0: 0.5, 2: 0.5})
+    geo = ModelSpec(a=1, x0=x0, offspring=OffspringLaw.geometric(0.5))
+    cut = ModelSpec(a=1, x0=x0, offspring=geo.offspring.with_cutoff())
+    assert lemma1_growth_check(geo, 1.9, 6) == lemma1_growth_check(cut, 1.9, 6)
+
+
+@pytest.mark.parametrize("log_bound,over,holds", [
+    (10.0, 1e-8, False), (-10.0, 1e-8, False), (10.0, 5e-10, True),
+    (1.2e8, 1.5e-8, True), (1.2e8, 1e-5, False)])
+def test_contraction_slack_grows_only_with_float_resolution(log_bound, over,
+                                                            holds):
+    # relative slack max(1e-9, 17 u |log bound|): 1.9e-14 at |log| = 10,
+    # 2.3e-7 at |log| = 1.2e8
+    for sign in (1, -1):
+        bound = LogReal.from_log(log_bound, sign)
+        d_next = bound + LogReal.from_log(log_bound + math.log(over))
+        assert criteria._contraction_holds(d_next, bound) is holds
 
 
 def test_lemma4_pinned_pairs():

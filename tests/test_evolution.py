@@ -16,6 +16,7 @@ from drphase.dists import (
     pgf_deriv,
     pgf_eval,
 )
+from drphase.logreal import LogReal
 from drphase.evolution import (
     LeakBudgetExceeded,
     SupportCapExceeded,
@@ -23,6 +24,7 @@ from drphase.evolution import (
     gf_step_deriv,
     gf_step_deriv_log,
     gf_step_eval,
+    gf_orbit,
     gf_step_eval_log,
     q_bounds,
     step,
@@ -279,6 +281,95 @@ def test_gf_step_log_variants_match_plain():
             gf_step_eval(model.x0, model, s), rel=1e-12)
         assert gf_step_deriv_log(model.x0, model, s).to_float() == pytest.approx(
             gf_step_deriv(model.x0, model, s), rel=1e-12)
+
+
+# -- generating-function orbit -------------------------------------------------
+
+def _fraction_clip_heads(x0, weights, a, steps):
+    """P(S_n = p), p < a, n < steps, in exact rationals.
+
+    Every law is carried on {0, ..., L-1}, L = a * steps, from exact
+    weights.  Entries at or above L - k a of X_k are wrong (their sources
+    lie above L), but P(S_n = p) for p < a reads X_n below a <= L - n a
+    only, so the returned heads are exact.
+    """
+    size = a * steps
+    x = [Fraction(0)] * size
+    for v, w in x0.as_dict().items():
+        if v < size:
+            x[v] = Fraction(w)
+    heads = []
+    for _ in range(steps):
+        sums = [Fraction(0)] * size
+        power = [Fraction(1)] + [Fraction(0)] * (size - 1)
+        for k in range(1, weights.size):
+            power = [sum(power[i] * x[j - i] for i in range(j + 1))
+                     for j in range(size)]
+            for j in range(size):
+                sums[j] += Fraction(float(weights[k])) * power[j]
+        heads.append(sums[:a])
+        x = [sum(sums[:a + 1])] + sums[a + 1:] + [Fraction(0)] * a
+    return heads
+
+
+@pytest.mark.parametrize("law,steps", [
+    (OffspringLaw.deterministic(3), 8),
+    (OffspringLaw.finite_support({1: 0.25, 2: 0.5, 3: 0.25}), 8),
+    # exact denominators grow by the cutoff's power per step
+    (OffspringLaw.geometric(0.5).with_cutoff(1e-3), 4),
+    (OffspringLaw.geometric(0.5).with_cutoff(), 2)],
+    ids=["det", "finite", "geo-1e-3", "geo"])
+@pytest.mark.parametrize("a", [1, 2])
+def test_orbit_clip_heads_match_exact_rationals(law, steps, a):
+    # dyadic weights: the float inputs are the rationals themselves
+    x0 = FinitePmf.from_dict({0: 0.5, 1: 0.125, 2: 0.125, 5: 0.25})
+    got = evolution._clip_heads(x0.probs, law.counts, a, steps)
+    want = _fraction_clip_heads(x0, law.counts, a, steps)
+    assert len(got) == steps
+    for g, w in zip(got, want):
+        assert g.tolist() == pytest.approx([float(v) for v in w], rel=1e-13,
+                                           abs=0.0)
+
+
+def test_orbit_matches_evolved_laws(battery):
+    # Leak-free rows (leaked_mass == 0) of the battery's n <= 8 laws; rows
+    # with floor-swept weights are left out, because s^k amplifies the
+    # swept weights by up to e^693.  The budget is criterion 4's: rel 1e-10
+    # plus 1e-13 of the magnitudes that the step's clip correction
+    # subtracts, since a law collapsing onto 0 leaves cancellation noise
+    # in F_n'.
+    checked = 0
+    for entry in battery:
+        model = entry.model
+        law, a = model.offspring, model.a
+        for s in (1.1, 1.5, 2.0, 3.0):
+            log_s = math.log(s)
+            orbit = gf_orbit(model.x0, law, a, s, 8)
+            assert len(orbit) == len(entry.trace8.pmfs) == 9
+            for n, x in enumerate(entry.trace8.pmfs):
+                if x.leaked_mass != 0.0:
+                    continue
+                f, fp, log_g = orbit[n]
+                log_f, log_fp = dists.log_pgf_pair(x, s)
+                assert log_g == law.log_pgf(f.log)
+                if n == 0:
+                    assert (f.log, fp.log) == (log_f, log_fp)
+                    continue
+                prev_f, prev_fp, prev_g = orbit[n - 1]
+                noise_f = np.logaddexp(prev_g - a * log_s, math.log(2.0 * a))
+                noise_fp = np.logaddexp(
+                    np.logaddexp(law.log_pgf_deriv(prev_f.log) + prev_fp.log
+                                 - a * log_s,
+                                 math.log(a) + prev_g - (a + 1) * log_s),
+                    math.log(a * a / s))
+                for got, want, noise in ((f, log_f, noise_f),
+                                         (fp, log_fp, noise_fp)):
+                    gap = got - LogReal.from_log(want)
+                    budget = np.logaddexp(want + math.log(1e-10),
+                                          noise + math.log(1e-13))
+                    assert gap.log <= budget, (model, s, n)
+                    checked += 1
+    assert checked >= 1000, checked
 
 
 # -- bound formulas -----------------------------------------------------------
