@@ -5,7 +5,10 @@
 substitute one.  Every random draw is a pure function of (seed, generation,
 sample index, draw index) pushed through splitmix64 -- no sequential
 generator state -- so sampler output is reproducible to the byte and
-cannot depend on chunking or scheduling.
+cannot depend on chunking or scheduling.  That is what lets the samplers
+draw in whole arrays: `_mc_step` draws every sample's count at once and
+then summand j of every sample still drawing one, and `_gw_sizes` draws
+all nodes of one level of all its trees in one pass.
 """
 
 from __future__ import annotations
@@ -52,95 +55,150 @@ def uniform53(h: int) -> float:
 
 
 def _sm64_np(z: np.ndarray) -> np.ndarray:
+    """Vector splitmix64, worked in place on one fresh copy of `z`."""
     z = z + np.uint64(_GAMMA)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    t = z >> np.uint64(30)
+    z ^= t
+    z *= np.uint64(_MIX1)
+    np.right_shift(z, np.uint64(27), out=t)
+    z ^= t
+    z *= np.uint64(_MIX2)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
+
+
+def _uniforms_np(h: np.ndarray) -> np.ndarray:
+    """`uniform53` of each hash in `h`; shifts `h` in place."""
+    h >>= np.uint64(11)
+    u = h.astype(np.float64)
+    u *= _INV53
+    return u
+
+
+def stream_uniforms(h: int, start: int, stop: int) -> np.ndarray:
+    """Draws start..stop-1 of the counter stream under prefix hash `h`:
+    draw i is uniform53(splitmix64(h ^ i)), so with h = hash_path(seed,
+    *path) it is uniform53(hash_path(seed, *path, i))."""
+    with np.errstate(over="ignore"):
+        keys = np.uint64(h) ^ np.arange(start, stop, dtype=np.uint64)
+        return _uniforms_np(_sm64_np(keys))
 
 
 def _draw_counts_np(u: np.ndarray, kind: int, det_n: int, cdf: np.ndarray,
                     geom_p: float) -> np.ndarray:
-    """Vectorized inverse-cdf draw of offspring counts from uniforms."""
+    """Vectorized inverse-cdf draw of offspring counts (all >= 1) from a 1-d
+    array of uniforms; each count depends on its own uniform alone."""
     if kind == KIND_DETERMINISTIC:
         return np.full(u.shape, det_n, dtype=np.int64)
     if kind == KIND_FINITE:
-        idx = np.searchsorted(cdf, u, side="right")
-        np.minimum(idx, len(cdf) - 1, out=idx)
-        return idx.astype(np.int64) + 1
-    # Geometric on {1, 2, ...}: scan the cdf with incremental powers so the
-    # float sequence matches the scalar loop of draw_count bit for bit.
+        n = np.searchsorted(cdf, u, side="right").astype(np.int64, copy=False)
+        np.minimum(n, len(cdf) - 1, out=n)
+        n += 1
+        return n
+    # Geometric on {1, 2, ...}: scan the cdf with incremental powers, the
+    # float sequence of the scalar quantile loop, over the draws not yet
+    # resolved only.
     n = np.ones(u.shape, dtype=np.int64)
     c = geom_p
     m = geom_p
     k = 1
-    unresolved = u >= c
-    while unresolved.any():
+    idx = np.flatnonzero(u >= c)
+    while idx.size:
         m *= 1.0 - geom_p
         if m <= _GEOM_MASS_FLOOR:
             break
         c += m
         k += 1
-        n[unresolved] = k
-        unresolved = u >= c
+        n[idx] = k
+        idx = idx[u[idx] >= c]
     return n
-
-
-def draw_count(u: float, kind: int, det_n: int, cdf: np.ndarray,
-               geom_p: float) -> int:
-    """Scalar twin of `_draw_counts_np`: one offspring count from one uniform.
-
-    The deterministic kind ignores `u`; a caller that draws uniforms one at
-    a time (`montecarlo.tree_sample`) draws none for it.
-    """
-    if kind == KIND_DETERMINISTIC:
-        return det_n
-    if kind == KIND_FINITE:
-        k = int(np.searchsorted(cdf, u, side="right"))
-        return min(k, len(cdf) - 1) + 1
-    k, c, m = 1, geom_p, geom_p
-    while u >= c:
-        m *= 1.0 - geom_p
-        if m <= _GEOM_MASS_FLOOR:
-            break
-        c += m
-        k += 1
-    return k
 
 
 def _mc_step(samples: np.ndarray, a: int, master: int, gen: int,
              kind: int, det_n: int, cdf: np.ndarray,
              geom_p: float) -> np.ndarray:
+    """One pool generation.  Sample i draws its count from hash draw 0 and
+    its j-th summand's index from hash draw j of the key hash_path(master,
+    gen, i); the samples still drawing summand j shrink as j grows."""
     npop = samples.shape[0]
     with np.errstate(over="ignore"):
-        prefix = hash_path(master, gen)
-        base = _sm64_np(np.uint64(prefix) ^ np.arange(npop, dtype=np.uint64))
-        u0 = ((_sm64_np(base ^ np.uint64(0)) >> np.uint64(11)).astype(np.float64)
-              * _INV53)
-        counts = _draw_counts_np(u0, kind, det_n, cdf, geom_p)
+        prefix = np.uint64(hash_path(master, gen))
+        base = _sm64_np(prefix ^ np.arange(npop, dtype=np.uint64))
+        if kind == KIND_DETERMINISTIC:  # draws no count
+            counts, top = None, det_n
+        else:
+            counts = _draw_counts_np(_uniforms_np(_sm64_np(base)), kind,
+                                     det_n, cdf, geom_p)
+            top = int(counts.max())
         acc = np.zeros(npop, dtype=np.int64)
-        for j in range(1, int(counts.max()) + 1):
-            active = counts >= j
-            h = _sm64_np(base[active] ^ np.uint64(j))
-            u = (h >> np.uint64(11)).astype(np.float64) * _INV53
-            pick = (u * npop).astype(np.int64)
+        idx = None  # the samples drawing summand j; None while all are
+        for j in range(1, top + 1):
+            if counts is not None and j > 1:
+                idx = (np.flatnonzero(counts >= j) if idx is None
+                       else idx[counts[idx] >= j])
+            keys = base if idx is None else base[idx]
+            u = _uniforms_np(_sm64_np(keys ^ np.uint64(j)))
+            u *= npop
+            pick = u.astype(np.int64)
             np.minimum(pick, npop - 1, out=pick)
-            acc[active] += samples[pick]
-    return np.maximum(acc - a, 0)
+            if idx is None:
+                acc += samples[pick]
+            else:
+                acc[idx] += samples[pick]
+    acc -= a
+    np.maximum(acc, 0, out=acc)
+    return acc
+
+
+# Most nodes one pass of `_gw_sizes` draws: a block of trees whose next
+# level would exceed it is split in half (one tree is never split).  A node
+# costs about 120 bytes of temporaries, so a pass stays near 8 MB; on a
+# 2-core Xeon host 2^15 to 2^16 nodes ran a quarter faster than 2^18.
+_NODE_BUDGET = 1 << 16
 
 
 def _gw_sizes(seeds: np.ndarray, depth: int, kind: int, det_n: int,
               cdf: np.ndarray, geom_p: float) -> np.ndarray:
-    out = np.empty(len(seeds), dtype=np.int64)
+    """Generation-`depth` sizes of one tree per seed.  Node r of level l of
+    the tree with seed s draws its count from hash_path(s, l, r); all trees
+    of a level are drawn in one pass."""
     with np.errstate(over="ignore"):
-        for t in range(len(seeds)):
-            z = 1
-            for level in range(depth):
-                prefix = hash_path(int(seeds[t]), level)
-                h = _sm64_np(np.uint64(prefix) ^ np.arange(z, dtype=np.uint64))
-                u = (h >> np.uint64(11)).astype(np.float64) * _INV53
-                z = int(_draw_counts_np(u, kind, det_n, cdf, geom_p).sum())
-            out[t] = z
-    return out
+        roots = _sm64_np(np.asarray(seeds, dtype=np.uint64))
+        return _gw_block(roots, np.ones(len(roots), dtype=np.int64), 0,
+                         depth, kind, det_n, cdf, geom_p)
+
+
+def _gw_block(roots: np.ndarray, z: np.ndarray, level: int, depth: int,
+              kind: int, det_n: int, cdf: np.ndarray,
+              geom_p: float) -> np.ndarray:
+    """Advance the trees with root hashes `roots` (splitmix64 of their
+    seeds) and sizes `z` at `level` to their sizes at `depth`."""
+    for lev in range(level, depth):
+        if kind == KIND_DETERMINISTIC:  # draws no count
+            z = z * det_n
+            continue
+        total = int(z.sum())
+        if total > _NODE_BUDGET and len(z) > 1:
+            half = len(z) // 2
+            return np.concatenate([
+                _gw_block(roots[:half], z[:half], lev, depth, kind, det_n,
+                          cdf, geom_p),
+                _gw_block(roots[half:], z[half:], lev, depth, kind, det_n,
+                          cdf, geom_p)])
+        ends = np.cumsum(z)
+        starts = ends - z
+        keys = np.repeat(_sm64_np(roots ^ np.uint64(lev)), z)
+        rank = np.arange(total, dtype=np.int64)
+        rank -= np.repeat(starts, z)
+        keys ^= rank.view(np.uint64)
+        counts = _draw_counts_np(_uniforms_np(_sm64_np(keys)), kind, det_n,
+                                 cdf, geom_p)
+        # segmented sum by prefix differences: exact for an empty segment
+        csum = np.zeros(total + 1, dtype=np.int64)
+        np.cumsum(counts, out=csum[1:])
+        z = csum[ends] - csum[starts]
+    return z
 
 
 # The kernel table.  Callers look entries up at call time, never bind them.

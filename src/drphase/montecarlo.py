@@ -12,10 +12,12 @@ Two independent estimators live here:
 
 Every random draw is a pure function of (master seed, generation, sample
 index, draw index), so runs reproduce bit for bit regardless of host or
-scheduling.  The offspring count draws are `kernels.draw_count` and its
-vector twin; the geometric one draws from the untruncated law (the cdf
-scan saturates only below 1e-18 mass), so no truncation cutoff is
-consulted here.
+scheduling, and every sampler draws in whole arrays: the pool generation
+and the tree sizes in the `kernels` table, and the tree sampler's stream
+up front, in blocks, before its recursion reads it.  The offspring count
+draws are `kernels._draw_counts_np`; the geometric one draws from the
+untruncated law (the cdf scan saturates only below 1e-18 mass), so no
+truncation cutoff is consulted here.
 """
 
 from __future__ import annotations
@@ -79,6 +81,13 @@ def _sampling_args(law: OffspringLaw) -> tuple[int, int, np.ndarray, float]:
     return kernels.KIND_GEOMETRIC, 0, np.zeros(0), law.success_prob
 
 
+def _pick(values: np.ndarray, cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-cdf draw of support values from uniforms."""
+    idx = np.searchsorted(cdf, u, side="right")
+    np.minimum(idx, len(values) - 1, out=idx)
+    return values[idx].astype(np.int64, copy=False)
+
+
 def init_population(model: ModelSpec, pop_size: int, master_seed: int
                     ) -> Population:
     """Quantile-stratified start: floor(P*w) copies of each support value,
@@ -94,11 +103,9 @@ def init_population(model: ModelSpec, pop_size: int, master_seed: int
         fracs = pop_size * weights - counts
         total = float(fracs.sum())
         cdf = np.cumsum(fracs / total) if total > 0 else np.cumsum(weights)
-        extra = np.empty(short, dtype=np.int64)
-        for slot in range(short):
-            u = kernels.uniform53(kernels.hash_path(master_seed, 0, slot))
-            pick = int(np.searchsorted(cdf, u, side="right"))
-            extra[slot] = values[min(pick, len(values) - 1)]
+        u = kernels.stream_uniforms(kernels.hash_path(master_seed, 0), 0,
+                                    short)
+        extra = _pick(values, cdf, u)
         samples = np.concatenate([samples, extra])
     return Population(samples, 0, master_seed)
 
@@ -171,26 +178,49 @@ def tree_sample(model: ModelSpec, n: int, seed: int) -> int:
     values = model.x0.support
     x0_cdf = np.cumsum(model.x0.probs[values])
     kind, det_n, count_cdf, geom_p = _sampling_args(model.offspring)
+    deterministic = kind == kernels.KIND_DETERMINISTIC
     a = model.a
-    counter = 0
+    # Draw i of the stream is uniform53(hash_path(seed, i)), and the
+    # recursion takes draws in depth-first order: one per leaf for its x0
+    # value and one per inner node for its count (none for a deterministic
+    # N).  Both readings of every draw are made up front, in blocks that
+    # double when the recursion runs past them.
+    h0 = kernels.hash_path(seed)
+    leaf: list[int] = []
+    kids: list[int] = []
 
-    def next_u() -> float:
-        nonlocal counter
-        u = kernels.uniform53(kernels.hash_path(seed, counter))
-        counter += 1
-        return u
+    def extend(need: int) -> None:
+        start = len(leaf)
+        stop = max(2 * start, 64, need)
+        u = kernels.stream_uniforms(h0, start, stop)
+        leaf.extend(_pick(values, x0_cdf, u).tolist())
+        if not deterministic:
+            kids.extend(kernels._draw_counts_np(u, kind, det_n, count_cdf,
+                                                geom_p).tolist())
+
+    pos = 0
 
     def rec(level: int) -> int:
-        if level == 0:
-            u = next_u()
-            pick = int(np.searchsorted(x0_cdf, u, side="right"))
-            return int(values[min(pick, len(values) - 1)])
-        # a deterministic N draws no uniform
-        n_kids = det_n if kind == kernels.KIND_DETERMINISTIC else \
-            kernels.draw_count(next_u(), kind, det_n, count_cdf, geom_p)
-        total = 0
-        for _ in range(n_kids):
-            total += rec(level - 1)
+        nonlocal pos
+        if deterministic:
+            n_kids = det_n
+        else:
+            if pos >= len(kids):
+                extend(pos + 1)
+            n_kids = kids[pos]
+            pos += 1
+        if level == 1:  # the children are leaves, read in one slice
+            if pos + n_kids > len(leaf):
+                extend(pos + n_kids)
+            total = sum(leaf[pos:pos + n_kids])
+            pos += n_kids
+        else:
+            total = 0
+            for _ in range(n_kids):
+                total += rec(level - 1)
         return max(total - a, 0)
 
+    if n == 0:
+        extend(1)
+        return leaf[0]
     return rec(n)

@@ -3,7 +3,7 @@
 Each test prints one `criterion NN: PASS (...)` line when it gets through
 its assertions (run with -s to see them); a failure surfaces as the usual
 pytest FAILED line for that criterion.  Runtime budgets are enforced with
-perf_counter around the computation itself; JIT warm-up runs before the
+perf_counter around the computation itself; warm-up calls run before the
 clock starts.
 """
 
@@ -312,7 +312,7 @@ def test_criterion_08_association_inequalities():
 
 def test_criterion_09_monte_carlo_consistency():
     model = two_point_model(0.5)
-    # warm the compiled kernels outside the timed window
+    # first calls of each sampler run outside the timed window
     warm = init_population(model, 2000, master_seed=1)
     mc_step(warm, model)
     law = OffspringLaw.finite_support({1: 0.5, 3: 0.5})

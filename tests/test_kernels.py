@@ -1,20 +1,23 @@
-"""Kernel-level checks: hashing, count draws, and scalar/vector agreement."""
+"""Kernel-level checks: hashing, count draws, and batched/loop agreement."""
 
 import numpy as np
 import pytest
+from sampler_reference import draw_counts, gw_sizes_loop, mc_step_masked
 
 from drphase import kernels
+from drphase.dists import FinitePmf, ModelSpec, OffspringLaw
 from drphase.kernels import (
     KIND_DETERMINISTIC,
     KIND_FINITE,
     KIND_GEOMETRIC,
     _draw_counts_np,
-    draw_count,
     get_backend,
     hash_path,
     splitmix64,
+    stream_uniforms,
     uniform53,
 )
+from drphase.montecarlo import tree_sample
 
 NO_CDF = np.empty(0, dtype=np.float64)
 
@@ -106,23 +109,26 @@ def parity_uniforms(knots: np.ndarray) -> np.ndarray:
         [0.0, 1.0 - 2.0**-53]])
 
 
-def assert_scalar_matches_vector(u, kind, cdf, geom_p):
+def assert_counts_match_scalar_loop(u, kind, cdf, geom_p):
     vector = _draw_counts_np(u, kind, 0, cdf, geom_p)
-    scalar = [draw_count(float(x), kind, 0, cdf, geom_p) for x in u]
-    assert vector.tolist() == scalar
+    assert vector.tolist() == draw_counts(u, kind, 0, cdf, geom_p).tolist()
+    assert vector.min() >= 1
 
 
+# [.5, 0, 0, .5] is N in {1, 4}: its three equal knots must all send a
+# uniform on them to count 4
 @pytest.mark.parametrize("weights", [[0.2, 0.5, 0.3], [0.1] * 10,
-                                     [1.0 / 3.0] * 3, [0.0, 0.4, 0.0, 0.6]])
+                                     [1.0 / 3.0] * 3, [0.0, 0.4, 0.0, 0.6],
+                                     [0.5, 0.0, 0.0, 0.5]])
 def test_draw_count_matches_vector_sampler_finite(weights):
     cdf = np.cumsum(weights)
     knots = cdf[cdf < 1.0]
-    assert_scalar_matches_vector(parity_uniforms(knots), KIND_FINITE, cdf, 0.0)
+    assert_counts_match_scalar_loop(parity_uniforms(knots), KIND_FINITE, cdf,
+                                    0.0)
 
 
-@pytest.mark.parametrize("p", [0.37, 0.5, 0.63, 0.9])
-def test_draw_count_matches_vector_sampler_geometric(p):
-    # the knots are the partial sums the incremental cdf scan compares with
+def geometric_knots(p: float) -> np.ndarray:
+    """The partial sums the incremental cdf scan compares with."""
     c, m, knots = p, p, [p]
     while True:
         m *= 1.0 - p
@@ -130,11 +136,93 @@ def test_draw_count_matches_vector_sampler_geometric(p):
             break
         c += m
         knots.append(c)
-    knots = np.array([k for k in knots if k < 1.0])
-    assert_scalar_matches_vector(parity_uniforms(knots), KIND_GEOMETRIC,
-                                 NO_CDF, p)
+    return np.array([k for k in knots if k < 1.0])
+
+
+@pytest.mark.parametrize("p", [0.37, 0.5, 0.63, 0.9])
+def test_draw_count_matches_vector_sampler_geometric(p):
+    assert_counts_match_scalar_loop(parity_uniforms(geometric_knots(p)),
+                                    KIND_GEOMETRIC, NO_CDF, p)
 
 
 def test_draw_count_deterministic_ignores_u():
-    assert {draw_count(u, KIND_DETERMINISTIC, 3, NO_CDF, 0.0)
-            for u in (0.0, 0.5, 1.0 - 2.0**-53)} == {3}
+    # a deterministic N draws no uniform: a depth-1 tree sample reads draws
+    # 0 and 1 of its stream as its two leaves
+    model = ModelSpec(1, FinitePmf.from_dict({0: 0.5, 3: 0.5}),
+                      OffspringLaw.deterministic(2))
+    for seed in range(20):
+        leaves = [0 if uniform53(hash_path(seed, i)) < 0.5 else 3
+                  for i in range(2)]
+        assert tree_sample(model, 1, seed) == max(sum(leaves) - 1, 0)
+
+
+def test_stream_uniforms_are_hash_path_draws():
+    h = hash_path(31, 4)
+    got = stream_uniforms(h, 5, 40)
+    assert got.tolist() == [uniform53(hash_path(31, 4, i))
+                            for i in range(5, 40)]
+    assert stream_uniforms(hash_path(31), 0, 3).tolist() == [
+        uniform53(hash_path(31, i)) for i in range(3)]
+
+
+# (kind, det_n, cdf, geom_p) for the batched-vs-loop sampler comparisons
+SAMPLER_LAWS = {
+    "deterministic": (KIND_DETERMINISTIC, 3, NO_CDF, 0.0),
+    "finite": (KIND_FINITE, 0, np.cumsum([0.25, 0.25, 0.5]), 0.0),
+    "finite-zero-middle": (KIND_FINITE, 0, np.cumsum([0.5, 0.0, 0.0, 0.5]),
+                           0.0),
+    "geometric": (KIND_GEOMETRIC, 0, NO_CDF, 0.45),
+}
+
+
+@pytest.mark.parametrize("law", sorted(SAMPLER_LAWS))
+@pytest.mark.parametrize("npop", [1, 2, 7, 3000])
+def test_mc_step_matches_masked_loop(law, npop):
+    kind, det_n, cdf, geom_p = SAMPLER_LAWS[law]
+    samples = np.random.default_rng(npop).integers(0, 9, npop)
+    before = samples.copy()
+    for a, gen in ((1, 1), (2, 5)):
+        args = (samples, a, 20261018, gen, kind, det_n, cdf, geom_p)
+        got = kernels._mc_step(*args)
+        assert got.dtype == np.int64
+        assert got.tolist() == mc_step_masked(*args).tolist()
+    assert np.array_equal(samples, before)  # the pool is left as it was
+
+
+def tree_seeds(n_trees: int) -> np.ndarray:
+    return np.array([hash_path(17, t) for t in range(n_trees)],
+                    dtype=np.uint64)
+
+
+@pytest.mark.parametrize("law", sorted(SAMPLER_LAWS))
+@pytest.mark.parametrize("depth,n_trees", [(0, 1), (0, 5), (1, 1), (4, 1),
+                                           (4, 60), (6, 25)])
+def test_gw_sizes_match_per_tree_loop(law, depth, n_trees):
+    kind, det_n, cdf, geom_p = SAMPLER_LAWS[law]
+    seeds = tree_seeds(n_trees)
+    got = kernels._gw_sizes(seeds, depth, kind, det_n, cdf, geom_p)
+    assert got.dtype == np.int64
+    assert got.tolist() == gw_sizes_loop(seeds, depth, kind, det_n, cdf,
+                                         geom_p).tolist()
+    assert got.min() >= 1  # counts are >= 1, so no tree dies out
+
+
+@pytest.mark.parametrize("law", ["finite", "finite-zero-middle", "geometric"])
+def test_gw_sizes_split_blocks_match_per_tree_loop(law, monkeypatch):
+    # a budget of 40 nodes splits the 30 trees in half, and again, from
+    # the levels where a block would draw more than 40 nodes
+    kind, det_n, cdf, geom_p = SAMPLER_LAWS[law]
+    seeds = tree_seeds(30)
+    passes = []
+    block = kernels._gw_block
+
+    def counting_block(*args):
+        passes.append(len(args[1]))
+        return block(*args)
+
+    monkeypatch.setattr(kernels, "_NODE_BUDGET", 40)
+    monkeypatch.setattr(kernels, "_gw_block", counting_block)
+    got = kernels._gw_sizes(seeds, 5, kind, det_n, cdf, geom_p)
+    assert len(passes) > 7 and min(passes) == 1
+    assert got.tolist() == gw_sizes_loop(seeds, 5, kind, det_n, cdf,
+                                         geom_p).tolist()

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from sampler_reference import init_population_loop, tree_sample_recursive
 
 from drphase.dists import FinitePmf, ModelSpec, OffspringLaw
 from drphase.evolution import evolve
@@ -17,6 +18,7 @@ from drphase.montecarlo import (
     mc_step,
     tree_sample,
 )
+from drphase.scan import geometric_x0_pmf
 
 
 def super_model():
@@ -174,3 +176,62 @@ def test_tree_sample_reproducible():
     vals_a = [tree_sample(model, 5, seed=s) for s in range(50)]
     vals_b = [tree_sample(model, 5, seed=s) for s in range(50)]
     assert vals_a == vals_b
+
+
+# -- batched samplers against their loop references -------------------------
+
+TREE_LAWS = {
+    "deterministic": OffspringLaw.deterministic(2),
+    "finite": OffspringLaw.finite_support({1: 0.25, 2: 0.25, 3: 0.5}),
+    "finite-zero-middle": OffspringLaw.finite_support({1: 0.5, 4: 0.5}),
+    "geometric": OffspringLaw.geometric(0.45),
+}
+
+
+@pytest.mark.parametrize("law", sorted(TREE_LAWS))
+@pytest.mark.parametrize("depth", [0, 1, 2, 7])
+def test_tree_sample_matches_recursive_stream(law, depth):
+    # depth 7 reads past the first block of 64 draws, so the stream is
+    # extended while the recursion runs
+    model = ModelSpec(2, FinitePmf.from_dict({0: 0.3, 1: 0.2, 3: 0.5}),
+                      TREE_LAWS[law])
+    for seed in range(12):
+        assert tree_sample(model, depth, seed) == \
+            tree_sample_recursive(model, depth, seed)
+
+
+def test_tree_sample_wide_node_extends_past_doubling():
+    # 100 leaves under one node outrun a doubled block of 64 draws
+    model = ModelSpec(40, FinitePmf.from_dict({0: 0.5, 1: 0.5}),
+                      OffspringLaw.deterministic(100))
+    for depth in (1, 2):
+        for seed in range(3):
+            assert tree_sample(model, depth, seed) == \
+                tree_sample_recursive(model, depth, seed)
+
+
+@pytest.mark.parametrize("x0,pop_size", [
+    ({0: 1 / 7, 1: 2 / 7, 2: 1 / 7, 4: 3 / 7}, 1),
+    ({0: 0.3, 1: 0.7}, 9),
+    (None, 5000),
+])
+def test_init_population_matches_slot_loop(x0, pop_size):
+    # None: a geometric x0 of 32,221 weights, which leaves 1,739 of the
+    # 5,000 slots to the remainder draw
+    pmf = geometric_x0_pmf(1e-3) if x0 is None else FinitePmf.from_dict(x0)
+    model = ModelSpec(1, pmf, OffspringLaw.deterministic(2))
+    for seed in (0, 9, 2**63 + 5):
+        pop = init_population(model, pop_size, seed)
+        assert pop.samples.tolist() == \
+            init_population_loop(model, pop_size, seed).tolist()
+
+
+def test_mc_step_single_sample_pool():
+    # a pool of one resamples itself: every summand is sample 0
+    model = ModelSpec(1, FinitePmf.from_dict({0: 0.5, 2: 0.5}),
+                      OffspringLaw.finite_support({1: 0.5, 3: 0.5}))
+    pop = Population(np.array([5]), 0, 3)
+    values = {int(mc_step(Population(np.array([5]), 0, s), model).samples[0])
+              for s in range(40)}
+    assert values == {4, 14}
+    assert mc_step(pop, model).size == 1
