@@ -37,6 +37,7 @@ from .dists import (
     truncate,
 )
 from .evolution import (
+    EvolutionStopped,
     EvolutionTrace,
     LeakBudgetExceeded,
     SupportCapExceeded,
@@ -87,7 +88,7 @@ __all__ = [
     "convolve", "truncate", "mean",
     "pgf_eval", "pgf_deriv", "log_pgf_eval", "log_pgf_deriv",
     "EvolutionTrace", "TraceRow",
-    "LeakBudgetExceeded", "SupportCapExceeded",
+    "EvolutionStopped", "LeakBudgetExceeded", "SupportCapExceeded",
     "step", "evolve", "q_bounds",
     "gf_step_eval", "gf_step_deriv", "gf_step_eval_log", "gf_step_deriv_log",
     "get_backend",

@@ -36,8 +36,10 @@ STRICTNESS_BAND = 1e-12
 # Absolute slack for the growth-floor audit, relative slack for contraction.
 GROWTH_SLACK = 1e-9
 CONTRACTION_SLACK = 1e-9
-# Rounded operations behind a contraction row's two logs (_contraction_holds).
+# Rounded operations behind a contraction row's two logs (_contraction_holds)
+# and behind a growth row's comparison (_growth_holds).
 ROUNDING_OPS = 17
+GROWTH_ROUNDING_OPS = 8
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 SUPERCRITICAL = "Supercritical"
@@ -144,6 +146,7 @@ def lemma1_growth_check(model: ModelSpec, s: float, steps: int
 
     lhs(n) = (mu-1) s F_n'(s) - a F_n(s); the claim is the geometric growth
     of the supercritical criterion value, valid for 1 < s < mu^(1/a).
+    Each row holds within the slack of _growth_holds.
     """
     s_max = model.offspring.mean ** (1.0 / model.a)
     if not 1.0 < s < s_max:
@@ -152,21 +155,43 @@ def lemma1_growth_check(model: ModelSpec, s: float, steps: int
     mu = model.offspring.mean
     a = model.a
     log_rate = math.log(mu) - a * math.log(s)
-    slack = LogReal.from_float(GROWTH_SLACK)
+    log_first, log_second = math.log((mu - 1.0) * s), math.log(a)
     rows: list[GrowthRow] = []
-    lhs_all = [_d_log(f, fp, s, mu, a) for f, fp, _ in _orbit(model, s, steps)]
-    for n, lhs in enumerate(lhs_all):
-        floor = lhs_all[0] * LogReal.from_log(n * log_rate)
-        holds = (lhs - floor + slack).sign >= 0
+    for n, (f, fp, _) in enumerate(gf_orbit(model.x0, model.offspring, a, s,
+                                            steps)):
+        lhs = _d_log(f, fp, s, mu, a)
+        if n == 0:
+            lhs0 = lhs
+        floor = lhs0 * LogReal.from_log(n * log_rate)
+        holds = _growth_holds(lhs, floor, max(log_first + fp.log,
+                                              log_second + f.log))
         rows.append(GrowthRow(n, lhs.to_float(), floor.to_float(), holds,
                               lhs, floor))
     return rows
 
 
-def _orbit(model: ModelSpec, s: float, steps: int) -> list:
-    """gf_orbit of the model, with an unbounded N cut as step() cuts it."""
-    return gf_orbit(model.x0, model.offspring.materialized(), model.a, s,
-                    steps)
+def _growth_holds(lhs: LogReal, floor: LogReal, terms_log: float) -> bool:
+    """lhs >= floor, up to an absolute slack of max(GROWTH_SLACK,
+    GROWTH_ROUNDING_OPS * u * L * T), u = 2^-53, T the largest of |floor|
+    and the two terms of lhs, (mu-1) s F_n'(s) and a F_n(s) (terms_log is
+    the log of the larger), and L = log T.
+
+    The second term is float64 resolution, counted as in _contraction_holds
+    from the orbit state (log F_n, log F_n') and lhs(0): a rounded operation
+    whose result is a log of size at most L errs by u L in it, so by u L T
+    in a value of size at most T.  The logs of the two terms take 1 each,
+    their signed difference 2, log floor 2 (n times the log rate, plus
+    log lhs(0)) and lhs - floor 2: GROWTH_ROUNDING_OPS = 8.  Operations on
+    logs of size O(1) err by O(u) T, which GROWTH_SLACK covers for T < 1e6
+    and L > 13 beyond.  Once log F_n nears 1e18, where one ulp of a log is
+    in the hundreds, the sign of lhs is rounding noise and the row holds.
+    """
+    big = max(terms_log, floor.log)
+    slack_log = math.log(GROWTH_SLACK)
+    if big > 0.0:
+        slack_log = max(slack_log, big + math.log(
+            GROWTH_ROUNDING_OPS * _UNIT_ROUNDOFF * big))
+    return (lhs - floor + LogReal.from_log(slack_log)).sign >= 0
 
 
 def lemma2_tail_check(model: ModelSpec, steps: int) -> float:
@@ -233,7 +258,8 @@ def lemma3_contraction_check(model: ModelSpec, s: float, steps: int
     rows: list[ContractionRow] = []
     d_prev: LogReal | None = None
     factor_prev: LogReal | None = None
-    for n, (f, fp, log_g) in enumerate(_orbit(model, s, steps)):
+    for n, (f, fp, log_g) in enumerate(gf_orbit(model.x0, model.offspring,
+                                                a, s, steps)):
         d_here = _d_log(f, fp, s, m, a)
         if n == 0:
             rows.append(ContractionRow(0, d_here.to_float(), None, True,
@@ -304,7 +330,6 @@ def offspring_association_check(law: OffspringLaw, v: float
     the first for v >= 1, using the ideal (untruncated) law."""
     if v < 1.0:
         raise ValueError(f"offspring sandwich is claimed for v >= 1, got {v}")
-    g = law.pgf_exact(v)
-    gp = law.pgf_deriv_exact(v)
+    g, gp = law.pgf_pair(v)
     upper = None if law.bound is None else law.bound * g
     return v * gp, law.mean * g, upper

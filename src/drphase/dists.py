@@ -13,7 +13,8 @@ upward, so there they are approximations, not certified lower bounds.
 derivative at one point in one pass over the support, in float64 and in
 log space.  The float pair returns inf without evaluating when
 s^(support_max-1) is certain to overflow.  `pgf_eval`, `pgf_deriv`,
-`log_pgf_eval` and `log_pgf_deriv` are one side of those pairs.
+`log_pgf_eval` and `log_pgf_deriv` are one side of those pairs, and
+`OffspringLaw.pgf_pair`/`log_pgf_pair` run them on the offspring weights.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from . import kernels
 MASS_TOL = 1e-12
 # Weights below this are swept into leaked_mass during convolution.
 WEIGHT_FLOOR = 1e-300
-# Default cut mass when an unbounded offspring law is materialized.
+# Upper-tail mass cut from a geometric offspring law's weights.
 GEOMETRIC_TAIL = 1e-14
 # Direct convolution up to this many multiply-adds, transform above.
 _DIRECT_CONV_OPS = 1 << 24
@@ -109,12 +110,6 @@ class FinitePmf:
             return float(self.probs[value])
         return 0.0
 
-    def tail_mass(self, value: int) -> float:
-        """Retained P(X >= value)."""
-        if value <= 0:
-            return self.total_mass
-        return float(self.probs[value:].sum())
-
 
 def _trimmed_size(probs: np.ndarray) -> int:
     """Length of probs without its trailing zeros.
@@ -143,14 +138,14 @@ def _check_argument(s: float) -> None:
         raise ValueError(f"pgf argument must be positive, got {s}")
 
 
-def _support(p: FinitePmf) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    """(w, k, j, dense): the positive weights of p, their values as float64,
-    the index of the first value >= 1, and whether p has no zero weight.
+def _support(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """(w, k, j, dense): the positive weights of probs, their values as
+    float64, the index of the first value >= 1, and whether probs has no
+    zero weight.
 
-    A dense law gives probs itself and an arange: the numbers flatnonzero
+    A dense array gives probs itself and an arange: the numbers flatnonzero
     and fancy indexing would copy out, without the copies.
     """
-    probs = p.probs
     if np.count_nonzero(probs) == probs.size:
         return probs, np.arange(probs.size, dtype=np.float64), 1, True
     idx = np.flatnonzero(probs)
@@ -188,7 +183,7 @@ def pgf_pair(p: FinitePmf, s: float, *, deriv: bool = True
     s^(k-1) off the value's s^k.
     """
     _check_argument(s)
-    w, k, j, dense = _support(p)
+    w, k, j, dense = _support(p.probs)
     if k.size and s > 1.0 and (k[-1] - 1.0) * math.log(s) > _LOG_OVERFLOW:
         return math.inf, math.inf if deriv else None
     powers = np.power(float(s), k)
@@ -202,15 +197,21 @@ def pgf_pair(p: FinitePmf, s: float, *, deriv: bool = True
 
 def log_pgf_pair(p: FinitePmf, s: float, *, deriv: bool = True
                  ) -> tuple[float, float | None]:
-    """(log E s^X, log d/ds E s^X), stable far beyond float64 range, from
-    one pass over the support and the log weights.  deriv=False leaves the
-    derivative out (None).  A dense law's (k-1) log s terms are read off
-    the value's k log s terms."""
+    """(log E s^X, log d/ds E s^X), stable far beyond float64 range.
+    deriv=False leaves the derivative out (None)."""
     _check_argument(s)
-    w, k, j, dense = _support(p)
+    return _log_pgf_pair(p.probs, math.log(s), deriv)
+
+
+def _log_pgf_pair(probs: np.ndarray, log_s: float, deriv: bool
+                  ) -> tuple[float, float | None]:
+    """log_pgf_pair of a weight array, from log s, so that s itself may lie
+    beyond float64 range (the F_n(s) of evolution.gf_orbit).  One pass over
+    the support and the log weights; a dense array's (k-1) log s terms are
+    read off the value's k log s terms."""
+    w, k, j, dense = _support(probs)
     if k.size == 0:
         return -math.inf, -math.inf if deriv else None
-    log_s = math.log(s)
     log_w = np.log(w)
     k_log_s = k * log_s
     log_value = _logsumexp(log_w + k_log_s)
@@ -293,17 +294,19 @@ class OffspringLaw:
     """Law of the number of replicas summed per step.
 
     kind is 'deterministic', 'finite', or 'geometric'.  weights is a dense
-    pmf over counts (weights[0] == 0); for a geometric law it appears only
-    once a cutoff is applied, with the cut mass recorded in truncation_leak.
-    mean is exact for all three kinds (1/p for geometric, independent of any
-    cutoff).  bound is the essential supremum, absent for geometric laws:
-    they stay unbounded no matter the cutoff, so criteria that need a bound
-    never see one.
+    pmf over counts (weights[0] == 0) ending at its last positive weight.
+    A geometric law's weights stop at the smallest cutoff whose upper tail
+    is below GEOMETRIC_TAIL, with the cut mass recorded in truncation_leak;
+    success_prob keeps the uncut law for the samplers.  mean is exact for
+    all three kinds (1/p for geometric, independent of any cutoff).  bound
+    is the essential supremum, absent for geometric laws: they stay
+    unbounded no matter the cutoff, so criteria that need a bound never see
+    one.
     """
 
     kind: str
     mean: float
-    weights: np.ndarray | None = None
+    weights: np.ndarray
     bound: int | None = None
     truncation_leak: float = 0.0
     success_prob: float | None = None
@@ -315,15 +318,16 @@ class OffspringLaw:
             raise ValueError("bound must be present exactly for non-geometric kinds")
         if self.mean <= 1.0:
             raise ValueError(f"offspring mean must exceed 1, got {self.mean}")
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=np.float64)
-            if w.ndim != 1 or w.size < 2 or w[0] != 0.0 or np.any(w < 0.0):
-                raise ValueError("offspring weights must be a dense pmf over counts >= 1")
-            if abs(float(w.sum()) + self.truncation_leak - 1.0) > MASS_TOL:
-                raise ValueError("offspring weights plus truncation_leak must sum to 1")
-            w = w.copy()
-            w.setflags(write=False)
-            object.__setattr__(self, "weights", w)
+        w = np.asarray(self.weights, dtype=np.float64)
+        if (w.ndim != 1 or w.size < 2 or w[0] != 0.0 or w[-1] <= 0.0
+                or np.any(w < 0.0)):
+            raise ValueError("offspring weights must be a dense pmf over counts "
+                             ">= 1 ending at a positive weight")
+        if abs(float(w.sum()) + self.truncation_leak - 1.0) > MASS_TOL:
+            raise ValueError("offspring weights plus truncation_leak must sum to 1")
+        w = w.copy()
+        w.setflags(write=False)
+        object.__setattr__(self, "weights", w)
 
     @classmethod
     def deterministic(cls, n: int) -> "OffspringLaw":
@@ -341,8 +345,7 @@ class OffspringLaw:
         for k in pmf:
             if not isinstance(k, (int, np.integer)) or k < 1:
                 raise ValueError(f"offspring count {k!r} is not an integer >= 1")
-        top = int(max(pmf))
-        w = np.zeros(top + 1)
+        w = np.zeros(int(max(pmf)) + 1)
         for k, v in pmf.items():
             if v < 0.0:
                 raise ValueError(f"offspring probability for {k} is negative")
@@ -351,92 +354,51 @@ class OffspringLaw:
             raise ValueError("offspring probabilities must sum to 1")
         if float(w[2:].sum()) <= 0.0:
             raise ValueError("the replica count must exceed 1 with positive probability")
+        # the bound is the largest count of positive probability
+        top = int(np.flatnonzero(w)[-1])
+        w = w[:top + 1]
         m = float(np.dot(w, np.arange(top + 1, dtype=np.float64)))
         return cls("finite", m, w, top)
 
     @classmethod
     def geometric(cls, p: float) -> "OffspringLaw":
-        """Success-probability p law on {1, 2, ...}; P(N = k) = p (1-p)^(k-1)."""
+        """Success-probability p law on {1, 2, ...}; P(N = k) = p (1-p)^(k-1),
+        with weights cut at GEOMETRIC_TAIL."""
         if not 0.0 < p < 1.0:
             raise ValueError(f"geometric success probability must lie in (0, 1), got {p}")
-        return cls("geometric", 1.0 / p, None, None, 0.0, float(p))
+        return cls._cut_geometric(float(p), GEOMETRIC_TAIL)
 
-    def with_cutoff(self, tail: float = GEOMETRIC_TAIL) -> "OffspringLaw":
-        """Materialize a geometric law's weights up to the smallest cutoff
-        whose upper tail is below `tail`; the tail becomes truncation_leak."""
+    def with_cutoff(self, tail: float) -> "OffspringLaw":
+        """A geometric law recut at another tail; other kinds as they are."""
         if self.kind != "geometric":
             return self
-        p = self.success_prob
+        return self._cut_geometric(self.success_prob, tail)
+
+    @classmethod
+    def _cut_geometric(cls, p: float, tail: float) -> "OffspringLaw":
+        """The success-p geometric law with weights up to the smallest cutoff
+        whose upper tail is below `tail`; the tail becomes truncation_leak."""
         q = 1.0 - p
         cutoff = max(2, math.ceil(math.log(tail) / math.log(q)))
         while q ** cutoff >= tail:
             cutoff += 1
         w = np.zeros(cutoff + 1)
         w[1:] = p * np.power(q, np.arange(cutoff, dtype=np.float64))
-        return OffspringLaw("geometric", self.mean, w, None, float(q ** cutoff), p)
+        return cls("geometric", 1.0 / p, w, None, float(q ** cutoff), p)
 
-    def materialized(self, tail: float = GEOMETRIC_TAIL) -> "OffspringLaw":
-        """Self, with weights guaranteed present."""
-        if self.weights is not None:
-            return self
-        return self.with_cutoff(tail)
-
-    @property
-    def counts(self) -> np.ndarray:
-        if self.weights is None:
-            raise ValueError("geometric offspring law has no truncation cutoff; "
-                             "call with_cutoff() first")
-        return self.weights
-
-    def pgf(self, v: float) -> float:
-        """E v^N over the retained weights (closed form when none are set)."""
-        if self.weights is None:
-            return self._closed_pgf(v)
-        k = np.arange(self.weights.size, dtype=np.float64)
-        return float(np.dot(self.weights, np.power(float(v), k)))
-
-    def pgf_deriv(self, v: float) -> float:
-        if self.weights is None:
-            return self._closed_pgf_deriv(v)
-        k = np.arange(self.weights.size, dtype=np.float64)
-        return float(np.dot(self.weights[1:] * k[1:], np.power(float(v), k[1:] - 1.0)))
-
-    def pgf_exact(self, v: float) -> float:
-        """E v^N of the ideal law: closed form for geometric, sums otherwise."""
-        if self.kind == "geometric":
-            return self._closed_pgf(v)
-        return self.pgf(v)
-
-    def pgf_deriv_exact(self, v: float) -> float:
-        if self.kind == "geometric":
-            return self._closed_pgf_deriv(v)
-        return self.pgf_deriv(v)
-
-    def _closed_pgf(self, v: float) -> float:
+    def pgf_pair(self, v: float) -> tuple[float, float]:
+        """(E v^N, d/dv E v^N) of the ideal law: closed form for geometric,
+        sums over the weights otherwise."""
+        if self.kind != "geometric":
+            return pgf_pair(FinitePmf(self.weights), v)
         p, q = self.success_prob, 1.0 - self.success_prob
         if q * v >= 1.0:
             raise ValueError(f"geometric pgf diverges at argument {v}")
-        return p * v / (1.0 - q * v)
+        return p * v / (1.0 - q * v), p / (1.0 - q * v) ** 2
 
-    def _closed_pgf_deriv(self, v: float) -> float:
-        p, q = self.success_prob, 1.0 - self.success_prob
-        if q * v >= 1.0:
-            raise ValueError(f"geometric pgf diverges at argument {v}")
-        return p / (1.0 - q * v) ** 2
-
-    def log_pgf(self, log_v: float) -> float:
-        """log E v^N from log v, over the retained weights."""
-        w = self.counts
-        idx = np.flatnonzero(w)
-        terms = np.log(w[idx]) + idx.astype(np.float64) * log_v
-        return _logsumexp(terms)
-
-    def log_pgf_deriv(self, log_v: float) -> float:
-        w = self.counts
-        idx = np.flatnonzero(w)
-        k = idx.astype(np.float64)
-        terms = np.log(w[idx]) + np.log(k) + (k - 1.0) * log_v
-        return _logsumexp(terms)
+    def log_pgf_pair(self, log_v: float) -> tuple[float, float]:
+        """(log E v^N, log d/dv E v^N) over the weights, from log v."""
+        return _log_pgf_pair(self.weights, log_v, True)
 
 
 @dataclass(frozen=True)

@@ -65,8 +65,8 @@ class EvolutionTrace:
         return None
 
 
-class LeakBudgetExceeded(RuntimeError):
-    """Cumulative truncation leak passed the configured budget.
+class EvolutionStopped(RuntimeError):
+    """An evolution stopped at a generation that broke one of its limits.
 
     rows holds the trace completed so far, last row being the offender.
     pmfs holds the laws of the generations before the offender when the
@@ -80,15 +80,12 @@ class LeakBudgetExceeded(RuntimeError):
         self.pmfs = pmfs
 
 
-class SupportCapExceeded(RuntimeError):
-    """The evolving support outgrew the caller's cap; rows and pmfs as
-    above."""
+class LeakBudgetExceeded(EvolutionStopped):
+    """Cumulative truncation leak passed the configured budget."""
 
-    def __init__(self, message: str, rows: tuple[TraceRow, ...],
-                 pmfs: tuple[FinitePmf, ...] | None = None):
-        super().__init__(message)
-        self.rows = rows
-        self.pmfs = pmfs
+
+class SupportCapExceeded(EvolutionStopped):
+    """The evolving support outgrew the caller's cap."""
 
 
 def q_bounds(mean_xn: float, n: int, model: ModelSpec) -> tuple[float, float]:
@@ -119,10 +116,10 @@ def step(x: FinitePmf, model: ModelSpec,
     """
     if x.probs.size == 0:
         return FinitePmf(np.zeros(0), 1.0)
-    law = model.offspring.materialized()
+    law = model.offspring
     w = law.weights
     a = model.a
-    kmax = int(np.flatnonzero(w)[-1])
+    kmax = w.size - 1
     n = x.probs.size
     out_len = max(1, kmax * (n - 1) + 1 - a)
     acc = np.zeros(out_len)
@@ -279,8 +276,8 @@ def _clip_heads(x0: np.ndarray, weights: np.ndarray, a: int, steps: int
 def gf_orbit(x0: FinitePmf, law: OffspringLaw, a: int, s: float, steps: int
              ) -> list[tuple[LogReal, LogReal, float]]:
     """(F_n(s), F_n'(s), log G(F_n(s))) for n = 0..steps, F_n(s) = E s^X_n
-    along the recursion from x0, G the generating function of law, which
-    must carry weights (cut an unbounded law first).
+    along the recursion from x0, G the generating function of law's
+    weights (for geometric N the cut weights that step() uses too).
 
     The generating-function recursion (Collet, Eckmann, Glaser & Martin,
     CMP 1984; Derrida & Retaux, JSP 2014, with G in place of v -> v^2):
@@ -298,19 +295,18 @@ def gf_orbit(x0: FinitePmf, law: OffspringLaw, a: int, s: float, steps: int
         raise ValueError(f"generating-function argument must be positive, got {s}")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    heads = _clip_heads(x0.probs, law.counts, a, steps)
+    heads = _clip_heads(x0.probs, law.weights, a, steps)
     log_s = math.log(s)
     log_f, log_fp = dists.log_pgf_pair(x0, s)
     f, fp = LogReal.from_log(log_f), LogReal.from_log(log_fp)
     rows = []
     for n in range(steps + 1):
-        log_g = law.log_pgf(f.log)
+        log_g, log_gp = law.log_pgf_pair(f.log)
         rows.append((f, fp, log_g))
         if n == steps:
             break
         f_next = LogReal.from_log(log_g - a * log_s)
-        fp_next = LogReal.from_log(law.log_pgf_deriv(f.log) + fp.log
-                                   - a * log_s, fp.sign)
+        fp_next = LogReal.from_log(log_gp + fp.log - a * log_s, fp.sign)
         fp_next = fp_next - LogReal.from_log(log_g + math.log(a)
                                              - (a + 1) * log_s)
         for p, cp in enumerate(heads[n].tolist()):
@@ -335,8 +331,7 @@ def gf_step_deriv(x: FinitePmf, model: ModelSpec, s: float) -> float:
 
 
 def gf_step_eval_log(x: FinitePmf, model: ModelSpec, s: float) -> LogReal:
-    """gf_step_eval in signed log space; exact far beyond float64 range.
-    An unbounded offspring law must carry a cutoff (with_cutoff)."""
+    """gf_step_eval in signed log space; exact far beyond float64 range."""
     return gf_orbit(x, model.offspring, model.a, s, 1)[1][0]
 
 

@@ -2,7 +2,7 @@
 
 Generating-function values along the recursion overflow float64 within a
 dozen steps on growing instances, but the audits only ever need products,
-signed sums, and comparisons of those values.  LogReal keeps (sign, log|x|)
+signed sums, and the signs of those values.  LogReal keeps (sign, log|x|)
 and does exactly that arithmetic.
 """
 
@@ -52,13 +52,6 @@ class LogReal:
             return ZERO
         return LogReal(s, self.log + other.log)
 
-    def __truediv__(self, other: "LogReal") -> "LogReal":
-        if other.sign == 0:
-            raise ZeroDivisionError("LogReal division by zero")
-        if self.sign == 0:
-            return ZERO
-        return LogReal(self.sign * other.sign, self.log - other.log)
-
     def __add__(self, other: "LogReal") -> "LogReal":
         if self.sign == 0:
             return other
@@ -77,21 +70,6 @@ class LogReal:
     def __sub__(self, other: "LogReal") -> "LogReal":
         return self + (-other)
 
-    def compare(self, other: "LogReal") -> int:
-        return (self - other).sign
-
-    def __lt__(self, other: "LogReal") -> bool:
-        return self.compare(other) < 0
-
-    def __le__(self, other: "LogReal") -> bool:
-        return self.compare(other) <= 0
-
-    def __gt__(self, other: "LogReal") -> bool:
-        return self.compare(other) > 0
-
-    def __ge__(self, other: "LogReal") -> bool:
-        return self.compare(other) >= 0
-
 
 ZERO = LogReal(0, -math.inf)
 ONE = LogReal(1, 0.0)
@@ -105,17 +83,3 @@ def _logaddexp(a: float, b: float) -> float:
     hi, lo = (a, b) if a >= b else (b, a)
     return hi + math.log1p(math.exp(lo - hi))
 
-
-def rel_close(a: LogReal, b: LogReal, rtol: float, atol: float = 0.0) -> bool:
-    """|a - b| <= max(atol, rtol * |b|), evaluated without leaving log space."""
-    diff = a - b
-    if diff.sign == 0:
-        return True
-    bounds = []
-    if atol > 0.0:
-        bounds.append(math.log(atol))
-    if rtol > 0.0 and b.sign != 0:
-        bounds.append(math.log(rtol) + b.log)
-    if not bounds:
-        return False
-    return diff.log <= max(bounds)

@@ -135,7 +135,7 @@ def _step_gap_logs(x, y, model, svals):
     the sub-float64 products the engine cannot represent.
     """
     xp = x.probs.astype(np.longdouble)
-    counts = model.offspring.counts
+    counts = model.offspring.weights
     a = model.a
     acc = np.zeros(1, dtype=np.longdouble)
     conv = None
@@ -192,8 +192,7 @@ def test_criterion_04_generating_function_oracle(battery):
                 with np.errstate(over="ignore"):
                     log_f = log_pgf_eval(x, s)
                     log_fp = log_pgf_deriv(x, s)
-                    lg = law.log_pgf(log_f)
-                    lgp = law.log_pgf_deriv(log_f)
+                    lg, lgp = law.log_pgf_pair(log_f)
                     rows = ((gf_step_eval(x, model, s), pgf_eval(y, s),
                              gf_step_eval_log(x, model, s),
                              log_pgf_eval(y, s), False),

@@ -163,6 +163,32 @@ def test_evolve_negative_steps_rejected(tmp_path, capsys):
     assert "evolve.steps: must be >= 0" in err
 
 
+@pytest.mark.parametrize("command,block,key,value", [
+    ("evolve", "evolve", "tail_eps", 2),
+    ("evolve", "evolve", "tail_eps", -1.0),
+    ("evolve", "evolve", "tail_eps", float("nan")),
+    ("estimate-q", "estimate_q", "tail_eps", 1.0),
+    ("evolve", "evolve", "leak_budget", -1.0),
+    ("estimate-q", "estimate_q", "leak_budget", float("nan")),
+    ("evolve", "evolve", "leak_budget", float("inf")),
+    ("evolve", "evolve", "support_cap", -5),
+    ("estimate-q", "estimate_q", "support_cap", 0),
+    ("scan", "scan", "tolerance", float("nan")),
+    ("scan", "scan", "tolerance", float("inf")),
+    ("scan", "scan", "tolerance", 0.0)])
+def test_bad_numeric_options_are_config_errors(tmp_path, capsys, command,
+                                               block, key, value):
+    doc = base_config()
+    doc[block] = {key: value}
+    if command == "scan":
+        doc[block]["family"] = {"type": "two_point", "high": 2}
+    cfg = write_config(tmp_path, doc)
+    code, out, err = run_main([command, "--config", cfg], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"config error: {block}.{key}: must ")
+
+
 def test_evolve_leak_budget_exit3_with_partial_rows(tmp_path, capsys):
     cfg = write_config(tmp_path, base_config(
         evolve={"steps": 30, "tail_eps": 1e-3, "leak_budget": 1e-12}))
@@ -421,6 +447,22 @@ def test_check_lemmas_contraction_holds_in_the_fft_regime(tmp_path, capsys):
     assert lines[0] == (f"lemma1 growth-floor: PASS ({len(points)} s-points, "
                         f"worst lhs margin {cli._fmt(worst)} of the floor)")
     assert len(points) == 3
+
+
+def test_check_lemmas_growth_rows_beyond_float_resolution_pass(tmp_path,
+                                                              capsys):
+    # log F_n reaches ~3e18 by n = 11, where one ulp of a log is 512: the
+    # sign of lhs is rounding noise there, not a failed growth floor
+    doc = {"a": 2, "x0": {"type": "finite",
+                          "pmf": [[0, 0.5], [3, 0.3], [6, 0.2]]},
+           "N": {"type": "geometric", "p": 0.45},
+           "check_lemmas": {"growth_steps": 12}}
+    cfg = write_config(tmp_path, doc)
+    code, out, _ = run_main(["check-lemmas", "--config", cfg], capsys)
+    assert code == 0
+    line = out.splitlines()[0]
+    assert line.startswith("lemma1 growth-floor: PASS (3 s-points, ")
+    assert line.endswith("within float64 resolution: 6)")
 
 
 def test_check_lemmas_csv_round_trips_quoted_details(tmp_path, capsys):

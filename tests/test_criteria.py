@@ -19,7 +19,7 @@ from drphase.criteria import (
     lemma4_association_check,
     offspring_association_check,
 )
-from drphase.dists import FinitePmf, ModelSpec, OffspringLaw
+from drphase.dists import GEOMETRIC_TAIL, FinitePmf, ModelSpec, OffspringLaw
 from drphase.logreal import LogReal
 
 from conftest import rand_model_light
@@ -238,7 +238,8 @@ def test_lemma1_and_lemma3_evolve_no_law(monkeypatch):
     # an unbounded N is audited through the cutoff step() uses
     x0 = FinitePmf.from_dict({0: 0.5, 2: 0.5})
     geo = ModelSpec(a=1, x0=x0, offspring=OffspringLaw.geometric(0.5))
-    cut = ModelSpec(a=1, x0=x0, offspring=geo.offspring.with_cutoff())
+    cut = ModelSpec(a=1, x0=x0,
+                    offspring=geo.offspring.with_cutoff(GEOMETRIC_TAIL))
     assert lemma1_growth_check(geo, 1.9, 6) == lemma1_growth_check(cut, 1.9, 6)
 
 
@@ -253,6 +254,20 @@ def test_contraction_slack_grows_only_with_float_resolution(log_bound, over,
         bound = LogReal.from_log(log_bound, sign)
         d_next = bound + LogReal.from_log(log_bound + math.log(over))
         assert criteria._contraction_holds(d_next, bound) is holds
+
+
+@pytest.mark.parametrize("log_floor,under,terms_log,holds", [
+    (10.0, 1e-8, 10.0, False), (10.0, 1e-8, 12.0, False),
+    (-10.0, 1e-3, -5.0, False), (10.0, 1e-15, 10.0, True),
+    (3.1e18, 1e-8, 3.1e18, True), (10.0, 0.5, 3.1e18, True)])
+def test_growth_slack_grows_only_with_float_resolution(log_floor, under,
+                                                       terms_log, holds):
+    # absolute slack max(1e-9, 8 u L T), T the largest of |floor| and the
+    # terms of lhs, L = log T: 2e-10 at L = 10; at L = 3.1e18 it exceeds T,
+    # so no row there can fail
+    floor = LogReal.from_log(log_floor)
+    lhs = floor - LogReal.from_log(log_floor + math.log(under))
+    assert criteria._growth_holds(lhs, floor, terms_log) is holds
 
 
 def test_lemma4_pinned_pairs():

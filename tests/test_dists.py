@@ -8,6 +8,7 @@ from scipy.signal import fftconvolve
 from scipy.special import logsumexp
 
 from drphase import dists
+from drphase.criteria import SUBCRITICAL, classify
 from drphase.dists import (
     GEOMETRIC_TAIL,
     FinitePmf,
@@ -195,15 +196,15 @@ def test_log_pgf_matches_scipy_expressions_bit_for_bit():
             assert log_pgf_deriv(p, s) == float(logsumexp(terms))
     for law in (OffspringLaw.deterministic(3),
                 OffspringLaw.finite_support({1: 0.3, 2: 0.2, 5: 0.5}),
-                OffspringLaw.geometric(0.4).with_cutoff()):
-        w = law.counts
+                OffspringLaw.geometric(0.4)):
+        w = law.weights
         idx = np.flatnonzero(w)
         k = idx.astype(np.float64)
         for log_v in (-2.0, 0.0, 0.7, 40.0):
-            terms = np.log(w[idx]) + k * log_v
-            assert law.log_pgf(log_v) == float(logsumexp(terms))
-            terms = np.log(w[idx]) + np.log(k) + (k - 1.0) * log_v
-            assert law.log_pgf_deriv(log_v) == float(logsumexp(terms))
+            value = np.log(w[idx]) + k * log_v
+            deriv = np.log(w[idx]) + np.log(k) + (k - 1.0) * log_v
+            assert law.log_pgf_pair(log_v) == (float(logsumexp(value)),
+                                               float(logsumexp(deriv)))
 
 
 # -- one-pass evaluator against the per-function code it replaced -----------
@@ -410,18 +411,35 @@ def test_offspring_finite_needs_mass_above_one():
     assert law.bound == 3
 
 
+def test_offspring_bound_is_the_essential_supremum():
+    # a zero-probability count is not in the support: the bound, the
+    # weights and the subcritical test point ignore it
+    x0 = FinitePmf.from_dict({0: 0.9, 1: 0.1})
+    zero_top = OffspringLaw.finite_support({1: 0.5, 3: 0.5, 5: 0.0})
+    plain = OffspringLaw.finite_support({1: 0.5, 3: 0.5})
+    assert zero_top.bound == 3
+    assert zero_top.weights.tolist() == plain.weights.tolist()
+    verdicts = [classify(ModelSpec(a=1, x0=x0, offspring=law))
+                for law in (zero_top, plain)]
+    assert [v.verdict for v in verdicts] == [SUBCRITICAL, SUBCRITICAL]
+    assert verdicts[0].d_sub == verdicts[1].d_sub == pytest.approx(-0.6)
+    assert verdicts[0].details["s_sub"] == 3.0
+    with pytest.raises(ValueError, match="ending at a positive weight"):
+        OffspringLaw("finite", 2.0, [0.0, 0.5, 0.0, 0.5, 0.0], 4)
+
+
 def test_offspring_geometric_cutoff_contract():
     law = OffspringLaw.geometric(0.5)
     assert law.mean == 2.0
     assert law.bound is None
-    with pytest.raises(ValueError, match="with_cutoff"):
-        _ = law.counts
-    cut = law.with_cutoff()
-    assert cut.kind == "geometric"
-    assert cut.truncation_leak <= GEOMETRIC_TAIL
-    assert cut.truncation_leak > 0.0
-    # mean stays the exact closed form 1/p
-    assert cut.mean == 2.0
+    assert law.success_prob == 0.5
+    assert 0.0 < law.truncation_leak <= GEOMETRIC_TAIL
+    coarse = law.with_cutoff(1e-3)
+    assert coarse.kind == "geometric"
+    assert coarse.weights.size < law.weights.size
+    assert GEOMETRIC_TAIL < coarse.truncation_leak <= 1e-3
+    # mean stays the exact closed form 1/p at any cutoff
+    assert coarse.mean == 2.0
     with pytest.raises(ValueError):
         OffspringLaw.geometric(0.0)
     with pytest.raises(ValueError):
@@ -430,19 +448,22 @@ def test_offspring_geometric_cutoff_contract():
 
 def test_offspring_pgf_closed_form_and_truncated_agree():
     law = OffspringLaw.geometric(0.4)
-    cut = law.with_cutoff()
+    cut = FinitePmf(law.weights, law.truncation_leak)
     for v in (0.5, 1.0):
-        assert cut.pgf(v) == pytest.approx(law.pgf_exact(v), rel=1e-12)
-        assert cut.pgf_deriv(v) == pytest.approx(law.pgf_deriv_exact(v),
-                                                 rel=1e-12)
+        g, gp = law.pgf_pair(v)
+        assert dists.pgf_pair(cut, v) == pytest.approx((g, gp), rel=1e-12)
     # above v=1 the dropped tail is amplified by v^k: truncated values are
     # strict lower bounds of the closed form, close but not 1e-12-close
     for v in (1.2, 1.4):
-        assert cut.pgf(v) < law.pgf_exact(v)
-        assert cut.pgf(v) == pytest.approx(law.pgf_exact(v), rel=1e-3)
+        g = law.pgf_pair(v)[0]
+        assert pgf_eval(cut, v) < g
+        assert pgf_eval(cut, v) == pytest.approx(g, rel=1e-3)
     # closed form diverges at qv >= 1
     with pytest.raises(ValueError):
-        law.pgf_exact(2.0)
+        law.pgf_pair(2.0)
+    # bounded laws sum their weights
+    assert OffspringLaw.finite_support({1: 0.5, 3: 0.5}).pgf_pair(2.0) == \
+        (5.0, 6.5)
 
 
 def test_model_spec_validation():

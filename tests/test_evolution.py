@@ -111,7 +111,7 @@ def _spy(monkeypatch):
 def _power_loop_step(x, model):
     """The per-power convolution loop of step() with tail_eps=0, kept as
     the bit-for-bit reference of the direct regime."""
-    law = model.offspring.materialized()
+    law = model.offspring
     w, a = law.weights, model.a
     kmax = int(np.flatnonzero(w)[-1])
     acc = np.zeros(max(1, kmax * (x.probs.size - 1) + 1 - a))
@@ -172,10 +172,9 @@ def test_step_fft_regime_matches_direct_reference(monkeypatch, law, size,
     assert abs(out.total_mass + out.leaked_mass - 1.0) <= MASS_TOL
     # closed form: cutoff leak + sum_k w_k (1 - (1 - l)^k), in exact
     # rational arithmetic
-    law = law.materialized()
     keep = 1 - Fraction(leak)
     closed = Fraction(law.truncation_leak) + sum(
-        Fraction(float(wk)) * (1 - keep ** k) for k, wk in enumerate(law.counts))
+        Fraction(float(wk)) * (1 - keep ** k) for k, wk in enumerate(law.weights))
     assert out.leaked_mass == pytest.approx(float(closed), rel=1e-12,
                                             abs=1e-300)
     assert out.leaked_mass == pytest.approx(ref.leaked_mass, rel=1e-12,
@@ -262,15 +261,32 @@ def test_gf_step_finite_difference_consistency():
         assert gf_step_deriv(model.x0, model, s) == pytest.approx(fd, rel=1e-5)
 
 
-def test_gf_step_requires_cutoff_for_geometric():
+def _cut_geometric_reference(p, tail=1e-14):
+    """Weights and cut mass of a success-p geometric law as the explicit
+    cutoff step built them before laws were cut at construction."""
+    q = 1.0 - p
+    cutoff = max(2, math.ceil(math.log(tail) / math.log(q)))
+    while q ** cutoff >= tail:
+        cutoff += 1
+    w = np.zeros(cutoff + 1)
+    w[1:] = p * np.power(q, np.arange(cutoff, dtype=np.float64))
+    return w, float(q ** cutoff)
+
+
+@pytest.mark.parametrize("p", [0.05, 0.3, 0.45, 0.5, 0.52, 0.9, 0.999])
+def test_geometric_law_is_cut_at_construction(p):
+    law = OffspringLaw.geometric(p)
+    w, leak = _cut_geometric_reference(p)
+    assert law.weights.tobytes() == w.tobytes()
+    assert law.truncation_leak.hex() == leak.hex()
+    w, leak = _cut_geometric_reference(p, 1e-10)
+    assert law.with_cutoff(1e-10).weights.tobytes() == w.tobytes()
+    # the step and one step of the generating-function orbit read the
+    # same weights
     model = ModelSpec(a=1, x0=FinitePmf.from_dict({0: 0.5, 2: 0.5}),
-                      offspring=OffspringLaw.geometric(0.5))
-    with pytest.raises(ValueError, match="with_cutoff"):
-        gf_step_eval(model.x0, model, 2.0)
-    cut = ModelSpec(a=1, x0=model.x0,
-                    offspring=model.offspring.with_cutoff())
+                      offspring=law)
     stepped = step(model.x0, model, tail_eps=0.0)
-    assert gf_step_eval(cut.x0, cut, 1.5) == pytest.approx(
+    assert gf_step_eval(model.x0, model, 1.5) == pytest.approx(
         pgf_eval(stepped, 1.5), rel=1e-10)
 
 
@@ -317,14 +333,14 @@ def _fraction_clip_heads(x0, weights, a, steps):
     (OffspringLaw.finite_support({1: 0.25, 2: 0.5, 3: 0.25}), 8),
     # exact denominators grow by the cutoff's power per step
     (OffspringLaw.geometric(0.5).with_cutoff(1e-3), 4),
-    (OffspringLaw.geometric(0.5).with_cutoff(), 2)],
+    (OffspringLaw.geometric(0.5), 2)],
     ids=["det", "finite", "geo-1e-3", "geo"])
 @pytest.mark.parametrize("a", [1, 2])
 def test_orbit_clip_heads_match_exact_rationals(law, steps, a):
     # dyadic weights: the float inputs are the rationals themselves
     x0 = FinitePmf.from_dict({0: 0.5, 1: 0.125, 2: 0.125, 5: 0.25})
-    got = evolution._clip_heads(x0.probs, law.counts, a, steps)
-    want = _fraction_clip_heads(x0, law.counts, a, steps)
+    got = evolution._clip_heads(x0.probs, law.weights, a, steps)
+    want = _fraction_clip_heads(x0, law.weights, a, steps)
     assert len(got) == steps
     for g, w in zip(got, want):
         assert g.tolist() == pytest.approx([float(v) for v in w], rel=1e-13,
@@ -351,14 +367,14 @@ def test_orbit_matches_evolved_laws(battery):
                     continue
                 f, fp, log_g = orbit[n]
                 log_f, log_fp = dists.log_pgf_pair(x, s)
-                assert log_g == law.log_pgf(f.log)
+                assert log_g == law.log_pgf_pair(f.log)[0]
                 if n == 0:
                     assert (f.log, fp.log) == (log_f, log_fp)
                     continue
                 prev_f, prev_fp, prev_g = orbit[n - 1]
                 noise_f = np.logaddexp(prev_g - a * log_s, math.log(2.0 * a))
                 noise_fp = np.logaddexp(
-                    np.logaddexp(law.log_pgf_deriv(prev_f.log) + prev_fp.log
+                    np.logaddexp(law.log_pgf_pair(prev_f.log)[1] + prev_fp.log
                                  - a * log_s,
                                  math.log(a) + prev_g - (a + 1) * log_s),
                     math.log(a * a / s))
