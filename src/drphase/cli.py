@@ -161,14 +161,12 @@ def load_config(path: str) -> dict:
     return _as_object(raw, "config")
 
 
-def parse_model(cfg: dict, *, need_x0: bool = True) -> ModelSpec | None:
-    """Model from the top-level keys; x0 may be deferred for scans."""
+def parse_model(cfg: dict) -> ModelSpec:
+    """Model from the top-level keys."""
     a = _get(cfg, "a", "config", kind=int)
     offspring = _parse_offspring(_get(cfg, "N", "config"), "N")
     if "x0" not in cfg:
-        if need_x0:
-            raise ConfigError("x0: required key is missing")
-        return None
+        raise ConfigError("x0: required key is missing")
     x0 = _parse_x0(cfg["x0"], "x0")
     try:
         return ModelSpec(a, x0, offspring)
@@ -176,8 +174,16 @@ def parse_model(cfg: dict, *, need_x0: bool = True) -> ModelSpec | None:
         raise ConfigError(f"x0: {exc}") from exc
 
 
-def _block(cfg: dict, name: str) -> dict:
-    return _as_object(cfg.get(name, {}), name)
+def _block(node: dict, name: str, keys: tuple, path: str = "") -> dict:
+    """Block `name` of `node` (empty if absent), at `path` if not top-level;
+    a key the command does not read is an error, not a silent default."""
+    path = path or name
+    block = _as_object(node.get(name, {}), path)
+    for key in block:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}: unknown key; {path} reads "
+                              f"{', '.join(keys)}")
+    return block
 
 
 def _parse_count(block: dict, key: str, path: str, default: int) -> int:
@@ -187,11 +193,10 @@ def _parse_count(block: dict, key: str, path: str, default: int) -> int:
     return val
 
 
-def _parse_steps(block: dict, path: str, args, default: int = DEFAULT_STEPS
-                 ) -> int:
+def _parse_steps(block: dict, path: str, args) -> int:
     if args.steps is not None:  # the flag overrides the config
         block = {"steps": args.steps}
-    return _parse_count(block, "steps", path, default)
+    return _parse_count(block, "steps", path, DEFAULT_STEPS)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +284,8 @@ def _trace_cells(rows) -> list[list]:
 
 def _evolve_options(cfg: dict, name: str, args) -> tuple[int, dict]:
     """Step count and evolution.evolve keywords from a command's block."""
-    block = _block(cfg, name)
+    block = _block(cfg, name, ("steps", "tail_eps", "leak_budget",
+                               "support_cap"))
     steps = _parse_steps(block, name, args)
     tail_eps = float(_get(block, "tail_eps", name,
                           evolution.DEFAULT_TAIL_EPS, (int, float)))
@@ -336,7 +342,7 @@ def cmd_estimate_q(cfg: dict, args) -> int:
 
 def cmd_simulate(cfg: dict, args) -> int:
     model = parse_model(cfg)
-    block = _block(cfg, "simulate")
+    block = _block(cfg, "simulate", ("steps", "pop_size", "seed"))
     steps = _parse_steps(block, "simulate", args)
     pop_size = _get(block, "pop_size", "simulate", DEFAULT_POP_SIZE, int)
     seed = args.seed if args.seed is not None else \
@@ -368,29 +374,30 @@ def cmd_simulate(cfg: dict, args) -> int:
     return 0
 
 
-def _parse_family(cfg: dict, offspring: OffspringLaw) -> Family:
-    block = _block(cfg, "scan")
-    fam = _as_object(_get(block, "family", "scan"), "scan.family")
+def _parse_family(cfg: dict, scan: dict, offspring: OffspringLaw) -> Family:
+    fam = _as_object(_get(scan, "family", "scan"), "scan.family")
     kind = _get(fam, "type", "scan.family", kind=str)
     a = _get(cfg, "a", "config", kind=int)
+    keys = {"two_point": ("type", "high"), "geometric_x0": ("type",)}.get(kind)
+    if keys is None:
+        raise ConfigError(f"scan.family.type: expected 'two_point' or "
+                          f"'geometric_x0', got {kind!r}")
+    _block(scan, "family", keys, "scan.family")
     try:
         if kind == "two_point":
             high = _get(fam, "high", "scan.family", kind=int)
             return TwoPointFamily(a, high, offspring)
-        if kind == "geometric_x0":
-            return GeometricX0Family(a, offspring)
+        return GeometricX0Family(a, offspring)
     except ValueError as exc:
         raise ConfigError(f"scan.family: {exc}") from exc
-    raise ConfigError(f"scan.family.type: expected 'two_point' or "
-                      f"'geometric_x0', got {kind!r}")
 
 
 def cmd_scan(cfg: dict, args) -> int:
     if "x0" in cfg:
         _parse_x0(cfg["x0"], "x0")  # validated though the scan ignores it
     offspring = _parse_offspring(_get(cfg, "N", "config"), "N")
-    family = _parse_family(cfg, offspring)
-    block = _block(cfg, "scan")
+    block = _block(cfg, "scan", ("family", "grid_points", "tolerance"))
+    family = _parse_family(cfg, block, offspring)
     grid_points = _get(block, "grid_points", "scan", DEFAULT_GRID_POINTS, int)
     tol = float(_get(block, "tolerance", "scan", DEFAULT_TOL, (int, float)))
     if grid_points < 2:
@@ -447,7 +454,8 @@ def _lemma1_audit(model: ModelSpec, steps: int) -> tuple[str, str]:
     slack = LogReal.from_float(criteria.GROWTH_SLACK)
     unresolved = 0
     for s in audited:
-        for row in criteria.lemma1_growth_check(model, s, steps):
+        # row 0 is lhs(0) against itself, a margin of 0 whatever the model
+        for row in criteria.lemma1_growth_check(model, s, steps)[1:]:
             gap = _rel_margin(row.lhs_log - row.floor_log, row.floor_log)
             if not row.holds:
                 return "FAIL", (f"s={_fmt(s)} n={row.n}: lhs below "
@@ -457,7 +465,9 @@ def _lemma1_audit(model: ModelSpec, steps: int) -> tuple[str, str]:
                 unresolved += 1
             else:
                 worst = min(worst, gap)
-    detail = f"{len(audited)} s-points, worst lhs margin {_fmt(worst)} of the floor"
+    margin = (f"{_fmt(worst)} of the floor" if worst < math.inf
+              else "n/a: no resolved row past n=0")
+    detail = f"{len(audited)} s-points, worst lhs margin {margin}"
     if unresolved:
         detail += (f"; rows below the floor within float64 resolution: "
                    f"{unresolved}")
@@ -523,12 +533,12 @@ def _lemma4_audit(model: ModelSpec, steps: int) -> tuple[str, str]:
 
 def cmd_check_lemmas(cfg: dict, args) -> int:
     model = parse_model(cfg)
-    block = _block(cfg, "check_lemmas")
+    defaults = {"growth_steps": 8, "tail_steps": 20, "contraction_steps": 10,
+                "association_steps": 10}
+    block = _block(cfg, "check_lemmas", tuple(defaults))
     growth_steps, tail_steps, contraction_steps, association_steps = (
         _parse_count(block, key, "check_lemmas", default)
-        for key, default in (("growth_steps", 8), ("tail_steps", 20),
-                             ("contraction_steps", 10),
-                             ("association_steps", 10)))
+        for key, default in defaults.items())
     audits = [
         ("lemma1 growth-floor", _lemma1_audit(model, growth_steps)),
         ("lemma2 tail-bound", _lemma2_audit(model, tail_steps)),
@@ -561,6 +571,9 @@ _COMMANDS = {
     "scan": cmd_scan,
     "check-lemmas": cmd_check_lemmas,
 }
+# The commands that read each override flag; any other command rejects it.
+_FLAG_READERS = {"steps": ("evolve", "estimate-q", "simulate"),
+                 "seed": ("simulate",)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -574,14 +587,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", choices=("table", "csv", "json"),
                         default="table")
     parser.add_argument("--seed", type=int, default=None,
-                        help="overrides simulate.seed")
+                        help="simulate only: overrides simulate.seed")
     parser.add_argument("--steps", type=int, default=None,
-                        help="overrides the per-command step count")
+                        help="evolve, estimate-q and simulate only: "
+                             "overrides the command block's steps")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for flag, readers in _FLAG_READERS.items():
+        if getattr(args, flag) is not None and args.command not in readers:
+            parser.error(f"--{flag} is read only by {', '.join(readers)}; "
+                         f"{args.command} takes no {flag}")
     try:
         cfg = load_config(args.config)
         return _COMMANDS[args.command](cfg, args)

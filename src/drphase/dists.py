@@ -384,7 +384,12 @@ class OffspringLaw:
             cutoff += 1
         w = np.zeros(cutoff + 1)
         w[1:] = p * np.power(q, np.arange(cutoff, dtype=np.float64))
-        return cls("geometric", 1.0 / p, w, None, float(q ** cutoff), p)
+        leak = float(q ** cutoff)
+        # np.power errs by ~3e-17 * k relative, so below p ~ 5e-5 the total
+        # can leave the MASS_TOL band; only then re-pin the largest weight.
+        if abs(float(w.sum()) + leak - 1.0) > MASS_TOL:
+            w[1] += float((1.0 - leak) - np.sum(w, dtype=np.longdouble))
+        return cls("geometric", 1.0 / p, w, None, leak, p)
 
     def pgf_pair(self, v: float) -> tuple[float, float]:
         """(E v^N, d/dv E v^N) of the ideal law: closed form for geometric,

@@ -8,25 +8,26 @@ generator state -- so sampler output is reproducible to the byte and
 cannot depend on chunking or scheduling.  That is what lets the samplers
 draw in whole arrays: `_mc_step` draws every sample's count at once and
 then summand j of every sample still drawing one, and `_gw_sizes` draws
-all nodes of one level of all its trees in one pass.
+all nodes of one level of all its trees in one pass.  The table's samplers,
+`mc_step(samples, a, master, gen, law)` and `gw_sizes(seeds, depth, law)`,
+read the `dists.OffspringLaw` itself; every inverse-cdf draw is `inverse_cdf`.
 """
 
 from __future__ import annotations
 
 from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:  # dists imports this module
+    from .dists import OffspringLaw
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _INV53 = 2.0 ** -53
-
-# Offspring-law codes understood by the count samplers.
-KIND_DETERMINISTIC = 0
-KIND_FINITE = 1
-KIND_GEOMETRIC = 2
 
 # Geometric sampling stops refining the cdf once the per-count mass falls
 # below this; the saturated count is then returned as drawn.
@@ -85,27 +86,32 @@ def stream_uniforms(h: int, start: int, stop: int) -> np.ndarray:
         return _uniforms_np(_sm64_np(keys))
 
 
-def _draw_counts_np(u: np.ndarray, kind: int, det_n: int, cdf: np.ndarray,
-                    geom_p: float) -> np.ndarray:
+def inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The one inverse-cdf draw: for each uniform, the index of the first
+    cdf knot above it, clamped to the last index."""
+    idx = np.searchsorted(cdf, u, side="right").astype(np.int64, copy=False)
+    np.minimum(idx, len(cdf) - 1, out=idx)
+    return idx
+
+
+def _draw_counts_np(u: np.ndarray, law: OffspringLaw) -> np.ndarray:
     """Vectorized inverse-cdf draw of offspring counts (all >= 1) from a 1-d
     array of uniforms; each count depends on its own uniform alone."""
-    if kind == KIND_DETERMINISTIC:
-        return np.full(u.shape, det_n, dtype=np.int64)
-    if kind == KIND_FINITE:
-        n = np.searchsorted(cdf, u, side="right").astype(np.int64, copy=False)
-        np.minimum(n, len(cdf) - 1, out=n)
+    if law.kind == "deterministic":
+        return np.full(u.shape, law.bound, dtype=np.int64)
+    if law.kind == "finite":  # count k is knot k - 1 of the cdf
+        n = inverse_cdf(np.cumsum(law.weights[1:]), u)
         n += 1
         return n
-    # Geometric on {1, 2, ...}: scan the cdf with incremental powers, the
-    # float sequence of the scalar quantile loop, over the draws not yet
+    # Geometric on {1, 2, ...}, uncut: scan the cdf with incremental powers,
+    # the float sequence of the scalar quantile loop, over the draws not yet
     # resolved only.
     n = np.ones(u.shape, dtype=np.int64)
-    c = geom_p
-    m = geom_p
+    c = m = p = law.success_prob
     k = 1
     idx = np.flatnonzero(u >= c)
     while idx.size:
-        m *= 1.0 - geom_p
+        m *= 1.0 - p
         if m <= _GEOM_MASS_FLOOR:
             break
         c += m
@@ -116,8 +122,7 @@ def _draw_counts_np(u: np.ndarray, kind: int, det_n: int, cdf: np.ndarray,
 
 
 def _mc_step(samples: np.ndarray, a: int, master: int, gen: int,
-             kind: int, det_n: int, cdf: np.ndarray,
-             geom_p: float) -> np.ndarray:
+             law: OffspringLaw) -> np.ndarray:
     """One pool generation.  Sample i draws its count from hash draw 0 and
     its j-th summand's index from hash draw j of the key hash_path(master,
     gen, i); the samples still drawing summand j shrink as j grows."""
@@ -125,11 +130,10 @@ def _mc_step(samples: np.ndarray, a: int, master: int, gen: int,
     with np.errstate(over="ignore"):
         prefix = np.uint64(hash_path(master, gen))
         base = _sm64_np(prefix ^ np.arange(npop, dtype=np.uint64))
-        if kind == KIND_DETERMINISTIC:  # draws no count
-            counts, top = None, det_n
+        if law.kind == "deterministic":  # draws no count
+            counts, top = None, law.bound
         else:
-            counts = _draw_counts_np(_uniforms_np(_sm64_np(base)), kind,
-                                     det_n, cdf, geom_p)
+            counts = _draw_counts_np(_uniforms_np(_sm64_np(base)), law)
             top = int(counts.max())
         acc = np.zeros(npop, dtype=np.int64)
         idx = None  # the samples drawing summand j; None while all are
@@ -158,42 +162,36 @@ def _mc_step(samples: np.ndarray, a: int, master: int, gen: int,
 _NODE_BUDGET = 1 << 16
 
 
-def _gw_sizes(seeds: np.ndarray, depth: int, kind: int, det_n: int,
-              cdf: np.ndarray, geom_p: float) -> np.ndarray:
+def _gw_sizes(seeds: np.ndarray, depth: int, law: OffspringLaw) -> np.ndarray:
     """Generation-`depth` sizes of one tree per seed.  Node r of level l of
     the tree with seed s draws its count from hash_path(s, l, r); all trees
     of a level are drawn in one pass."""
     with np.errstate(over="ignore"):
         roots = _sm64_np(np.asarray(seeds, dtype=np.uint64))
-        return _gw_block(roots, np.ones(len(roots), dtype=np.int64), 0,
-                         depth, kind, det_n, cdf, geom_p)
+        return _gw_block(roots, np.ones(len(roots), np.int64), 0, depth, law)
 
 
 def _gw_block(roots: np.ndarray, z: np.ndarray, level: int, depth: int,
-              kind: int, det_n: int, cdf: np.ndarray,
-              geom_p: float) -> np.ndarray:
+              law: OffspringLaw) -> np.ndarray:
     """Advance the trees with root hashes `roots` (splitmix64 of their
     seeds) and sizes `z` at `level` to their sizes at `depth`."""
     for lev in range(level, depth):
-        if kind == KIND_DETERMINISTIC:  # draws no count
-            z = z * det_n
+        if law.kind == "deterministic":  # draws no count
+            z = z * law.bound
             continue
         total = int(z.sum())
         if total > _NODE_BUDGET and len(z) > 1:
             half = len(z) // 2
             return np.concatenate([
-                _gw_block(roots[:half], z[:half], lev, depth, kind, det_n,
-                          cdf, geom_p),
-                _gw_block(roots[half:], z[half:], lev, depth, kind, det_n,
-                          cdf, geom_p)])
+                _gw_block(roots[:half], z[:half], lev, depth, law),
+                _gw_block(roots[half:], z[half:], lev, depth, law)])
         ends = np.cumsum(z)
         starts = ends - z
         keys = np.repeat(_sm64_np(roots ^ np.uint64(lev)), z)
         rank = np.arange(total, dtype=np.int64)
         rank -= np.repeat(starts, z)
         keys ^= rank.view(np.uint64)
-        counts = _draw_counts_np(_uniforms_np(_sm64_np(keys)), kind, det_n,
-                                 cdf, geom_p)
+        counts = _draw_counts_np(_uniforms_np(_sm64_np(keys)), law)
         # segmented sum by prefix differences: exact for an empty segment
         csum = np.zeros(total + 1, dtype=np.int64)
         np.cumsum(counts, out=csum[1:])

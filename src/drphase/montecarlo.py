@@ -14,10 +14,11 @@ Every random draw is a pure function of (master seed, generation, sample
 index, draw index), so runs reproduce bit for bit regardless of host or
 scheduling, and every sampler draws in whole arrays: the pool generation
 and the tree sizes in the `kernels` table, and the tree sampler's stream
-up front, in blocks, before its recursion reads it.  The offspring count
-draws are `kernels._draw_counts_np`; the geometric one draws from the
-untruncated law (the cdf scan saturates only below 1e-18 mass), so no
-truncation cutoff is consulted here.
+up front, in blocks, before its recursion reads it.  The kernels take the
+`OffspringLaw` itself, and the x0 draws here and a finite N's counts share
+`kernels.inverse_cdf`.  A geometric N is drawn from the untruncated law
+(the cdf scan saturates only below 1e-18 mass), so no truncation cutoff is
+consulted here.
 """
 
 from __future__ import annotations
@@ -71,23 +72,6 @@ class QEstimate(NamedTuple):
     stderr: float
 
 
-def _sampling_args(law: OffspringLaw) -> tuple[int, int, np.ndarray, float]:
-    """Kernel-level description of an offspring law."""
-    if law.kind == "deterministic":
-        return kernels.KIND_DETERMINISTIC, law.bound, np.zeros(0), 0.0
-    if law.kind == "finite":
-        cdf = np.cumsum(law.weights[1:])
-        return kernels.KIND_FINITE, 0, cdf, 0.0
-    return kernels.KIND_GEOMETRIC, 0, np.zeros(0), law.success_prob
-
-
-def _pick(values: np.ndarray, cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-cdf draw of support values from uniforms."""
-    idx = np.searchsorted(cdf, u, side="right")
-    np.minimum(idx, len(values) - 1, out=idx)
-    return values[idx].astype(np.int64, copy=False)
-
-
 def init_population(model: ModelSpec, pop_size: int, master_seed: int
                     ) -> Population:
     """Quantile-stratified start: floor(P*w) copies of each support value,
@@ -105,8 +89,7 @@ def init_population(model: ModelSpec, pop_size: int, master_seed: int
         cdf = np.cumsum(fracs / total) if total > 0 else np.cumsum(weights)
         u = kernels.stream_uniforms(kernels.hash_path(master_seed, 0), 0,
                                     short)
-        extra = _pick(values, cdf, u)
-        samples = np.concatenate([samples, extra])
+        samples = np.concatenate([samples, values[kernels.inverse_cdf(cdf, u)]])
     return Population(samples, 0, master_seed)
 
 
@@ -114,10 +97,9 @@ def mc_step(pop: Population, model: ModelSpec) -> Population:
     """One resampling generation of the whole pool."""
     if pop.size == 0:
         raise ValueError("population is empty")
-    kind, det_n, cdf, geom_p = _sampling_args(model.offspring)
     gen = pop.generation + 1
-    out = kernels.get_backend().mc_step(
-        pop.samples, model.a, pop.master_seed, gen, kind, det_n, cdf, geom_p)
+    out = kernels.get_backend().mc_step(pop.samples, model.a, pop.master_seed,
+                                        gen, model.offspring)
     return Population(out, gen, pop.master_seed)
 
 
@@ -145,10 +127,8 @@ def ancestor_count(offspring: OffspringLaw, depth: int, seed: int) -> int:
     """Generation-`depth` size of one branching tree of the offspring law."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    kind, det_n, cdf, geom_p = _sampling_args(offspring)
     seeds = np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-    out = kernels.get_backend().gw_sizes(seeds, depth, kind, det_n, cdf, geom_p)
-    return int(out[0])
+    return int(kernels.get_backend().gw_sizes(seeds, depth, offspring)[0])
 
 
 def ancestor_counts(offspring: OffspringLaw, depth: int, n_trees: int,
@@ -161,9 +141,7 @@ def ancestor_counts(offspring: OffspringLaw, depth: int, n_trees: int,
     with np.errstate(over="ignore"):
         base = np.uint64(kernels.splitmix64(seed & 0xFFFFFFFFFFFFFFFF))
         seeds = kernels._sm64_np(base ^ np.arange(n_trees, dtype=np.uint64))
-    kind, det_n, cdf, geom_p = _sampling_args(offspring)
-    return kernels.get_backend().gw_sizes(seeds, depth, kind, det_n, cdf,
-                                          geom_p)
+    return kernels.get_backend().gw_sizes(seeds, depth, offspring)
 
 
 def tree_sample(model: ModelSpec, n: int, seed: int) -> int:
@@ -177,8 +155,8 @@ def tree_sample(model: ModelSpec, n: int, seed: int) -> int:
                          f"got {n}")
     values = model.x0.support
     x0_cdf = np.cumsum(model.x0.probs[values])
-    kind, det_n, count_cdf, geom_p = _sampling_args(model.offspring)
-    deterministic = kind == kernels.KIND_DETERMINISTIC
+    law = model.offspring
+    deterministic = law.kind == "deterministic"
     a = model.a
     # Draw i of the stream is uniform53(hash_path(seed, i)), and the
     # recursion takes draws in depth-first order: one per leaf for its x0
@@ -193,17 +171,16 @@ def tree_sample(model: ModelSpec, n: int, seed: int) -> int:
         start = len(leaf)
         stop = max(2 * start, 64, need)
         u = kernels.stream_uniforms(h0, start, stop)
-        leaf.extend(_pick(values, x0_cdf, u).tolist())
+        leaf.extend(values[kernels.inverse_cdf(x0_cdf, u)].tolist())
         if not deterministic:
-            kids.extend(kernels._draw_counts_np(u, kind, det_n, count_cdf,
-                                                geom_p).tolist())
+            kids.extend(kernels._draw_counts_np(u, law).tolist())
 
     pos = 0
 
     def rec(level: int) -> int:
         nonlocal pos
         if deterministic:
-            n_kids = det_n
+            n_kids = law.bound
         else:
             if pos >= len(kids):
                 extend(pos + 1)

@@ -4,20 +4,15 @@ These are the kernels as they were before the samplers drew whole arrays:
 one tree at a time in `gw_sizes_loop`, a full boolean mask per summand in
 `mc_step_masked`, one uniform at a time in `tree_sample_recursive` and
 `init_population_loop`, and every count through the scalar `draw_count`.
-They share only the scalar `hash_path`/`uniform53` with the package, so a
-batched kernel that agrees with them draws the same stream.
+They take the `OffspringLaw` as the kernels do, but share only the scalar
+`hash_path`/`uniform53` (and the geometric mass floor) with the package, so
+a batched kernel that agrees with them draws the same stream.
 """
 
 import numpy as np
 
 from drphase import kernels
-from drphase.kernels import (
-    KIND_DETERMINISTIC,
-    KIND_FINITE,
-    hash_path,
-    uniform53,
-)
-from drphase.montecarlo import _sampling_args
+from drphase.kernels import hash_path, uniform53
 
 
 def sm64(z):
@@ -32,16 +27,18 @@ def uniforms(h):
     return (h >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
 
-def draw_count(u, kind, det_n, cdf, geom_p):
+def draw_count(u, law):
     """One offspring count from one uniform (a deterministic N ignores u)."""
-    if kind == KIND_DETERMINISTIC:
-        return det_n
-    if kind == KIND_FINITE:
+    if law.kind == "deterministic":
+        return law.bound
+    if law.kind == "finite":
+        cdf = np.cumsum(law.weights[1:])
         k = int(np.searchsorted(cdf, u, side="right"))
         return min(k, len(cdf) - 1) + 1
-    k, c, m = 1, geom_p, geom_p
+    p = law.success_prob
+    k, c, m = 1, p, p
     while u >= c:
-        m *= 1.0 - geom_p
+        m *= 1.0 - p
         if m <= kernels._GEOM_MASS_FLOOR:
             break
         c += m
@@ -49,18 +46,17 @@ def draw_count(u, kind, det_n, cdf, geom_p):
     return k
 
 
-def draw_counts(u, kind, det_n, cdf, geom_p):
-    return np.array([draw_count(float(x), kind, det_n, cdf, geom_p)
-                     for x in u], dtype=np.int64)
+def draw_counts(u, law):
+    return np.array([draw_count(float(x), law) for x in u], dtype=np.int64)
 
 
-def mc_step_masked(samples, a, master, gen, kind, det_n, cdf, geom_p):
+def mc_step_masked(samples, a, master, gen, law):
     npop = samples.shape[0]
     with np.errstate(over="ignore"):
         prefix = hash_path(master, gen)
         base = sm64(np.uint64(prefix) ^ np.arange(npop, dtype=np.uint64))
         u0 = uniforms(sm64(base ^ np.uint64(0)))
-        counts = draw_counts(u0, kind, det_n, cdf, geom_p)
+        counts = draw_counts(u0, law)
         acc = np.zeros(npop, dtype=np.int64)
         for j in range(1, int(counts.max()) + 1):
             active = counts >= j
@@ -71,7 +67,7 @@ def mc_step_masked(samples, a, master, gen, kind, det_n, cdf, geom_p):
     return np.maximum(acc - a, 0)
 
 
-def gw_sizes_loop(seeds, depth, kind, det_n, cdf, geom_p):
+def gw_sizes_loop(seeds, depth, law):
     out = np.empty(len(seeds), dtype=np.int64)
     with np.errstate(over="ignore"):
         for t in range(len(seeds)):
@@ -79,8 +75,7 @@ def gw_sizes_loop(seeds, depth, kind, det_n, cdf, geom_p):
             for level in range(depth):
                 prefix = hash_path(int(seeds[t]), level)
                 h = sm64(np.uint64(prefix) ^ np.arange(z, dtype=np.uint64))
-                z = int(draw_counts(uniforms(h), kind, det_n, cdf,
-                                    geom_p).sum())
+                z = int(draw_counts(uniforms(h), law).sum())
             out[t] = z
     return out
 
@@ -113,7 +108,7 @@ def tree_sample_recursive(model, n, seed):
     the moment the recursion needs it."""
     values = model.x0.support
     x0_cdf = np.cumsum(model.x0.probs[values])
-    kind, det_n, count_cdf, geom_p = _sampling_args(model.offspring)
+    law = model.offspring
     counter = 0
 
     def next_u():
@@ -125,8 +120,8 @@ def tree_sample_recursive(model, n, seed):
     def rec(level):
         if level == 0:
             return pick_value(values, x0_cdf, next_u())
-        n_kids = det_n if kind == KIND_DETERMINISTIC else \
-            draw_count(next_u(), kind, det_n, count_cdf, geom_p)
+        n_kids = law.bound if law.kind == "deterministic" else \
+            draw_count(next_u(), law)
         total = sum(rec(level - 1) for _ in range(n_kids))
         return max(total - model.a, 0)
 

@@ -111,6 +111,15 @@ def test_malformed_json(tmp_path, capsys):
     assert "is not valid JSON" in err
 
 
+@pytest.mark.parametrize("p", [4e-05, 1e-05])
+def test_classify_geometric_offspring_with_small_p(tmp_path, capsys, p):
+    # np.power drift once put these weights out of the mass band
+    cfg = write_config(tmp_path, base_config(N={"type": "geometric", "p": p}))
+    code, out, err = run_main(["classify", "--config", cfg], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "verdict: Supercritical"
+
+
 def test_offspring_without_growth_is_config_error(tmp_path, capsys):
     doc = base_config(N={"type": "finite", "pmf": [[1, 1.0]]})
     cfg = write_config(tmp_path, doc)
@@ -187,6 +196,61 @@ def test_bad_numeric_options_are_config_errors(tmp_path, capsys, command,
     assert code == 2
     assert out == ""
     assert err.startswith(f"config error: {block}.{key}: must ")
+
+
+TWO_POINT = {"type": "two_point", "high": 2}
+
+
+# (command, block path, unknown key); scan.family keys depend on its type
+@pytest.mark.parametrize("command,path,key", [
+    ("evolve", "evolve", "stpes"),
+    ("evolve", "evolve", "tail_esp"),
+    ("estimate-q", "estimate_q", "step"),
+    ("simulate", "simulate", "popsize"),
+    ("scan", "scan", "probe_band"),
+    ("scan", "scan.family", "hihg"),
+    ("scan", "scan.family", "high"),
+    ("check-lemmas", "check_lemmas", "steps")])
+def test_unknown_block_keys_are_config_errors(tmp_path, capsys, command,
+                                              path, key):
+    doc = base_config(simulate={"seed": 1, "steps": 1},
+                      scan={"family": dict(TWO_POINT)})
+    if key == "high":
+        doc["scan"]["family"] = {"type": "geometric_x0"}
+    node = doc
+    for part in path.split("."):
+        node = node.setdefault(part, {})
+    node[key] = 2
+    cfg = write_config(tmp_path, doc)
+    code, out, err = run_main([command, "--config", cfg], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: {path}.{key}: unknown key; ")
+
+
+def test_blocks_of_other_commands_are_not_read(tmp_path, capsys):
+    # one config serves every command: a block is checked by its command
+    doc = base_config(evolve={"steps": 1, "stpes": 2},
+                      scan={"family": TWO_POINT, "probe_band": 0.1})
+    cfg = write_config(tmp_path, doc)
+    code, out, _ = run_main(["classify", "--config", cfg], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == "verdict: Supercritical"
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("classify", "--steps"), ("scan", "--steps"), ("check-lemmas", "--steps"),
+    ("classify", "--seed"), ("evolve", "--seed"), ("estimate-q", "--seed"),
+    ("scan", "--seed"), ("check-lemmas", "--seed")])
+def test_override_flags_a_command_does_not_read_exit_2(tmp_path, capsys,
+                                                       command, flag):
+    cfg = write_config(tmp_path, base_config(scan={"family": TWO_POINT}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", cfg, flag, "2"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: {flag} is read only by " in err
+    assert f"{command} takes no {flag[2:]}" in err
 
 
 def test_evolve_leak_budget_exit3_with_partial_rows(tmp_path, capsys):
@@ -437,16 +501,28 @@ def test_check_lemmas_contraction_holds_in_the_fft_regime(tmp_path, capsys):
         lines = out.splitlines()
         assert code == 0, (contraction_steps, out)
         assert lines[2].startswith("lemma3 contraction: PASS ("), lines[2]
-    # lemma1 reads as it does from the per-s-point public audit
+    # lemma1 reads as it does from the per-s-point public audit: the worst
+    # margin is over the rows past n = 0, where lhs is its own floor
     model = cli.parse_model(doc)
     points = cli._growth_points(model)
     worst = min(
         cli._rel_margin(row.lhs_log - row.floor_log, row.floor_log)
         for s in points
-        for row in criteria.lemma1_growth_check(model, s, growth_steps))
+        for row in criteria.lemma1_growth_check(model, s, growth_steps)
+        if row.n >= 1)
+    assert worst > 0.0
     assert lines[0] == (f"lemma1 growth-floor: PASS ({len(points)} s-points, "
                         f"worst lhs margin {cli._fmt(worst)} of the floor)")
     assert len(points) == 3
+
+
+def test_check_lemmas_zero_growth_steps_has_no_margin(tmp_path, capsys):
+    cfg = write_config(tmp_path, base_config(check_lemmas={"growth_steps": 0}))
+    code, out, _ = run_main(["check-lemmas", "--config", cfg], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == ("lemma1 growth-floor: PASS (3 s-points, "
+                                   "worst lhs margin n/a: no resolved row "
+                                   "past n=0)")
 
 
 def test_check_lemmas_growth_rows_beyond_float_resolution_pass(tmp_path,

@@ -7,9 +7,6 @@ from sampler_reference import draw_counts, gw_sizes_loop, mc_step_masked
 from drphase import kernels
 from drphase.dists import FinitePmf, ModelSpec, OffspringLaw
 from drphase.kernels import (
-    KIND_DETERMINISTIC,
-    KIND_FINITE,
-    KIND_GEOMETRIC,
     _draw_counts_np,
     get_backend,
     hash_path,
@@ -18,8 +15,6 @@ from drphase.kernels import (
     uniform53,
 )
 from drphase.montecarlo import tree_sample
-
-NO_CDF = np.empty(0, dtype=np.float64)
 
 
 def test_splitmix_reference_values():
@@ -53,15 +48,16 @@ def test_uniform53_range_and_resolution():
 
 def test_draw_counts_deterministic_kind():
     u = np.linspace(0.0, 0.999, 17)
-    out = kernels._draw_counts_np(u, KIND_DETERMINISTIC, 3, NO_CDF, 0.0)
+    out = kernels._draw_counts_np(u, OffspringLaw.deterministic(3))
     assert (out == 3).all()
 
 
 def test_draw_counts_finite_kind_quantiles():
     # law N in {1, 2, 3} w.p. .2/.5/.3 -> cdf (.2, .7, 1.0) over counts 1..3
-    cdf = np.array([0.2, 0.7, 1.0])
+    law = OffspringLaw.finite_support({1: 0.2, 2: 0.5, 3: 0.3})
+    assert np.cumsum(law.weights[1:]).tolist() == [0.2, 0.7, 1.0]
     u = np.array([0.0, 0.19, 0.2, 0.69, 0.7, 0.999])
-    out = kernels._draw_counts_np(u, KIND_FINITE, 0, cdf, 0.0)
+    out = kernels._draw_counts_np(u, law)
     assert out.tolist() == [1, 1, 2, 2, 3, 3]
 
 
@@ -70,7 +66,7 @@ def test_draw_counts_geometric_matches_closed_form():
     # (values chosen off the cdf knots so float rounding cannot flip a tie)
     p = 0.37
     u = np.array([0.0, 0.1, 0.36, 0.51, 0.9, 0.99, 0.999999])
-    out = kernels._draw_counts_np(u, KIND_GEOMETRIC, 0, NO_CDF, p)
+    out = kernels._draw_counts_np(u, OffspringLaw.geometric(p))
     expect = np.floor(np.log1p(-u) / np.log1p(-p)).astype(np.int64) + 1
     expect[u == 0.0] = 1
     assert out.tolist() == expect.tolist()
@@ -79,12 +75,10 @@ def test_draw_counts_geometric_matches_closed_form():
 def test_draw_counts_geometric_saturates_in_far_tail():
     # the incremental cdf scan stops refining once the residual mass drops
     # below 1e-18; a u this close to 1 must return that count, not loop on
-    p = 0.63
-    u = np.array([1.0 - 2.0**-53])
-    out = kernels._draw_counts_np(u, KIND_GEOMETRIC, 0, NO_CDF, p)
+    law = OffspringLaw.geometric(0.63)
+    out = kernels._draw_counts_np(np.array([1.0 - 2.0**-53]), law)
     assert 30 <= out[0] <= 120
-    lower = kernels._draw_counts_np(np.array([0.999]), KIND_GEOMETRIC, 0,
-                                    NO_CDF, p)
+    lower = kernels._draw_counts_np(np.array([0.999]), law)
     assert lower[0] <= out[0]
 
 
@@ -109,9 +103,9 @@ def parity_uniforms(knots: np.ndarray) -> np.ndarray:
         [0.0, 1.0 - 2.0**-53]])
 
 
-def assert_counts_match_scalar_loop(u, kind, cdf, geom_p):
-    vector = _draw_counts_np(u, kind, 0, cdf, geom_p)
-    assert vector.tolist() == draw_counts(u, kind, 0, cdf, geom_p).tolist()
+def assert_counts_match_scalar_loop(u, law):
+    vector = _draw_counts_np(u, law)
+    assert vector.tolist() == draw_counts(u, law).tolist()
     assert vector.min() >= 1
 
 
@@ -121,10 +115,10 @@ def assert_counts_match_scalar_loop(u, kind, cdf, geom_p):
                                      [1.0 / 3.0] * 3, [0.0, 0.4, 0.0, 0.6],
                                      [0.5, 0.0, 0.0, 0.5]])
 def test_draw_count_matches_vector_sampler_finite(weights):
+    law = OffspringLaw.finite_support(dict(enumerate(weights, 1)))
     cdf = np.cumsum(weights)
-    knots = cdf[cdf < 1.0]
-    assert_counts_match_scalar_loop(parity_uniforms(knots), KIND_FINITE, cdf,
-                                    0.0)
+    assert np.array_equal(np.cumsum(law.weights[1:]), cdf)
+    assert_counts_match_scalar_loop(parity_uniforms(cdf[cdf < 1.0]), law)
 
 
 def geometric_knots(p: float) -> np.ndarray:
@@ -142,7 +136,7 @@ def geometric_knots(p: float) -> np.ndarray:
 @pytest.mark.parametrize("p", [0.37, 0.5, 0.63, 0.9])
 def test_draw_count_matches_vector_sampler_geometric(p):
     assert_counts_match_scalar_loop(parity_uniforms(geometric_knots(p)),
-                                    KIND_GEOMETRIC, NO_CDF, p)
+                                    OffspringLaw.geometric(p))
 
 
 def test_draw_count_deterministic_ignores_u():
@@ -165,24 +159,23 @@ def test_stream_uniforms_are_hash_path_draws():
         uniform53(hash_path(31, i)) for i in range(3)]
 
 
-# (kind, det_n, cdf, geom_p) for the batched-vs-loop sampler comparisons
+# the laws of the batched-vs-loop sampler comparisons; "finite-zero-middle"
+# has the cdf (.5, .5, .5, 1) with three equal knots
 SAMPLER_LAWS = {
-    "deterministic": (KIND_DETERMINISTIC, 3, NO_CDF, 0.0),
-    "finite": (KIND_FINITE, 0, np.cumsum([0.25, 0.25, 0.5]), 0.0),
-    "finite-zero-middle": (KIND_FINITE, 0, np.cumsum([0.5, 0.0, 0.0, 0.5]),
-                           0.0),
-    "geometric": (KIND_GEOMETRIC, 0, NO_CDF, 0.45),
+    "deterministic": OffspringLaw.deterministic(3),
+    "finite": OffspringLaw.finite_support({1: 0.25, 2: 0.25, 3: 0.5}),
+    "finite-zero-middle": OffspringLaw.finite_support({1: 0.5, 4: 0.5}),
+    "geometric": OffspringLaw.geometric(0.45),
 }
 
 
 @pytest.mark.parametrize("law", sorted(SAMPLER_LAWS))
 @pytest.mark.parametrize("npop", [1, 2, 7, 3000])
 def test_mc_step_matches_masked_loop(law, npop):
-    kind, det_n, cdf, geom_p = SAMPLER_LAWS[law]
     samples = np.random.default_rng(npop).integers(0, 9, npop)
     before = samples.copy()
     for a, gen in ((1, 1), (2, 5)):
-        args = (samples, a, 20261018, gen, kind, det_n, cdf, geom_p)
+        args = (samples, a, 20261018, gen, SAMPLER_LAWS[law])
         got = kernels._mc_step(*args)
         assert got.dtype == np.int64
         assert got.tolist() == mc_step_masked(*args).tolist()
@@ -198,12 +191,11 @@ def tree_seeds(n_trees: int) -> np.ndarray:
 @pytest.mark.parametrize("depth,n_trees", [(0, 1), (0, 5), (1, 1), (4, 1),
                                            (4, 60), (6, 25)])
 def test_gw_sizes_match_per_tree_loop(law, depth, n_trees):
-    kind, det_n, cdf, geom_p = SAMPLER_LAWS[law]
     seeds = tree_seeds(n_trees)
-    got = kernels._gw_sizes(seeds, depth, kind, det_n, cdf, geom_p)
+    got = kernels._gw_sizes(seeds, depth, SAMPLER_LAWS[law])
     assert got.dtype == np.int64
-    assert got.tolist() == gw_sizes_loop(seeds, depth, kind, det_n, cdf,
-                                         geom_p).tolist()
+    assert got.tolist() == gw_sizes_loop(seeds, depth,
+                                         SAMPLER_LAWS[law]).tolist()
     assert got.min() >= 1  # counts are >= 1, so no tree dies out
 
 
@@ -211,7 +203,6 @@ def test_gw_sizes_match_per_tree_loop(law, depth, n_trees):
 def test_gw_sizes_split_blocks_match_per_tree_loop(law, monkeypatch):
     # a budget of 40 nodes splits the 30 trees in half, and again, from
     # the levels where a block would draw more than 40 nodes
-    kind, det_n, cdf, geom_p = SAMPLER_LAWS[law]
     seeds = tree_seeds(30)
     passes = []
     block = kernels._gw_block
@@ -222,7 +213,6 @@ def test_gw_sizes_split_blocks_match_per_tree_loop(law, monkeypatch):
 
     monkeypatch.setattr(kernels, "_NODE_BUDGET", 40)
     monkeypatch.setattr(kernels, "_gw_block", counting_block)
-    got = kernels._gw_sizes(seeds, 5, kind, det_n, cdf, geom_p)
+    got = kernels._gw_sizes(seeds, 5, SAMPLER_LAWS[law])
     assert len(passes) > 7 and min(passes) == 1
-    assert got.tolist() == gw_sizes_loop(seeds, 5, kind, det_n, cdf,
-                                         geom_p).tolist()
+    assert got.tolist() == gw_sizes_loop(seeds, 5, SAMPLER_LAWS[law]).tolist()
