@@ -1,0 +1,70 @@
+"""Before/after timings of family scans, classify and the CLI import.
+
+Times `GeometricX0Family(1, N=2).model(r)` plus `criteria.classify` on it
+for r in 1e-2 ... 1e-5 (a cut law of 3.2k to 3.2M entries, where the
+family builds one), `boundary_report(family, 41, 1e-9)` on a two-point
+and on a geometric-x0 family, each with both boundaries, and
+`import drphase.cli` in a fresh interpreter (timed inside it), for a
+baseline revision and the working tree (see passes.py for the pass
+scheme).  BENCH_scan.json also holds each side's outputs (the verdicts,
+criterion values and boundary intervals) and whether the two sides'
+outputs are identical.
+
+    python benchmarks/bench_scan.py --baseline REV
+"""
+
+from passes import REPEATS, best_of, main, outputs_identical
+
+GEOMETRIC_R = (1e-2, 1e-3, 1e-4, 1e-5)
+GRID = 41
+TOL = 1e-9
+IMPORT_CLI = ("import time; t = time.perf_counter(); import drphase.cli; "
+              "print(time.perf_counter() - t)")
+
+
+def import_cli_s():
+    import subprocess
+    import sys
+    out = subprocess.run([sys.executable, "-c", IMPORT_CLI], check=True,
+                         capture_output=True, text=True).stdout
+    return float(out)
+
+
+def measure():
+    """Timings (s) and outputs of the drphase found on sys.path."""
+    import importlib
+    import numpy as np
+    import scipy
+    from drphase import criteria
+    from drphase.dists import OffspringLaw
+    # the package re-exports scan.scan, which shadows the module attribute
+    scan = importlib.import_module("drphase.scan")
+    timings, outputs = {}, {}
+    geometric = scan.GeometricX0Family(1, OffspringLaw.deterministic(2))
+    for r in GEOMETRIC_R:
+        case = f"model_classify.geometric_x0_r{r:g}"
+        v = criteria.classify(geometric.model(r))
+        outputs[case] = repr((v.verdict, v.d_super, v.d_sub, v.details))
+        timings[case] = best_of(
+            lambda: criteria.classify(geometric.model(r)))
+    families = {
+        "two_point_a2_high3": scan.TwoPointFamily(
+            2, 3, OffspringLaw.finite_support({1: 0.5, 3: 0.5})),
+        "geometric_x0_a1_N2": geometric}
+    for name, family in families.items():
+        case = f"boundary_report.{name}"
+        rep = scan.boundary_report(family, GRID, TOL)
+        outputs[case] = repr((rep.super_boundary, rep.sub_boundary,
+                              rep.undetermined_band,
+                              [(p, v.verdict, v.d_super, v.d_sub)
+                               for p, v in rep.grid]))
+        timings[case] = best_of(
+            lambda: scan.boundary_report(family, GRID, TOL))
+    timings["import_drphase_cli"] = min(import_cli_s()
+                                        for _ in range(REPEATS))
+    return {"timings_s": timings, "outputs": outputs,
+            "numpy": np.__version__, "scipy": scipy.__version__}
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(__doc__, __file__, measure, outputs_identical))

@@ -26,6 +26,7 @@ from .criteria import (
 )
 from .dists import (
     FinitePmf,
+    GeometricPmf,
     ModelSpec,
     OffspringLaw,
     convolve,
@@ -84,7 +85,7 @@ __all__ = [
     "lemma1_growth_check", "lemma2_tail_check", "lemma3_contraction_check",
     "lemma4_association_check", "lemma4_association_check_log",
     "offspring_association_check",
-    "FinitePmf", "ModelSpec", "OffspringLaw",
+    "FinitePmf", "GeometricPmf", "ModelSpec", "OffspringLaw",
     "convolve", "truncate", "mean",
     "pgf_eval", "pgf_deriv", "log_pgf_eval", "log_pgf_deriv",
     "EvolutionTrace", "TraceRow",

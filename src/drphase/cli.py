@@ -3,7 +3,8 @@
 One JSON config file describes the model and per-command options; every
 command reads it, validates it fully before computing anything, and writes
 deterministic output.  Exit codes: 0 success, 2 configuration error,
-3 numerical failure (leak budget, support overflow); check-lemmas exits 1
+3 numerical failure (leak budget, support overflow, an uncertified scan
+boundary); check-lemmas exits 1
 when an audited inequality fails.
 
 check-lemmas audits lemmas 1 and 3 along the generating-function orbit
@@ -22,14 +23,13 @@ import math
 import sys
 
 from . import criteria, evolution, montecarlo
-from .dists import FinitePmf, ModelSpec, OffspringLaw
+from .dists import FinitePmf, GeometricPmf, ModelSpec, OffspringLaw
 from .evolution import DEFAULT_STEPS, EvolutionStopped
 from .logreal import LogReal
 # the package re-exports scan.scan, so "from . import scan" would grab the
 # function; import the names this module needs instead
-from .scan import (DEFAULT_TOL, CriterionUnavailable, Family,
-                   GeometricX0Family, TwoPointFamily, boundary_report,
-                   geometric_x0_pmf)
+from .scan import (DEFAULT_TOL, BoundaryNotCertified, CriterionUnavailable,
+                   Family, GeometricX0Family, TwoPointFamily, boundary_report)
 
 DEFAULT_POP_SIZE = 100_000
 DEFAULT_GRID_POINTS = 9
@@ -112,42 +112,56 @@ def _parse_pmf(node, path: str) -> dict[int, float]:
     return out
 
 
-def _parse_x0(node, path: str) -> FinitePmf:
+def _check_keys(node: dict, keys: tuple, path: str) -> None:
+    """A key that `path` does not read is an error, not a silent default."""
+    for key in node:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}: unknown key; {path} reads "
+                              f"{', '.join(keys)}")
+
+
+def _parse_x0(node, path: str) -> FinitePmf | GeometricPmf:
     node = _as_object(node, path)
     kind = _get(node, "type", path, kind=str)
     if kind == "finite":
+        _check_keys(node, ("type", "pmf"), path)
         pmf = _parse_pmf(_get(node, "pmf", path), f"{path}.pmf")
         try:
             return FinitePmf.from_dict(pmf)
         except ValueError as exc:
             raise ConfigError(f"{path}.pmf: {exc}") from exc
     if kind == "geometric":
+        _check_keys(node, ("type", "p"), path)
         p = _get(node, "p", path, kind=(int, float))
         try:
-            return geometric_x0_pmf(float(p))
+            return GeometricPmf(float(p))
         except ValueError as exc:
             raise ConfigError(f"{path}.p: {exc}") from exc
     raise ConfigError(f"{path}.type: expected 'finite' or 'geometric', "
                       f"got {kind!r}")
 
 
+_OFFSPRING_KEYS = {"deterministic": ("type", "n"), "finite": ("type", "pmf"),
+                   "geometric": ("type", "p")}
+
+
 def _parse_offspring(node, path: str) -> OffspringLaw:
     node = _as_object(node, path)
     kind = _get(node, "type", path, kind=str)
+    if kind not in _OFFSPRING_KEYS:
+        raise ConfigError(f"{path}.type: expected 'deterministic', 'finite' "
+                          f"or 'geometric', got {kind!r}")
+    _check_keys(node, _OFFSPRING_KEYS[kind], path)
     try:
         if kind == "deterministic":
-            n = _get(node, "n", path, kind=int)
-            return OffspringLaw.deterministic(n)
+            return OffspringLaw.deterministic(_get(node, "n", path, kind=int))
         if kind == "finite":
             pmf = _parse_pmf(_get(node, "pmf", path), f"{path}.pmf")
             return OffspringLaw.finite_support(pmf)
-        if kind == "geometric":
-            p = _get(node, "p", path, kind=(int, float))
-            return OffspringLaw.geometric(float(p))
+        p = _get(node, "p", path, kind=(int, float))
+        return OffspringLaw.geometric(float(p))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(f"{path}.type: expected 'deterministic', 'finite' or "
-                      f"'geometric', got {kind!r}")
 
 
 def load_config(path: str) -> dict:
@@ -179,10 +193,7 @@ def _block(node: dict, name: str, keys: tuple, path: str = "") -> dict:
     a key the command does not read is an error, not a silent default."""
     path = path or name
     block = _as_object(node.get(name, {}), path)
-    for key in block:
-        if key not in keys:
-            raise ConfigError(f"{path}.{key}: unknown key; {path} reads "
-                              f"{', '.join(keys)}")
+    _check_keys(block, keys, path)
     return block
 
 
@@ -607,7 +618,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (EvolutionStopped, OverflowError) as exc:
+    except (EvolutionStopped, OverflowError, BoundaryNotCertified) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -68,28 +68,36 @@ class PhaseVerdict:
 def d0(model: ModelSpec, s: float, m: float) -> float:
     """Criterion functional of the initial law at multiplier m."""
     with np.errstate(over="ignore"):
-        f, fp = dists.pgf_pair(model.x0, s)
+        f, fp = model.x0.pgf_pair(s)
     first = (m - 1.0) * s * fp
     second = model.a * f
     if math.isfinite(first) and math.isfinite(second):
         return first - second
-    # Past float64 range: either the sums overflowed, or pgf_pair saw before
-    # evaluating that s^(support_max-1) must overflow and returned inf.  Only
-    # the sign decides the verdict, so the value comes from log space.
-    log_f, log_fp = dists.log_pgf_pair(model.x0, s)
+    # Past float64 range: either the sums overflowed, pgf_pair saw before
+    # evaluating that s^(support_max-1) must overflow and returned inf, or
+    # the series diverges (a geometric x0 at (1-r) s >= 1).  Only the sign
+    # decides the verdict, so the value comes from log space.
+    log_f, log_fp = model.x0.log_pgf_pair(s)
+    if log_f == math.inf:
+        # a divergent series: its terms w_k s^k ((m-1) k - a) are positive
+        # for k > a/(m-1)
+        return math.inf
     return _d_log(LogReal.from_log(log_f), LogReal.from_log(log_fp), s, m,
                   model.a).to_float()
 
 
 def super_point(model: ModelSpec) -> tuple[float, float]:
-    """(s, m) of the supercritical test: s = mu^(1/a), m = mu."""
+    """(s, m) of the supercritical test: s = mu^(1/a), m = mu.  Reads only
+    model.a and model.offspring, so a scan.Family, whose members share
+    both, may stand for the model."""
     mu = model.offspring.mean
     return mu ** (1.0 / model.a), mu
 
 
 def sub_point(model: ModelSpec) -> tuple[float, float] | None:
     """(s, m) of the subcritical test: s = 1 + (M-1)/a, m = M; None for an
-    unbounded offspring law, where the test does not apply."""
+    unbounded offspring law, where the test does not apply.  Like
+    super_point, reads only model.a and model.offspring."""
     bound = model.offspring.bound
     if bound is None:
         return None

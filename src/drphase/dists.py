@@ -15,10 +15,17 @@ log space.  The float pair returns inf without evaluating when
 s^(support_max-1) is certain to overflow.  `pgf_eval`, `pgf_deriv`,
 `log_pgf_eval` and `log_pgf_deriv` are one side of those pairs, and
 `OffspringLaw.pgf_pair`/`log_pgf_pair` run them on the offspring weights.
+
+An initial law is a `FinitePmf` or a `GeometricPmf`, which keeps
+P(X = k) = r (1-r)^k in closed form and has no weight array.  Both have
+the `pgf_pair(s)`/`log_pgf_pair(s)` methods the criteria read; the
+consumers that read weights (evolution, the x0 draws) take them from
+`as_finite`, which cuts a geometric law once, with `geometric_x0_pmf`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -34,6 +41,10 @@ MASS_TOL = 1e-12
 WEIGHT_FLOOR = 1e-300
 # Upper-tail mass cut from a geometric offspring law's weights.
 GEOMETRIC_TAIL = 1e-14
+# Upper-tail mass cut from a geometric initial law's weights (as_finite);
+# small enough that the retained weights still pass the mass-conservation
+# band with zero leak.
+GEO_X0_TAIL = 1e-14
 # Direct convolution up to this many multiply-adds, transform above.
 _DIRECT_CONV_OPS = 1 << 24
 # s^k overflows float64 for k log s above log(DBL_MAX) = 709.78...
@@ -109,6 +120,86 @@ class FinitePmf:
         if 0 <= value < self.probs.size:
             return float(self.probs[value])
         return 0.0
+
+    def pgf_pair(self, s: float, *, deriv: bool = True
+                 ) -> tuple[float, float | None]:
+        """dists.pgf_pair of this law."""
+        return pgf_pair(self, s, deriv=deriv)
+
+    def log_pgf_pair(self, s: float, *, deriv: bool = True
+                     ) -> tuple[float, float | None]:
+        """dists.log_pgf_pair of this law."""
+        return log_pgf_pair(self, s, deriv=deriv)
+
+
+@dataclass(frozen=True)
+class GeometricPmf:
+    """P(X = k) = r (1-r)^k on {0, 1, ...}, kept in closed form.
+
+    E s^X = r / (1 - (1-r) s) and its derivative r (1-r) / (1 - (1-r) s)^2
+    are finite for (1-r) s < 1; at and beyond that radius both pairs
+    return +inf.  No weight array exists until a consumer that reads
+    weights asks `as_finite` for one: `cut`, built by geometric_x0_pmf on
+    first use and kept, so all of one model's consumers share one array.
+    """
+
+    r: float
+
+    def __post_init__(self):
+        r = float(self.r)
+        if not 0.0 < r < 1.0:
+            raise ValueError(
+                f"success probability must lie in (0, 1), got {self.r}")
+        object.__setattr__(self, "r", r)
+
+    def pgf_pair(self, s: float, *, deriv: bool = True
+                 ) -> tuple[float, float | None]:
+        """(E s^X, d/ds E s^X); (inf, inf) where the series diverges."""
+        _check_argument(s)
+        q = 1.0 - self.r
+        if q * s >= 1.0:
+            return math.inf, math.inf if deriv else None
+        den = 1.0 - q * s
+        return self.r / den, self.r * q / den ** 2 if deriv else None
+
+    def log_pgf_pair(self, s: float, *, deriv: bool = True
+                     ) -> tuple[float, float | None]:
+        """(log E s^X, log d/ds E s^X): the logs of pgf_pair, which stays
+        below 1e33 short of the radius (1 - (1-r) s >= 2^-53)."""
+        f, fp = self.pgf_pair(s, deriv=deriv)
+        return math.log(f), None if fp is None else math.log(fp)
+
+    @functools.cached_property
+    def cut(self) -> FinitePmf:
+        """geometric_x0_pmf(r), built on first use and kept."""
+        return geometric_x0_pmf(self.r)
+
+
+def geometric_x0_pmf(r: float) -> FinitePmf:
+    """P(X0 = k) = r (1-r)^k with the upper tail beyond GEO_X0_TAIL cut off,
+    left unnormalized (the missing mass stays under the conservation band)."""
+    if not 0.0 < r < 1.0:
+        raise ValueError(f"success probability must lie in (0, 1), got {r}")
+    q = 1.0 - r
+    # smallest cutoff with P(X0 > cutoff) = q^(cutoff+1) below the tail
+    cutoff = max(1, math.ceil(math.log(GEO_X0_TAIL) / math.log(q)) - 1)
+    while q ** (cutoff + 1) >= GEO_X0_TAIL:
+        cutoff += 1
+    w = r * np.power(q, np.arange(cutoff + 1, dtype=np.float64))
+    # np.power's relative error grows ~3e-17 * k, and the cutoff scales as
+    # 1/r, so below r ~ 1e-4 the float total drifts out of the conservation
+    # band.  Re-pin the largest weight to the analytic total 1 - q^(c+1).
+    gap = float((1.0 - q ** (cutoff + 1)) - np.sum(w, dtype=np.longdouble))
+    if gap != 0.0 and abs(gap) <= 1e-3 * r:
+        w[0] += gap
+    return FinitePmf(w)
+
+
+def as_finite(x0: FinitePmf | GeometricPmf) -> FinitePmf:
+    """An initial law as weights, for the consumers that read them
+    (evolution.evolve, evolution.gf_orbit, the x0 draws): a FinitePmf as it
+    is, a GeometricPmf as its `cut`."""
+    return x0.cut if isinstance(x0, GeometricPmf) else x0
 
 
 def _trimmed_size(probs: np.ndarray) -> int:
@@ -408,16 +499,21 @@ class OffspringLaw:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """One recursion instance: X' = (sum of N replicas of X, minus a)+."""
+    """One recursion instance: X' = (sum of N replicas of X, minus a)+.
+
+    x0 is a FinitePmf or a GeometricPmf; the latter needs no check here,
+    being leak-free and never constant."""
 
     a: int
-    x0: FinitePmf
+    x0: FinitePmf | GeometricPmf
     offspring: OffspringLaw
 
     def __post_init__(self):
         if not isinstance(self.a, (int, np.integer)) or self.a < 1:
             raise ValueError(f"the tax a must be an integer >= 1, got {self.a!r}")
         object.__setattr__(self, "a", int(self.a))
+        if isinstance(self.x0, GeometricPmf):
+            return
         if self.x0.leaked_mass != 0.0:
             raise ValueError("the initial law must carry no leaked mass")
         if self.x0.support.size < 2:

@@ -29,7 +29,7 @@ import numpy as np
 from scipy import fft as sp_fft
 
 from . import dists
-from .dists import FinitePmf, ModelSpec, OffspringLaw
+from .dists import FinitePmf, GeometricPmf, ModelSpec, OffspringLaw
 from .logreal import ONE, LogReal
 
 DEFAULT_TAIL_EPS = 1e-14
@@ -209,10 +209,11 @@ def evolve(model: ModelSpec, steps: int = DEFAULT_STEPS, *,
            leak_budget: float = DEFAULT_LEAK_BUDGET,
            keep_pmfs: bool = False,
            support_cap: int | None = None) -> EvolutionTrace:
-    """Iterate step() from x0, collecting the bracket row per generation."""
+    """Iterate step() from x0 (a geometric x0 cut by dists.as_finite),
+    collecting the bracket row per generation."""
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    x = model.x0
+    x = dists.as_finite(model.x0)
     rows = [_trace_row(x, 0, model)]
     pmfs = [x] if keep_pmfs else None
     for n in range(1, steps + 1):
@@ -273,11 +274,13 @@ def _clip_heads(x0: np.ndarray, weights: np.ndarray, a: int, steps: int
     return heads
 
 
-def gf_orbit(x0: FinitePmf, law: OffspringLaw, a: int, s: float, steps: int
-             ) -> list[tuple[LogReal, LogReal, float]]:
+def gf_orbit(x0: FinitePmf | GeometricPmf, law: OffspringLaw, a: int,
+             s: float, steps: int) -> list[tuple[LogReal, LogReal, float]]:
     """(F_n(s), F_n'(s), log G(F_n(s))) for n = 0..steps, F_n(s) = E s^X_n
     along the recursion from x0, G the generating function of law's
     weights (for geometric N the cut weights that step() uses too).
+    A geometric x0 is cut by dists.as_finite as well: past its radius of
+    convergence its exact F_0(s) is infinite.
 
     The generating-function recursion (Collet, Eckmann, Glaser & Martin,
     CMP 1984; Derrida & Retaux, JSP 2014, with G in place of v -> v^2):
@@ -295,6 +298,7 @@ def gf_orbit(x0: FinitePmf, law: OffspringLaw, a: int, s: float, steps: int
         raise ValueError(f"generating-function argument must be positive, got {s}")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
+    x0 = dists.as_finite(x0)
     heads = _clip_heads(x0.probs, law.weights, a, steps)
     log_s = math.log(s)
     log_f, log_fp = dists.log_pgf_pair(x0, s)

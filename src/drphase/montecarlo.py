@@ -16,7 +16,8 @@ scheduling, and every sampler draws in whole arrays: the pool generation
 and the tree sizes in the `kernels` table, and the tree sampler's stream
 up front, in blocks, before its recursion reads it.  The kernels take the
 `OffspringLaw` itself, and the x0 draws here and a finite N's counts share
-`kernels.inverse_cdf`.  A geometric N is drawn from the untruncated law
+`kernels.inverse_cdf`; a geometric x0 is drawn from the cut law of
+`dists.as_finite`.  A geometric N is drawn from the untruncated law
 (the cdf scan saturates only below 1e-18 mass), so no truncation cutoff is
 consulted here.
 """
@@ -29,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import kernels
+from . import dists, kernels
 from .dists import ModelSpec, OffspringLaw
 from .evolution import q_bounds
 
@@ -78,8 +79,9 @@ def init_population(model: ModelSpec, pop_size: int, master_seed: int
     remainder slots drawn from the fractional residuals."""
     if pop_size < 1:
         raise ValueError(f"population size must be >= 1, got {pop_size}")
-    values = model.x0.support
-    weights = model.x0.probs[values]
+    x0 = dists.as_finite(model.x0)
+    values = x0.support
+    weights = x0.probs[values]
     counts = np.floor(pop_size * weights).astype(np.int64)
     samples = np.repeat(values.astype(np.int64), counts)
     short = pop_size - int(counts.sum())
@@ -153,8 +155,9 @@ def tree_sample(model: ModelSpec, n: int, seed: int) -> int:
     if not 0 <= n <= TREE_DEPTH_LIMIT:
         raise ValueError(f"tree sampling supports 0 <= n <= {TREE_DEPTH_LIMIT}, "
                          f"got {n}")
-    values = model.x0.support
-    x0_cdf = np.cumsum(model.x0.probs[values])
+    x0 = dists.as_finite(model.x0)
+    values = x0.support
+    x0_cdf = np.cumsum(x0.probs[values])
     law = model.offspring
     deterministic = law.kind == "deterministic"
     a = model.a

@@ -1,9 +1,18 @@
-"""Parameter sweeps and boundary bisection over one-parameter model families.
+"""Parameter sweeps and phase boundaries over one-parameter model families.
 
-Bisection targets the sign change of a criterion value, not the true
-critical point: each criterion is sufficient only, so between the two roots
-lies a band where neither claim applies.  The report carries that band
-explicitly instead of papering over it.
+A boundary is the sign change of one criterion value along the family, not
+the true critical point: each criterion is sufficient only, so between the
+two roots lies a band where neither claim applies.  The report carries that
+band explicitly instead of papering over it.
+
+Both families have their criterion roots in closed form (`Family.root`):
+d0 of the two-point law is affine in p, and the geometric law's generating
+function is rational in s.  `bisect_boundary` (named after the bisection
+it replaced, which the tests keep as their oracle) places an interval of
+width tol around the root and certifies it by the criterion's sign at both
+ends: four criterion evaluations per boundary.  A geometric family member
+is a `dists.GeometricPmf`, so neither a scan nor a classify builds a
+weight array.
 """
 
 from __future__ import annotations
@@ -15,14 +24,14 @@ import numpy as np
 
 from . import criteria
 from .criteria import PhaseVerdict
-from .dists import FinitePmf, ModelSpec, OffspringLaw
+# geometric_x0_pmf lives in dists, whose as_finite builds it, and is still
+# importable from here
+from .dists import (FinitePmf, GeometricPmf, ModelSpec, OffspringLaw,
+                    geometric_x0_pmf)
 
 # Families are swept over the open unit interval, inset by this margin
 # (endpoints would give a constant initial law).
 EPS_PARAM = 1e-6
-# Upper-tail mass cut from a geometric initial law; small enough that the
-# retained weights still pass the mass-conservation band with zero leak.
-GEO_X0_TAIL = 1e-14
 DEFAULT_TOL = 1e-9
 
 
@@ -34,33 +43,24 @@ class CriterionUnavailable(RuntimeError):
     """The requested criterion does not apply (unbounded offspring law)."""
 
 
-def geometric_x0_pmf(r: float) -> FinitePmf:
-    """P(X0 = k) = r (1-r)^k with the upper tail beyond GEO_X0_TAIL cut off,
-    left unnormalized (the missing mass stays under the conservation band)."""
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"success probability must lie in (0, 1), got {r}")
-    q = 1.0 - r
-    # smallest cutoff with P(X0 > cutoff) = q^(cutoff+1) below the tail
-    cutoff = max(1, math.ceil(math.log(GEO_X0_TAIL) / math.log(q)) - 1)
-    while q ** (cutoff + 1) >= GEO_X0_TAIL:
-        cutoff += 1
-    w = r * np.power(q, np.arange(cutoff + 1, dtype=np.float64))
-    # np.power's relative error grows ~3e-17 * k, and the cutoff scales as
-    # 1/r, so below r ~ 1e-4 the float total drifts out of the conservation
-    # band.  Re-pin the largest weight to the analytic total 1 - q^(c+1).
-    gap = float((1.0 - q ** (cutoff + 1)) - np.sum(w, dtype=np.longdouble))
-    if gap != 0.0 and abs(gap) <= 1e-3 * r:
-        w[0] += gap
-    return FinitePmf(w)
+class BoundaryNotCertified(RuntimeError):
+    """The criterion's sign at the ends of the interval around its
+    closed-form root does not confirm the root (for instance, tol is below
+    the criterion's float resolution there)."""
 
 
 class Family:
     """A curve of models indexed by a parameter in (0, 1), all sharing one
-    offspring law."""
+    tax a and one offspring law."""
 
+    a: int
     offspring: OffspringLaw
 
     def model(self, param: float) -> ModelSpec:
+        raise NotImplementedError
+
+    def root(self, which: str) -> float:
+        """The parameter where the chosen criterion's d0 vanishes."""
         raise NotImplementedError
 
     @staticmethod
@@ -68,6 +68,12 @@ class Family:
         if not 0.0 < param < 1.0:
             raise ValueError(f"family parameter must lie in (0, 1), got {param}")
         return float(param)
+
+
+def _test_point(family: Family, which: str) -> tuple[float, float] | None:
+    """(s, m) of the chosen test, shared by every member of the family."""
+    return criteria.super_point(family) if which == "super" \
+        else criteria.sub_point(family)
 
 
 @dataclass(frozen=True)
@@ -87,24 +93,38 @@ class TwoPointFamily(Family):
         x0 = FinitePmf.from_dict({0: 1.0 - p, self.high_value: p})
         return ModelSpec(self.a, x0, self.offspring)
 
+    def root(self, which: str) -> float:
+        """d0 = p (s^h ((m-1) h - a) + a) - a at h = high_value, affine
+        in p."""
+        s, m = _test_point(self, which)
+        h = self.high_value
+        return self.a / (s ** h * ((m - 1.0) * h - self.a) + self.a)
+
 
 @dataclass(frozen=True)
 class GeometricX0Family(Family):
     """Initial law P(X0 = k) = r (1-r)^k on {0, 1, ...}, parameterized by
-    the success probability r; materialized with its upper tail cut at
-    GEO_X0_TAIL and left unnormalized."""
+    the success probability r; each member is an exact dists.GeometricPmf,
+    with no weight array."""
 
     a: int
     offspring: OffspringLaw
 
     def model(self, param: float) -> ModelSpec:
-        r = self._check_param(param)
-        return ModelSpec(self.a, geometric_x0_pmf(r), self.offspring)
+        return ModelSpec(self.a, GeometricPmf(self._check_param(param)),
+                         self.offspring)
+
+    def root(self, which: str) -> float:
+        """d0 = F(s) ((m-1) s q / (1 - q s) - a) with q = 1 - r and
+        F(s) = r / (1 - q s), positive for q s >= 1: its root has
+        q s (m - 1 + a) = a."""
+        s, m = _test_point(self, which)
+        return 1.0 - self.a / (s * (m - 1.0 + self.a))
 
 
 @dataclass(frozen=True)
 class BoundaryReport:
-    """Scan grid plus bisected criterion boundaries.
+    """Scan grid plus criterion boundaries.
 
     Intervals are (lo, hi) in the family parameter; a boundary is None when
     its criterion never changes sign (or never applies), and the matching
@@ -132,18 +152,22 @@ def scan(family: Family, grid_points: int) -> list[tuple[float, PhaseVerdict]]:
 
 def _criterion_value(family: Family, which: str, param: float) -> float:
     """The chosen criterion alone, at the family member `param`."""
-    model = family.model(param)
-    point = criteria.super_point(model) if which == "super" \
-        else criteria.sub_point(model)
-    return criteria.d0(model, *point)
+    return criteria.d0(family.model(param), *_test_point(family, which))
 
 
 def bisect_boundary(family: Family, which: str,
                     tol: float = DEFAULT_TOL) -> tuple[float, float]:
-    """Interval of width <= tol bracketing the chosen criterion's root."""
+    """Interval of width <= tol around the chosen criterion's root, within
+    (EPS_PARAM, 1 - EPS_PARAM).
+
+    The root is the family's closed form.  The criterion's sign at each end
+    of the interval must match its sign at the same end of the range, the
+    invariant bisection keeps; when it does not, BoundaryNotCertified is
+    raised.
+    """
     if which not in ("super", "sub"):
         raise ValueError(f"which must be 'super' or 'sub', got {which!r}")
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN too
         raise ValueError(f"tolerance must be positive, got {tol}")
     if which == "sub" and family.offspring.bound is None:
         # known from the family alone: build no law to learn it
@@ -156,16 +180,19 @@ def bisect_boundary(family: Family, which: str,
         raise NoSignChange(
             f"criterion '{which}' has the same sign at both ends of "
             f"({lo}, {hi}): {f_lo:.6g} and {f_hi:.6g}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        f_mid = _criterion_value(family, which, mid)
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    return lo, hi
+    root = family.root(which)
+    left = min(max(root - 0.5 * tol, lo), hi)
+    right = min(max(root + 0.5 * tol, lo), hi)
+    while right - left > tol:  # root +/- tol/2 rounded apart
+        right = math.nextafter(right, left)
+    if ((_criterion_value(family, which, left) > 0.0) != (f_lo > 0.0)
+            or (_criterion_value(family, which, right) > 0.0)
+            != (f_hi > 0.0)):
+        raise BoundaryNotCertified(
+            f"criterion '{which}' does not change sign across "
+            f"[{left!r}, {right!r}] around its closed-form root {root!r} "
+            f"(a tolerance of {tol} may be below its float resolution)")
+    return left, right
 
 
 def boundary_report(family: Family, grid_points: int = 9,

@@ -227,6 +227,28 @@ def test_unknown_block_keys_are_config_errors(tmp_path, capsys, command,
     assert err.startswith(f"config error: {path}.{key}: unknown key; ")
 
 
+# (command, object, its definition, unknown key, the keys its type reads)
+@pytest.mark.parametrize("command,path,node,key,reads", [
+    ("classify", "x0", {"type": "finite", "pmf": [[0, 0.5], [2, 0.5]]},
+     "p", "type, pmf"),
+    ("classify", "x0", {"type": "geometric", "p": 0.5}, "pmf", "type, p"),
+    ("scan", "x0", {"type": "geometric", "p": 0.5}, "n", "type, p"),
+    ("classify", "N", {"type": "deterministic", "n": 2}, "p", "type, n"),
+    ("classify", "N", {"type": "finite", "pmf": [[1, 0.5], [3, 0.5]]}, "n",
+     "type, pmf"),
+    ("evolve", "N", {"type": "geometric", "p": 0.5}, "pmf", "type, p"),
+    ("scan", "N", {"type": "deterministic", "n": 2}, "high", "type, n")])
+def test_unknown_model_keys_are_config_errors(tmp_path, capsys, command, path,
+                                              node, key, reads):
+    doc = base_config(scan={"family": dict(TWO_POINT)})
+    doc[path] = dict(node, **{key: 0.3})
+    cfg = write_config(tmp_path, doc)
+    code, out, err = run_main([command, "--config", cfg], capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"config error: {path}.{key}: unknown key; "
+                   f"{path} reads {reads}\n")
+
+
 def test_blocks_of_other_commands_are_not_read(tmp_path, capsys):
     # one config serves every command: a block is checked by its command
     doc = base_config(evolve={"steps": 1, "stpes": 2},

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.signal import fftconvolve
@@ -12,6 +13,7 @@ from drphase.criteria import SUBCRITICAL, classify
 from drphase.dists import (
     GEOMETRIC_TAIL,
     FinitePmf,
+    GeometricPmf,
     ModelSpec,
     OffspringLaw,
     convolve,
@@ -307,6 +309,80 @@ def test_pgf_pair_skips_a_certain_overflow():
         dists.pgf_pair(p, 0.0)
     with pytest.raises(ValueError):
         dists.log_pgf_pair(p, -1.0)
+
+
+def same_pair(x, y):
+    return all(same_bits(u, v) for u, v in zip(x, y))
+
+
+def test_finite_pmf_pair_methods_are_the_module_functions():
+    for p, s in evaluator_cases():
+        with np.errstate(over="ignore"):
+            assert same_pair(p.pgf_pair(s), dists.pgf_pair(p, s))
+            assert p.pgf_pair(s, deriv=False) == dists.pgf_pair(p, s,
+                                                               deriv=False)
+        assert same_pair(p.log_pgf_pair(s), dists.log_pgf_pair(p, s))
+
+
+# -- the exact geometric initial law ----------------------------------------
+
+GEOMETRIC_R = (0.3, 0.55, 0.74, 0.76, 0.9)
+
+
+def geometric_series(r: float, s: float):
+    """(sum_k r q^k s^k, sum_k k r q^k s^(k-1)) with q = 1.0 - r as the
+    float code has it, summed in mpmath to 40 digits."""
+    mpmath.mp.dps = 40
+    r_, q, s_ = mpmath.mpf(r), mpmath.mpf(1.0 - r), mpmath.mpf(s)
+    f = mpmath.nsum(lambda k: r_ * (q * s_) ** k, [0, mpmath.inf])
+    fp = mpmath.nsum(lambda k: k * r_ * q ** k * s_ ** (k - 1),
+                     [1, mpmath.inf])
+    return f, fp
+
+
+@pytest.mark.parametrize("r", GEOMETRIC_R)
+def test_geometric_pmf_pairs_equal_the_mpmath_series(r):
+    law = GeometricPmf(r)
+    radius = 1.0 / (1.0 - r)
+    for s in (0.25, 1.0, 0.5 * radius, 0.9 * radius, 0.99 * radius):
+        f, fp = geometric_series(r, s)
+        got_f, got_fp = law.pgf_pair(s)
+        assert got_f == pytest.approx(float(f), rel=1e-13)
+        assert got_fp == pytest.approx(float(fp), rel=1e-13)
+        assert law.pgf_pair(s, deriv=False) == (got_f, None)
+        log_f, log_fp = law.log_pgf_pair(s)
+        assert log_f == pytest.approx(float(mpmath.log(f)), abs=1e-13)
+        assert log_fp == pytest.approx(float(mpmath.log(fp)), abs=1e-13)
+        assert law.log_pgf_pair(s, deriv=False) == (log_f, None)
+
+
+@pytest.mark.parametrize("r", GEOMETRIC_R)
+def test_geometric_pmf_pairs_are_inf_from_the_radius_on(r):
+    law = GeometricPmf(r)
+    q = 1.0 - r
+    edge = 1.0 / q
+    while q * edge < 1.0:  # the first float argument with q s >= 1
+        edge = math.nextafter(edge, math.inf)
+    below = math.nextafter(edge, 0.0)
+    assert math.isfinite(law.pgf_pair(below)[0])
+    for s in (edge, 1.5 * edge, 1e300):
+        assert law.pgf_pair(s) == (math.inf, math.inf)
+        assert law.log_pgf_pair(s) == (math.inf, math.inf)
+        assert law.pgf_pair(s, deriv=False) == (math.inf, None)
+    with pytest.raises(ValueError):
+        law.pgf_pair(0.0)
+    with pytest.raises(ValueError):
+        law.log_pgf_pair(-1.0)
+
+
+def test_geometric_pmf_validation():
+    for r in (0.0, 1.0, -0.5, math.nan):
+        with pytest.raises(ValueError):
+            GeometricPmf(r)
+    law = OffspringLaw.deterministic(2)
+    assert ModelSpec(1, GeometricPmf(0.5), law).x0 == GeometricPmf(0.5)
+    with pytest.raises(ValueError):
+        ModelSpec(0, GeometricPmf(0.5), law)
 
 
 # -- FFT convolution against scipy.signal.fftconvolve, bit for bit ------------
