@@ -120,38 +120,43 @@ def _check_keys(node: dict, keys: tuple, path: str) -> None:
                               f"{', '.join(keys)}")
 
 
-def _parse_x0(node, path: str) -> FinitePmf | GeometricPmf:
+# the keys each object type reads, by its "type"
+_X0_KEYS = {"finite": ("type", "pmf"), "geometric": ("type", "p")}
+_OFFSPRING_KEYS = {"deterministic": ("type", "n"), "finite": ("type", "pmf"),
+                   "geometric": ("type", "p")}
+_FAMILY_KEYS = {"two_point": ("type", "high"), "geometric_x0": ("type",)}
+
+
+def _typed_object(node, path: str, keys_by_type: dict) -> tuple[dict, str]:
+    """`node` as an object and its type, which must be a key of
+    `keys_by_type`; a key that type does not read is an error."""
     node = _as_object(node, path)
     kind = _get(node, "type", path, kind=str)
+    if kind not in keys_by_type:
+        names = [repr(k) for k in keys_by_type]
+        raise ConfigError(f"{path}.type: expected {', '.join(names[:-1])} "
+                          f"or {names[-1]}, got {kind!r}")
+    _check_keys(node, keys_by_type[kind], path)
+    return node, kind
+
+
+def _parse_x0(node, path: str) -> FinitePmf | GeometricPmf:
+    node, kind = _typed_object(node, path, _X0_KEYS)
     if kind == "finite":
-        _check_keys(node, ("type", "pmf"), path)
         pmf = _parse_pmf(_get(node, "pmf", path), f"{path}.pmf")
         try:
             return FinitePmf.from_dict(pmf)
         except ValueError as exc:
             raise ConfigError(f"{path}.pmf: {exc}") from exc
-    if kind == "geometric":
-        _check_keys(node, ("type", "p"), path)
-        p = _get(node, "p", path, kind=(int, float))
-        try:
-            return GeometricPmf(float(p))
-        except ValueError as exc:
-            raise ConfigError(f"{path}.p: {exc}") from exc
-    raise ConfigError(f"{path}.type: expected 'finite' or 'geometric', "
-                      f"got {kind!r}")
-
-
-_OFFSPRING_KEYS = {"deterministic": ("type", "n"), "finite": ("type", "pmf"),
-                   "geometric": ("type", "p")}
+    p = _get(node, "p", path, kind=(int, float))
+    try:
+        return GeometricPmf(float(p))
+    except ValueError as exc:
+        raise ConfigError(f"{path}.p: {exc}") from exc
 
 
 def _parse_offspring(node, path: str) -> OffspringLaw:
-    node = _as_object(node, path)
-    kind = _get(node, "type", path, kind=str)
-    if kind not in _OFFSPRING_KEYS:
-        raise ConfigError(f"{path}.type: expected 'deterministic', 'finite' "
-                          f"or 'geometric', got {kind!r}")
-    _check_keys(node, _OFFSPRING_KEYS[kind], path)
+    node, kind = _typed_object(node, path, _OFFSPRING_KEYS)
     try:
         if kind == "deterministic":
             return OffspringLaw.deterministic(_get(node, "n", path, kind=int))
@@ -188,12 +193,11 @@ def parse_model(cfg: dict) -> ModelSpec:
         raise ConfigError(f"x0: {exc}") from exc
 
 
-def _block(node: dict, name: str, keys: tuple, path: str = "") -> dict:
-    """Block `name` of `node` (empty if absent), at `path` if not top-level;
-    a key the command does not read is an error, not a silent default."""
-    path = path or name
-    block = _as_object(node.get(name, {}), path)
-    _check_keys(block, keys, path)
+def _block(node: dict, name: str, keys: tuple) -> dict:
+    """Block `name` of `node` (empty if absent); a key the command does
+    not read is an error, not a silent default."""
+    block = _as_object(node.get(name, {}), name)
+    _check_keys(block, keys, name)
     return block
 
 
@@ -386,14 +390,9 @@ def cmd_simulate(cfg: dict, args) -> int:
 
 
 def _parse_family(cfg: dict, scan: dict, offspring: OffspringLaw) -> Family:
-    fam = _as_object(_get(scan, "family", "scan"), "scan.family")
-    kind = _get(fam, "type", "scan.family", kind=str)
+    fam, kind = _typed_object(_get(scan, "family", "scan"), "scan.family",
+                              _FAMILY_KEYS)
     a = _get(cfg, "a", "config", kind=int)
-    keys = {"two_point": ("type", "high"), "geometric_x0": ("type",)}.get(kind)
-    if keys is None:
-        raise ConfigError(f"scan.family.type: expected 'two_point' or "
-                          f"'geometric_x0', got {kind!r}")
-    _block(scan, "family", keys, "scan.family")
     try:
         if kind == "two_point":
             high = _get(fam, "high", "scan.family", kind=int)

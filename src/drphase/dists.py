@@ -121,15 +121,13 @@ class FinitePmf:
             return float(self.probs[value])
         return 0.0
 
-    def pgf_pair(self, s: float, *, deriv: bool = True
-                 ) -> tuple[float, float | None]:
+    def pgf_pair(self, s: float) -> tuple[float, float]:
         """dists.pgf_pair of this law."""
-        return pgf_pair(self, s, deriv=deriv)
+        return pgf_pair(self, s)
 
-    def log_pgf_pair(self, s: float, *, deriv: bool = True
-                     ) -> tuple[float, float | None]:
+    def log_pgf_pair(self, s: float) -> tuple[float, float]:
         """dists.log_pgf_pair of this law."""
-        return log_pgf_pair(self, s, deriv=deriv)
+        return log_pgf_pair(self, s)
 
 
 @dataclass(frozen=True)
@@ -152,22 +150,20 @@ class GeometricPmf:
                 f"success probability must lie in (0, 1), got {self.r}")
         object.__setattr__(self, "r", r)
 
-    def pgf_pair(self, s: float, *, deriv: bool = True
-                 ) -> tuple[float, float | None]:
+    def pgf_pair(self, s: float) -> tuple[float, float]:
         """(E s^X, d/ds E s^X); (inf, inf) where the series diverges."""
         _check_argument(s)
         q = 1.0 - self.r
         if q * s >= 1.0:
-            return math.inf, math.inf if deriv else None
+            return math.inf, math.inf
         den = 1.0 - q * s
-        return self.r / den, self.r * q / den ** 2 if deriv else None
+        return self.r / den, self.r * q / den ** 2
 
-    def log_pgf_pair(self, s: float, *, deriv: bool = True
-                     ) -> tuple[float, float | None]:
+    def log_pgf_pair(self, s: float) -> tuple[float, float]:
         """(log E s^X, log d/ds E s^X): the logs of pgf_pair, which stays
         below 1e33 short of the radius (1 - (1-r) s >= 2^-53)."""
-        f, fp = self.pgf_pair(s, deriv=deriv)
-        return math.log(f), None if fp is None else math.log(fp)
+        f, fp = self.pgf_pair(s)
+        return math.log(f), math.log(fp)
 
     @functools.cached_property
     def cut(self) -> FinitePmf:

@@ -249,6 +249,24 @@ def test_unknown_model_keys_are_config_errors(tmp_path, capsys, command, path,
                    f"{path} reads {reads}\n")
 
 
+@pytest.mark.parametrize("command,path,expected", [
+    ("classify", "x0", "'finite' or 'geometric'"),
+    ("classify", "N", "'deterministic', 'finite' or 'geometric'"),
+    ("scan", "scan.family", "'two_point' or 'geometric_x0'")])
+def test_unknown_object_types_are_config_errors(tmp_path, capsys, command,
+                                                path, expected):
+    doc = base_config(scan={"family": dict(TWO_POINT)})
+    node = doc
+    for part in path.split("."):
+        node = node[part]
+    node["type"] = "poisson"
+    cfg = write_config(tmp_path, doc)
+    code, out, err = run_main([command, "--config", cfg], capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"config error: {path}.type: expected {expected}, "
+                   f"got 'poisson'\n")
+
+
 def test_blocks_of_other_commands_are_not_read(tmp_path, capsys):
     # one config serves every command: a block is checked by its command
     doc = base_config(evolve={"steps": 1, "stpes": 2},

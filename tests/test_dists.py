@@ -319,8 +319,6 @@ def test_finite_pmf_pair_methods_are_the_module_functions():
     for p, s in evaluator_cases():
         with np.errstate(over="ignore"):
             assert same_pair(p.pgf_pair(s), dists.pgf_pair(p, s))
-            assert p.pgf_pair(s, deriv=False) == dists.pgf_pair(p, s,
-                                                               deriv=False)
         assert same_pair(p.log_pgf_pair(s), dists.log_pgf_pair(p, s))
 
 
@@ -349,11 +347,9 @@ def test_geometric_pmf_pairs_equal_the_mpmath_series(r):
         got_f, got_fp = law.pgf_pair(s)
         assert got_f == pytest.approx(float(f), rel=1e-13)
         assert got_fp == pytest.approx(float(fp), rel=1e-13)
-        assert law.pgf_pair(s, deriv=False) == (got_f, None)
         log_f, log_fp = law.log_pgf_pair(s)
         assert log_f == pytest.approx(float(mpmath.log(f)), abs=1e-13)
         assert log_fp == pytest.approx(float(mpmath.log(fp)), abs=1e-13)
-        assert law.log_pgf_pair(s, deriv=False) == (log_f, None)
 
 
 @pytest.mark.parametrize("r", GEOMETRIC_R)
@@ -368,7 +364,6 @@ def test_geometric_pmf_pairs_are_inf_from_the_radius_on(r):
     for s in (edge, 1.5 * edge, 1e300):
         assert law.pgf_pair(s) == (math.inf, math.inf)
         assert law.log_pgf_pair(s) == (math.inf, math.inf)
-        assert law.pgf_pair(s, deriv=False) == (math.inf, None)
     with pytest.raises(ValueError):
         law.pgf_pair(0.0)
     with pytest.raises(ValueError):
