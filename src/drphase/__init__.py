@@ -44,10 +44,6 @@ from .evolution import (
     SupportCapExceeded,
     TraceRow,
     evolve,
-    gf_step_deriv,
-    gf_step_deriv_log,
-    gf_step_eval,
-    gf_step_eval_log,
     q_bounds,
     step,
 )
@@ -56,7 +52,6 @@ from .logreal import LogReal
 from .montecarlo import (
     Population,
     QEstimate,
-    ancestor_count,
     ancestor_counts,
     init_population,
     mc_estimate_q,
@@ -91,12 +86,11 @@ __all__ = [
     "EvolutionTrace", "TraceRow",
     "EvolutionStopped", "LeakBudgetExceeded", "SupportCapExceeded",
     "step", "evolve", "q_bounds",
-    "gf_step_eval", "gf_step_deriv", "gf_step_eval_log", "gf_step_deriv_log",
     "get_backend",
     "LogReal",
     "Population", "QEstimate",
     "init_population", "mc_step", "mc_estimate_q",
-    "ancestor_count", "ancestor_counts", "tree_sample",
+    "ancestor_counts", "tree_sample",
     "BoundaryReport", "Family", "TwoPointFamily", "GeometricX0Family",
     "NoSignChange", "CriterionUnavailable",
     "scan", "bisect_boundary", "boundary_report", "geometric_x0_pmf",

@@ -3,9 +3,9 @@
 One JSON config file describes the model and per-command options; every
 command reads it, validates it fully before computing anything, and writes
 deterministic output.  Exit codes: 0 success, 2 configuration error,
-3 numerical failure (leak budget, support overflow, an uncertified scan
-boundary); check-lemmas exits 1
-when an audited inequality fails.
+3 numerical failure (leak budget, support overflow, an array too large to
+allocate, an uncertified scan boundary); check-lemmas exits 1 when an
+audited inequality fails.
 
 check-lemmas audits lemmas 1 and 3 along the generating-function orbit
 (evolution.gf_orbit), which evolves no law and so has no support cap, no
@@ -617,7 +617,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (EvolutionStopped, OverflowError, BoundaryNotCertified) as exc:
+    except (EvolutionStopped, OverflowError, MemoryError,
+            BoundaryNotCertified) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -3,11 +3,11 @@
 Weights live in a dense float64 array indexed by value.  Mass removed by
 upper-tail truncation, by sub-1e-300 cleanup, or by cutting an unbounded
 offspring law is never renormalized away: it accumulates in `leaked_mass`.
-In the direct-convolution regime, retained means and generating-function
-values are therefore certified lower bounds for the untruncated quantities.
-Above `_DIRECT_CONV_OPS` convolutions go through the FFT: round-off below
-zero is clipped but the positive noise is kept, which biases retained means
-upward, so there they are approximations, not certified lower bounds.
+Retained means and generating-function values are therefore certified
+lower bounds for the untruncated quantities.  Everything here is exact
+algebra: `convolve` is always the direct sum.  The package's one transform
+is `evolution._spectral_powers`, which `evolution.step` takes once a power
+would cost more than `_DIRECT_CONV_OPS` multiply-adds.
 
 `pgf_pair` and `log_pgf_pair` evaluate a law's generating function and its
 derivative at one point in one pass over the support, in float64 and in
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from . import kernels
 
@@ -39,13 +38,13 @@ from . import kernels
 MASS_TOL = 1e-12
 # Weights below this are swept into leaked_mass during convolution.
 WEIGHT_FLOOR = 1e-300
-# Upper-tail mass cut from a geometric offspring law's weights.
+# Upper-tail mass cut from a geometric law's weights: an offspring law
+# books it as truncation_leak; an initial law (as_finite) leaves it out
+# unrecorded, being small enough that the retained weights still pass the
+# mass-conservation band with zero leak.
 GEOMETRIC_TAIL = 1e-14
-# Upper-tail mass cut from a geometric initial law's weights (as_finite);
-# small enough that the retained weights still pass the mass-conservation
-# band with zero leak.
-GEO_X0_TAIL = 1e-14
-# Direct convolution up to this many multiply-adds, transform above.
+# evolution.step's budget: it convolves powers directly up to this many
+# multiply-adds and takes the rest of the mixture from one spectrum.
 _DIRECT_CONV_OPS = 1 << 24
 # s^k overflows float64 for k log s above log(DBL_MAX) = 709.78...
 _LOG_OVERFLOW = 710.0
@@ -172,14 +171,14 @@ class GeometricPmf:
 
 
 def geometric_x0_pmf(r: float) -> FinitePmf:
-    """P(X0 = k) = r (1-r)^k with the upper tail beyond GEO_X0_TAIL cut off,
+    """P(X0 = k) = r (1-r)^k with the upper tail beyond GEOMETRIC_TAIL cut off,
     left unnormalized (the missing mass stays under the conservation band)."""
     if not 0.0 < r < 1.0:
         raise ValueError(f"success probability must lie in (0, 1), got {r}")
     q = 1.0 - r
     # smallest cutoff with P(X0 > cutoff) = q^(cutoff+1) below the tail
-    cutoff = max(1, math.ceil(math.log(GEO_X0_TAIL) / math.log(q)) - 1)
-    while q ** (cutoff + 1) >= GEO_X0_TAIL:
+    cutoff = max(1, math.ceil(math.log(GEOMETRIC_TAIL) / math.log(q)) - 1)
+    while q ** (cutoff + 1) >= GEOMETRIC_TAIL:
         cutoff += 1
     w = r * np.power(q, np.arange(cutoff + 1, dtype=np.float64))
     # np.power's relative error grows ~3e-17 * k, and the cutoff scales as
@@ -259,10 +258,9 @@ def _logsumexp(t: np.ndarray) -> float:
     return float(np.log1p(s) + np.log(m) + top)
 
 
-def pgf_pair(p: FinitePmf, s: float, *, deriv: bool = True
-             ) -> tuple[float, float | None]:
+def pgf_pair(p: FinitePmf, s: float) -> tuple[float, float]:
     """(E s^X, d/ds E s^X) over the retained weights; overflows to inf for
-    huge supports.  deriv=False leaves the derivative out (None).
+    huge supports.
 
     When (support_max - 1) log s > 710, s^(support_max - 1) is certain to
     overflow, so both sums are inf; they are returned as such without
@@ -272,38 +270,31 @@ def pgf_pair(p: FinitePmf, s: float, *, deriv: bool = True
     _check_argument(s)
     w, k, j, dense = _support(p.probs)
     if k.size and s > 1.0 and (k[-1] - 1.0) * math.log(s) > _LOG_OVERFLOW:
-        return math.inf, math.inf if deriv else None
+        return math.inf, math.inf
     powers = np.power(float(s), k)
     value = float(np.dot(w, powers))
-    if not deriv:
-        return value, None
     k1 = k[j:]
     shifted = powers[:-1] if dense else np.power(float(s), k1 - 1.0)
     return value, float(np.dot(w[j:] * k1, shifted))
 
 
-def log_pgf_pair(p: FinitePmf, s: float, *, deriv: bool = True
-                 ) -> tuple[float, float | None]:
-    """(log E s^X, log d/ds E s^X), stable far beyond float64 range.
-    deriv=False leaves the derivative out (None)."""
+def log_pgf_pair(p: FinitePmf, s: float) -> tuple[float, float]:
+    """(log E s^X, log d/ds E s^X), stable far beyond float64 range."""
     _check_argument(s)
-    return _log_pgf_pair(p.probs, math.log(s), deriv)
+    return _log_pgf_pair(p.probs, math.log(s))
 
 
-def _log_pgf_pair(probs: np.ndarray, log_s: float, deriv: bool
-                  ) -> tuple[float, float | None]:
+def _log_pgf_pair(probs: np.ndarray, log_s: float) -> tuple[float, float]:
     """log_pgf_pair of a weight array, from log s, so that s itself may lie
     beyond float64 range (the F_n(s) of evolution.gf_orbit).  One pass over
     the support and the log weights; a dense array's (k-1) log s terms are
     read off the value's k log s terms."""
     w, k, j, dense = _support(probs)
     if k.size == 0:
-        return -math.inf, -math.inf if deriv else None
+        return -math.inf, -math.inf
     log_w = np.log(w)
     k_log_s = k * log_s
     log_value = _logsumexp(log_w + k_log_s)
-    if not deriv:
-        return log_value, None
     k1 = k[j:]
     if k1.size == 0:
         return log_value, -math.inf
@@ -313,7 +304,7 @@ def _log_pgf_pair(probs: np.ndarray, log_s: float, deriv: bool
 
 def pgf_eval(p: FinitePmf, s: float) -> float:
     """E s^X over the retained weights; overflows to inf for huge supports."""
-    return pgf_pair(p, s, deriv=False)[0]
+    return pgf_pair(p, s)[0]
 
 
 def pgf_deriv(p: FinitePmf, s: float) -> float:
@@ -323,7 +314,7 @@ def pgf_deriv(p: FinitePmf, s: float) -> float:
 
 def log_pgf_eval(p: FinitePmf, s: float) -> float:
     """log E s^X, stable far beyond float64 range."""
-    return log_pgf_pair(p, s, deriv=False)[0]
+    return log_pgf_pair(p, s)[0]
 
 
 def log_pgf_deriv(p: FinitePmf, s: float) -> float:
@@ -332,29 +323,17 @@ def log_pgf_deriv(p: FinitePmf, s: float) -> float:
 
 
 def convolve(p: FinitePmf, q: FinitePmf) -> FinitePmf:
-    """Law of the sum of independents; leaks combine as 1-(1-lp)(1-lq)."""
+    """Law of the sum of independents, by the direct O(n m) sum at any
+    size; leaks combine as 1-(1-lp)(1-lq)."""
     leak = p.leaked_mass + q.leaked_mass - p.leaked_mass * q.leaked_mass
     if p.probs.size == 0 or q.probs.size == 0:
         return FinitePmf(np.zeros(0), 1.0)
-    if p.probs.size * q.probs.size <= _DIRECT_CONV_OPS:
-        w = kernels.get_backend().conv_direct(p.probs, q.probs)
-    else:
-        w = _fft_convolve(p.probs, q.probs)
-        np.clip(w, 0.0, None, out=w)
+    w = kernels.get_backend().conv_direct(p.probs, q.probs)
     tiny = (w > 0.0) & (w < WEIGHT_FLOOR)
     if tiny.any():
         leak += float(w[tiny].sum())
         w[tiny] = 0.0
     return FinitePmf(w, leak)
-
-
-def _fft_convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Full linear convolution by real transforms at the next fast length:
-    the operations scipy.signal.fftconvolve performs on 1-D float input, so
-    results agree bit for bit, without importing scipy.signal."""
-    size = x.size + y.size - 1
-    n = sp_fft.next_fast_len(size, real=True)
-    return sp_fft.irfft(sp_fft.rfft(x, n) * sp_fft.rfft(y, n), n)[:size]
 
 
 def truncate(p: FinitePmf, tail_eps: float) -> FinitePmf:
@@ -490,7 +469,7 @@ class OffspringLaw:
 
     def log_pgf_pair(self, log_v: float) -> tuple[float, float]:
         """(log E v^N, log d/dv E v^N) over the weights, from log v."""
-        return _log_pgf_pair(self.weights, log_v, True)
+        return _log_pgf_pair(self.weights, log_v)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 Two independent routes to the same object: step() pushes the pmf forward by
 explicit convolution powers, while gf_orbit maps the generating function
 F(s) = E s^X forward in closed form, from a head of the initial law and
-without evolving any law (gf_step_eval/gf_step_deriv are one step of it).
-They must agree, and the test suite holds them to 1e-10 of each other.
+without evolving any law.  They must agree, and the test suite holds them
+to 1e-10 of each other.
 
 Per-step free-energy bounds: with mu = E N,
 
@@ -13,11 +13,11 @@ Per-step free-energy bounds: with mu = E N,
 
 A leak-free row computed wholly in the direct-convolution regime therefore
 carries a certified bracket around the limit.  Leaked mass lowers the
-retained E X_n and with it both bounds.  Once a step goes through the FFT
-(dists._DIRECT_CONV_OPS), the kept positive round-off noise biases E X_n,
-and with it both bounds, upward; those rows are not certified.  gf_orbit
-convolves only heads of a weights per remaining step, so it has
-no FFT regime.
+retained E X_n and with it both bounds.  Once a step takes the transform
+(_spectral_powers, past dists._DIRECT_CONV_OPS), the kept positive
+round-off noise biases E X_n, and with it both bounds, upward; those rows
+are not certified.  gf_orbit convolves only heads of a weights per
+remaining step, so it has no FFT regime.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ class TraceRow:
 class EvolutionTrace:
     """Per-step summary rows, optionally with the full pmfs retained."""
 
-    model: ModelSpec
     rows: tuple[TraceRow, ...]
     pmfs: tuple[FinitePmf, ...] | None = None
 
@@ -109,8 +108,8 @@ def step(x: FinitePmf, model: ModelSpec,
     """One generation: mixture over N of clip-shifted convolution powers.
 
     Powers are built one by one while each convolution fits the direct
-    budget (dists._DIRECT_CONV_OPS).  From the first power that would go
-    through the FFT on, the rest of the mixture comes from one spectrum
+    budget (dists._DIRECT_CONV_OPS).  From the first power that would pass
+    it on, the rest of the mixture comes from one spectrum
     (see _spectral_powers), so a step the budget keeps fully direct is
     computed exactly as by the plain loop.
     """
@@ -179,8 +178,8 @@ def _spectral_powers(base: FinitePmf, x: FinitePmf,
     sum_i v[i-1] phi^i in phi = rfft(x), evaluated by Horner's rule.  When
     base is x itself its transform is reused, so a step whose second power
     is already over budget takes one forward and one inverse transform in
-    place of three per power.  Round-off below zero is clipped as in
-    dists.convolve.  Term i leaks 1 - (1 - l_base)(1 - l_x)^i.
+    place of three per power.  Round-off below zero is clipped to zero; the
+    positive noise is kept.  Term i leaks 1 - (1 - l_base)(1 - l_x)^i.
     """
     n = x.probs.size
     size = base.probs.size + v.size * (n - 1)
@@ -231,7 +230,7 @@ def evolve(model: ModelSpec, steps: int = DEFAULT_STEPS, *,
                 tuple(pmfs) if keep_pmfs else None)
         if keep_pmfs:
             pmfs.append(x)
-    return EvolutionTrace(model, tuple(rows),
+    return EvolutionTrace(tuple(rows),
                           tuple(pmfs) if keep_pmfs else None)
 
 
@@ -322,23 +321,3 @@ def gf_orbit(x0: FinitePmf | GeometricPmf, law: OffspringLaw, a: int,
         f, fp = f_next, fp_next
     return rows
 
-
-def gf_step_eval(x: FinitePmf, model: ModelSpec, s: float) -> float:
-    """Image of F(s) = E s^X under one generation, computed without step():
-    one step of gf_orbit from x."""
-    return gf_step_eval_log(x, model, s).to_float()
-
-
-def gf_step_deriv(x: FinitePmf, model: ModelSpec, s: float) -> float:
-    """Derivative of the gf_step_eval image at s."""
-    return gf_step_deriv_log(x, model, s).to_float()
-
-
-def gf_step_eval_log(x: FinitePmf, model: ModelSpec, s: float) -> LogReal:
-    """gf_step_eval in signed log space; exact far beyond float64 range."""
-    return gf_orbit(x, model.offspring, model.a, s, 1)[1][0]
-
-
-def gf_step_deriv_log(x: FinitePmf, model: ModelSpec, s: float) -> LogReal:
-    """gf_step_deriv in signed log space."""
-    return gf_orbit(x, model.offspring, model.a, s, 1)[1][1]

@@ -125,14 +125,6 @@ def mc_estimate_q(model: ModelSpec, pop_size: int, steps: int, seed: int
     return QEstimate(upper, lower, stderr)
 
 
-def ancestor_count(offspring: OffspringLaw, depth: int, seed: int) -> int:
-    """Generation-`depth` size of one branching tree of the offspring law."""
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
-    seeds = np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-    return int(kernels.get_backend().gw_sizes(seeds, depth, offspring)[0])
-
-
 def ancestor_counts(offspring: OffspringLaw, depth: int, n_trees: int,
                     seed: int) -> np.ndarray:
     """Generation sizes of n_trees independent trees (one derived seed each)."""

@@ -38,8 +38,7 @@ from drphase.dists import (
     pgf_deriv,
     pgf_eval,
 )
-from drphase.evolution import evolve, gf_step_deriv, gf_step_deriv_log, \
-    gf_step_eval, gf_step_eval_log
+from drphase.evolution import evolve, gf_orbit
 from drphase.montecarlo import ancestor_counts, init_population, mc_step
 from drphase.scan import TwoPointFamily, bisect_boundary, scan
 
@@ -193,11 +192,10 @@ def test_criterion_04_generating_function_oracle(battery):
                     log_f = log_pgf_eval(x, s)
                     log_fp = log_pgf_deriv(x, s)
                     lg, lgp = law.log_pgf_pair(log_f)
-                    rows = ((gf_step_eval(x, model, s), pgf_eval(y, s),
-                             gf_step_eval_log(x, model, s),
+                    f, fp, _ = gf_orbit(x, law, a, s, 1)[1]
+                    rows = ((f.to_float(), pgf_eval(y, s), f,
                              log_pgf_eval(y, s), False),
-                            (gf_step_deriv(x, model, s), pgf_deriv(y, s),
-                             gf_step_deriv_log(x, model, s),
+                            (fp.to_float(), pgf_deriv(y, s), fp,
                              log_pgf_deriv(y, s), True))
                 scale_e = np.logaddexp(lg - a * ls, math.log(2.0 * a))
                 scale_d = np.logaddexp(

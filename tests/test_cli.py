@@ -598,6 +598,18 @@ def test_check_lemmas_csv_round_trips_quoted_details(tmp_path, capsys):
     assert "," in rows[0][2]
 
 
+def test_check_lemmas_unallocatable_head_is_a_numerical_failure(tmp_path,
+                                                                capsys):
+    # lemma1's clip heads would need a * steps = 8e15 float64 (71 PiB), far
+    # above any user address space, so numpy refuses before allocating; a
+    # failed allocation is no failed audit (exit 1)
+    cfg = write_config(tmp_path, base_config(a=10**15))
+    code, out, err = run_main(["check-lemmas", "--config", cfg], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure: ")
+
+
 # ---------------------------------------------------------------------------
 # output plumbing
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.signal import fftconvolve
 from scipy.special import logsumexp
 
 from drphase import dists
@@ -283,13 +282,11 @@ def test_pgf_pairs_equal_the_old_functions_bit_for_bit():
         with np.errstate(over="ignore"):
             f, fp = dists.pgf_pair(p, s)
             old_f, old_fp = old_pgf_eval(p, s), old_pgf_deriv(p, s)
-            assert dists.pgf_pair(p, s, deriv=False) == (f, None)
             assert (pgf_eval(p, s), pgf_deriv(p, s)) == (f, fp)
         assert same_bits(f, old_f) and same_bits(fp, old_fp), (p.support_max, s)
         log_f, log_fp = dists.log_pgf_pair(p, s)
         assert same_bits(log_f, old_log_pgf_eval(p, s)), (p.support_max, s)
         assert same_bits(log_fp, old_log_pgf_deriv(p, s)), (p.support_max, s)
-        assert dists.log_pgf_pair(p, s, deriv=False) == (log_f, None)
         assert (log_pgf_eval(p, s), log_pgf_deriv(p, s)) == (log_f, log_fp)
 
 
@@ -299,8 +296,7 @@ def test_pgf_pair_skips_a_certain_overflow():
     # past 710 nothing is evaluated, so no overflow is ever raised
     with np.errstate(over="raise"):
         assert dists.pgf_pair(p, math.exp(710.001 / 999)) == (math.inf, math.inf)
-        assert dists.pgf_pair(p, math.exp(711.0 / 999), deriv=False) \
-            == (math.inf, None)
+        assert pgf_eval(p, math.exp(711.0 / 999)) == math.inf
         with pytest.raises(FloatingPointError):
             dists.pgf_pair(p, math.exp(709.9 / 999))
     # a law on {0} at a tiny argument is evaluated, not skipped
@@ -380,26 +376,33 @@ def test_geometric_pmf_validation():
         ModelSpec(0, GeometricPmf(0.5), law)
 
 
-# -- FFT convolution against scipy.signal.fftconvolve, bit for bit ------------
+# -- convolution is the direct sum at every size ------------------------------
 
-def test_fft_convolve_equals_scipy_fftconvolve():
+def test_convolve_is_the_direct_sum_above_the_step_budget():
+    # sizes whose product passes dists._DIRECT_CONV_OPS, self-convolution
+    # included: bit for bit np.convolve, after the WEIGHT_FLOOR sweep and
+    # the trailing-zero trim
     rng = np.random.default_rng(20)
-    for _ in range(60):
-        n1, n2 = (int(v) for v in rng.integers(1, 5000, size=2))
-        x = rng.random(n1)
-        y = rng.random(n2) * rng.random(n2)
-        assert np.array_equal(dists._fft_convolve(x, y), fftconvolve(x, y))
-        assert np.array_equal(dists._fft_convolve(x, x), fftconvolve(x, x))
-    # through convolve() in the transform regime, self-convolution included
     w = rng.random(5000)
     p = FinitePmf(w / w.sum())
-    assert p.probs.size ** 2 > dists._DIRECT_CONV_OPS
-    for q in (p, FinitePmf(np.ones(4097) / 4097)):
-        want = fftconvolve(p.probs, q.probs)
-        np.clip(want, 0.0, None, out=want)
-        want[want < dists.WEIGHT_FLOOR] = 0.0
-        got = convolve(p, q).probs  # trailing zeros trimmed
-        assert np.array_equal(got, want[:got.size])
+    u = FinitePmf(np.ones(4097) / 4097)
+    # products of the 1e-160 tail fall below WEIGHT_FLOOR and are swept
+    w = rng.random(4200)
+    w[-300:] = 1e-160
+    w[:-300] *= (1.0 - 300e-160) / w[:-300].sum()
+    t = FinitePmf(w)
+    for x, y in ((p, p), (u, u), (p, u), (t, t), (t, p)):
+        assert x.probs.size * y.probs.size > dists._DIRECT_CONV_OPS
+        want = np.convolve(x.probs, y.probs)
+        swept = (want > 0.0) & (want < dists.WEIGHT_FLOOR)
+        leak = float(want[swept].sum())
+        want[swept] = 0.0
+        out = convolve(x, y)
+        got = out.probs  # trailing zeros trimmed
+        assert got.tobytes() == want[:got.size].tobytes()
+        assert not want[got.size:].any()
+        assert out.leaked_mass == leak
+    assert convolve(t, t).leaked_mass > 0.0
 
 
 def test_cli_import_leaves_scipy_signal_out():

@@ -21,11 +21,7 @@ from drphase.evolution import (
     LeakBudgetExceeded,
     SupportCapExceeded,
     evolve,
-    gf_step_deriv,
-    gf_step_deriv_log,
-    gf_step_eval,
     gf_orbit,
-    gf_step_eval_log,
     q_bounds,
     step,
 )
@@ -165,7 +161,8 @@ def test_step_fft_regime_matches_direct_reference(monkeypatch, law, size,
         monkeypatch.setattr(dists, "_DIRECT_CONV_OPS", budget)
     seen = _spy(monkeypatch)
     out = step(x, model, tail_eps=0.0)
-    # one spectrum for the powers over budget, no FFT convolutions
+    # one spectrum for the powers over budget, and no convolution over it,
+    # which would be a slow direct one
     assert seen["spectral"] == 1
     assert all(ops <= dists._DIRECT_CONV_OPS for ops in seen["convolve"])
     assert mean(out) == pytest.approx(mean(ref), rel=1e-12)
@@ -222,22 +219,27 @@ def test_step_stays_direct_when_the_floor_trims_powers(monkeypatch):
 
 # -- generating-function route ------------------------------------------------
 
+# One step of gf_orbit: row 1 holds (F_1(s), F_1'(s), log G(F_1(s))).
+
 def test_gf_step_eval_pinned():
     model = base_model()
-    assert gf_step_eval(model.x0, model, 2.0) == pytest.approx(3.25, abs=1e-14)
+    f, _, _ = gf_orbit(model.x0, model.offspring, model.a, 2.0, 1)[1]
+    assert f.to_float() == pytest.approx(3.25, abs=1e-14)
 
 
 def test_gf_step_deriv_pinned():
     model = base_model()
-    assert gf_step_deriv(model.x0, model, 2.0) == pytest.approx(3.5, abs=1e-14)
+    _, fp, _ = gf_orbit(model.x0, model.offspring, model.a, 2.0, 1)[1]
+    assert fp.to_float() == pytest.approx(3.5, abs=1e-14)
 
 
 def test_gf_step_absorbing_input():
     model = base_model()
     delta = FinitePmf.delta(0)
     for s in (1.1, 2.0, 5.0):
-        assert gf_step_eval(delta, model, s) == pytest.approx(1.0, abs=1e-14)
-        assert gf_step_deriv(delta, model, s) == pytest.approx(0.0, abs=1e-14)
+        f, fp, _ = gf_orbit(delta, model.offspring, model.a, s, 1)[1]
+        assert f.to_float() == pytest.approx(1.0, abs=1e-14)
+        assert fp.to_float() == pytest.approx(0.0, abs=1e-14)
 
 
 def test_gf_step_matches_step_pgf():
@@ -246,19 +248,20 @@ def test_gf_step_matches_step_pgf():
         model = rand_model_light(rng)
         out = step(model.x0, model, tail_eps=0.0)
         for s in (1.1, 1.5, 2.0, 3.0):
-            assert gf_step_eval(model.x0, model, s) == pytest.approx(
-                pgf_eval(out, s), rel=1e-10)
-            assert gf_step_deriv(model.x0, model, s) == pytest.approx(
-                pgf_deriv(out, s), rel=1e-10)
+            f, fp, _ = gf_orbit(model.x0, model.offspring, model.a, s, 1)[1]
+            assert f.to_float() == pytest.approx(pgf_eval(out, s), rel=1e-10)
+            assert fp.to_float() == pytest.approx(pgf_deriv(out, s), rel=1e-10)
 
 
 def test_gf_step_finite_difference_consistency():
     model = base_model()
+    law, a = model.offspring, model.a
     h = 1e-6
     for s in (1.5, 2.0, 2.5):
-        fd = (gf_step_eval(model.x0, model, s + h)
-              - gf_step_eval(model.x0, model, s - h)) / (2.0 * h)
-        assert gf_step_deriv(model.x0, model, s) == pytest.approx(fd, rel=1e-5)
+        hi = gf_orbit(model.x0, law, a, s + h, 1)[1][0].to_float()
+        lo = gf_orbit(model.x0, law, a, s - h, 1)[1][0].to_float()
+        _, fp, _ = gf_orbit(model.x0, law, a, s, 1)[1]
+        assert fp.to_float() == pytest.approx((hi - lo) / (2.0 * h), rel=1e-5)
 
 
 def _cut_geometric_reference(p, tail=1e-14):
@@ -286,17 +289,8 @@ def test_geometric_law_is_cut_at_construction(p):
     model = ModelSpec(a=1, x0=FinitePmf.from_dict({0: 0.5, 2: 0.5}),
                       offspring=law)
     stepped = step(model.x0, model, tail_eps=0.0)
-    assert gf_step_eval(model.x0, model, 1.5) == pytest.approx(
-        pgf_eval(stepped, 1.5), rel=1e-10)
-
-
-def test_gf_step_log_variants_match_plain():
-    model = base_model()
-    for s in (1.1, 2.0, 3.0):
-        assert gf_step_eval_log(model.x0, model, s).to_float() == pytest.approx(
-            gf_step_eval(model.x0, model, s), rel=1e-12)
-        assert gf_step_deriv_log(model.x0, model, s).to_float() == pytest.approx(
-            gf_step_deriv(model.x0, model, s), rel=1e-12)
+    f, _, _ = gf_orbit(model.x0, law, model.a, 1.5, 1)[1]
+    assert f.to_float() == pytest.approx(pgf_eval(stepped, 1.5), rel=1e-10)
 
 
 # -- generating-function orbit -------------------------------------------------

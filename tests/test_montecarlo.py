@@ -11,7 +11,6 @@ from drphase.evolution import evolve
 from drphase.montecarlo import (
     TREE_DEPTH_LIMIT,
     Population,
-    ancestor_count,
     ancestor_counts,
     init_population,
     mc_estimate_q,
@@ -121,13 +120,13 @@ def test_mc_estimate_q_rejects_small_pool():
 
 def test_ancestor_count_deterministic_two():
     for depth in range(7):
-        assert ancestor_count(OffspringLaw.deterministic(2), depth, seed=1) \
-            == 2**depth
+        assert ancestor_counts(OffspringLaw.deterministic(2), depth, 1,
+                               seed=1)[0] == 2**depth
 
 
 def test_ancestor_count_depth_zero_is_root():
     law = OffspringLaw.finite_support({1: 0.5, 3: 0.5})
-    assert ancestor_count(law, 0, seed=123) == 1
+    assert ancestor_counts(law, 0, 1, seed=123)[0] == 1
 
 
 def test_ancestor_counts_match_growth_rate():

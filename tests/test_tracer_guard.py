@@ -1,14 +1,18 @@
-"""The benchmark tracer still reads the kernel table it wraps.
+"""The benchmark tracer still reads the kernel table and functions it wraps.
 
 `perfbench/tracer.py` wraps the table entries `mc_step` and `gw_sizes` and
-counts samples and trees from `len(args[0])`.  A kernel change that renames
-an entry or moves the pool or the seeds from the first argument would
-break only the traced benchmark, which the test suite does not run; this
-test runs both entries under an installed tracer.
+counts samples and trees from `len(args[0])`.  It also wraps
+`dists.convolve`, naming each span direct or FFT by reading
+`dists._DIRECT_CONV_OPS` at call time, and `dists.pgf_eval` and
+`dists.log_pgf_eval`.  A change that renames an entry, one of these
+functions or that constant, or moves the pool or the seeds from the first
+argument would break only the traced benchmark, which the test suite does
+not run; these tests run them under an installed tracer.
 """
 
 from pathlib import Path
 
+from drphase import dists, evolution
 from drphase.dists import FinitePmf, ModelSpec, OffspringLaw
 from drphase.montecarlo import ancestor_counts, init_population, mc_step
 
@@ -38,3 +42,24 @@ def test_tracer_counts_pool_samples_and_trees(monkeypatch):
     from drphase import kernels
     assert kernels.get_backend().mc_step is kernels._mc_step
     assert kernels.get_backend().gw_sizes is kernels._gw_sizes
+
+
+def test_tracer_names_convolve_and_counts_pgf_calls(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer
+
+    model = ModelSpec(1, FinitePmf.from_dict({0: 0.5, 2: 0.5}),
+                      OffspringLaw.deterministic(2))
+    tracer = Tracer()
+    tracer.install()
+    try:
+        stepped = evolution.step(model.x0, model)
+        dists.pgf_eval(stepped, 1.5)
+        dists.log_pgf_eval(stepped, 1.5)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["evolution.step.calls"] == 1
+    assert tracer.counts["dists.convolve.direct_calls"] >= 1
+    assert tracer.counts["dists.convolve.fft_calls"] == 0
+    assert tracer.counts["dists.pgf.calls"] == 1
+    assert tracer.counts["dists.log_pgf.calls"] == 1
