@@ -1,12 +1,13 @@
-"""Before/after timings of the log-space pgf and of CLI check-lemmas.
+"""Before/after timings of the pgf pairs and of CLI check-lemmas.
 
-Times `dists.log_pgf_eval` and `dists.log_pgf_deriv` on laws of 10, 150,
-2,000 and 100,000 positive weights and on `geometric_x0_pmf(1e-5)` (about
-3.2M entries), and `drphase check-lemmas` in-process on the README model
-and on the bounded-N model of perfbench's exact-evolve workload, for a
-baseline revision and the working tree (see passes.py for the pass
-scheme).  BENCH_gf.json also holds each side's outputs, the pgf values and
-the check-lemmas stdout, and whether the two sides' outputs are identical.
+Times `FinitePmf.pgf_pair` and `FinitePmf.log_pgf_pair`, the one-pass
+pairs that classify and the audits evaluate, on laws of 10, 150, 2,000 and
+100,000 positive weights and on `geometric_x0_pmf(1e-5)` (about 3.2M
+entries), and `drphase check-lemmas` in-process on the README model and on
+the bounded-N model of perfbench's exact-evolve workload, for a baseline
+revision and the working tree (see passes.py for the pass scheme).
+BENCH_gf.json also holds each side's outputs, the pgf values and the
+check-lemmas stdout, and whether the two sides' outputs are identical.
 
     python benchmarks/bench_gf.py --baseline REV
 """
@@ -51,10 +52,10 @@ def measure():
     import tempfile
     import numpy as np
     import scipy
-    from drphase import dists
+    from drphase.dists import FinitePmf
     timings, outputs = {}, {}
     for name, p in pgf_cases():
-        for fn in (dists.log_pgf_eval, dists.log_pgf_deriv):
+        for fn in (FinitePmf.pgf_pair, FinitePmf.log_pgf_pair):
             case = f"{fn.__name__}.{name}"
             outputs[case] = repr(fn(p, S))
             timings[case] = best_of(lambda: fn(p, S))

@@ -1,0 +1,105 @@
+"""Byte-identity check of the command line: a git revision against the
+working tree.
+
+Runs a fixed matrix of `python -m drphase` invocations under the `src/` of
+revision REV (exported with `passes.export_src`) and under the working
+tree's `src/`: `classify`, `evolve`, `estimate-q`, `simulate` and
+`check-lemmas` in table, csv and json on five models (the README model, a
+geometric-N model, a geometric-x0 model with geometric N, a finite-N model
+and a subcritical model), plus `scan` on one `two_point` and one
+`geometric_x0` family in the three formats: 81 invocations per side.  Each
+invocation's stdout, stderr and exit code must be equal on both sides.
+Prints one line per difference and a summary, and exits 1 if there is any
+difference, 0 otherwise.
+
+    python benchmarks/cli_matrix.py --baseline REV
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+from passes import REPO, export_src
+
+COMMANDS = ("classify", "evolve", "estimate-q", "simulate", "check-lemmas")
+FORMATS = ("table", "csv", "json")
+# the command blocks every model config carries, sized to finish in seconds
+BLOCKS = {
+    "evolve": {"steps": 12},
+    "estimate_q": {"steps": 12},
+    "simulate": {"steps": 5, "pop_size": 2000, "seed": 7},
+    "check_lemmas": {"growth_steps": 4, "tail_steps": 8,
+                     "contraction_steps": 6, "association_steps": 4},
+}
+FINITE = {"type": "finite", "pmf": [[0, 0.5], [2, 0.5]]}
+MODELS = {
+    "readme": {"a": 1, "x0": FINITE, "N": {"type": "deterministic", "n": 2}},
+    "geometric-n": {"a": 1, "x0": FINITE, "N": {"type": "geometric", "p": 0.5}},
+    "geometric-x0": {"a": 1, "x0": {"type": "geometric", "p": 0.35},
+                     "N": {"type": "geometric", "p": 0.5}},
+    "finite-n": {"a": 1, "x0": {"type": "finite", "pmf": [[0, 0.6], [2, 0.4]]},
+                 "N": {"type": "finite", "pmf": [[1, 0.6], [3, 0.4]]}},
+    "subcritical": {"a": 1,
+                    "x0": {"type": "finite", "pmf": [[0, 0.9], [2, 0.1]]},
+                    "N": {"type": "deterministic", "n": 2}},
+}
+FAMILIES = {
+    "two-point": {"a": 2, "N": {"type": "deterministic", "n": 2},
+                  "scan": {"family": {"type": "two_point", "high": 3},
+                           "grid_points": 41, "tolerance": 1e-9}},
+    "geometric-x0": {"a": 1, "N": {"type": "finite",
+                                   "pmf": [[1, 0.6], [3, 0.4]]},
+                     "scan": {"family": {"type": "geometric_x0"}}},
+}
+
+
+def cases(tmp):
+    """(label, argv) of every invocation; the configs are written to tmp."""
+    runs = [(command, name, {**model, **BLOCKS}) for command in COMMANDS
+            for name, model in MODELS.items()]
+    runs += [("scan", name, doc) for name, doc in FAMILIES.items()]
+    out = []
+    for command, name, doc in runs:
+        path = os.path.join(tmp, f"{command}-{name}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out += [(f"{command} {name} {fmt}",
+                 [command, "--config", path, "--output", fmt])
+                for fmt in FORMATS]
+    return out
+
+
+def run(src, argv):
+    """(exit code, stdout, stderr) of drphase on argv, from the tree src."""
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "drphase", *argv], env=env,
+                          capture_output=True, text=True, timeout=600)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--baseline", required=True,
+                        help="git revision whose src/ is the reference")
+    args = parser.parse_args()
+    differences = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = (export_src(args.baseline, tmp), os.path.join(REPO, "src"))
+        matrix = cases(tmp)
+        for label, argv in matrix:
+            before, after = (run(src, argv) for src in sides)
+            for field, old, new in zip(("exit code", "stdout", "stderr"),
+                                       before, after):
+                if old != new:
+                    differences += 1
+                    print(f"DIFF {label}: {field}")
+    print(f"{len(matrix)} invocations, {differences} differences "
+          f"against {args.baseline}")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -4,8 +4,9 @@ One JSON config file describes the model and per-command options; every
 command reads it, validates it fully before computing anything, and writes
 deterministic output.  Exit codes: 0 success, 2 configuration error,
 3 numerical failure (leak budget, support overflow, an array too large to
-allocate, an uncertified scan boundary); check-lemmas exits 1 when an
-audited inequality fails.
+allocate, a geometric success probability below float resolution, an
+uncertified scan boundary); check-lemmas exits 1 when an audited inequality
+fails.
 
 check-lemmas audits lemmas 1 and 3 along the generating-function orbit
 (evolution.gf_orbit), which evolves no law and so has no support cap, no
@@ -180,9 +181,17 @@ def load_config(path: str) -> dict:
     return _as_object(raw, "config")
 
 
+def _parse_a(cfg: dict) -> int:
+    """The tax a, an integer >= 1."""
+    a = _get(cfg, "a", "config", kind=int)
+    if a < 1:
+        raise ConfigError(f"config.a: must be >= 1, got {a}")
+    return a
+
+
 def parse_model(cfg: dict) -> ModelSpec:
     """Model from the top-level keys."""
-    a = _get(cfg, "a", "config", kind=int)
+    a = _parse_a(cfg)
     offspring = _parse_offspring(_get(cfg, "N", "config"), "N")
     if "x0" not in cfg:
         raise ConfigError("x0: required key is missing")
@@ -392,7 +401,7 @@ def cmd_simulate(cfg: dict, args) -> int:
 def _parse_family(cfg: dict, scan: dict, offspring: OffspringLaw) -> Family:
     fam, kind = _typed_object(_get(scan, "family", "scan"), "scan.family",
                               _FAMILY_KEYS)
-    a = _get(cfg, "a", "config", kind=int)
+    a = _parse_a(cfg)
     try:
         if kind == "two_point":
             high = _get(fam, "high", "scan.family", kind=int)
@@ -450,8 +459,7 @@ def _rel_margin(diff, ref) -> float:
 
 def _growth_points(model: ModelSpec) -> list[float]:
     """The lemma1 s-grid points where the criterion value is positive."""
-    mu = model.offspring.mean
-    s_star = mu ** (1.0 / model.a)
+    s_star, mu = criteria.super_point(model)
     grid = [c * s_star for c in (0.9, 0.95, 0.99) if c * s_star > 1.0]
     return [s for s in grid if criteria.d0(model, s, mu) > 0.0]
 
@@ -495,10 +503,10 @@ def _lemma2_audit(model: ModelSpec, steps: int) -> tuple[str, str]:
 
 
 def _lemma3_audit(model: ModelSpec, steps: int) -> tuple[str, str]:
-    bound = model.offspring.bound
-    if bound is None:
+    point = criteria.sub_point(model)
+    if point is None:
         return "SKIPPED", "requires bounded N"
-    s0 = 1.0 + (bound - 1.0) / model.a
+    s0 = point[0]
     worst = math.inf
     for s in (s0, 2.0 * s0):
         for row in criteria.lemma3_contraction_check(model, s, steps):

@@ -156,11 +156,10 @@ def lemma1_growth_check(model: ModelSpec, s: float, steps: int
     of the supercritical criterion value, valid for 1 < s < mu^(1/a).
     Each row holds within the slack of _growth_holds.
     """
-    s_max = model.offspring.mean ** (1.0 / model.a)
+    s_max, mu = super_point(model)
     if not 1.0 < s < s_max:
         raise ValueError(
             f"s must lie in the open interval (1, {s_max}), got {s}")
-    mu = model.offspring.mean
     a = model.a
     log_rate = math.log(mu) - a * math.log(s)
     log_first, log_second = math.log((mu - 1.0) * s), math.log(a)
@@ -254,14 +253,13 @@ def lemma3_contraction_check(model: ModelSpec, s: float, steps: int
     is the sign-persistence consequence the subcritical argument uses.
     Each row holds within the relative slack of _contraction_holds.
     """
-    bound = model.offspring.bound
-    if bound is None:
+    point = sub_point(model)
+    if point is None:
         raise ValueError("contraction audit requires bounded offspring counts")
-    threshold = 1.0 + (bound - 1.0) / model.a
+    threshold, m = point
     if s < threshold:
         raise ValueError(f"s must be >= {threshold}, got {s}")
     a = model.a
-    m = float(bound)
     log_s = math.log(s)
     rows: list[ContractionRow] = []
     d_prev: LogReal | None = None

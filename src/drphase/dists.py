@@ -175,19 +175,28 @@ def geometric_x0_pmf(r: float) -> FinitePmf:
     left unnormalized (the missing mass stays under the conservation band)."""
     if not 0.0 < r < 1.0:
         raise ValueError(f"success probability must lie in (0, 1), got {r}")
-    q = 1.0 - r
-    # smallest cutoff with P(X0 > cutoff) = q^(cutoff+1) below the tail
-    cutoff = max(1, math.ceil(math.log(GEOMETRIC_TAIL) / math.log(q)) - 1)
-    while q ** (cutoff + 1) >= GEOMETRIC_TAIL:
-        cutoff += 1
-    w = r * np.power(q, np.arange(cutoff + 1, dtype=np.float64))
+    w, tail = _geometric_weights(r, GEOMETRIC_TAIL)
     # np.power's relative error grows ~3e-17 * k, and the cutoff scales as
     # 1/r, so below r ~ 1e-4 the float total drifts out of the conservation
-    # band.  Re-pin the largest weight to the analytic total 1 - q^(c+1).
-    gap = float((1.0 - q ** (cutoff + 1)) - np.sum(w, dtype=np.longdouble))
+    # band.  Re-pin the largest weight to the analytic total 1 - q^n.
+    gap = float((1.0 - tail) - np.sum(w, dtype=np.longdouble))
     if gap != 0.0 and abs(gap) <= 1e-3 * r:
         w[0] += gap
     return FinitePmf(w)
+
+
+def _geometric_weights(p: float, tail: float) -> tuple[np.ndarray, float]:
+    """(w, q^n): w[k] = p q^k for k < n, q = 1 - p, n >= 2 the fewest
+    weights whose upper tail q^n is below `tail`.  A p below float
+    resolution (1 - p rounds to 1) has no such n: OverflowError."""
+    q = 1.0 - p
+    if q == 1.0:
+        raise OverflowError(f"geometric success probability {p!r} is below "
+                            f"float resolution: 1 - p rounds to 1")
+    n = max(2, math.ceil(math.log(tail) / math.log(q)))
+    while q ** n >= tail:
+        n += 1
+    return p * np.power(q, np.arange(n, dtype=np.float64)), float(q ** n)
 
 
 def as_finite(x0: FinitePmf | GeometricPmf) -> FinitePmf:
@@ -329,11 +338,18 @@ def convolve(p: FinitePmf, q: FinitePmf) -> FinitePmf:
     if p.probs.size == 0 or q.probs.size == 0:
         return FinitePmf(np.zeros(0), 1.0)
     w = kernels.get_backend().conv_direct(p.probs, q.probs)
+    return FinitePmf(w, leak + sweep_floor(w))
+
+
+def sweep_floor(w: np.ndarray) -> float:
+    """Zero the positive weights of w below WEIGHT_FLOOR, in place, and
+    return their total, which the caller books as leaked mass."""
     tiny = (w > 0.0) & (w < WEIGHT_FLOOR)
-    if tiny.any():
-        leak += float(w[tiny].sum())
-        w[tiny] = 0.0
-    return FinitePmf(w, leak)
+    if not tiny.any():
+        return 0.0
+    swept = float(w[tiny].sum())
+    w[tiny] = 0.0
+    return swept
 
 
 def truncate(p: FinitePmf, tail_eps: float) -> FinitePmf:
@@ -406,25 +422,15 @@ class OffspringLaw:
 
     @classmethod
     def finite_support(cls, pmf: Mapping[int, float]) -> "OffspringLaw":
-        if not pmf:
-            raise ValueError("offspring pmf must not be empty")
+        """Counts >= 1 with weights checked and trimmed by FinitePmf; the
+        bound is the largest count of positive probability."""
         for k in pmf:
             if not isinstance(k, (int, np.integer)) or k < 1:
                 raise ValueError(f"offspring count {k!r} is not an integer >= 1")
-        w = np.zeros(int(max(pmf)) + 1)
-        for k, v in pmf.items():
-            if v < 0.0:
-                raise ValueError(f"offspring probability for {k} is negative")
-            w[int(k)] = v
-        if abs(float(w.sum()) - 1.0) > MASS_TOL:
-            raise ValueError("offspring probabilities must sum to 1")
-        if float(w[2:].sum()) <= 0.0:
+        law = FinitePmf.from_dict(pmf)
+        if float(law.probs[2:].sum()) <= 0.0:
             raise ValueError("the replica count must exceed 1 with positive probability")
-        # the bound is the largest count of positive probability
-        top = int(np.flatnonzero(w)[-1])
-        w = w[:top + 1]
-        m = float(np.dot(w, np.arange(top + 1, dtype=np.float64)))
-        return cls("finite", m, w, top)
+        return cls("finite", mean(law), law.probs, law.support_max)
 
     @classmethod
     def geometric(cls, p: float) -> "OffspringLaw":
@@ -444,13 +450,8 @@ class OffspringLaw:
     def _cut_geometric(cls, p: float, tail: float) -> "OffspringLaw":
         """The success-p geometric law with weights up to the smallest cutoff
         whose upper tail is below `tail`; the tail becomes truncation_leak."""
-        q = 1.0 - p
-        cutoff = max(2, math.ceil(math.log(tail) / math.log(q)))
-        while q ** cutoff >= tail:
-            cutoff += 1
-        w = np.zeros(cutoff + 1)
-        w[1:] = p * np.power(q, np.arange(cutoff, dtype=np.float64))
-        leak = float(q ** cutoff)
+        weights, leak = _geometric_weights(p, tail)
+        w = np.concatenate(([0.0], weights))
         # np.power errs by ~3e-17 * k relative, so below p ~ 5e-5 the total
         # can leave the MASS_TOL band; only then re-pin the largest weight.
         if abs(float(w.sum()) + leak - 1.0) > MASS_TOL:

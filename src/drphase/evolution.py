@@ -137,10 +137,7 @@ def step(x: FinitePmf, model: ModelSpec,
             continue
         leak += wk * pw.leaked_mass
         _add_clipped(acc, wk, pw.probs, a)
-    tiny = (acc > 0.0) & (acc < dists.WEIGHT_FLOOR)
-    if tiny.any():
-        leak += float(acc[tiny].sum())
-        acc[tiny] = 0.0
+    leak += dists.sweep_floor(acc)
     # The exact mixture conserves mass, but convolution powers amplify any
     # float drift by a factor of E N per step (squaring maps 1+d to 1+2d),
     # which would breach the conservation band within ~20 generations.

@@ -6,6 +6,7 @@ environment variables and process state cannot bleed between runs.
 """
 
 import json
+import math
 import subprocess
 import sys
 
@@ -457,6 +458,72 @@ def test_scan_config_validation(tmp_path, capsys):
     code, _, err = run_main(["scan", "--config", cfg], capsys)
     assert code == 2
     assert "scan.family.type" in err
+
+
+@pytest.mark.parametrize("command,a,family", [
+    ("scan", 0, {"type": "two_point", "high": 2}),
+    ("scan", -1, {"type": "two_point", "high": 2}),
+    ("scan", 0, {"type": "geometric_x0"}),
+    ("scan", -1, {"type": "geometric_x0"}),
+    ("classify", 0, None),
+])
+def test_tax_below_one_is_a_config_error(tmp_path, capsys, command, a,
+                                         family):
+    doc = base_config(a=a)
+    if family is not None:
+        doc["scan"] = {"family": family}
+    cfg = write_config(tmp_path, doc)
+    code, out, err = run_main([command, "--config", cfg], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"config error: config.a: must be >= 1, got {a}\n"
+
+
+# command blocks that keep every run of a test model short
+SHORT_BLOCKS = {"evolve": {"steps": 2}, "estimate_q": {"steps": 2},
+                "simulate": {"steps": 2, "pop_size": 10, "seed": 1},
+                "check_lemmas": {"growth_steps": 2, "tail_steps": 2,
+                                 "contraction_steps": 2,
+                                 "association_steps": 2}}
+
+
+@pytest.mark.parametrize("command,law", [
+    ("classify", "N"), ("evolve", "x0"), ("estimate-q", "x0"),
+    ("simulate", "x0"), ("check-lemmas", "x0")])
+def test_geometric_p_below_float_resolution_is_a_numerical_failure(
+        tmp_path, capsys, command, law):
+    # 1 - 1e-17 rounds to 1, so no cutoff of the weights ends the tail
+    cfg = write_config(tmp_path, base_config(
+        **{law: {"type": "geometric", "p": 1e-17}}, **SHORT_BLOCKS))
+    code, out, err = run_main([command, "--config", cfg], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure: geometric success "
+                          "probability 1e-17 is below float resolution")
+
+
+def test_classify_geometric_x0_below_float_resolution(tmp_path, capsys):
+    # the closed form builds no weights, so classify still answers
+    cfg = write_config(tmp_path, base_config(
+        x0={"type": "geometric", "p": 1e-17}))
+    code, out, err = run_main(["classify", "--config", cfg], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["verdict: Supercritical", "d_super: inf",
+                                "s_super: 2", "d_sub: inf", "s_sub: 2"]
+
+
+@pytest.mark.parametrize("command", ["classify", "evolve", "check-lemmas"])
+@pytest.mark.parametrize("pmf", [[[2, math.nan]],
+                                 [[1, 0.5], [2, math.nan], [3, 0.5]]])
+def test_nan_offspring_weight_is_a_config_error(tmp_path, capsys, command,
+                                                pmf):
+    # json reads NaN; the weights must still be finite
+    cfg = write_config(tmp_path, base_config(
+        N={"type": "finite", "pmf": pmf}, **SHORT_BLOCKS))
+    code, out, err = run_main([command, "--config", cfg], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "config error: N: weights must be finite\n"
 
 
 # ---------------------------------------------------------------------------

@@ -376,6 +376,43 @@ def test_geometric_pmf_validation():
         ModelSpec(0, GeometricPmf(0.5), law)
 
 
+def _geometric_x0_reference(r):
+    """The weights of geometric_x0_pmf(r) from a standalone copy of its
+    formula: the cutoff search, np.power and the 1e-3 r re-pin."""
+    q = 1.0 - r
+    cutoff = max(1, math.ceil(math.log(GEOMETRIC_TAIL) / math.log(q)) - 1)
+    while q ** (cutoff + 1) >= GEOMETRIC_TAIL:
+        cutoff += 1
+    w = r * np.power(q, np.arange(cutoff + 1, dtype=np.float64))
+    gap = float((1.0 - q ** (cutoff + 1)) - np.sum(w, dtype=np.longdouble))
+    if gap != 0.0 and abs(gap) <= 1e-3 * r:
+        w[0] += gap
+    return w
+
+
+@pytest.mark.parametrize("r", [0.9, 0.6, 0.45, 0.2, 0.05, 1e-3, 1e-4])
+def test_geometric_x0_cut_is_pinned_bit_for_bit(r):
+    assert dists.geometric_x0_pmf(r).probs.tobytes() == \
+        _geometric_x0_reference(r).tobytes()
+
+
+def test_geometric_below_float_resolution_is_an_overflow():
+    # 1 - 1e-17 rounds to 1: no cutoff ends the tail
+    with pytest.raises(OverflowError, match="below float resolution"):
+        dists.geometric_x0_pmf(1e-17)
+    with pytest.raises(OverflowError, match="below float resolution"):
+        OffspringLaw.geometric(1e-17)
+    # the closed form needs no cut
+    assert GeometricPmf(1e-17).pgf_pair(2.0) == (math.inf, math.inf)
+
+
+def test_sweep_floor_zeroes_and_totals_the_tiny_weights():
+    w = np.array([1e-301, 0.5, 0.0, 3e-301, dists.WEIGHT_FLOOR, 0.5])
+    assert dists.sweep_floor(w) == 1e-301 + 3e-301
+    assert w.tolist() == [0.0, 0.5, 0.0, 0.0, dists.WEIGHT_FLOOR, 0.5]
+    assert dists.sweep_floor(w) == 0.0
+
+
 # -- convolution is the direct sum at every size ------------------------------
 
 def test_convolve_is_the_direct_sum_above_the_step_budget():
@@ -483,6 +520,14 @@ def test_offspring_finite_needs_mass_above_one():
     law = OffspringLaw.finite_support({1: 0.5, 3: 0.5})
     assert law.mean == 2.0
     assert law.bound == 3
+
+
+@pytest.mark.parametrize("pmf", [
+    {2: math.nan}, {1: 0.5, 2: math.nan, 3: 0.5}, {1: 0.5, 2: math.inf},
+    {1: -0.5, 2: 1.5}, {1: 0.5, 2: 0.4}, {}])
+def test_offspring_finite_weights_are_checked_as_a_pmf(pmf):
+    with pytest.raises(ValueError):
+        OffspringLaw.finite_support(pmf)
 
 
 def test_offspring_bound_is_the_essential_supremum():
