@@ -10,6 +10,9 @@ BENCH_gf.json also holds each side's outputs, the pgf values and the
 check-lemmas stdout, and whether the two sides' outputs are identical.
 
     python benchmarks/bench_gf.py --baseline REV
+
+REV must be 1da936b or later: earlier revisions have no
+`dists.geometric_x0_pmf`.
 """
 
 from passes import best_of, main, outputs_identical
@@ -26,8 +29,7 @@ MODELS = (
 
 def pgf_cases():
     import numpy as np
-    from drphase.dists import FinitePmf
-    from drphase.scan import geometric_x0_pmf
+    from drphase.dists import FinitePmf, geometric_x0_pmf
     rng = np.random.default_rng(11)
     for size in SIZES:
         w = rng.random(size) + 0.01

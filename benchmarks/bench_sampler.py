@@ -11,6 +11,9 @@ of every case's output on each side, and whether the two sides' outputs
 are identical.
 
     python benchmarks/bench_sampler.py --baseline REV
+
+REV must be 1da936b or later: earlier revisions have no
+`dists.geometric_x0_pmf`.
 """
 
 from passes import best_of, main, outputs_identical
@@ -24,10 +27,10 @@ def measure():
     import hashlib
     import numpy as np
     import scipy
-    from drphase.dists import FinitePmf, ModelSpec, OffspringLaw
+    from drphase.dists import (FinitePmf, ModelSpec, OffspringLaw,
+                               geometric_x0_pmf)
     from drphase.montecarlo import (ancestor_counts, init_population,
                                     mc_step, tree_sample)
-    from drphase.scan import geometric_x0_pmf
 
     def digest(arr):
         data = np.asarray(arr, dtype="<i8").tobytes()

@@ -30,6 +30,7 @@ from .dists import (
     ModelSpec,
     OffspringLaw,
     convolve,
+    geometric_x0_pmf,
     log_pgf_deriv,
     log_pgf_eval,
     mean,
@@ -67,7 +68,6 @@ from .scan import (
     TwoPointFamily,
     bisect_boundary,
     boundary_report,
-    geometric_x0_pmf,
     scan,
 )
 

@@ -48,6 +48,18 @@ GEOMETRIC_TAIL = 1e-14
 _DIRECT_CONV_OPS = 1 << 24
 # s^k overflows float64 for k log s above log(DBL_MAX) = 709.78...
 _LOG_OVERFLOW = 710.0
+# numpy refuses a float64 array of this many entries or more with a
+# ValueError: its byte count does not fit in intp.
+_MAX_LENGTH = np.iinfo(np.intp).max // 8 + 1
+
+
+def zeros(length: int) -> np.ndarray:
+    """np.zeros(length), with a length numpy refuses outright raised as the
+    MemoryError of any other failed allocation."""
+    if length >= _MAX_LENGTH:
+        raise MemoryError(f"cannot allocate {length} float64 weights: "
+                          f"numpy's limit is {_MAX_LENGTH - 1}")
+    return np.zeros(length)
 
 
 @dataclass(frozen=True)
@@ -91,7 +103,7 @@ class FinitePmf:
             if not isinstance(v, (int, np.integer)) or v < 0:
                 raise ValueError(f"support value {v!r} is not a nonnegative integer")
         top = max(weights)
-        probs = np.zeros(int(top) + 1)
+        probs = zeros(int(top) + 1)
         for v, w in weights.items():
             probs[int(v)] = w
         return cls(probs, leaked_mass)
@@ -416,7 +428,7 @@ class OffspringLaw:
         if not isinstance(n, (int, np.integer)) or n < 2:
             raise ValueError("a constant replica count must be an integer >= 2 "
                              "(the count must exceed 1 with positive probability)")
-        w = np.zeros(int(n) + 1)
+        w = zeros(int(n) + 1)
         w[int(n)] = 1.0
         return cls("deterministic", float(n), w, int(n))
 

@@ -239,7 +239,7 @@ def _compound_head(x: np.ndarray, weights: np.ndarray, length: int
     Convolution powers are carried head-truncated to `length`: coefficient
     j of a sum depends only on the summands' weights below j + 1.
     """
-    head = np.zeros(length)
+    head = dists.zeros(length)
     h1 = np.zeros(length)
     take = min(length, x.size)
     h1[:take] = x[:take]

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import criteria
 from .criteria import PhaseVerdict
-# geometric_x0_pmf lives in dists, whose as_finite builds it, and is still
-# importable from here
+# geometric_x0_pmf lives in dists, whose as_finite builds it; this
+# re-export is kept for perfbench/tracer.py, which wraps it here
 from .dists import (FinitePmf, GeometricPmf, ModelSpec, OffspringLaw,
                     geometric_x0_pmf)
 

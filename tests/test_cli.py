@@ -677,6 +677,29 @@ def test_check_lemmas_unallocatable_head_is_a_numerical_failure(tmp_path,
     assert err.startswith("numerical failure: ")
 
 
+# lengths of 2^60 float64 and more, which numpy refuses with a ValueError
+# rather than the MemoryError of a smaller failed allocation
+@pytest.mark.parametrize("command,doc", [
+    ("check-lemmas", base_config(a=10**20)),
+    ("check-lemmas", base_config(check_lemmas={"growth_steps": 10**19})),
+    ("scan", base_config(scan={"family": {"type": "two_point",
+                                          "high": 10**20}})),
+    ("classify", base_config(x0={"type": "finite",
+                                 "pmf": [[0, 0.5], [10**20, 0.5]]})),
+    ("classify", base_config(N={"type": "finite",
+                                "pmf": [[1, 0.5], [10**20, 0.5]]})),
+    ("classify", base_config(N={"type": "deterministic", "n": 10**20})),
+], ids=["a", "growth_steps", "two_point_high", "x0_value", "N_value",
+        "deterministic_n"])
+def test_array_beyond_numpy_limit_is_a_numerical_failure(tmp_path, capsys,
+                                                        command, doc):
+    cfg = write_config(tmp_path, doc)
+    code, out, err = run_main([command, "--config", cfg], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure: cannot allocate ")
+
+
 # ---------------------------------------------------------------------------
 # output plumbing
 # ---------------------------------------------------------------------------

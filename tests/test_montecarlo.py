@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from sampler_reference import init_population_loop, tree_sample_recursive
 
-from drphase.dists import FinitePmf, ModelSpec, OffspringLaw
+from drphase.dists import FinitePmf, ModelSpec, OffspringLaw, geometric_x0_pmf
 from drphase.evolution import evolve
 from drphase.montecarlo import (
     TREE_DEPTH_LIMIT,
@@ -17,7 +17,6 @@ from drphase.montecarlo import (
     mc_step,
     tree_sample,
 )
-from drphase.scan import geometric_x0_pmf
 
 
 def super_model():

@@ -11,7 +11,7 @@ import pytest
 from drphase import cli, criteria, dists, evolution, montecarlo
 from drphase.criteria import (SUBCRITICAL, SUPERCRITICAL, UNDETERMINED,
                               PhaseVerdict)
-from drphase.dists import ModelSpec, OffspringLaw
+from drphase.dists import ModelSpec, OffspringLaw, geometric_x0_pmf
 from drphase.logreal import LogReal
 from drphase.scan import (
     CriterionUnavailable,
@@ -20,7 +20,6 @@ from drphase.scan import (
     TwoPointFamily,
     bisect_boundary,
     boundary_report,
-    geometric_x0_pmf,
     scan,
 )
 from test_dists import (old_log_pgf_deriv, old_log_pgf_eval, old_pgf_deriv,
