@@ -6,9 +6,12 @@ revision REV (exported with `passes.export_src`) and under the working
 tree's `src/`: `classify`, `evolve`, `estimate-q`, `simulate` and
 `check-lemmas` in table, csv and json on five models (the README model, a
 geometric-N model, a geometric-x0 model with geometric N, a finite-N model
-and a subcritical model), plus `scan` on one `two_point` and one
-`geometric_x0` family in the three formats: 81 invocations per side.  Each
-invocation's stdout, stderr and exit code must be equal on both sides.
+and a subcritical model), `evolve` and `estimate-q` on the README model with
+no command block (both exit 3 at n = 23, past the default leak budget, so
+the partial-output paths are compared too), and `scan` on one `two_point`
+and one `geometric_x0` family, each in the three formats: 87 invocations
+per side.  Each invocation's stdout, stderr and exit code must be equal on
+both sides.
 Prints one line per difference and a summary, and exits 1 if there is any
 difference, 0 otherwise.
 
@@ -60,6 +63,8 @@ def cases(tmp):
     """(label, argv) of every invocation; the configs are written to tmp."""
     runs = [(command, name, {**model, **BLOCKS}) for command in COMMANDS
             for name, model in MODELS.items()]
+    runs += [(command, "readme-defaults", MODELS["readme"])
+             for command in ("evolve", "estimate-q")]
     runs += [("scan", name, doc) for name, doc in FAMILIES.items()]
     out = []
     for command, name, doc in runs:

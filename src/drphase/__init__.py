@@ -2,10 +2,10 @@
 X' = (sum of a random number N of independent copies of X, minus a)+.
 
 The package tracks the full law of X_n exactly (with audited truncation
-leak), brackets the free energy Q = lim E X_n / (E N)^n between monotone
-bounds, applies the two sufficient phase criteria, audits the inequality
-chain behind them numerically, and cross-checks everything against
-reproducible Monte Carlo.
+leak), brackets the free energy Q = lim E X_n / (E N)^n between bounds that
+are monotone on leak-free rows, applies the two sufficient phase criteria,
+audits the inequality chain behind them numerically, and cross-checks
+everything against reproducible Monte Carlo.
 """
 
 from .criteria import (
@@ -20,7 +20,6 @@ from .criteria import (
     lemma1_growth_check,
     lemma2_tail_check,
     lemma3_contraction_check,
-    lemma4_association_check,
     lemma4_association_check_log,
     offspring_association_check,
 )
@@ -78,7 +77,7 @@ __all__ = [
     "ContractionRow", "GrowthRow", "PhaseVerdict",
     "classify", "d0",
     "lemma1_growth_check", "lemma2_tail_check", "lemma3_contraction_check",
-    "lemma4_association_check", "lemma4_association_check_log",
+    "lemma4_association_check_log",
     "offspring_association_check",
     "FinitePmf", "GeometricPmf", "ModelSpec", "OffspringLaw",
     "convolve", "truncate", "mean",

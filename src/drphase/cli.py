@@ -18,7 +18,6 @@ AUDIT_SUPPORT_CAP) evolve laws.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -261,22 +260,6 @@ def _emit_rows(header: list[str], rows: list[list], output: str,
             print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
     for note in notes or []:
         print(f"# {note}")
-
-
-def read_csv_rows(text: str) -> tuple[list[str], list[list[str]]]:
-    """Parse this tool's own CSV output: header, data rows; '#' notes and
-    blank lines are skipped.  The audit report quotes its detail column."""
-    lines = [ln for ln in text.splitlines()
-             if ln.strip() and not ln.startswith("#")]
-    if not lines:
-        raise ValueError("no CSV content found")
-    parsed = list(csv.reader(lines))
-    header, rows = parsed[0], parsed[1:]
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise ValueError(f"row {i} has {len(row)} fields, "
-                             f"expected {len(header)}")
-    return header, rows
 
 
 # ---------------------------------------------------------------------------

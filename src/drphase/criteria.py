@@ -137,11 +137,9 @@ def _d_log(f: LogReal, fp: LogReal, s: float, m: float, a: int) -> LogReal:
 
 @dataclass(frozen=True)
 class GrowthRow:
-    """One generation of the growth-floor audit (float views may be inf)."""
+    """One generation of the growth-floor audit."""
 
     n: int
-    lhs: float
-    geometric_floor: float
     holds: bool
     lhs_log: LogReal
     floor_log: LogReal
@@ -172,8 +170,7 @@ def lemma1_growth_check(model: ModelSpec, s: float, steps: int
         floor = lhs0 * LogReal.from_log(n * log_rate)
         holds = _growth_holds(lhs, floor, max(log_first + fp.log,
                                               log_second + f.log))
-        rows.append(GrowthRow(n, lhs.to_float(), floor.to_float(), holds,
-                              lhs, floor))
+        rows.append(GrowthRow(n, holds, lhs, floor))
     return rows
 
 
@@ -236,8 +233,6 @@ class ContractionRow:
     """One generation of the contraction audit; row 0 carries no bound."""
 
     n: int
-    d_next: float
-    contraction_bound: float | None
     holds: bool
     d_next_log: LogReal
     bound_log: LogReal | None
@@ -268,12 +263,10 @@ def lemma3_contraction_check(model: ModelSpec, s: float, steps: int
                                                 a, s, steps)):
         d_here = _d_log(f, fp, s, m, a)
         if n == 0:
-            rows.append(ContractionRow(0, d_here.to_float(), None, True,
-                                       d_here, None))
+            rows.append(ContractionRow(0, True, d_here, None))
         else:
             bnd = factor_prev * d_prev
-            rows.append(ContractionRow(n, d_here.to_float(), bnd.to_float(),
-                                       _contraction_holds(d_here, bnd),
+            rows.append(ContractionRow(n, _contraction_holds(d_here, bnd),
                                        d_here, bnd))
         factor_prev = LogReal.from_log(math.log(m) + log_g - f.log - a * log_s)
         d_prev = d_here
@@ -308,23 +301,13 @@ def _contraction_holds(d_next: LogReal, bound: LogReal) -> bool:
     return (d_next - rhs).sign <= 0
 
 
-def lemma4_association_check(p: FinitePmf, s: float) -> tuple[float, float]:
-    """(E X s^X, E X * E s^X); the first dominates for s > 1."""
-    if s <= 1.0:
-        raise ValueError(f"association inequality is claimed for s > 1, got {s}")
-    f, fp = dists.pgf_pair(p, s)
-    lhs = s * fp
-    rhs = dists.mean(p) * f
-    return lhs, rhs
-
-
 def lemma4_association_check_log(p: FinitePmf, s: float
                                  ) -> tuple[LogReal, LogReal]:
-    """lemma4_association_check in signed log space, for laws whose
-    generating function overflows float64."""
+    """(E X s^X, E X * E s^X) in signed log space, where neither
+    overflows; the first dominates for s > 1."""
     if s <= 1.0:
         raise ValueError(f"association inequality is claimed for s > 1, got {s}")
-    log_f, log_fp = dists.log_pgf_pair(p, s)
+    log_f, log_fp = p.log_pgf_pair(s)
     lhs = LogReal.from_float(s) * LogReal.from_log(log_fp)
     rhs = LogReal.from_float(dists.mean(p)) * LogReal.from_log(log_f)
     return lhs, rhs

@@ -9,16 +9,15 @@ algebra: `convolve` is always the direct sum.  The package's one transform
 is `evolution._spectral_powers`, which `evolution.step` takes once a power
 would cost more than `_DIRECT_CONV_OPS` multiply-adds.
 
-`pgf_pair` and `log_pgf_pair` evaluate a law's generating function and its
-derivative at one point in one pass over the support, in float64 and in
-log space.  The float pair returns inf without evaluating when
+A law's `pgf_pair`/`log_pgf_pair` methods are the one way to evaluate
+E s^X and its derivative at a point, in float64 and in log space.  Weights
+go through two array cores, `_pgf_pair` and `_log_pgf_pair`, each one pass
+over the support; `_pgf_pair` returns inf without evaluating when
 s^(support_max-1) is certain to overflow.  `pgf_eval`, `pgf_deriv`,
-`log_pgf_eval` and `log_pgf_deriv` are one side of those pairs, and
-`OffspringLaw.pgf_pair`/`log_pgf_pair` run them on the offspring weights.
+`log_pgf_eval` and `log_pgf_deriv` are one side of a `FinitePmf`'s pairs.
 
 An initial law is a `FinitePmf` or a `GeometricPmf`, which keeps
-P(X = k) = r (1-r)^k in closed form and has no weight array.  Both have
-the `pgf_pair(s)`/`log_pgf_pair(s)` methods the criteria read; the
+P(X = k) = r (1-r)^k in closed form and has no weight array.  The
 consumers that read weights (evolution, the x0 draws) take them from
 `as_finite`, which cuts a geometric law once, with `geometric_x0_pmf`.
 """
@@ -133,12 +132,13 @@ class FinitePmf:
         return 0.0
 
     def pgf_pair(self, s: float) -> tuple[float, float]:
-        """dists.pgf_pair of this law."""
-        return pgf_pair(self, s)
+        """(E s^X, d/ds E s^X) over the retained weights."""
+        return _pgf_pair(self.probs, s)
 
     def log_pgf_pair(self, s: float) -> tuple[float, float]:
-        """dists.log_pgf_pair of this law."""
-        return log_pgf_pair(self, s)
+        """(log E s^X, log d/ds E s^X), stable far beyond float64 range."""
+        _check_argument(s)
+        return _log_pgf_pair(self.probs, math.log(s))
 
 
 @dataclass(frozen=True)
@@ -279,17 +279,16 @@ def _logsumexp(t: np.ndarray) -> float:
     return float(np.log1p(s) + np.log(m) + top)
 
 
-def pgf_pair(p: FinitePmf, s: float) -> tuple[float, float]:
-    """(E s^X, d/ds E s^X) over the retained weights; overflows to inf for
-    huge supports.
+def _pgf_pair(probs: np.ndarray, s: float) -> tuple[float, float]:
+    """(E s^X, d/ds E s^X) of a weight array.
 
     When (support_max - 1) log s > 710, s^(support_max - 1) is certain to
     overflow, so both sums are inf; they are returned as such without
-    evaluating anything.  A dense law's derivative reads its powers
+    evaluating anything.  A dense array's derivative reads its powers
     s^(k-1) off the value's s^k.
     """
     _check_argument(s)
-    w, k, j, dense = _support(p.probs)
+    w, k, j, dense = _support(probs)
     if k.size and s > 1.0 and (k[-1] - 1.0) * math.log(s) > _LOG_OVERFLOW:
         return math.inf, math.inf
     powers = np.power(float(s), k)
@@ -299,14 +298,8 @@ def pgf_pair(p: FinitePmf, s: float) -> tuple[float, float]:
     return value, float(np.dot(w[j:] * k1, shifted))
 
 
-def log_pgf_pair(p: FinitePmf, s: float) -> tuple[float, float]:
-    """(log E s^X, log d/ds E s^X), stable far beyond float64 range."""
-    _check_argument(s)
-    return _log_pgf_pair(p.probs, math.log(s))
-
-
 def _log_pgf_pair(probs: np.ndarray, log_s: float) -> tuple[float, float]:
-    """log_pgf_pair of a weight array, from log s, so that s itself may lie
+    """Log pair of a weight array, from log s, so that s itself may lie
     beyond float64 range (the F_n(s) of evolution.gf_orbit).  One pass over
     the support and the log weights; a dense array's (k-1) log s terms are
     read off the value's k log s terms."""
@@ -325,22 +318,22 @@ def _log_pgf_pair(probs: np.ndarray, log_s: float) -> tuple[float, float]:
 
 def pgf_eval(p: FinitePmf, s: float) -> float:
     """E s^X over the retained weights; overflows to inf for huge supports."""
-    return pgf_pair(p, s)[0]
+    return p.pgf_pair(s)[0]
 
 
 def pgf_deriv(p: FinitePmf, s: float) -> float:
     """d/ds E s^X over the retained weights."""
-    return pgf_pair(p, s)[1]
+    return p.pgf_pair(s)[1]
 
 
 def log_pgf_eval(p: FinitePmf, s: float) -> float:
     """log E s^X, stable far beyond float64 range."""
-    return log_pgf_pair(p, s)[0]
+    return p.log_pgf_pair(s)[0]
 
 
 def log_pgf_deriv(p: FinitePmf, s: float) -> float:
     """log of d/ds E s^X, stable far beyond float64 range."""
-    return log_pgf_pair(p, s)[1]
+    return p.log_pgf_pair(s)[1]
 
 
 def convolve(p: FinitePmf, q: FinitePmf) -> FinitePmf:
@@ -474,7 +467,7 @@ class OffspringLaw:
         """(E v^N, d/dv E v^N) of the ideal law: closed form for geometric,
         sums over the weights otherwise."""
         if self.kind != "geometric":
-            return pgf_pair(FinitePmf(self.weights), v)
+            return _pgf_pair(self.weights, v)
         p, q = self.success_prob, 1.0 - self.success_prob
         if q * v >= 1.0:
             raise ValueError(f"geometric pgf diverges at argument {v}")

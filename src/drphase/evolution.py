@@ -9,11 +9,12 @@ to 1e-10 of each other.
 Per-step free-energy bounds: with mu = E N,
 
     q_upper(n) = E X_n / mu^n          (non-increasing in n)
-    q_lower(n) = (E X_n - a/(mu-1)) / mu^n   (non-decreasing in n)
+    q_lower(n) = (E X_n - a/(mu-1)) / mu^n (non-decreasing on leak-free rows)
 
 A leak-free row computed wholly in the direct-convolution regime therefore
 carries a certified bracket around the limit.  Leaked mass lowers the
-retained E X_n and with it both bounds.  Once a step takes the transform
+retained E X_n and with it both bounds, so q_lower stays a lower bound but
+may fall from row to row.  Once a step takes the transform
 (_spectral_powers, past dists._DIRECT_CONV_OPS), the kept positive
 round-off noise biases E X_n, and with it both bounds, upward; those rows
 are not certified.  gf_orbit convolves only heads of a weights per
@@ -297,7 +298,7 @@ def gf_orbit(x0: FinitePmf | GeometricPmf, law: OffspringLaw, a: int,
     x0 = dists.as_finite(x0)
     heads = _clip_heads(x0.probs, law.weights, a, steps)
     log_s = math.log(s)
-    log_f, log_fp = dists.log_pgf_pair(x0, s)
+    log_f, log_fp = x0.log_pgf_pair(s)
     f, fp = LogReal.from_log(log_f), LogReal.from_log(log_fp)
     rows = []
     for n in range(steps + 1):

@@ -25,7 +25,7 @@ from drphase.criteria import (
     lemma1_growth_check,
     lemma2_tail_check,
     lemma3_contraction_check,
-    lemma4_association_check,
+    lemma4_association_check_log,
     offspring_association_check,
 )
 from drphase.dists import (
@@ -260,8 +260,8 @@ def test_criterion_06_contraction_and_sign_persistence(battery):
         for s in (s0, 2.0 * s0):
             rows = lemma3_contraction_check(model, s, 10)
             assert all(r.holds for r in rows), (model, s)
-            if rows[0].d_next < 0.0:
-                assert all(r.d_next < 0.0 for r in rows), (model, s)
+            if rows[0].d_next_log.sign < 0:
+                assert all(r.d_next_log.sign < 0 for r in rows), (model, s)
             audited += 1
     report(6, f"{audited} model/s-point audits: contraction holds within "
               f"1e-9 relative, negative sign persists to n=10")
@@ -291,11 +291,12 @@ def test_criterion_07_supercritical_growth_floor(battery):
 
 def test_criterion_08_association_inequalities():
     rng = np.random.default_rng(77)
+    slack = LogReal.from_float(1e-12)
     for _ in range(100):
         p = rand_pmf(rng)
         for s in (1.5, 2.0, 4.0):
-            lhs, rhs = lemma4_association_check(p, s)
-            assert lhs >= rhs - 1e-12, (p, s)
+            lhs, rhs = lemma4_association_check_log(p, s)
+            assert (lhs - rhs + slack).sign >= 0, (p, s)
     rng = np.random.default_rng(78)
     for _ in range(100):
         law = _draw_offspring(rng)

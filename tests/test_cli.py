@@ -5,6 +5,7 @@ reproducibility checks run the installed module in subprocesses so that
 environment variables and process state cannot bleed between runs.
 """
 
+import csv
 import json
 import math
 import subprocess
@@ -35,6 +36,22 @@ def run_main(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def read_csv_rows(text: str) -> tuple[list[str], list[list[str]]]:
+    """Parse the tool's own CSV output: header, data rows; '#' notes and
+    blank lines are skipped.  The audit report quotes its detail column."""
+    lines = [ln for ln in text.splitlines()
+             if ln.strip() and not ln.startswith("#")]
+    if not lines:
+        raise ValueError("no CSV content found")
+    parsed = list(csv.reader(lines))
+    header, rows = parsed[0], parsed[1:]
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ValueError(f"row {i} has {len(row)} fields, "
+                             f"expected {len(header)}")
+    return header, rows
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +158,7 @@ def test_evolve_csv_two_steps(tmp_path, capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "n,mean,q_upper,q_lower,support_max,leaked_mass"
-    header, rows = cli.read_csv_rows(out)
+    header, rows = read_csv_rows(out)
     assert len(rows) == 3
     assert rows[0] == ["0", "1", "1", "0", "2", "0"]
     assert rows[1][0] == "1" and rows[1][1] == "1.25"
@@ -268,6 +285,53 @@ def test_unknown_object_types_are_config_errors(tmp_path, capsys, command,
                    f"got 'poisson'\n")
 
 
+def without(key):
+    doc = base_config()
+    del doc[key]
+    return doc
+
+
+def finite_x0(pmf):
+    return base_config(x0={"type": "finite", "pmf": pmf})
+
+
+@pytest.mark.parametrize("command,doc,message", [
+    ("classify", without("a"), "config.a: required key is missing"),
+    ("classify", without("x0"), "x0: required key is missing"),
+    ("classify", base_config(a=1.5), "config.a: expected int, got float"),
+    ("classify", base_config(a=True),
+     "config.a: expected a number, got a boolean"),
+    ("classify", base_config(x0=[1]), "x0: expected an object, got list"),
+    ("classify", finite_x0([]), "x0.pmf: expected a non-empty list of "
+                                "[value, probability] pairs"),
+    ("classify", finite_x0([[0, 0.5, 1]]),
+     "x0.pmf[0]: expected a [value, probability] pair"),
+    ("classify", finite_x0([[-1, 0.5], [2, 0.5]]),
+     "x0.pmf[0][0]: value must be a nonnegative integer, got -1"),
+    ("classify", finite_x0([[0, "a"]]),
+     "x0.pmf[0][1]: probability must be a number"),
+    ("classify", finite_x0([[0, 0.5], [0, 0.5]]),
+     "x0.pmf[1][0]: duplicate value 0"),
+    ("classify", finite_x0([[0, 0.5], [2, 0.4]]),
+     "x0.pmf: total mass 0.9 outside the 1 +/- 1e-12 band"),
+    ("classify", base_config(x0={"type": "geometric", "p": 1.5}),
+     "x0.p: success probability must lie in (0, 1), got 1.5"),
+    ("simulate", base_config(simulate={"pop_size": 0, "seed": 1}),
+     "simulate.pop_size: must be >= 1, got 0"),
+    ("scan", base_config(scan={"family": {"type": "two_point", "high": 0}}),
+     "scan.family: high_value must be >= 1, got 0"),
+], ids=["missing_a", "missing_x0", "float_a", "boolean_a", "x0_list",
+        "empty_pmf", "bad_pair", "negative_value", "string_probability",
+        "duplicate_value", "mass_off_one", "geometric_p", "pop_size_0",
+        "two_point_high_0"])
+def test_config_errors_name_the_field(tmp_path, capsys, command, doc,
+                                      message):
+    cfg = write_config(tmp_path, doc)
+    code, out, err = run_main([command, "--config", cfg], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"config error: {message}\n"
+
+
 def test_blocks_of_other_commands_are_not_read(tmp_path, capsys):
     # one config serves every command: a block is checked by its command
     doc = base_config(evolve={"steps": 1, "stpes": 2},
@@ -301,7 +365,7 @@ def test_evolve_leak_budget_exit3_with_partial_rows(tmp_path, capsys):
                                "--output", "csv"], capsys)
     assert code == 3
     assert err.startswith("error:")
-    header, rows = cli.read_csv_rows(out)
+    header, rows = read_csv_rows(out)
     assert header == "n,mean,q_upper,q_lower,support_max,leaked_mass".split(",")
     assert len(rows) >= 2
     assert float(rows[-1][5]) > 1e-12
@@ -344,6 +408,18 @@ def test_estimate_q_subcritical_bracket(tmp_path, capsys):
     assert "positive_limit_certified_at_n" not in doc
 
 
+def test_estimate_q_readme_model_default_options_stop_at_n23(tmp_path,
+                                                            capsys):
+    # the default 30 steps pass the 1e-9 leak budget at n = 23
+    cfg = write_config(tmp_path, base_config())
+    code, out, err = run_main(["estimate-q", "--config", cfg], capsys)
+    assert (code, out) == (3, "")
+    assert err == ("error: cumulative leak 1.578e-09 exceeds budget "
+                   "1.000e-09 at generation 23\n"
+                   "partial bracket at n=23: "
+                   "[0.15748447466780865, 0.15748459387709821]\n")
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -364,7 +440,7 @@ def test_simulate_seed_flag_suffices(tmp_path, capsys):
     code, out, _ = run_main(["simulate", "--config", cfg, "--seed", "7",
                              "--output", "csv"], capsys)
     assert code == 0
-    header, rows = cli.read_csv_rows(out)
+    header, rows = read_csv_rows(out)
     assert header == ["n", "mc_mean", "stderr", "exact_mean"]
     assert len(rows) == 3
     # the exact engine keeps up on this tiny model, so the column is filled
@@ -378,9 +454,21 @@ def test_simulate_tracks_exact_mean(tmp_path, capsys):
     code, out, _ = run_main(["simulate", "--config", cfg,
                              "--output", "csv"], capsys)
     assert code == 0
-    _, rows = cli.read_csv_rows(out)
+    _, rows = read_csv_rows(out)
     for n, mc_mean, stderr, exact in rows[1:]:
         assert abs(float(mc_mean) - float(exact)) <= 6.0 * float(stderr)
+
+
+def test_simulate_readme_model_exact_column_ends_at_n23(tmp_path, capsys):
+    # the exact evolution passes the default leak budget at n = 23
+    cfg = write_config(tmp_path, base_config(simulate={"pop_size": 1000}))
+    code, out, err = run_main(["simulate", "--config", cfg, "--steps", "25",
+                               "--seed", "1", "--output", "csv"], capsys)
+    assert (code, err) == (0, "")
+    _, rows = read_csv_rows(out)
+    assert [r[0] for r in rows] == [str(n) for n in range(26)]
+    assert all(r[3] != "" for r in rows[:23])
+    assert all(r[3] == "" for r in rows[23:])
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +486,7 @@ def test_scan_reports_gap_family(tmp_path, capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "parameter,verdict,d_super,d_sub"
-    header, rows = cli.read_csv_rows(out)
+    header, rows = read_csv_rows(out)
     assert len(rows) == 9
     verdicts = [r[1] for r in rows]
     assert {"Supercritical", "Subcritical", "Undetermined"} >= set(verdicts)
@@ -428,7 +516,7 @@ def test_scan_without_boundary_is_not_an_error(tmp_path, capsys):
     lines = out.splitlines()
     assert "# super_boundary: no boundary in range" in lines
     assert "# sub_boundary: no boundary in range" in lines
-    _, rows = cli.read_csv_rows(out)
+    _, rows = read_csv_rows(out)
     assert all(r[1] == "Subcritical" for r in rows)
 
 
@@ -656,7 +744,7 @@ def test_check_lemmas_csv_round_trips_quoted_details(tmp_path, capsys):
     code, out, _ = run_main(["check-lemmas", "--config", cfg,
                              "--output", "csv"], capsys)
     assert code == 0
-    header, rows = cli.read_csv_rows(out)
+    header, rows = read_csv_rows(out)
     assert header == ["audit", "status", "detail"]
     assert [r[0] for r in rows] == ["lemma1 growth-floor", "lemma2 tail-bound",
                                     "lemma3 contraction", "lemma4 association"]
@@ -705,11 +793,52 @@ def test_array_beyond_numpy_limit_is_a_numerical_failure(tmp_path, capsys,
 # ---------------------------------------------------------------------------
 
 
+# the json keys, csv header and json row keys of each command's output
+OUTPUT_SHAPES = {
+    "classify": ({"verdict", "d_super", "s_super", "d_sub", "s_sub"},
+                 "key,value", None),
+    "estimate-q": ({"steps", "q_lower", "q_upper",
+                    "positive_limit_certified_at_n"}, "key,value", None),
+    "evolve": ({"rows"}, cli.EVOLVE_CSV_HEADER, cli.EVOLVE_CSV_HEADER),
+    "simulate": ({"rows"}, "n,mc_mean,stderr,exact_mean",
+                 "n,mc_mean,stderr,exact_mean"),
+    "scan": ({"rows", "notes"}, cli.SCAN_CSV_HEADER, cli.SCAN_CSV_HEADER),
+    "check-lemmas": ({"audits"}, "audit,status,detail", "name,status,detail"),
+}
+
+
+@pytest.mark.parametrize("output", ["csv", "json"])
+@pytest.mark.parametrize("command", sorted(OUTPUT_SHAPES))
+def test_every_command_writes_csv_and_json(tmp_path, capsys, command,
+                                           output):
+    cfg = write_config(tmp_path, base_config(scan={"family": TWO_POINT},
+                                             **SHORT_BLOCKS))
+    code, out, err = run_main([command, "--config", cfg, "--output", output],
+                              capsys)
+    assert (code, err) == (0, "")
+    keys, header, row_keys = OUTPUT_SHAPES[command]
+    if output == "csv":
+        assert out.splitlines()[0] == header
+        return
+    doc = json.loads(out)
+    assert set(doc) == keys
+    if row_keys is not None:
+        rows = doc["audits" if command == "check-lemmas" else "rows"]
+        assert rows
+        assert all(list(row) == row_keys.split(",") for row in rows)
+
+
+def test_read_csv_rows_skips_notes_and_unquotes_cells():
+    header, rows = read_csv_rows('a,b\n\n1,"x, y"\n# a note\n2,z\n')
+    assert header == ["a", "b"]
+    assert rows == [["1", "x, y"], ["2", "z"]]
+
+
 def test_read_csv_rows_rejects_ragged_and_empty():
     with pytest.raises(ValueError, match="no CSV content"):
-        cli.read_csv_rows("\n# only a note\n")
+        read_csv_rows("\n# only a note\n")
     with pytest.raises(ValueError, match="row 0 has 2 fields"):
-        cli.read_csv_rows("a,b,c\n1,2\n")
+        read_csv_rows("a,b,c\n1,2\n")
 
 
 def test_float_cells_use_17_significant_digits(tmp_path, capsys):
@@ -720,7 +849,7 @@ def test_float_cells_use_17_significant_digits(tmp_path, capsys):
     code, out, _ = run_main(["evolve", "--config", cfg,
                              "--output", "csv"], capsys)
     assert code == 0
-    _, rows = cli.read_csv_rows(out)
+    _, rows = read_csv_rows(out)
     assert float(rows[0][1]) == 2.0 / 3.0
     assert rows[0][1] == f"{2.0 / 3.0:.17g}"
 

@@ -16,7 +16,7 @@ from drphase.criteria import (
     lemma1_growth_check,
     lemma2_tail_check,
     lemma3_contraction_check,
-    lemma4_association_check,
+    lemma4_association_check_log,
     offspring_association_check,
 )
 from drphase.dists import GEOMETRIC_TAIL, FinitePmf, ModelSpec, OffspringLaw
@@ -176,12 +176,13 @@ def test_contraction_pointwise_inequality_grid():
 def test_lemma1_growth_pinned_instance():
     model = two_point(0.5)
     rows = lemma1_growth_check(model, s=1.9, steps=8)
-    assert rows[0].lhs == pytest.approx(1.305, abs=1e-12)
-    assert rows[0].geometric_floor == pytest.approx(rows[0].lhs, rel=1e-14)
+    lhs0 = rows[0].lhs_log.to_float()
+    assert lhs0 == pytest.approx(1.305, abs=1e-12)
+    assert rows[0].floor_log.to_float() == pytest.approx(lhs0, rel=1e-14)
     for row in rows:
         assert row.holds
     # floors grow like (mu/s^a)^n
-    ratio = rows[3].geometric_floor / rows[2].geometric_floor
+    ratio = rows[3].floor_log.to_float() / rows[2].floor_log.to_float()
     assert ratio == pytest.approx(2.0 / 1.9, rel=1e-12)
 
 
@@ -208,13 +209,12 @@ def test_lemma2_refuses_non_subcritical():
 def test_lemma3_contraction_pinned_instance():
     model = two_point(0.1)
     rows = lemma3_contraction_check(model, s=2.0, steps=10)
-    assert rows[0].contraction_bound is None  # input-only row
+    assert rows[0].bound_log is None  # input-only row
     for row in rows[1:]:
         assert row.holds
     # sign persistence: d0 < 0 at s=2 propagates through every generation
-    assert rows[0].d_next < 0.0
     for row in rows:
-        assert row.d_next < 0.0
+        assert row.d_next_log.sign < 0
 
 
 def test_lemma3_requires_bounded_and_threshold():
@@ -270,31 +270,41 @@ def test_growth_slack_grows_only_with_float_resolution(log_floor, under,
     assert criteria._growth_holds(lhs, floor, terms_log) is holds
 
 
+def lemma4_floats(p, s):
+    lhs, rhs = lemma4_association_check_log(p, s)
+    return lhs.to_float(), rhs.to_float()
+
+
 def test_lemma4_pinned_pairs():
-    lhs, rhs = lemma4_association_check(
-        FinitePmf.from_dict({0: 0.5, 1: 0.5}), 2.0)
+    lhs, rhs = lemma4_floats(FinitePmf.from_dict({0: 0.5, 1: 0.5}), 2.0)
     assert (lhs, rhs) == (1.0, 0.75)
-    lhs, rhs = lemma4_association_check(
-        FinitePmf.from_dict({0: 0.9, 2: 0.1}), 2.0)
+    lhs, rhs = lemma4_floats(FinitePmf.from_dict({0: 0.9, 2: 0.1}), 2.0)
     assert lhs == pytest.approx(0.8)
     assert rhs == pytest.approx(0.26)
     # constants give exact equality
-    lhs, rhs = lemma4_association_check(FinitePmf.delta(3), 1.5)
+    lhs, rhs = lemma4_floats(FinitePmf.delta(3), 1.5)
     assert lhs == pytest.approx(rhs, rel=1e-14)
+    # past float64 range: lhs = 1000 2^2000, rhs = 1000 (1 + 2^2000) / 2
+    lhs, rhs = lemma4_association_check_log(
+        FinitePmf.from_dict({0: 0.5, 2000: 0.5}), 2.0)
+    assert lhs.to_float() == math.inf
+    assert lhs.log - rhs.log == pytest.approx(math.log(2.0), rel=1e-12)
 
 
 def test_lemma4_association_property():
     rng = np.random.default_rng(44)
+    slack = LogReal.from_float(1e-12)
     for _ in range(50):
         p = rand_pmf(rng)
         s = 1.0 + 3.0 * float(rng.random()) + 1e-9
-        lhs, rhs = lemma4_association_check(p, s)
-        assert lhs >= rhs - 1e-12
+        lhs, rhs = lemma4_association_check_log(p, s)
+        assert (lhs - rhs + slack).sign >= 0
 
 
 def test_lemma4_requires_s_above_one():
     with pytest.raises(ValueError):
-        lemma4_association_check(FinitePmf.from_dict({0: 0.5, 1: 0.5}), 1.0)
+        lemma4_association_check_log(FinitePmf.from_dict({0: 0.5, 1: 0.5}),
+                                     1.0)
 
 
 def test_offspring_association_pinned():

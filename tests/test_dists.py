@@ -280,11 +280,11 @@ def evaluator_cases():
 def test_pgf_pairs_equal_the_old_functions_bit_for_bit():
     for p, s in evaluator_cases():
         with np.errstate(over="ignore"):
-            f, fp = dists.pgf_pair(p, s)
+            f, fp = p.pgf_pair(s)
             old_f, old_fp = old_pgf_eval(p, s), old_pgf_deriv(p, s)
             assert (pgf_eval(p, s), pgf_deriv(p, s)) == (f, fp)
         assert same_bits(f, old_f) and same_bits(fp, old_fp), (p.support_max, s)
-        log_f, log_fp = dists.log_pgf_pair(p, s)
+        log_f, log_fp = p.log_pgf_pair(s)
         assert same_bits(log_f, old_log_pgf_eval(p, s)), (p.support_max, s)
         assert same_bits(log_fp, old_log_pgf_deriv(p, s)), (p.support_max, s)
         assert (log_pgf_eval(p, s), log_pgf_deriv(p, s)) == (log_f, log_fp)
@@ -295,27 +295,16 @@ def test_pgf_pair_skips_a_certain_overflow():
     p = FinitePmf(w)
     # past 710 nothing is evaluated, so no overflow is ever raised
     with np.errstate(over="raise"):
-        assert dists.pgf_pair(p, math.exp(710.001 / 999)) == (math.inf, math.inf)
+        assert p.pgf_pair(math.exp(710.001 / 999)) == (math.inf, math.inf)
         assert pgf_eval(p, math.exp(711.0 / 999)) == math.inf
         with pytest.raises(FloatingPointError):
-            dists.pgf_pair(p, math.exp(709.9 / 999))
+            p.pgf_pair(math.exp(709.9 / 999))
     # a law on {0} at a tiny argument is evaluated, not skipped
-    assert dists.pgf_pair(FinitePmf.delta(0), 1e-308) == (1.0, 0.0)
+    assert FinitePmf.delta(0).pgf_pair(1e-308) == (1.0, 0.0)
     with pytest.raises(ValueError):
-        dists.pgf_pair(p, 0.0)
+        p.pgf_pair(0.0)
     with pytest.raises(ValueError):
-        dists.log_pgf_pair(p, -1.0)
-
-
-def same_pair(x, y):
-    return all(same_bits(u, v) for u, v in zip(x, y))
-
-
-def test_finite_pmf_pair_methods_are_the_module_functions():
-    for p, s in evaluator_cases():
-        with np.errstate(over="ignore"):
-            assert same_pair(p.pgf_pair(s), dists.pgf_pair(p, s))
-        assert same_pair(p.log_pgf_pair(s), dists.log_pgf_pair(p, s))
+        p.log_pgf_pair(-1.0)
 
 
 # -- the exact geometric initial law ----------------------------------------
@@ -570,7 +559,7 @@ def test_offspring_pgf_closed_form_and_truncated_agree():
     cut = FinitePmf(law.weights, law.truncation_leak)
     for v in (0.5, 1.0):
         g, gp = law.pgf_pair(v)
-        assert dists.pgf_pair(cut, v) == pytest.approx((g, gp), rel=1e-12)
+        assert cut.pgf_pair(v) == pytest.approx((g, gp), rel=1e-12)
     # above v=1 the dropped tail is amplified by v^k: truncated values are
     # strict lower bounds of the closed form, close but not 1e-12-close
     for v in (1.2, 1.4):
@@ -583,6 +572,21 @@ def test_offspring_pgf_closed_form_and_truncated_agree():
     # bounded laws sum their weights
     assert OffspringLaw.finite_support({1: 0.5, 3: 0.5}).pgf_pair(2.0) == \
         (5.0, 6.5)
+
+
+def test_bounded_offspring_pgf_reads_its_weights(monkeypatch):
+    laws = (OffspringLaw.deterministic(3),
+            OffspringLaw.finite_support({1: 0.3, 2: 0.2, 5: 0.5}),
+            OffspringLaw.finite_support({1: 0.6, 3: 0.4}))
+    cuts = [FinitePmf(law.weights) for law in laws]
+
+    def no_pmf(self):
+        raise AssertionError("built a FinitePmf")
+    monkeypatch.setattr(FinitePmf, "__post_init__", no_pmf)
+    for law, cut in zip(laws, cuts):
+        for v in (1.0, 1.5, 2.0, 30.0):
+            got = law.pgf_pair(v)
+            assert all(same_bits(x, y) for x, y in zip(got, cut.pgf_pair(v)))
 
 
 def test_model_spec_validation():

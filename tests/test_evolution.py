@@ -360,7 +360,7 @@ def test_orbit_matches_evolved_laws(battery):
                 if x.leaked_mass != 0.0:
                     continue
                 f, fp, log_g = orbit[n]
-                log_f, log_fp = dists.log_pgf_pair(x, s)
+                log_f, log_fp = x.log_pgf_pair(s)
                 assert log_g == law.log_pgf_pair(f.log)[0]
                 if n == 0:
                     assert (f.log, fp.log) == (log_f, log_fp)

@@ -270,12 +270,12 @@ def test_classify_and_reports_on_sweep_families_equal_old_code(monkeypatch):
 
 def count_evaluations(monkeypatch):
     calls = []
-    real = dists.pgf_pair
+    real = dists._pgf_pair
 
-    def counted(p, s, **kw):
+    def counted(probs, s):
         calls.append(s)
-        return real(p, s, **kw)
-    monkeypatch.setattr(dists, "pgf_pair", counted)
+        return real(probs, s)
+    monkeypatch.setattr(dists, "_pgf_pair", counted)
     return calls
 
 
