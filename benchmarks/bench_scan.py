@@ -3,11 +3,13 @@
 Times `GeometricX0Family(1, N=2).model(r)` plus `criteria.classify` on it
 for r in 1e-2 ... 1e-5 (a cut law of 3.2k to 3.2M entries, where the
 family builds one), `boundary_report(family, 41, 1e-9)` on a two-point
-and on a geometric-x0 family, each with both boundaries, and
-`import drphase.cli` in a fresh interpreter (timed inside it), for a
-baseline revision and the working tree (see passes.py for the pass
-scheme).  BENCH_scan.json also holds each side's outputs (the verdicts,
-criterion values and boundary intervals) and whether the two sides'
+and on a geometric-x0 family, each with both boundaries, the same report
+on the 90 two-point families of perfbench's `scan` sweep (a in 1..3, high
+in 1..6, five N laws) in one pass, and `import drphase.cli` in a fresh
+interpreter (timed inside it), for a baseline revision and the working
+tree (see passes.py for the pass scheme).  BENCH_scan.json also holds each
+side's outputs (the verdicts, criterion values and boundary intervals; for
+the sweep, the sha256 of its 90 reports' reprs) and whether the two sides'
 outputs are identical.
 
     python benchmarks/bench_scan.py --baseline REV
@@ -30,8 +32,14 @@ def import_cli_s():
     return float(out)
 
 
+def report_repr(rep):
+    return repr((rep.super_boundary, rep.sub_boundary, rep.undetermined_band,
+                 [(p, v.verdict, v.d_super, v.d_sub) for p, v in rep.grid]))
+
+
 def measure():
     """Timings (s) and outputs of the drphase found on sys.path."""
+    import hashlib
     import importlib
     import numpy as np
     import scipy
@@ -53,13 +61,21 @@ def measure():
         "geometric_x0_a1_N2": geometric}
     for name, family in families.items():
         case = f"boundary_report.{name}"
-        rep = scan.boundary_report(family, GRID, TOL)
-        outputs[case] = repr((rep.super_boundary, rep.sub_boundary,
-                              rep.undetermined_band,
-                              [(p, v.verdict, v.d_super, v.d_sub)
-                               for p, v in rep.grid]))
+        outputs[case] = report_repr(scan.boundary_report(family, GRID, TOL))
         timings[case] = best_of(
             lambda: scan.boundary_report(family, GRID, TOL))
+    laws = (OffspringLaw.deterministic(2), OffspringLaw.deterministic(3),
+            OffspringLaw.finite_support({1: 0.5, 3: 0.5}),
+            OffspringLaw.finite_support({1: 0.5, 2: 0.5}),
+            OffspringLaw.geometric(0.5))
+    sweep = [scan.TwoPointFamily(a, high, law) for a in (1, 2, 3)
+             for high in range(1, 7) for law in laws]
+
+    def run_sweep():
+        return [scan.boundary_report(fam, GRID, TOL) for fam in sweep]
+    digest = hashlib.sha256("\n".join(map(report_repr, run_sweep())).encode())
+    outputs["boundary_report.two_point_sweep_90"] = digest.hexdigest()
+    timings["boundary_report.two_point_sweep_90"] = best_of(run_sweep)
     timings["import_drphase_cli"] = min(import_cli_s()
                                         for _ in range(REPEATS))
     return {"timings_s": timings, "outputs": outputs,

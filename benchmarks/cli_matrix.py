@@ -8,10 +8,12 @@ tree's `src/`: `classify`, `evolve`, `estimate-q`, `simulate` and
 geometric-N model, a geometric-x0 model with geometric N, a finite-N model
 and a subcritical model), `evolve` and `estimate-q` on the README model with
 no command block (both exit 3 at n = 23, past the default leak budget, so
-the partial-output paths are compared too), and `scan` on one `two_point`
-and one `geometric_x0` family, each in the three formats: 87 invocations
-per side.  Each invocation's stdout, stderr and exit code must be equal on
-both sides.
+the partial-output paths are compared too), and `scan` on four
+`two_point` families (high 3; high 1; geometric N, where the sub boundary
+is n/a; high 1024, where s^high overflows and the criterion takes the log
+path through the law's weights) and one `geometric_x0` family, each in the
+three formats: 96 invocations per side.  Each invocation's stdout, stderr
+and exit code must be equal on both sides.
 Prints one line per difference and a summary, and exits 1 if there is any
 difference, 0 otherwise.
 
@@ -53,6 +55,14 @@ FAMILIES = {
     "two-point": {"a": 2, "N": {"type": "deterministic", "n": 2},
                   "scan": {"family": {"type": "two_point", "high": 3},
                            "grid_points": 41, "tolerance": 1e-9}},
+    "two-point-high1": {"a": 1, "N": {"type": "deterministic", "n": 2},
+                        "scan": {"family": {"type": "two_point", "high": 1}}},
+    "two-point-geometric-n": {"a": 1, "N": {"type": "geometric", "p": 0.5},
+                              "scan": {"family": {"type": "two_point",
+                                                  "high": 2}}},
+    "two-point-overflow": {"a": 1, "N": {"type": "deterministic", "n": 2},
+                           "scan": {"family": {"type": "two_point",
+                                               "high": 1024}}},
     "geometric-x0": {"a": 1, "N": {"type": "finite",
                                    "pmf": [[1, 0.6], [3, 0.4]]},
                      "scan": {"family": {"type": "geometric_x0"}}},

@@ -28,6 +28,7 @@ from .dists import (
     GeometricPmf,
     ModelSpec,
     OffspringLaw,
+    TwoPointPmf,
     convolve,
     geometric_x0_pmf,
     log_pgf_deriv,
@@ -79,7 +80,7 @@ __all__ = [
     "lemma1_growth_check", "lemma2_tail_check", "lemma3_contraction_check",
     "lemma4_association_check_log",
     "offspring_association_check",
-    "FinitePmf", "GeometricPmf", "ModelSpec", "OffspringLaw",
+    "FinitePmf", "GeometricPmf", "TwoPointPmf", "ModelSpec", "OffspringLaw",
     "convolve", "truncate", "mean",
     "pgf_eval", "pgf_deriv", "log_pgf_eval", "log_pgf_deriv",
     "EvolutionTrace", "TraceRow",

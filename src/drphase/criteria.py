@@ -67,7 +67,12 @@ class PhaseVerdict:
 
 def d0(model: ModelSpec, s: float, m: float) -> float:
     """Criterion functional of the initial law at multiplier m."""
-    with np.errstate(over="ignore"):
+    if isinstance(model.x0, FinitePmf):
+        # the weight sums may overflow, to an inf the log path below reads;
+        # the closed-form laws need no errstate, which costs microseconds
+        with np.errstate(over="ignore"):
+            f, fp = model.x0.pgf_pair(s)
+    else:
         f, fp = model.x0.pgf_pair(s)
     first = (m - 1.0) * s * fp
     second = model.a * f

@@ -16,17 +16,20 @@ over the support; `_pgf_pair` returns inf without evaluating when
 s^(support_max-1) is certain to overflow.  `pgf_eval`, `pgf_deriv`,
 `log_pgf_eval` and `log_pgf_deriv` are one side of a `FinitePmf`'s pairs.
 
-An initial law is a `FinitePmf` or a `GeometricPmf`, which keeps
-P(X = k) = r (1-r)^k in closed form and has no weight array.  The
-consumers that read weights (evolution, the x0 draws) take them from
-`as_finite`, which cuts a geometric law once, with `geometric_x0_pmf`.
+An initial law is a `FinitePmf`, a `GeometricPmf`, which keeps
+P(X = k) = r (1-r)^k in closed form, or a `TwoPointPmf`, the member
+{0: 1-p, high: p} of a two-point family kept as its two numbers; neither
+of the last two has a weight array.  The consumers that read weights
+(evolution, the x0 draws) take them from `as_finite`, which builds each
+law's `cut` once: a geometric law cut with `geometric_x0_pmf`, a two-point
+law as the FinitePmf of its two weights.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -182,6 +185,69 @@ class GeometricPmf:
         return geometric_x0_pmf(self.r)
 
 
+@dataclass(frozen=True)
+class TwoPointPmf:
+    """P(X = 0) = 1 - p, P(X = high) = p: a scan.TwoPointFamily member,
+    kept as its two numbers.
+
+    pgf_pair repeats the operations `_pgf_pair` performs on the weight
+    array of FinitePmf.from_dict({0: 1 - p, high: p}), so its values equal
+    that law's bit for bit: the same overflow test, the powers from
+    np.power's array path (`_two_point_powers`, shared by a family's
+    members, which share their test points) and the value from a two-term
+    np.dot.  log_pgf_pair and the weight-reading consumers (`as_finite`)
+    use `cut`, that FinitePmf, built on first use and kept.
+    """
+
+    high: int
+    p: float
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not isinstance(self.high, (int, np.integer)) or self.high < 1:
+            raise ValueError(
+                f"the high value must be an integer >= 1, got {self.high!r}")
+        p = float(self.p)
+        if not 0.0 < p < 1.0:
+            raise ValueError(
+                f"the weight of the high value must lie in (0, 1), got {self.p}")
+        object.__setattr__(self, "high", int(self.high))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "weights", np.array([1.0 - p, p]))
+
+    def pgf_pair(self, s: float) -> tuple[float, float]:
+        """(E s^X, d/ds E s^X); (inf, inf) where s^(high-1) must overflow."""
+        _check_argument(s)
+        h = self.high
+        if s > 1.0 and (h - 1.0) * math.log(s) > _LOG_OVERFLOW:
+            return math.inf, math.inf
+        powers, shifted = _two_point_powers(float(s), h)
+        value = float(np.dot(self.weights, powers))
+        return value, self.p if h == 1 else self.p * h * shifted
+
+    def log_pgf_pair(self, s: float) -> tuple[float, float]:
+        """(log E s^X, log d/ds E s^X), over the weights of `cut`."""
+        return self.cut.log_pgf_pair(s)
+
+    @functools.cached_property
+    def cut(self) -> FinitePmf:
+        """FinitePmf.from_dict({0: 1 - p, high: p}), built on first use and
+        kept."""
+        return FinitePmf.from_dict({0: 1.0 - self.p, self.high: self.p})
+
+
+@functools.lru_cache(maxsize=256)
+def _two_point_powers(s: float, high: int) -> tuple[np.ndarray, float]:
+    """(s^[0, high], s^(high-1)) as `_pgf_pair` takes them for a two-point
+    weight array: from np.power's array path, whose last bit can differ
+    from a scalar pow's.  The array is read-only; an overflow is inf."""
+    with np.errstate(over="ignore"):
+        powers = np.power(s, np.array([0.0, high]))
+        shifted = float(np.power(s, np.array([high - 1.0]))[0])
+    powers.setflags(write=False)
+    return powers, shifted
+
+
 def geometric_x0_pmf(r: float) -> FinitePmf:
     """P(X0 = k) = r (1-r)^k with the upper tail beyond GEOMETRIC_TAIL cut off,
     left unnormalized (the missing mass stays under the conservation band)."""
@@ -211,11 +277,11 @@ def _geometric_weights(p: float, tail: float) -> tuple[np.ndarray, float]:
     return p * np.power(q, np.arange(n, dtype=np.float64)), float(q ** n)
 
 
-def as_finite(x0: FinitePmf | GeometricPmf) -> FinitePmf:
+def as_finite(x0: FinitePmf | GeometricPmf | TwoPointPmf) -> FinitePmf:
     """An initial law as weights, for the consumers that read them
     (evolution.evolve, evolution.gf_orbit, the x0 draws): a FinitePmf as it
-    is, a GeometricPmf as its `cut`."""
-    return x0.cut if isinstance(x0, GeometricPmf) else x0
+    is, a GeometricPmf or a TwoPointPmf as its `cut`."""
+    return x0 if isinstance(x0, FinitePmf) else x0.cut
 
 
 def _trimmed_size(probs: np.ndarray) -> int:
@@ -473,8 +539,9 @@ class OffspringLaw:
             raise ValueError(f"geometric pgf diverges at argument {v}")
         return p * v / (1.0 - q * v), p / (1.0 - q * v) ** 2
 
-    def log_pgf_pair(self, log_v: float) -> tuple[float, float]:
-        """(log E v^N, log d/dv E v^N) over the weights, from log v."""
+    def log_pgf_pair(self, *, log_v: float) -> tuple[float, float]:
+        """(log E v^N, log d/dv E v^N) over the weights, from log v, which
+        is keyword-only: the x0 laws' log_pgf_pair take s itself."""
         return _log_pgf_pair(self.weights, log_v)
 
 
@@ -482,18 +549,18 @@ class OffspringLaw:
 class ModelSpec:
     """One recursion instance: X' = (sum of N replicas of X, minus a)+.
 
-    x0 is a FinitePmf or a GeometricPmf; the latter needs no check here,
-    being leak-free and never constant."""
+    x0 is a FinitePmf, a GeometricPmf or a TwoPointPmf; the last two need
+    no check here, being leak-free and never constant."""
 
     a: int
-    x0: FinitePmf | GeometricPmf
+    x0: FinitePmf | GeometricPmf | TwoPointPmf
     offspring: OffspringLaw
 
     def __post_init__(self):
         if not isinstance(self.a, (int, np.integer)) or self.a < 1:
             raise ValueError(f"the tax a must be an integer >= 1, got {self.a!r}")
         object.__setattr__(self, "a", int(self.a))
-        if isinstance(self.x0, GeometricPmf):
+        if isinstance(self.x0, (GeometricPmf, TwoPointPmf)):
             return
         if self.x0.leaked_mass != 0.0:
             raise ValueError("the initial law must carry no leaked mass")

@@ -30,7 +30,8 @@ import numpy as np
 from scipy import fft as sp_fft
 
 from . import dists
-from .dists import FinitePmf, GeometricPmf, ModelSpec, OffspringLaw
+from .dists import (FinitePmf, GeometricPmf, ModelSpec, OffspringLaw,
+                    TwoPointPmf)
 from .logreal import ONE, LogReal
 
 DEFAULT_TAIL_EPS = 1e-14
@@ -271,13 +272,14 @@ def _clip_heads(x0: np.ndarray, weights: np.ndarray, a: int, steps: int
     return heads
 
 
-def gf_orbit(x0: FinitePmf | GeometricPmf, law: OffspringLaw, a: int,
-             s: float, steps: int) -> list[tuple[LogReal, LogReal, float]]:
+def gf_orbit(x0: FinitePmf | GeometricPmf | TwoPointPmf, law: OffspringLaw,
+             a: int, s: float, steps: int
+             ) -> list[tuple[LogReal, LogReal, float]]:
     """(F_n(s), F_n'(s), log G(F_n(s))) for n = 0..steps, F_n(s) = E s^X_n
     along the recursion from x0, G the generating function of law's
     weights (for geometric N the cut weights that step() uses too).
-    A geometric x0 is cut by dists.as_finite as well: past its radius of
-    convergence its exact F_0(s) is infinite.
+    A geometric or two-point x0 is cut by dists.as_finite as well: past
+    its radius of convergence a geometric law's exact F_0(s) is infinite.
 
     The generating-function recursion (Collet, Eckmann, Glaser & Martin,
     CMP 1984; Derrida & Retaux, JSP 2014, with G in place of v -> v^2):
@@ -302,7 +304,7 @@ def gf_orbit(x0: FinitePmf | GeometricPmf, law: OffspringLaw, a: int,
     f, fp = LogReal.from_log(log_f), LogReal.from_log(log_fp)
     rows = []
     for n in range(steps + 1):
-        log_g, log_gp = law.log_pgf_pair(f.log)
+        log_g, log_gp = law.log_pgf_pair(log_v=f.log)
         rows.append((f, fp, log_g))
         if n == steps:
             break

@@ -10,9 +10,10 @@ d0 of the two-point law is affine in p, and the geometric law's generating
 function is rational in s.  `bisect_boundary` (named after the bisection
 it replaced, which the tests keep as their oracle) places an interval of
 width tol around the root and certifies it by the criterion's sign at both
-ends: four criterion evaluations per boundary.  A geometric family member
-is a `dists.GeometricPmf`, so neither a scan nor a classify builds a
-weight array.
+ends: four criterion evaluations per boundary.  A family member's x0 is
+a closed-form law, a `dists.TwoPointPmf` or a `dists.GeometricPmf`, so
+neither a scan nor a classify builds a weight array; a two-point member's
+criterion values equal those of its FinitePmf bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from . import criteria
 from .criteria import PhaseVerdict
 # geometric_x0_pmf lives in dists, whose as_finite builds it; this
 # re-export is kept for perfbench/tracer.py, which wraps it here
-from .dists import (FinitePmf, GeometricPmf, ModelSpec, OffspringLaw,
+from .dists import (GeometricPmf, ModelSpec, OffspringLaw, TwoPointPmf,
                     geometric_x0_pmf)
 
 # Families are swept over the open unit interval, inset by this margin
@@ -63,12 +64,6 @@ class Family:
         """The parameter where the chosen criterion's d0 vanishes."""
         raise NotImplementedError
 
-    @staticmethod
-    def _check_param(param: float) -> float:
-        if not 0.0 < param < 1.0:
-            raise ValueError(f"family parameter must lie in (0, 1), got {param}")
-        return float(param)
-
 
 def _test_point(family: Family, which: str) -> tuple[float, float] | None:
     """(s, m) of the chosen test, shared by every member of the family."""
@@ -78,7 +73,8 @@ def _test_point(family: Family, which: str) -> tuple[float, float] | None:
 
 @dataclass(frozen=True)
 class TwoPointFamily(Family):
-    """Initial law {0: 1-p, high_value: p}, parameterized by p."""
+    """Initial law {0: 1-p, high_value: p}, parameterized by p; each
+    member is an exact dists.TwoPointPmf, with no weight array."""
 
     a: int
     high_value: int
@@ -89,9 +85,8 @@ class TwoPointFamily(Family):
             raise ValueError(f"high_value must be >= 1, got {self.high_value}")
 
     def model(self, param: float) -> ModelSpec:
-        p = self._check_param(param)
-        x0 = FinitePmf.from_dict({0: 1.0 - p, self.high_value: p})
-        return ModelSpec(self.a, x0, self.offspring)
+        return ModelSpec(self.a, TwoPointPmf(self.high_value, param),
+                         self.offspring)
 
     def root(self, which: str) -> float:
         """d0 = p (s^h ((m-1) h - a) + a) - a at h = high_value, affine
@@ -111,8 +106,7 @@ class GeometricX0Family(Family):
     offspring: OffspringLaw
 
     def model(self, param: float) -> ModelSpec:
-        return ModelSpec(self.a, GeometricPmf(self._check_param(param)),
-                         self.offspring)
+        return ModelSpec(self.a, GeometricPmf(param), self.offspring)
 
     def root(self, which: str) -> float:
         """d0 = F(s) ((m-1) s q / (1 - q s) - a) with q = 1 - r and

@@ -191,7 +191,7 @@ def test_criterion_04_generating_function_oracle(battery):
                 with np.errstate(over="ignore"):
                     log_f = log_pgf_eval(x, s)
                     log_fp = log_pgf_deriv(x, s)
-                    lg, lgp = law.log_pgf_pair(log_f)
+                    lg, lgp = law.log_pgf_pair(log_v=log_f)
                     f, fp, _ = gf_orbit(x, law, a, s, 1)[1]
                     rows = ((f.to_float(), pgf_eval(y, s), f,
                              log_pgf_eval(y, s), False),

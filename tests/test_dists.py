@@ -1,13 +1,15 @@
 """Exact-distribution layer: pinned enumeration oracles plus property loops."""
 
 import math
+import types
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from drphase import dists
+from drphase import criteria, dists
 from drphase.criteria import SUBCRITICAL, classify
 from drphase.dists import (
     GEOMETRIC_TAIL,
@@ -15,6 +17,7 @@ from drphase.dists import (
     GeometricPmf,
     ModelSpec,
     OffspringLaw,
+    TwoPointPmf,
     convolve,
     log_pgf_deriv,
     log_pgf_eval,
@@ -204,8 +207,8 @@ def test_log_pgf_matches_scipy_expressions_bit_for_bit():
         for log_v in (-2.0, 0.0, 0.7, 40.0):
             value = np.log(w[idx]) + k * log_v
             deriv = np.log(w[idx]) + np.log(k) + (k - 1.0) * log_v
-            assert law.log_pgf_pair(log_v) == (float(logsumexp(value)),
-                                               float(logsumexp(deriv)))
+            assert law.log_pgf_pair(log_v=log_v) == (
+                float(logsumexp(value)), float(logsumexp(deriv)))
 
 
 # -- one-pass evaluator against the per-function code it replaced -----------
@@ -363,6 +366,90 @@ def test_geometric_pmf_validation():
     assert ModelSpec(1, GeometricPmf(0.5), law).x0 == GeometricPmf(0.5)
     with pytest.raises(ValueError):
         ModelSpec(0, GeometricPmf(0.5), law)
+
+
+# -- the two-point law of a scan family -------------------------------------
+
+# the N laws of the benchmark's scan sweep
+SWEEP_LAWS = (OffspringLaw.deterministic(2), OffspringLaw.deterministic(3),
+              OffspringLaw.finite_support({1: 0.5, 3: 0.5}),
+              OffspringLaw.finite_support({1: 0.5, 2: 0.5}),
+              OffspringLaw.geometric(0.5))
+
+
+def sweep_test_points():
+    """The (s, m) of both tests for a in 1..3 over the sweep's N laws."""
+    points = set()
+    for a in (1, 2, 3):
+        for law in SWEEP_LAWS:
+            family = types.SimpleNamespace(a=a, offspring=law)
+            points.add(criteria.super_point(family))
+            if law.bound is not None:
+                points.add(criteria.sub_point(family))
+    return sorted(points)
+
+
+def two_point_edge_points(h):
+    """Arguments around the overflow of s^h: s^h overflows while
+    (h-1) log s <= 710 (so the pair is evaluated), s^(h-1) overflows too,
+    and (h-1) log s > 710, where overflow is certain and nothing is
+    evaluated."""
+    logs = [709.9 / h, 709.79 / h]
+    if h > 1:
+        logs += [709.9 / (h - 1), 710.0 / (h - 1), 710.5 / (h - 1)]
+    return [math.exp(t) for t in logs if t < 709.78]
+
+
+@pytest.mark.parametrize("h", range(1, 13))
+def test_two_point_law_equals_its_finite_pmf_bit_for_bit(h):
+    rng = np.random.default_rng([15, h])
+    points = sweep_test_points()
+    args = ([s for s, _ in points] + two_point_edge_points(h)
+            + rng.uniform(0.05, 4.0, 10).tolist())
+    ps = rng.random(40).tolist() + [1e-6, 0.2, 0.5, 1.0 - 1e-6]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in ps:
+            law = TwoPointPmf(h, p)
+            ref = FinitePmf.from_dict({0: 1.0 - p, h: p})
+            for s in args:
+                with np.errstate(over="ignore"):
+                    want = ref.pgf_pair(s)
+                assert repr(law.pgf_pair(s)) == repr(want), (p, s)
+                assert repr(law.log_pgf_pair(s)) \
+                    == repr(ref.log_pgf_pair(s)), (p, s)
+            for a in (1, 2, 3):
+                exact = ModelSpec(a, law, SWEEP_LAWS[0])
+                cut = ModelSpec(a, ref, SWEEP_LAWS[0])
+                for s, m in points + [(s, 2.0) for s in
+                                      two_point_edge_points(h)]:
+                    assert repr(criteria.d0(exact, s, m)) \
+                        == repr(criteria.d0(cut, s, m)), (p, a, s, m)
+
+
+def test_two_point_law_is_cut_once_as_its_finite_pmf():
+    law = TwoPointPmf(3, 0.25)
+    cut = dists.as_finite(law)
+    assert cut is law.cut is dists.as_finite(law)
+    assert cut.probs.tolist() == [0.75, 0.0, 0.0, 0.25]
+    assert ModelSpec(1, law, SWEEP_LAWS[0]).x0 == TwoPointPmf(3, 0.25)
+    with pytest.raises(ValueError):
+        law.pgf_pair(0.0)
+
+
+@pytest.mark.parametrize("high, p", [
+    (1, 0.0), (1, 1.0), (2, -0.25), (2, 1.5), (2, math.nan),
+    (0, 0.5), (-3, 0.5), (2.0, 0.5)])
+def test_two_point_law_validation(high, p):
+    with pytest.raises(ValueError):
+        TwoPointPmf(high, p)
+
+
+def test_offspring_log_pgf_pair_takes_log_v_by_keyword_only():
+    law = OffspringLaw.deterministic(2)
+    assert law.log_pgf_pair(log_v=0.5) == (1.0, math.log(2.0) + 0.5)
+    with pytest.raises(TypeError):
+        law.log_pgf_pair(0.5)
 
 
 def _geometric_x0_reference(r):

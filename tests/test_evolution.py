@@ -361,15 +361,15 @@ def test_orbit_matches_evolved_laws(battery):
                     continue
                 f, fp, log_g = orbit[n]
                 log_f, log_fp = x.log_pgf_pair(s)
-                assert log_g == law.log_pgf_pair(f.log)[0]
+                assert log_g == law.log_pgf_pair(log_v=f.log)[0]
                 if n == 0:
                     assert (f.log, fp.log) == (log_f, log_fp)
                     continue
                 prev_f, prev_fp, prev_g = orbit[n - 1]
                 noise_f = np.logaddexp(prev_g - a * log_s, math.log(2.0 * a))
                 noise_fp = np.logaddexp(
-                    np.logaddexp(law.log_pgf_pair(prev_f.log)[1] + prev_fp.log
-                                 - a * log_s,
+                    np.logaddexp(law.log_pgf_pair(log_v=prev_f.log)[1]
+                                 + prev_fp.log - a * log_s,
                                  math.log(a) + prev_g - (a + 1) * log_s),
                     math.log(a * a / s))
                 for got, want, noise in ((f, log_f, noise_f),

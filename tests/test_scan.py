@@ -22,8 +22,8 @@ from drphase.scan import (
     boundary_report,
     scan,
 )
-from test_dists import (old_log_pgf_deriv, old_log_pgf_eval, old_pgf_deriv,
-                        old_pgf_eval)
+from test_dists import (SWEEP_LAWS, old_log_pgf_deriv, old_log_pgf_eval,
+                        old_pgf_deriv, old_pgf_eval)
 
 # the package re-exports scan.scan, which shadows the module attribute
 scan_module = importlib.import_module("drphase.scan")
@@ -184,8 +184,9 @@ def test_geometric_x0_family_scans():
 # -- classify and scans against the per-function code they replaced ---------
 
 def old_d0(model, s, m):
-    """d0 as it was before the one-pass evaluator, on the kept functions."""
-    x = model.x0
+    """d0 as it was before the one-pass evaluator, on the kept functions
+    and the law's weights."""
+    x = dists.as_finite(model.x0)
     with np.errstate(over="ignore"):
         first = (m - 1.0) * s * old_pgf_deriv(x, s)
         second = model.a * old_pgf_eval(x, s)
@@ -218,13 +219,6 @@ def old_classify(model):
     details = {"s_super": s_super, "s_sub": s_sub,
                "offspring_mean": mu, "offspring_bound": bound}
     return PhaseVerdict(verdict, d_super, d_sub, details)
-
-
-# the N laws of the benchmark's scan sweep
-SWEEP_LAWS = (OffspringLaw.deterministic(2), OffspringLaw.deterministic(3),
-              OffspringLaw.finite_support({1: 0.5, 3: 0.5}),
-              OffspringLaw.finite_support({1: 0.5, 2: 0.5}),
-              OffspringLaw.geometric(0.5))
 
 
 def sweep_families():
@@ -269,13 +263,14 @@ def test_classify_and_reports_on_sweep_families_equal_old_code(monkeypatch):
 
 
 def count_evaluations(monkeypatch):
+    """The points at which a two-point family member's pgf_pair runs."""
     calls = []
-    real = dists._pgf_pair
+    real = dists.TwoPointPmf.pgf_pair
 
-    def counted(probs, s):
+    def counted(law, s):
         calls.append(s)
-        return real(probs, s)
-    monkeypatch.setattr(dists, "_pgf_pair", counted)
+        return real(law, s)
+    monkeypatch.setattr(dists.TwoPointPmf, "pgf_pair", counted)
     return calls
 
 
