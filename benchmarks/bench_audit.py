@@ -2,8 +2,10 @@
 
 Times `drphase check-lemmas` in-process on the README model, on the model
 a=1, N=3, x0 {0: .5, 200: .5} at contraction_steps 4 and 12 (its evolved
-laws go through the FFT from n = 4 and pass 2^21 entries at n = 9), and on
-a model drawn like those of perfbench's audit workload, for a baseline
+laws go through the FFT from n = 4 and pass 2^21 entries at n = 9), on the
+README x0 with N geometric p = .5 at the default steps (revisions whose
+lemma4 audits evolved laws spend nearly all their time there), and on a
+model drawn like those of perfbench's audit workload, for a baseline
 revision and the working tree (see passes.py for the pass scheme).
 BENCH_audit.json also holds each side's exit codes and stdout, and
 whether the two sides' outputs are identical.
@@ -15,7 +17,8 @@ from passes import best_of, main, outputs_identical
 
 REPRO = {"a": 1, "x0": {"type": "finite", "pmf": [[0, 0.5], [200, 0.5]]},
          "N": {"type": "deterministic", "n": 3}}
-# lemma2 and lemma4 evolve laws on both sides; one step keeps them cheap
+# one tail and association step keeps cheap the law evolutions of lemma2
+# and of revisions whose lemma4 audits evolved laws
 REPRO_STEPS = {"growth_steps": 4, "tail_steps": 1, "association_steps": 1}
 CONFIGS = {
     "readme": {"a": 1, "x0": {"type": "finite", "pmf": [[0, 0.5], [2, 0.5]]},
@@ -24,6 +27,9 @@ CONFIGS = {
                                               contraction_steps=4)),
     "repro_c12": dict(REPRO, check_lemmas=dict(REPRO_STEPS,
                                                contraction_steps=12)),
+    "geometric_n": {"a": 1,
+                    "x0": {"type": "finite", "pmf": [[0, 0.5], [2, 0.5]]},
+                    "N": {"type": "geometric", "p": 0.5}},
     "audit": {"a": 2, "x0": {"type": "finite",
                              "pmf": [[0, 0.58], [1, 0.13], [3, 0.29]]},
               "N": {"type": "finite", "pmf": [[1, 0.4], [2, 0.6]]}},

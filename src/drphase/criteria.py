@@ -12,7 +12,8 @@ within a narrow band of zero are never promoted to a phase claim.
 
 The lemma*_check functions re-verify the inequality chain behind the
 criteria: lemmas 1 and 3 along the generating-function orbit
-(evolution.gf_orbit), which evolves no law, lemma 2 on evolved laws.
+(evolution.gf_orbit), which evolves no law, lemma 2 on evolved laws,
+lemma 4 on the CLI's x0 alone (it holds for every law and sub-law).
 They return evidence rows rather than booleans so the CLI audit command
 and the tests can report margins.
 Comparisons run in signed log space: the audited quantities overflow

@@ -562,6 +562,9 @@ class ModelSpec:
         object.__setattr__(self, "a", int(self.a))
         if isinstance(self.x0, (GeometricPmf, TwoPointPmf)):
             return
+        if not isinstance(self.x0, FinitePmf):
+            raise ValueError(f"x0 must be a FinitePmf, a GeometricPmf or a "
+                             f"TwoPointPmf, got {type(self.x0).__name__}")
         if self.x0.leaked_mass != 0.0:
             raise ValueError("the initial law must carry no leaked mass")
         if self.x0.support.size < 2:

@@ -70,15 +70,11 @@ class EvolutionStopped(RuntimeError):
     """An evolution stopped at a generation that broke one of its limits.
 
     rows holds the trace completed so far, last row being the offender.
-    pmfs holds the laws of the generations before the offender when the
-    evolution kept them (keep_pmfs=True), None otherwise.
     """
 
-    def __init__(self, message: str, rows: tuple[TraceRow, ...],
-                 pmfs: tuple[FinitePmf, ...] | None = None):
+    def __init__(self, message: str, rows: tuple[TraceRow, ...]):
         super().__init__(message)
         self.rows = rows
-        self.pmfs = pmfs
 
 
 class LeakBudgetExceeded(EvolutionStopped):
@@ -220,13 +216,11 @@ def evolve(model: ModelSpec, steps: int = DEFAULT_STEPS, *,
         if support_cap is not None and x.support_max > support_cap:
             raise SupportCapExceeded(
                 f"support max {x.support_max} exceeds cap {support_cap} "
-                f"at generation {n}", tuple(rows),
-                tuple(pmfs) if keep_pmfs else None)
+                f"at generation {n}", tuple(rows))
         if x.leaked_mass > leak_budget:
             raise LeakBudgetExceeded(
                 f"cumulative leak {x.leaked_mass:.3e} exceeds budget "
-                f"{leak_budget:.3e} at generation {n}", tuple(rows),
-                tuple(pmfs) if keep_pmfs else None)
+                f"{leak_budget:.3e} at generation {n}", tuple(rows))
         if keep_pmfs:
             pmfs.append(x)
     return EvolutionTrace(tuple(rows),

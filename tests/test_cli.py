@@ -619,7 +619,16 @@ def test_nan_offspring_weight_is_a_config_error(tmp_path, capsys, command,
 # ---------------------------------------------------------------------------
 
 
-def test_check_lemmas_subcritical_bounded(tmp_path, capsys):
+def test_check_lemmas_subcritical_bounded(tmp_path, capsys, monkeypatch):
+    # lemma2 is the one audit that evolves a law
+    steps = []
+    evolve = cli.evolution.evolve
+
+    def counted(model, n, **kwargs):
+        steps.append(n)
+        return evolve(model, n, **kwargs)
+    monkeypatch.setattr(cli.evolution, "evolve", counted)
+    monkeypatch.setattr(criteria, "evolve", counted)
     doc = base_config(check_lemmas={"growth_steps": 4, "tail_steps": 12,
                                     "contraction_steps": 8,
                                     "association_steps": 6})
@@ -627,13 +636,16 @@ def test_check_lemmas_subcritical_bounded(tmp_path, capsys):
     cfg = write_config(tmp_path, doc)
     code, out, _ = run_main(["check-lemmas", "--config", cfg], capsys)
     assert code == 0
+    assert steps == [12]
     lines = out.splitlines()
     assert len(lines) == 4
     assert lines[0].startswith(
         "lemma1 growth-floor: SKIPPED (criterion value not positive")
     assert lines[1].startswith("lemma2 tail-bound: PASS")
     assert lines[2].startswith("lemma3 contraction: PASS")
-    assert lines[3].startswith("lemma4 association: PASS")
+    assert lines[3] == ("lemma4 association: PASS (worst lhs-rhs gap "
+                        "0.22500000000000009 at n=0; n=1..6 hold by "
+                        "Chebyshev's association inequality)")
 
 
 def test_check_lemmas_unbounded_offspring(tmp_path, capsys):
@@ -648,6 +660,32 @@ def test_check_lemmas_unbounded_offspring(tmp_path, capsys):
     lines = out.splitlines()
     assert "lemma3 contraction: SKIPPED (requires bounded N)" in lines
     assert any(ln.startswith("lemma4 association: PASS") for ln in lines)
+
+
+def test_check_lemmas_evolves_no_law_for_lemma4(tmp_path, capsys,
+                                                monkeypatch):
+    # E X s^X >= E X E s^X holds for every law (Chebyshev's association
+    # inequality), so lemma4 audits x0 and evolves nothing; evolved laws
+    # of N geometric p = .2 outgrow a gigabyte
+    def no_evolution(*args, **kwargs):
+        raise AssertionError("check-lemmas evolved a law")
+    monkeypatch.setattr(cli.evolution, "evolve", no_evolution)
+    monkeypatch.setattr(cli.evolution, "step", no_evolution)
+    monkeypatch.setattr(criteria, "evolve", no_evolution)
+    cfg = write_config(tmp_path, base_config(N={"type": "geometric",
+                                                "p": 0.2}))
+    code, out, _ = run_main(["check-lemmas", "--config", cfg], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1].startswith("lemma2 tail-bound: SKIPPED")
+    # the worst gap is x0's, and the default 10 steps are covered by the
+    # inequality itself: {0: .5, 2: .5} at s = 1.5 gives 2.25 - 1.625
+    assert lines[3] == ("lemma4 association: PASS (worst lhs-rhs gap 0.625 "
+                        "at n=0; n=1..10 hold by Chebyshev's association "
+                        "inequality)")
+    model = cli.parse_model(base_config())
+    assert cli._lemma4_audit(model, 0) == ("PASS",
+                                           "worst lhs-rhs gap 0.625 at n=0")
 
 
 def test_check_lemmas_fail_exits_one(tmp_path, capsys, monkeypatch):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from drphase import criteria, evolution
+from drphase import criteria, dists, evolution
 from drphase.criteria import (
     STRICTNESS_BAND,
     SUBCRITICAL,
@@ -291,14 +291,31 @@ def test_lemma4_pinned_pairs():
     assert lhs.log - rhs.log == pytest.approx(math.log(2.0), rel=1e-12)
 
 
+def near_zero_pmf(rng, delta):
+    """A law with all but delta of its mass at 0."""
+    rest = rand_pmf(rng)
+    weights = {v + 1: delta * float(w) for v, w in rest.as_dict().items()}
+    return FinitePmf.from_dict({0: 1.0 - delta, **weights})
+
+
 def test_lemma4_association_property():
+    # the inequality holds for every law and sub-law on the integers
+    # (Chebyshev's association inequality); the CLI audit rests on that
     rng = np.random.default_rng(44)
+    laws = [rand_pmf(rng) for _ in range(50)]
+    laws += [near_zero_pmf(rng, 10.0 ** -k) for k in range(1, 19)]
+    # sub-laws: each cut loses at least its top atom
+    sub_laws = []
+    for p in laws:
+        spare = max(0.0, 1.0 - float(p.probs[0] + p.probs[-1]))
+        sub_laws.append(dists.truncate(
+            p, float(p.probs[-1]) + 0.9 * float(rng.random()) * spare))
+    assert all(p.leaked_mass > 0.0 for p in sub_laws)
     slack = LogReal.from_float(1e-12)
-    for _ in range(50):
-        p = rand_pmf(rng)
-        s = 1.0 + 3.0 * float(rng.random()) + 1e-9
-        lhs, rhs = lemma4_association_check_log(p, s)
-        assert (lhs - rhs + slack).sign >= 0
+    for p in laws + sub_laws:
+        for s in (1.0 + 3.0 * float(rng.random()) + 1e-9, 1.5, 2.0):
+            lhs, rhs = lemma4_association_check_log(p, s)
+            assert (lhs - rhs + slack).sign >= 0
 
 
 def test_lemma4_requires_s_above_one():

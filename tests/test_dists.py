@@ -683,5 +683,10 @@ def test_model_spec_validation():
         ModelSpec(a=0, x0=x0, offspring=law)
     with pytest.raises(ValueError, match="is not a constant"):
         ModelSpec(a=1, x0=FinitePmf.delta(2), offspring=law)
+    # a ValueError naming x0 and the three laws, not an AttributeError
+    with pytest.raises(ValueError, match="^x0 must be a FinitePmf, a "
+                                         "GeometricPmf or a TwoPointPmf, "
+                                         "got dict$"):
+        ModelSpec(a=1, x0={0: 0.5, 2: 0.5}, offspring=law)
     m = ModelSpec(a=1, x0=x0, offspring=law)
     assert m.a == 1

@@ -484,31 +484,6 @@ def test_evolve_support_cap_failure_carries_partial_rows():
     assert exc.value.rows[-1].support_max > 8
 
 
-def assert_same_laws(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert np.array_equal(g.probs, w.probs)
-        assert g.leaked_mass == w.leaked_mass
-
-
-def test_evolve_failures_carry_the_kept_prefix():
-    model = base_model()
-    with pytest.raises(SupportCapExceeded) as cap:
-        evolve(model, 10, tail_eps=0.0, keep_pmfs=True, support_cap=20)
-    n = cap.value.rows[-1].n
-    assert_same_laws(cap.value.pmfs,
-                     evolve(model, n - 1, tail_eps=0.0, keep_pmfs=True).pmfs)
-    with pytest.raises(LeakBudgetExceeded) as leak:
-        evolve(model, 10, tail_eps=1e-3, leak_budget=1e-12, keep_pmfs=True)
-    n = leak.value.rows[-1].n
-    assert_same_laws(leak.value.pmfs,
-                     evolve(model, n - 1, tail_eps=1e-3, leak_budget=1e-12,
-                            keep_pmfs=True).pmfs)
-    with pytest.raises(SupportCapExceeded) as bare:
-        evolve(model, 10, tail_eps=0.0, support_cap=20)
-    assert bare.value.pmfs is None
-
-
 def test_evolve_rejects_negative_steps():
     with pytest.raises(ValueError):
         evolve(base_model(), -1)
