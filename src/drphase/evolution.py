@@ -15,7 +15,8 @@ A leak-free row computed wholly in the direct-convolution regime therefore
 carries a certified bracket around the limit.  Leaked mass lowers the
 retained E X_n and with it both bounds, so q_lower stays a lower bound but
 may fall from row to row.  Once a step takes the transform
-(_spectral_powers, past dists._DIRECT_CONV_OPS), the kept positive
+(_spectral_powers, past dists._DIRECT_CONV_OPS: one numpy.fft real round
+trip at a 5-smooth length), the kept positive
 round-off noise biases E X_n, and with it both bounds, upward; those rows
 are not certified.  gf_orbit convolves only heads of a weights per
 remaining step, so it has no FFT regime.
@@ -27,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from . import dists
 from .dists import (FinitePmf, GeometricPmf, ModelSpec, OffspringLaw,
@@ -164,12 +164,28 @@ def _add_clipped(acc: np.ndarray, wk: float, pp: np.ndarray, a: int) -> None:
         acc[1: 1 + tail.size] += wk * tail
 
 
+def _smooth_len(n: int) -> int:
+    """The smallest 2^i 3^j 5^k >= n, the lengths pocketfft transforms
+    fastest (what scipy.fft.next_fast_len(n, real=True) returns)."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the smallest power of two that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _spectral_powers(base: FinitePmf, x: FinitePmf,
                      v: np.ndarray) -> tuple[np.ndarray, float]:
     """sum_i v[i-1] base * x^{*i} (i = 1..len(v)) over its full support,
     and the mass the terms leak.
 
-    One inverse transform: the spectrum is rfft(base) times the polynomial
+    One inverse transform (numpy.fft, at the 5-smooth length _smooth_len
+    picks): the spectrum is rfft(base) times the polynomial
     sum_i v[i-1] phi^i in phi = rfft(x), evaluated by Horner's rule.  When
     base is x itself its transform is reused, so a step whose second power
     is already over budget takes one forward and one inverse transform in
@@ -178,14 +194,14 @@ def _spectral_powers(base: FinitePmf, x: FinitePmf,
     """
     n = x.probs.size
     size = base.probs.size + v.size * (n - 1)
-    nfft = sp_fft.next_fast_len(size, real=True)
-    phi = sp_fft.rfft(x.probs, nfft)
+    nfft = _smooth_len(size)
+    phi = np.fft.rfft(x.probs, nfft)
     spec = np.zeros_like(phi)
     for vi in v[::-1]:
         spec += vi
         spec *= phi
-    spec *= phi if base is x else sp_fft.rfft(base.probs, nfft)
-    mix = sp_fft.irfft(spec, nfft)[:size]
+    spec *= phi if base is x else np.fft.rfft(base.probs, nfft)
+    mix = np.fft.irfft(spec, nfft)[:size]
     np.clip(mix, 0.0, None, out=mix)
     i = np.arange(1, v.size + 1, dtype=np.float64)
     kept = np.log1p(-base.leaked_mass) + i * np.log1p(-x.leaked_mass)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import fft as sp_fft
 
 from drphase import dists, evolution
 from drphase.dists import (
@@ -215,6 +216,69 @@ def test_step_stays_direct_when_the_floor_trims_powers(monkeypatch):
     assert seen["spectral"] == 0
     assert out.probs.tobytes() == ref.probs.tobytes()
     assert out.leaked_mass == ref.leaked_mass
+
+
+# -- numpy.fft against scipy.fft, the test-only oracle -------------------------
+
+def test_smooth_len_is_scipy_next_fast_len():
+    rng = np.random.default_rng(17)
+    sizes = list(range(1, 5001)) + rng.integers(1, 5_000_001, 2000).tolist()
+    for n in sizes:
+        assert evolution._smooth_len(n) == sp_fft.next_fast_len(n, real=True), n
+
+
+def _scipy_spectral_powers(base, x, v):
+    """_spectral_powers written on scipy.fft: the bit-for-bit reference."""
+    size = base.probs.size + v.size * (x.probs.size - 1)
+    nfft = sp_fft.next_fast_len(size, real=True)
+    phi = sp_fft.rfft(x.probs, nfft)
+    spec = np.zeros_like(phi)
+    for vi in v[::-1]:
+        spec += vi
+        spec *= phi
+    spec *= phi if base is x else sp_fft.rfft(base.probs, nfft)
+    mix = sp_fft.irfft(spec, nfft)[:size]
+    np.clip(mix, 0.0, None, out=mix)
+    i = np.arange(1, v.size + 1, dtype=np.float64)
+    kept = np.log1p(-base.leaked_mass) + i * np.log1p(-x.leaked_mass)
+    return mix, float(np.dot(v, -np.expm1(kept)))
+
+
+def _random_law(rng, size):
+    """Weights spread over 300 decades, some exact zeros, maybe a leak."""
+    w = rng.random(size) * np.exp(-rng.random(size) * 690.0)
+    w[rng.random(size) < 0.1] = 0.0
+    w[-1] = 1.0
+    leak = float(rng.choice([0.0, 1e-12, 1e-6]))
+    return FinitePmf(w * ((1.0 - leak) / w.sum()), leak)
+
+
+def _random_weights(rng, kmax):
+    """kmax mixture weights; about one in three is an exact zero."""
+    v = rng.random(kmax)
+    v[rng.random(kmax) < 0.35] = 0.0
+    v[rng.integers(kmax)] += 0.5
+    return v / v.sum()
+
+
+def test_spectral_powers_equals_scipy_fft_bit_for_bit():
+    rng = np.random.default_rng(23)
+    cases = []
+    for _ in range(24):
+        x = _random_law(rng, int(rng.integers(2, 60_000)))
+        base = x if rng.random() < 0.5 \
+            else _random_law(rng, int(rng.integers(2, 60_000)))
+        cases.append((base, x, _random_weights(rng, int(rng.integers(2, 5)))))
+    # the README model's law at n = 22 has about 700k entries
+    big = _random_law(rng, 700_000)
+    cases.append((big, big, np.array([1.0])))
+    cases.append((big, big, np.array([0.0, 0.25, 0.75])))
+    cases.append((_random_law(rng, 350_000), big, np.array([0.6, 0.0, 0.4])))
+    for base, x, v in cases:
+        mix, leak = evolution._spectral_powers(base, x, v)
+        want, want_leak = _scipy_spectral_powers(base, x, v)
+        assert mix.tobytes() == want.tobytes()
+        assert leak == want_leak
 
 
 # -- generating-function route ------------------------------------------------
