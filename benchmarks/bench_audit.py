@@ -4,7 +4,9 @@ Times `drphase check-lemmas` in-process on the README model, on the model
 a=1, N=3, x0 {0: .5, 200: .5} at contraction_steps 4 and 12 (its evolved
 laws go through the FFT from n = 4 and pass 2^21 entries at n = 9), on the
 README x0 with N geometric p = .5 at the default steps (revisions whose
-lemma4 audits evolved laws spend nearly all their time there), and on a
+lemma4 audits evolved laws spend nearly all their time there), on x0
+geometric p = 1e-5 with N = 2 at 2 steps (revisions whose audits read a
+geometric x0 through its 1e-14 cut build 3.2M weights there), and on a
 model drawn like those of perfbench's audit workload, for a baseline
 revision and the working tree (see passes.py for the pass scheme).
 BENCH_audit.json also holds each side's exit codes and stdout, and
@@ -13,7 +15,7 @@ whether the two sides' outputs are identical.
     python benchmarks/bench_audit.py --baseline REV
 """
 
-from passes import best_of, main, outputs_identical
+from passes import best_of, main, outputs_identical, versions
 
 REPRO = {"a": 1, "x0": {"type": "finite", "pmf": [[0, 0.5], [200, 0.5]]},
          "N": {"type": "deterministic", "n": 3}}
@@ -30,6 +32,11 @@ CONFIGS = {
     "geometric_n": {"a": 1,
                     "x0": {"type": "finite", "pmf": [[0, 0.5], [2, 0.5]]},
                     "N": {"type": "geometric", "p": 0.5}},
+    "geometric_x0_1e-5": {
+        "a": 1, "x0": {"type": "geometric", "p": 1e-5},
+        "N": {"type": "deterministic", "n": 2},
+        "check_lemmas": {"growth_steps": 2, "tail_steps": 2,
+                         "contraction_steps": 2, "association_steps": 2}},
     "audit": {"a": 2, "x0": {"type": "finite",
                              "pmf": [[0, 0.58], [1, 0.13], [3, 0.29]]},
               "N": {"type": "finite", "pmf": [[1, 0.4], [2, 0.6]]}},
@@ -51,8 +58,6 @@ def measure():
     import json
     import os
     import tempfile
-    import numpy as np
-    import scipy
     timings, outputs = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, doc in CONFIGS.items():
@@ -62,8 +67,7 @@ def measure():
             case = f"cli.check_lemmas.{name}"
             outputs[case] = check_lemmas(path)
             timings[case] = best_of(lambda: check_lemmas(path))
-    return {"timings_s": timings, "outputs": outputs,
-            "numpy": np.__version__, "scipy": scipy.__version__}
+    return {"timings_s": timings, "outputs": outputs, **versions()}
 
 
 if __name__ == "__main__":

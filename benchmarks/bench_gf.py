@@ -15,7 +15,7 @@ REV must be 1da936b or later: earlier revisions have no
 `dists.geometric_x0_pmf`.
 """
 
-from passes import best_of, main, outputs_identical
+from passes import best_of, main, outputs_identical, versions
 
 S = 1.2
 SIZES = (10, 150, 2_000, 100_000)
@@ -52,8 +52,6 @@ def measure():
     import json
     import os
     import tempfile
-    import numpy as np
-    import scipy
     from drphase.dists import FinitePmf
     timings, outputs = {}, {}
     for name, p in pgf_cases():
@@ -70,8 +68,7 @@ def measure():
             case = f"cli.check_lemmas.{name}"
             outputs[case] = check_lemmas(path)
             timings[case] = best_of(lambda: check_lemmas(path))
-    return {"timings_s": timings, "outputs": outputs,
-            "numpy": np.__version__, "scipy": scipy.__version__}
+    return {"timings_s": timings, "outputs": outputs, **versions()}
 
 
 if __name__ == "__main__":

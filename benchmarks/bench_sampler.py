@@ -16,7 +16,7 @@ REV must be 1da936b or later: earlier revisions have no
 `dists.geometric_x0_pmf`.
 """
 
-from passes import best_of, main, outputs_identical
+from passes import best_of, main, outputs_identical, versions
 
 X0 = {0: 0.3, 1: 0.2, 2: 0.2, 5: 0.3}
 SEED = 20261018
@@ -26,7 +26,6 @@ def measure():
     """Timings (s) and output digests of the drphase found on sys.path."""
     import hashlib
     import numpy as np
-    import scipy
     from drphase.dists import (FinitePmf, ModelSpec, OffspringLaw,
                                geometric_x0_pmf)
     from drphase.montecarlo import (ancestor_counts, init_population,
@@ -60,8 +59,7 @@ def measure():
     for case, fn in cases.items():
         outputs[case] = digest(fn())
         timings[case] = best_of(fn)
-    return {"timings_s": timings, "outputs": outputs,
-            "numpy": np.__version__, "scipy": scipy.__version__}
+    return {"timings_s": timings, "outputs": outputs, **versions()}
 
 
 if __name__ == "__main__":

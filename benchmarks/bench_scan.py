@@ -15,7 +15,7 @@ outputs are identical.
     python benchmarks/bench_scan.py --baseline REV
 """
 
-from passes import REPEATS, best_of, main, outputs_identical
+from passes import REPEATS, best_of, main, outputs_identical, versions
 
 GEOMETRIC_R = (1e-2, 1e-3, 1e-4, 1e-5)
 GRID = 41
@@ -41,8 +41,6 @@ def measure():
     """Timings (s) and outputs of the drphase found on sys.path."""
     import hashlib
     import importlib
-    import numpy as np
-    import scipy
     from drphase import criteria
     from drphase.dists import OffspringLaw
     # the package re-exports scan.scan, which shadows the module attribute
@@ -78,8 +76,7 @@ def measure():
     timings["boundary_report.two_point_sweep_90"] = best_of(run_sweep)
     timings["import_drphase_cli"] = min(import_cli_s()
                                         for _ in range(REPEATS))
-    return {"timings_s": timings, "outputs": outputs,
-            "numpy": np.__version__, "scipy": scipy.__version__}
+    return {"timings_s": timings, "outputs": outputs, **versions()}
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ import sys
 import tempfile
 import time
 
-from passes import REPEATS, main, outputs_identical
+from passes import REPEATS, main, outputs_identical, versions
 
 README_MODEL = {"a": 1, "x0": {"type": "finite", "pmf": [[0, 0.5], [2, 0.5]]},
                 "N": {"type": "deterministic", "n": 2}}
@@ -54,8 +54,6 @@ def run(args):
 def measure():
     """Timings (s), peak RSS (MB) and outputs of the drphase found on
     PYTHONPATH."""
-    import numpy as np
-    import scipy
     timings, rss, outputs = {}, {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         # the configs are named relative to tmp, so no path differs by side
@@ -68,7 +66,7 @@ def measure():
             rss[case] = statistics.median(r[1] for r in runs)
             outputs[case] = runs[0][2:]
     return {"timings_s": timings, "peak_rss_mb": rss, "outputs": outputs,
-            "numpy": np.__version__, "scipy": scipy.__version__}
+            **versions()}
 
 
 def finish(result):

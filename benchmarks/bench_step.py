@@ -13,7 +13,7 @@ outputs can be compared).
     python benchmarks/bench_step.py --baseline REV
 """
 
-from passes import best_of, main
+from passes import best_of, main, versions
 
 
 def smooth_pmf(size, leak=0.0):
@@ -52,12 +52,14 @@ def step_cases():
 def measure():
     """Timings (s) and step means of the drphase found on sys.path."""
     import numpy as np
-    import scipy
     from drphase import dists, evolution
     timings, means = {}, {}
     for name, model, x in step_cases():
         out = evolution.step(x, model, 0.0)  # warm-up
-        means[name] = dists.mean(out)
+        # E X from the weights: older revisions have dists.mean in place of
+        # FinitePmf.mean
+        means[name] = float(np.dot(out.probs, np.arange(out.probs.size,
+                                                        dtype=np.float64)))
         timings[name] = best_of(lambda: evolution.step(x, model, 0.0))
     rng = np.random.default_rng(7)
     dense = rng.random(300_000)
@@ -66,8 +68,7 @@ def measure():
     timings["FinitePmf.n300k"] = best_of(lambda: dists.FinitePmf(dense))
     timings["FinitePmf.n300k_trailing_zeros"] = best_of(
         lambda: dists.FinitePmf(padded))
-    return {"timings_s": timings, "step_means": means,
-            "numpy": np.__version__, "scipy": scipy.__version__}
+    return {"timings_s": timings, "step_means": means, **versions()}
 
 
 def step_mean_rel_diff(result):

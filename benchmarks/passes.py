@@ -2,7 +2,7 @@
 
 A script `benchmarks/bench_<topic>.py` defines `measure()`, which times its
 cases on the drphase found on sys.path and returns {"timings_s": {case: s},
-"numpy": ..., "scipy": ..., plus any outputs to compare}, and calls
+**versions(), plus any outputs to compare}, and calls
 `main(__doc__, __file__, measure)`.  `main` then times two source trees on one
 host: a baseline revision exported with `git archive` and the working
 tree's `src/`.  Each side runs ROUNDS fresh-process passes, the sides
@@ -35,6 +35,17 @@ def best_of(fn):
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def versions():
+    """numpy's version, and scipy's where it is importable (None otherwise):
+    the package needs numpy only, and scipy is a test oracle."""
+    import numpy
+    try:
+        import scipy
+    except ImportError:
+        return {"numpy": numpy.__version__, "scipy": None}
+    return {"numpy": numpy.__version__, "scipy": scipy.__version__}
 
 
 def git(*args):

@@ -33,7 +33,6 @@ from .dists import (
     geometric_x0_pmf,
     log_pgf_deriv,
     log_pgf_eval,
-    mean,
     pgf_deriv,
     pgf_eval,
     truncate,
@@ -62,7 +61,6 @@ from .montecarlo import (
 from .scan import (
     BoundaryReport,
     CriterionUnavailable,
-    Family,
     GeometricX0Family,
     NoSignChange,
     TwoPointFamily,
@@ -81,7 +79,7 @@ __all__ = [
     "lemma4_association_check_log",
     "offspring_association_check",
     "FinitePmf", "GeometricPmf", "TwoPointPmf", "ModelSpec", "OffspringLaw",
-    "convolve", "truncate", "mean",
+    "convolve", "truncate",
     "pgf_eval", "pgf_deriv", "log_pgf_eval", "log_pgf_deriv",
     "EvolutionTrace", "TraceRow",
     "EvolutionStopped", "LeakBudgetExceeded", "SupportCapExceeded",
@@ -91,7 +89,7 @@ __all__ = [
     "Population", "QEstimate",
     "init_population", "mc_step", "mc_estimate_q",
     "ancestor_counts", "tree_sample",
-    "BoundaryReport", "Family", "TwoPointFamily", "GeometricX0Family",
+    "BoundaryReport", "TwoPointFamily", "GeometricX0Family",
     "NoSignChange", "CriterionUnavailable",
     "scan", "bisect_boundary", "boundary_report", "geometric_x0_pmf",
     "__version__",

@@ -10,9 +10,9 @@ fails.
 
 check-lemmas audits lemmas 1 and 3 along the generating-function orbit
 (evolution.gf_orbit), which evolves no law and so has no support cap, no
-leak and no FFT regime.  lemma4 audits the model's inputs: x0 (as
-dists.as_finite gives it) and N's sandwich.  Only lemma2 (uncapped,
-Subcritical models only) evolves a law.
+leak and no FFT regime, and lemma4 on the model's inputs, x0 and N's
+sandwich.  Only lemma2 (uncapped, Subcritical models only) evolves a law.
+Lemmas 1, 3 and 4 read x0 as classify does, and SKIP where E s^X0 diverges.
 """
 
 from __future__ import annotations
@@ -23,13 +23,13 @@ import math
 import sys
 
 from . import criteria, evolution, montecarlo
-from .dists import FinitePmf, GeometricPmf, ModelSpec, OffspringLaw, as_finite
+from .dists import FinitePmf, GeometricPmf, ModelSpec, OffspringLaw
 from .evolution import DEFAULT_STEPS, EvolutionStopped
 from .logreal import LogReal
 # the package re-exports scan.scan, so "from . import scan" would grab the
 # function; import the names this module needs instead
 from .scan import (DEFAULT_TOL, BoundaryNotCertified, CriterionUnavailable,
-                   Family, GeometricX0Family, TwoPointFamily, boundary_report)
+                   GeometricX0Family, TwoPointFamily, boundary_report)
 
 DEFAULT_POP_SIZE = 100_000
 DEFAULT_GRID_POINTS = 9
@@ -381,7 +381,7 @@ def cmd_simulate(cfg: dict, args) -> int:
     return 0
 
 
-def _parse_family(cfg: dict, scan: dict, offspring: OffspringLaw) -> Family:
+def _parse_family(cfg: dict, scan: dict, offspring: OffspringLaw):
     fam, kind = _typed_object(_get(scan, "family", "scan"), "scan.family",
                               _FAMILY_KEYS)
     a = _parse_a(cfg)
@@ -440,17 +440,23 @@ def _rel_margin(diff, ref) -> float:
     return diff.sign * math.exp(min(diff.log - ref.log, 709.0))
 
 
-def _growth_points(model: ModelSpec) -> list[float]:
-    """The lemma1 s-grid points where the criterion value is positive."""
-    s_star, mu = criteria.super_point(model)
-    grid = [c * s_star for c in (0.9, 0.95, 0.99) if c * s_star > 1.0]
-    return [s for s in grid if criteria.d0(model, s, mu) > 0.0]
+def _converging(model: ModelSpec, points) -> tuple[list[float], str]:
+    """The points where E s^X0 is finite (log_pgf_pair's inf is never an
+    overflow), and why the rest SKIP: past a geometric x0's radius."""
+    kept = [s for s in points if model.x0.log_pgf_pair(s)[0] < math.inf]
+    gone = " and ".join(f"s={_fmt(s)}" for s in points if s not in kept)
+    return kept, gone and f"E s^X0 diverges at {gone}"
 
 
 def _lemma1_audit(model: ModelSpec, steps: int) -> tuple[str, str]:
-    audited = _growth_points(model)
+    s_star, mu = criteria.super_point(model)
+    grid = [c * s_star for c in (0.9, 0.95, 0.99) if c * s_star > 1.0]
+    # positive criterion values; d0 is +inf where E s^X0 diverges
+    audited, skipped = _converging(
+        model, [s for s in grid if criteria.d0(model, s, mu) > 0.0])
     if not audited:
-        return "SKIPPED", "criterion value not positive on the s-grid"
+        return "SKIPPED", ("E s^X0 diverges on the s-grid" if skipped else
+                           "criterion value not positive on the s-grid")
     worst = math.inf
     slack = LogReal.from_float(criteria.GROWTH_SLACK)
     unresolved = 0
@@ -472,7 +478,7 @@ def _lemma1_audit(model: ModelSpec, steps: int) -> tuple[str, str]:
     if unresolved:
         detail += (f"; rows below the floor within float64 resolution: "
                    f"{unresolved}")
-    return "PASS", detail
+    return "PASS", detail + (skipped and f"; SKIPPED ({skipped})")
 
 
 def _lemma2_audit(model: ModelSpec, steps: int) -> tuple[str, str]:
@@ -489,9 +495,11 @@ def _lemma3_audit(model: ModelSpec, steps: int) -> tuple[str, str]:
     point = criteria.sub_point(model)
     if point is None:
         return "SKIPPED", "requires bounded N"
-    s0 = point[0]
+    points, skipped = _converging(model, (point[0], 2.0 * point[0]))
+    if not points:
+        return "SKIPPED", skipped
     worst = math.inf
-    for s in (s0, 2.0 * s0):
+    for s in points:
         for row in criteria.lemma3_contraction_check(model, s, steps):
             if row.bound_log is None:
                 continue
@@ -501,17 +509,18 @@ def _lemma3_audit(model: ModelSpec, steps: int) -> tuple[str, str]:
                 return "FAIL", (f"s={_fmt(s)} n={row.n}: value above "
                                 f"contraction bound by {_fmt(-gap)} "
                                 f"of the bound")
-    return "PASS", f"worst contraction margin {_fmt(worst)} of the bound"
+    return "PASS", (f"worst contraction margin {_fmt(worst)} of the bound"
+                    + (skipped and f"; SKIPPED ({skipped})"))
 
 
 def _lemma4_audit(model: ModelSpec, steps: int) -> tuple[str, str]:
     # E X s^X >= E X * E s^X holds for every law and sub-law (Chebyshev's
     # association inequality): an evolved X_n could show only rounding
     slack = LogReal.from_float(1e-12)
-    x0 = as_finite(model.x0)
+    points, skipped = _converging(model, (1.5, 2.0))
     worst = math.inf
-    for s in (1.5, 2.0):
-        lhs, rhs = criteria.lemma4_association_check_log(x0, s)
+    for s in points:
+        lhs, rhs = criteria.lemma4_association_check_log(model.x0, s)
         gap = (lhs - rhs).to_float()
         worst = min(worst, gap)
         if (lhs - rhs + slack).sign < 0:
@@ -526,9 +535,12 @@ def _lemma4_audit(model: ModelSpec, steps: int) -> tuple[str, str]:
             return "FAIL", f"v={_fmt(v)}: vG'(v) below mean*G(v)"
         if upper is not None and vgp > upper + 1e-9 * max(1.0, abs(upper)):
             return "FAIL", f"v={_fmt(v)}: vG'(v) above bound*G(v)"
+    if not points:
+        return "SKIPPED", skipped
     later = f"; n=1..{steps} hold by Chebyshev's association inequality"
     return "PASS", (f"worst lhs-rhs gap {_fmt(worst)} at n=0"
-                    + (later if steps else ""))
+                    + (later if steps else "")
+                    + (skipped and f"; SKIPPED ({skipped})"))
 
 
 def cmd_check_lemmas(cfg: dict, args) -> int:

@@ -13,9 +13,10 @@ within a narrow band of zero are never promoted to a phase claim.
 The lemma*_check functions re-verify the inequality chain behind the
 criteria: lemmas 1 and 3 along the generating-function orbit
 (evolution.gf_orbit), which evolves no law, lemma 2 on evolved laws,
-lemma 4 on the CLI's x0 alone (it holds for every law and sub-law).
-They return evidence rows rather than booleans so the CLI audit command
-and the tests can report margins.
+lemma 4 on the CLI's x0 alone (it holds for every law and sub-law).  Like
+d0, they read x0 through its pgf pairs and mean (ValueError where E s^X0
+diverges).  They return evidence rows rather than booleans so the CLI
+audit command and the tests can report margins.
 Comparisons run in signed log space: the audited quantities overflow
 float64 within a few generations on growing instances.
 """
@@ -27,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dists
-from .dists import FinitePmf, ModelSpec, OffspringLaw
+from .dists import FinitePmf, GeometricPmf, ModelSpec, OffspringLaw, TwoPointPmf
 from .evolution import evolve, gf_orbit
 from .logreal import LogReal
 
@@ -68,13 +68,7 @@ class PhaseVerdict:
 
 def d0(model: ModelSpec, s: float, m: float) -> float:
     """Criterion functional of the initial law at multiplier m."""
-    if isinstance(model.x0, FinitePmf):
-        # the weight sums may overflow, to an inf the log path below reads;
-        # the closed-form laws need no errstate, which costs microseconds
-        with np.errstate(over="ignore"):
-            f, fp = model.x0.pgf_pair(s)
-    else:
-        f, fp = model.x0.pgf_pair(s)
+    f, fp = model.x0.pgf_pair(s)
     first = (m - 1.0) * s * fp
     second = model.a * f
     if math.isfinite(first) and math.isfinite(second):
@@ -94,7 +88,7 @@ def d0(model: ModelSpec, s: float, m: float) -> float:
 
 def super_point(model: ModelSpec) -> tuple[float, float]:
     """(s, m) of the supercritical test: s = mu^(1/a), m = mu.  Reads only
-    model.a and model.offspring, so a scan.Family, whose members share
+    model.a and model.offspring, so a scan family, whose members share
     both, may stand for the model."""
     mu = model.offspring.mean
     return mu ** (1.0 / model.a), mu
@@ -307,15 +301,18 @@ def _contraction_holds(d_next: LogReal, bound: LogReal) -> bool:
     return (d_next - rhs).sign <= 0
 
 
-def lemma4_association_check_log(p: FinitePmf, s: float
-                                 ) -> tuple[LogReal, LogReal]:
-    """(E X s^X, E X * E s^X) in signed log space, where neither
-    overflows; the first dominates for s > 1."""
+def lemma4_association_check_log(p: FinitePmf | GeometricPmf | TwoPointPmf,
+                                 s: float) -> tuple[LogReal, LogReal]:
+    """(E X s^X, E X * E s^X) of any initial law p, from its log_pgf_pair
+    and mean, in signed log space, where neither overflows; the first
+    dominates for s > 1.  ValueError where E s^X diverges."""
     if s <= 1.0:
         raise ValueError(f"association inequality is claimed for s > 1, got {s}")
     log_f, log_fp = p.log_pgf_pair(s)
+    if log_f == math.inf:
+        raise ValueError(f"E s^X diverges at s={s}")
     lhs = LogReal.from_float(s) * LogReal.from_log(log_fp)
-    rhs = LogReal.from_float(dists.mean(p)) * LogReal.from_log(log_f)
+    rhs = LogReal.from_float(p.mean) * LogReal.from_log(log_f)
     return lhs, rhs
 
 

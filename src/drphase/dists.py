@@ -19,10 +19,10 @@ s^(support_max-1) is certain to overflow.  `pgf_eval`, `pgf_deriv`,
 An initial law is a `FinitePmf`, a `GeometricPmf`, which keeps
 P(X = k) = r (1-r)^k in closed form, or a `TwoPointPmf`, the member
 {0: 1-p, high: p} of a two-point family kept as its two numbers; neither
-of the last two has a weight array.  The consumers that read weights
-(evolution, the x0 draws) take them from `as_finite`, which builds each
-law's `cut` once: a geometric law cut with `geometric_x0_pmf`, a two-point
-law as the FinitePmf of its two weights.
+of the last two has a weight array.  Only `evolution.evolve`, the x0 draws
+and `evolution.gf_orbit`'s clip heads read weights, from `as_finite`, which
+builds each law's `cut` once (`geometric_x0_pmf` for a geometric law, the
+two weights for a two-point law); everything else reads pairs and `mean`.
 """
 
 from __future__ import annotations
@@ -134,9 +134,15 @@ class FinitePmf:
             return float(self.probs[value])
         return 0.0
 
+    @property
+    def mean(self) -> float:
+        """Retained first moment (a lower bound when leaked_mass > 0)."""
+        return float(np.dot(self.probs, np.arange(float(self.probs.size))))
+
     def pgf_pair(self, s: float) -> tuple[float, float]:
-        """(E s^X, d/ds E s^X) over the retained weights."""
-        return _pgf_pair(self.probs, s)
+        """(E s^X, d/ds E s^X) over the retained weights; overflow: quiet inf."""
+        with np.errstate(over="ignore"):
+            return _pgf_pair(self.probs, s)
 
     def log_pgf_pair(self, s: float) -> tuple[float, float]:
         """(log E s^X, log d/ds E s^X), stable far beyond float64 range."""
@@ -163,6 +169,11 @@ class GeometricPmf:
             raise ValueError(
                 f"success probability must lie in (0, 1), got {self.r}")
         object.__setattr__(self, "r", r)
+
+    @property
+    def mean(self) -> float:
+        """E X = (1-r) / r."""
+        return (1.0 - self.r) / self.r
 
     def pgf_pair(self, s: float) -> tuple[float, float]:
         """(E s^X, d/ds E s^X); (inf, inf) where the series diverges."""
@@ -214,6 +225,11 @@ class TwoPointPmf:
         object.__setattr__(self, "high", int(self.high))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "weights", np.array([1.0 - p, p]))
+
+    @property
+    def mean(self) -> float:
+        """E X = high p, as the cut's weights give it."""
+        return self.high * self.p
 
     def pgf_pair(self, s: float) -> tuple[float, float]:
         """(E s^X, d/ds E s^X); (inf, inf) where s^(high-1) must overflow."""
@@ -279,8 +295,8 @@ def _geometric_weights(p: float, tail: float) -> tuple[np.ndarray, float]:
 
 def as_finite(x0: FinitePmf | GeometricPmf | TwoPointPmf) -> FinitePmf:
     """An initial law as weights, for the consumers that read them
-    (evolution.evolve, evolution.gf_orbit, the x0 draws): a FinitePmf as it
-    is, a GeometricPmf or a TwoPointPmf as its `cut`."""
+    (evolution.evolve, the clip heads of evolution.gf_orbit, the x0 draws):
+    a FinitePmf as it is, a GeometricPmf or a TwoPointPmf as its `cut`."""
     return x0 if isinstance(x0, FinitePmf) else x0.cut
 
 
@@ -299,11 +315,6 @@ def _trimmed_size(probs: np.ndarray) -> int:
         end -= tail.size
         block *= 2
     return end
-
-
-def mean(p: FinitePmf) -> float:
-    """Retained first moment (a lower bound when leaked_mass > 0)."""
-    return float(np.dot(p.probs, np.arange(p.probs.size, dtype=np.float64)))
 
 
 def _check_argument(s: float) -> None:
@@ -501,7 +512,7 @@ class OffspringLaw:
         law = FinitePmf.from_dict(pmf)
         if float(law.probs[2:].sum()) <= 0.0:
             raise ValueError("the replica count must exceed 1 with positive probability")
-        return cls("finite", mean(law), law.probs, law.support_max)
+        return cls("finite", law.mean, law.probs, law.support_max)
 
     @classmethod
     def geometric(cls, p: float) -> "OffspringLaw":

@@ -209,7 +209,7 @@ def _spectral_powers(base: FinitePmf, x: FinitePmf,
 
 
 def _trace_row(x: FinitePmf, n: int, model: ModelSpec) -> TraceRow:
-    m = dists.mean(x)
+    m = x.mean
     upper, lower = q_bounds(m, n, model)
     return TraceRow(n, m, upper, lower, x.support_max, x.leaked_mass)
 
@@ -288,8 +288,8 @@ def gf_orbit(x0: FinitePmf | GeometricPmf | TwoPointPmf, law: OffspringLaw,
     """(F_n(s), F_n'(s), log G(F_n(s))) for n = 0..steps, F_n(s) = E s^X_n
     along the recursion from x0, G the generating function of law's
     weights (for geometric N the cut weights that step() uses too).
-    A geometric or two-point x0 is cut by dists.as_finite as well: past
-    its radius of convergence a geometric law's exact F_0(s) is infinite.
+    F_0(s), F_0'(s) are x0's log_pgf_pair(s) (ValueError where infinite: a
+    geometric x0 past its radius); the clip heads read dists.as_finite(x0).
 
     The generating-function recursion (Collet, Eckmann, Glaser & Martin,
     CMP 1984; Derrida & Retaux, JSP 2014, with G in place of v -> v^2):
@@ -303,14 +303,13 @@ def gf_orbit(x0: FinitePmf | GeometricPmf | TwoPointPmf, law: OffspringLaw,
     law collapsing onto 0 the computed F_n' is cancellation noise and may
     come out negative.
     """
-    if s <= 0.0:
-        raise ValueError(f"generating-function argument must be positive, got {s}")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    x0 = dists.as_finite(x0)
-    heads = _clip_heads(x0.probs, law.weights, a, steps)
-    log_s = math.log(s)
     log_f, log_fp = x0.log_pgf_pair(s)
+    if log_f == math.inf:
+        raise ValueError(f"E s^X diverges at s={s}")
+    heads = _clip_heads(dists.as_finite(x0).probs, law.weights, a, steps)
+    log_s = math.log(s)
     f, fp = LogReal.from_log(log_f), LogReal.from_log(log_fp)
     rows = []
     for n in range(steps + 1):

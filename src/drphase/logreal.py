@@ -76,10 +76,7 @@ ONE = LogReal(1, 0.0)
 
 
 def _logaddexp(a: float, b: float) -> float:
-    if a == -math.inf:
-        return b
-    if b == -math.inf:
-        return a
+    """log(e^a + e^b) for logs above -inf: LogReal.__add__ passes no ZERO."""
     hi, lo = (a, b) if a >= b else (b, a)
     return hi + math.log1p(math.exp(lo - hi))
 

@@ -5,8 +5,9 @@ the true critical point: each criterion is sufficient only, so between the
 two roots lies a band where neither claim applies.  The report carries that
 band explicitly instead of papering over it.
 
-Both families have their criterion roots in closed form (`Family.root`):
-d0 of the two-point law is affine in p, and the geometric law's generating
+The two families, `TwoPointFamily` and `GeometricX0Family`, whose members
+share a and N, have their criterion roots in closed form (`root`): d0 of
+the two-point law is affine in p, and the geometric law's generating
 function is rational in s.  `bisect_boundary` (named after the bisection
 it replaced, which the tests keep as their oracle) places an interval of
 width tol around the root and certifies it by the criterion's sign at both
@@ -50,29 +51,14 @@ class BoundaryNotCertified(RuntimeError):
     the criterion's float resolution there)."""
 
 
-class Family:
-    """A curve of models indexed by a parameter in (0, 1), all sharing one
-    tax a and one offspring law."""
-
-    a: int
-    offspring: OffspringLaw
-
-    def model(self, param: float) -> ModelSpec:
-        raise NotImplementedError
-
-    def root(self, which: str) -> float:
-        """The parameter where the chosen criterion's d0 vanishes."""
-        raise NotImplementedError
-
-
-def _test_point(family: Family, which: str) -> tuple[float, float] | None:
+def _test_point(family, which: str) -> tuple[float, float] | None:
     """(s, m) of the chosen test, shared by every member of the family."""
     return criteria.super_point(family) if which == "super" \
         else criteria.sub_point(family)
 
 
 @dataclass(frozen=True)
-class TwoPointFamily(Family):
+class TwoPointFamily:
     """Initial law {0: 1-p, high_value: p}, parameterized by p; each
     member is an exact dists.TwoPointPmf, with no weight array."""
 
@@ -97,7 +83,7 @@ class TwoPointFamily(Family):
 
 
 @dataclass(frozen=True)
-class GeometricX0Family(Family):
+class GeometricX0Family:
     """Initial law P(X0 = k) = r (1-r)^k on {0, 1, ...}, parameterized by
     the success probability r; each member is an exact dists.GeometricPmf,
     with no weight array."""
@@ -135,7 +121,7 @@ class BoundaryReport:
     sub_missing: RuntimeError | None = field(default=None, compare=False)
 
 
-def scan(family: Family, grid_points: int) -> list[tuple[float, PhaseVerdict]]:
+def scan(family, grid_points: int) -> list[tuple[float, PhaseVerdict]]:
     """Classify the family on a uniform grid over (EPS_PARAM, 1-EPS_PARAM)."""
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
@@ -144,12 +130,12 @@ def scan(family: Family, grid_points: int) -> list[tuple[float, PhaseVerdict]]:
             for p in params]
 
 
-def _criterion_value(family: Family, which: str, param: float) -> float:
+def _criterion_value(family, which: str, param: float) -> float:
     """The chosen criterion alone, at the family member `param`."""
     return criteria.d0(family.model(param), *_test_point(family, which))
 
 
-def bisect_boundary(family: Family, which: str,
+def bisect_boundary(family, which: str,
                     tol: float = DEFAULT_TOL) -> tuple[float, float]:
     """Interval of width <= tol around the chosen criterion's root, within
     (EPS_PARAM, 1 - EPS_PARAM).
@@ -189,7 +175,7 @@ def bisect_boundary(family: Family, which: str,
     return left, right
 
 
-def boundary_report(family: Family, grid_points: int = 9,
+def boundary_report(family, grid_points: int = 9,
                     tol: float = DEFAULT_TOL) -> BoundaryReport:
     """Grid verdicts plus both boundaries; missing boundaries become None,
     with the reason kept in super_missing/sub_missing."""

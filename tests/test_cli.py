@@ -11,9 +11,11 @@ import math
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
-from drphase import cli, criteria
+from drphase import cli, criteria, dists
+from drphase.logreal import LogReal
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -577,7 +579,7 @@ SHORT_BLOCKS = {"evolve": {"steps": 2}, "estimate_q": {"steps": 2},
 
 @pytest.mark.parametrize("command,law", [
     ("classify", "N"), ("evolve", "x0"), ("estimate-q", "x0"),
-    ("simulate", "x0"), ("check-lemmas", "x0")])
+    ("simulate", "x0")])
 def test_geometric_p_below_float_resolution_is_a_numerical_failure(
         tmp_path, capsys, command, law):
     # 1 - 1e-17 rounds to 1, so no cutoff of the weights ends the tail
@@ -598,6 +600,21 @@ def test_classify_geometric_x0_below_float_resolution(tmp_path, capsys):
     assert (code, err) == (0, "")
     assert out.splitlines() == ["verdict: Supercritical", "d_super: inf",
                                 "s_super: 2", "d_sub: inf", "s_sub: 2"]
+
+
+def test_check_lemmas_geometric_x0_below_float_resolution(tmp_path, capsys):
+    # check-lemmas reads x0 as classify does, through its closed form, which
+    # is infinite at every audited s > 1: nothing to audit, nothing to cut
+    cfg = write_config(tmp_path, base_config(
+        x0={"type": "geometric", "p": 1e-17}, **SHORT_BLOCKS))
+    code, out, err = run_main(["check-lemmas", "--config", cfg], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "lemma1 growth-floor: SKIPPED (E s^X0 diverges on the s-grid)",
+        "lemma2 tail-bound: SKIPPED (tail bound requires a Subcritical "
+        "verdict, model classified Supercritical)",
+        "lemma3 contraction: SKIPPED (E s^X0 diverges at s=2 and s=4)",
+        "lemma4 association: SKIPPED (E s^X0 diverges at s=1.5 and s=2)"]
 
 
 @pytest.mark.parametrize("command", ["classify", "evolve", "check-lemmas"])
@@ -688,6 +705,94 @@ def test_check_lemmas_evolves_no_law_for_lemma4(tmp_path, capsys,
                                            "worst lhs-rhs gap 0.625 at n=0")
 
 
+def test_check_lemmas_geometric_x0_past_its_radius_builds_no_cut(
+        tmp_path, capsys, monkeypatch):
+    # x0 geometric p = 1e-5 diverges from s = 1/(1 - p) on: every s-point
+    # of lemmas 1, 3 and 4 is past it, so no audit reads the 3.2M-entry cut
+    def refuse(r):
+        raise AssertionError(f"geometric_x0_pmf({r}) was built")
+    monkeypatch.setattr(dists, "geometric_x0_pmf", refuse)
+    cfg = write_config(tmp_path, base_config(
+        x0={"type": "geometric", "p": 1e-5}, **SHORT_BLOCKS))
+    code, out, err = run_main(["check-lemmas", "--config", cfg], capsys)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == ("lemma1 growth-floor: SKIPPED (E s^X0 diverges on "
+                        "the s-grid)")
+    assert lines[2] == ("lemma3 contraction: SKIPPED (E s^X0 diverges at "
+                        "s=2 and s=4)")
+    assert lines[3] == ("lemma4 association: SKIPPED (E s^X0 diverges at "
+                        "s=1.5 and s=2)")
+
+
+def test_check_lemmas_reads_the_geometric_law_not_its_cut(tmp_path, capsys):
+    # x0 geometric r = .35 converges for s < 1/0.65: lemma4 audits s = 1.5
+    # and skips s = 2, and lemma1's grid (1.8, 1.9, 1.98) lies past it
+    cfg = write_config(tmp_path, base_config(
+        x0={"type": "geometric", "p": 0.35}, N={"type": "geometric", "p": 0.5},
+        check_lemmas={"association_steps": 4}))
+    code, out, _ = run_main(["check-lemmas", "--config", cfg], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == ("lemma1 growth-floor: SKIPPED (E s^X0 diverges on "
+                        "the s-grid)")
+    assert lines[3] == ("lemma4 association: PASS (worst lhs-rhs gap "
+                        "520.00000000000364 at n=0; n=1..4 hold by "
+                        "Chebyshev's association inequality; SKIPPED "
+                        "(E s^X0 diverges at s=2))")
+    # the law's own gap E[(X - E X) s^X] at s = 1.5, summed by mpmath from
+    # the float r and q = 1 - r the code holds: 546 - 26 = 520.  The float
+    # closed form divides by 1 - q s = 0.025, formed from q s = 0.975,
+    # whose rounding costs ~39 ulps, doubled by the square: within 1e-14.
+    with mpmath.workdps(40):
+        r, q, s = mpmath.mpf(0.35), mpmath.mpf(1.0 - 0.35), mpmath.mpf(1.5)
+        gap = mpmath.nsum(lambda k: r * (q * s) ** k * (k - q / r),
+                          [0, mpmath.inf])
+    assert abs(gap - 520) < 1e-11
+    assert abs(520.00000000000364 - gap) <= 1e-14 * gap
+
+
+@pytest.mark.parametrize("check,fake,line", [
+    ("lemma1_growth_check",
+     lambda model, s, steps: [
+         criteria.GrowthRow(0, True, LogReal.from_float(1.0),
+                            LogReal.from_float(1.0)),
+         criteria.GrowthRow(1, False, LogReal.from_float(0.5),
+                            LogReal.from_float(1.0))],
+     "lemma1 growth-floor: FAIL (s=1.8 n=1: lhs below floor by 0.5 of the "
+     "floor)"),
+    ("lemma2_tail_check", lambda model, steps: 1.5,
+     "lemma2 tail-bound: FAIL (worst tail ratio 1.5 exceeds 1)"),
+    ("lemma3_contraction_check",
+     lambda model, s, steps: [
+         criteria.ContractionRow(0, True, LogReal.from_float(-1.0), None),
+         criteria.ContractionRow(1, False, LogReal.from_float(-0.5),
+                                 LogReal.from_float(-1.0))],
+     "lemma3 contraction: FAIL (s=2 n=1: value above contraction bound by "
+     "0.5 of the bound)"),
+    ("lemma4_association_check_log",
+     lambda p, s: (LogReal.from_float(1.0), LogReal.from_float(2.0)),
+     "lemma4 association: FAIL (s=1.5: lhs below rhs by 1)"),
+    ("offspring_association_check", lambda law, v: (1.0, 2.0, None),
+     "lemma4 association: FAIL (v=1: vG'(v) below mean*G(v))"),
+    ("offspring_association_check", lambda law, v: (3.0, 2.0, 2.5),
+     "lemma4 association: FAIL (v=1: vG'(v) above bound*G(v))"),
+], ids=["lemma1", "lemma2", "lemma3", "lemma4_x0", "lemma4_n_below",
+        "lemma4_n_above"])
+def test_check_lemmas_fail_details(tmp_path, capsys, monkeypatch, check,
+                                   fake, line):
+    # each audit's FAIL detail, from the criteria check it calls patched to
+    # return a failing row (the patched lemma2 check has no Subcritical gate)
+    monkeypatch.setattr(criteria, check, fake)
+    doc = base_config(check_lemmas={"growth_steps": 2, "tail_steps": 2,
+                                    "contraction_steps": 2,
+                                    "association_steps": 2})
+    cfg = write_config(tmp_path, doc)
+    code, out, _ = run_main(["check-lemmas", "--config", cfg], capsys)
+    assert code == 1
+    assert line in out.splitlines()
+
+
 def test_check_lemmas_fail_exits_one(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_lemma2_audit",
                         lambda model, steps: ("FAIL", "forced for the test"))
@@ -737,16 +842,17 @@ def test_check_lemmas_contraction_holds_in_the_fft_regime(tmp_path, capsys):
     # lemma1 reads as it does from the per-s-point public audit: the worst
     # margin is over the rows past n = 0, where lhs is its own floor
     model = cli.parse_model(doc)
-    points = cli._growth_points(model)
+    s_star, mu = criteria.super_point(model)
+    points = [c * s_star for c in (0.9, 0.95, 0.99)]
+    assert all(criteria.d0(model, s, mu) > 0.0 for s in points)
     worst = min(
         cli._rel_margin(row.lhs_log - row.floor_log, row.floor_log)
         for s in points
         for row in criteria.lemma1_growth_check(model, s, growth_steps)
         if row.n >= 1)
     assert worst > 0.0
-    assert lines[0] == (f"lemma1 growth-floor: PASS ({len(points)} s-points, "
+    assert lines[0] == ("lemma1 growth-floor: PASS (3 s-points, "
                         f"worst lhs margin {cli._fmt(worst)} of the floor)")
-    assert len(points) == 3
 
 
 def test_check_lemmas_zero_growth_steps_has_no_margin(tmp_path, capsys):

@@ -19,7 +19,8 @@ from drphase.criteria import (
     lemma4_association_check_log,
     offspring_association_check,
 )
-from drphase.dists import GEOMETRIC_TAIL, FinitePmf, ModelSpec, OffspringLaw
+from drphase.dists import (GEOMETRIC_TAIL, FinitePmf, GeometricPmf, ModelSpec,
+                           OffspringLaw, TwoPointPmf)
 from drphase.logreal import LogReal
 
 from conftest import rand_model_light
@@ -289,6 +290,16 @@ def test_lemma4_pinned_pairs():
         FinitePmf.from_dict({0: 0.5, 2000: 0.5}), 2.0)
     assert lhs.to_float() == math.inf
     assert lhs.log - rhs.log == pytest.approx(math.log(2.0), rel=1e-12)
+    # a closed-form law reads as its own pairs and mean: r = .35 at s = 1.5
+    # gives 1.5 F'(1.5) = 546 and E X F(1.5) = (13/7) 14 = 26, and past the
+    # radius 1/(1-r) E s^X diverges
+    lhs, rhs = lemma4_floats(GeometricPmf(0.35), 1.5)
+    assert lhs == pytest.approx(546.0, rel=1e-13)
+    assert rhs == pytest.approx(26.0, rel=1e-13)
+    with pytest.raises(ValueError, match="E s\\^X diverges at s=2.0"):
+        lemma4_association_check_log(GeometricPmf(0.35), 2.0)
+    law = TwoPointPmf(3, 0.25)
+    assert lemma4_floats(law, 2.0) == lemma4_floats(law.cut, 2.0)
 
 
 def near_zero_pmf(rng, delta):

