@@ -5,12 +5,13 @@ for r in 1e-2 ... 1e-5 (a cut law of 3.2k to 3.2M entries, where the
 family builds one), `boundary_report(family, 41, 1e-9)` on a two-point
 and on a geometric-x0 family, each with both boundaries, the same report
 on the 90 two-point families of perfbench's `scan` sweep (a in 1..3, high
-in 1..6, five N laws) in one pass, and `import drphase.cli` in a fresh
-interpreter (timed inside it), for a baseline revision and the working
-tree (see passes.py for the pass scheme).  BENCH_scan.json also holds each
-side's outputs (the verdicts, criterion values and boundary intervals; for
-the sweep, the sha256 of its 90 reports' reprs) and whether the two sides'
-outputs are identical.
+in 1..6, five N laws) in one pass, at 41, at 9 (the CLI default) and at
+101 grid points, and `import drphase.cli` in a fresh interpreter (timed
+inside it), for a baseline revision and the working tree (see passes.py
+for the pass scheme).  BENCH_scan.json also holds each side's outputs (the
+verdicts, criterion values, verdict details and boundary intervals; for
+each sweep, the sha256 of its 90 reports' reprs) and whether the two
+sides' outputs are identical.
 
     python benchmarks/bench_scan.py --baseline REV
 """
@@ -20,6 +21,9 @@ from passes import REPEATS, best_of, main, outputs_identical, versions
 GEOMETRIC_R = (1e-2, 1e-3, 1e-4, 1e-5)
 GRID = 41
 TOL = 1e-9
+# the sweep's grid sizes and case-name suffixes: perfbench's 41, the CLI
+# default 9 and a fine 101
+SWEEP_GRIDS = ((GRID, ""), (9, "_grid9"), (101, "_grid101"))
 IMPORT_CLI = ("import time; t = time.perf_counter(); import drphase.cli; "
               "print(time.perf_counter() - t)")
 
@@ -34,7 +38,8 @@ def import_cli_s():
 
 def report_repr(rep):
     return repr((rep.super_boundary, rep.sub_boundary, rep.undetermined_band,
-                 [(p, v.verdict, v.d_super, v.d_sub) for p, v in rep.grid]))
+                 [(p, v.verdict, v.d_super, v.d_sub, v.details)
+                  for p, v in rep.grid]))
 
 
 def measure():
@@ -69,11 +74,14 @@ def measure():
     sweep = [scan.TwoPointFamily(a, high, law) for a in (1, 2, 3)
              for high in range(1, 7) for law in laws]
 
-    def run_sweep():
-        return [scan.boundary_report(fam, GRID, TOL) for fam in sweep]
-    digest = hashlib.sha256("\n".join(map(report_repr, run_sweep())).encode())
-    outputs["boundary_report.two_point_sweep_90"] = digest.hexdigest()
-    timings["boundary_report.two_point_sweep_90"] = best_of(run_sweep)
+    for grid, suffix in SWEEP_GRIDS:
+        def run_sweep():
+            return [scan.boundary_report(fam, grid, TOL) for fam in sweep]
+        case = f"boundary_report.two_point_sweep_90{suffix}"
+        digest = hashlib.sha256(
+            "\n".join(map(report_repr, run_sweep())).encode())
+        outputs[case] = digest.hexdigest()
+        timings[case] = best_of(run_sweep)
     timings["import_drphase_cli"] = min(import_cli_s()
                                         for _ in range(REPEATS))
     return {"timings_s": timings, "outputs": outputs, **versions()}

@@ -8,14 +8,15 @@ tree's `src/`: `classify`, `evolve`, `estimate-q`, `simulate` and
 geometric-N model, a geometric-x0 model with geometric N, a finite-N model
 and a subcritical model), `evolve` and `estimate-q` on the README model with
 no command block (both exit 3 at n = 23, past the default leak budget, so
-the partial-output paths are compared too), and `scan` on four
+the partial-output paths are compared too), and `scan` on five
 `two_point` families (high 3; high 1; geometric N, where the sub boundary
 is n/a; high 1024, where s^high overflows and the criterion takes the log
-path through the law's weights) and one `geometric_x0` family, each in the
-three formats: 96 invocations per side.  Each invocation's stdout, stderr
-and exit code must be equal on both sides.
-Prints one line per difference and a summary, and exits 1 if there is any
-difference, 0 otherwise.
+path through the law's weights; high 1500, where s^(high-1) is known to
+overflow before any power is taken, so every grid member takes that path)
+and one `geometric_x0` family, each in the three formats: 99 invocations
+per side.  Each invocation's stdout, stderr and exit code must be equal on
+both sides.  Prints one line per difference and a summary, and exits 1 if
+there is any difference, 0 otherwise.
 
     python benchmarks/cli_matrix.py --baseline REV
 """
@@ -63,6 +64,10 @@ FAMILIES = {
     "two-point-overflow": {"a": 1, "N": {"type": "deterministic", "n": 2},
                            "scan": {"family": {"type": "two_point",
                                                "high": 1024}}},
+    "two-point-overflow-early": {"a": 1,
+                                 "N": {"type": "deterministic", "n": 2},
+                                 "scan": {"family": {"type": "two_point",
+                                                     "high": 1500}}},
     "geometric-x0": {"a": 1, "N": {"type": "finite",
                                    "pmf": [[1, 0.6], [3, 0.4]]},
                      "scan": {"family": {"type": "geometric_x0"}}},

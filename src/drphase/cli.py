@@ -441,9 +441,9 @@ def _rel_margin(diff, ref) -> float:
 
 
 def _converging(model: ModelSpec, points) -> tuple[list[float], str]:
-    """The points where E s^X0 is finite (log_pgf_pair's inf is never an
-    overflow), and why the rest SKIP: past a geometric x0's radius."""
-    kept = [s for s in points if model.x0.log_pgf_pair(s)[0] < math.inf]
+    """The points where E s^X0 is finite, and why the rest SKIP: past a
+    geometric x0's radius (the law's `diverges`, which reads no weight)."""
+    kept = [s for s in points if not model.x0.diverges(s)]
     gone = " and ".join(f"s={_fmt(s)}" for s in points if s not in kept)
     return kept, gone and f"E s^X0 diverges at {gone}"
 
@@ -452,8 +452,8 @@ def _lemma1_audit(model: ModelSpec, steps: int) -> tuple[str, str]:
     s_star, mu = criteria.super_point(model)
     grid = [c * s_star for c in (0.9, 0.95, 0.99) if c * s_star > 1.0]
     # positive criterion values; d0 is +inf where E s^X0 diverges
-    audited, skipped = _converging(
-        model, [s for s in grid if criteria.d0(model, s, mu) > 0.0])
+    audited, skipped = _converging(model, [
+        s for s in grid if criteria.d0(model.x0, model.a, s, mu) > 0.0])
     if not audited:
         return "SKIPPED", ("E s^X0 diverges on the s-grid" if skipped else
                            "criterion value not positive on the s-grid")

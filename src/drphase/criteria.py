@@ -8,7 +8,11 @@ at two designated points: s = mu^(1/a) with m = mu (mean offspring count)
 for the supercritical test, and s = 1 + (M-1)/a with m = M (the essential
 supremum) for the subcritical test (`super_point`, `sub_point`).  Both
 conditions are sufficient, not necessary, so three verdicts exist; values
-within a narrow band of zero are never promoted to a phase claim.
+within a narrow band of zero are never promoted to a phase claim
+(`phase_verdict`, the one rule behind `classify` and `scan.scan`).
+`d0(x0, a, s, m)` reads only the initial law and the tax, so a scan family
+needs no model per member, and `d0_values` gives a whole family's values
+from arrays of F(s) and F'(s), with each member's digits.
 
 The lemma*_check functions re-verify the inequality chain behind the
 criteria: lemmas 1 and 3 along the generating-function orbit
@@ -66,24 +70,43 @@ class PhaseVerdict:
         return self.verdict
 
 
-def d0(model: ModelSpec, s: float, m: float) -> float:
-    """Criterion functional of the initial law at multiplier m."""
-    f, fp = model.x0.pgf_pair(s)
-    first = (m - 1.0) * s * fp
-    second = model.a * f
+def d0(x0: FinitePmf | GeometricPmf | TwoPointPmf, a: int, s: float,
+       m: float) -> float:
+    """Criterion functional of the initial law x0 under tax a at s, with
+    multiplier m."""
+    f, fp = x0.pgf_pair(s)
+    first, second = _d0_terms(f, fp, a, s, m)
     if math.isfinite(first) and math.isfinite(second):
         return first - second
-    # Past float64 range: either the sums overflowed, pgf_pair saw before
-    # evaluating that s^(support_max-1) must overflow and returned inf, or
-    # the series diverges (a geometric x0 at (1-r) s >= 1).  Only the sign
-    # decides the verdict, so the value comes from log space.
-    log_f, log_fp = model.x0.log_pgf_pair(s)
-    if log_f == math.inf:
-        # a divergent series: its terms w_k s^k ((m-1) k - a) are positive
-        # for k > a/(m-1)
+    if x0.diverges(s):
+        # a geometric x0 at (1-r) s >= 1: the series' terms
+        # w_k s^k ((m-1) k - a) are positive for k > a/(m-1)
         return math.inf
+    # Past float64 range: either the sums overflowed or pgf_pair saw before
+    # evaluating that s^(support_max-1) must overflow and returned inf.
+    # Only the sign decides the verdict, so the value comes from log space.
+    log_f, log_fp = x0.log_pgf_pair(s)
     return _d_log(LogReal.from_log(log_f), LogReal.from_log(log_fp), s, m,
-                  model.a).to_float()
+                  a).to_float()
+
+
+def d0_values(f: np.ndarray, fp: np.ndarray, a: int, s: float, m: float,
+              member) -> list[float]:
+    """d0 of a family's members from the arrays of their F(s) and F'(s),
+    in the operations of d0, so each value equals the member's own d0 bit
+    for bit.  Where a term leaves float64 range the value is d0 of the
+    member's law, member(i), the only law built."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        first, second = _d0_terms(f, fp, a, s, m)
+        values = (first - second).tolist()
+    for i in np.flatnonzero(~(np.isfinite(first) & np.isfinite(second))):
+        values[i] = d0(member(int(i)), a, s, m)
+    return values
+
+
+def _d0_terms(f, fp, a: int, s: float, m: float):
+    """d0's two terms, (m-1) s F'(s) and a F(s), of floats or arrays."""
+    return (m - 1.0) * s * fp, a * f
 
 
 def super_point(model: ModelSpec) -> tuple[float, float]:
@@ -112,10 +135,19 @@ def classify(model: ModelSpec) -> PhaseVerdict:
     """
     sup = super_point(model)
     sub = sub_point(model)
-    d_super = d0(model, *sup)
+    d_super = d0(model.x0, model.a, *sup)
     d_sub: float | None = None
     if sub is not None:
-        d_sub = d_super if sub == sup else d0(model, *sub)
+        d_sub = d_super if sub == sup else d0(model.x0, model.a, *sub)
+    return phase_verdict(d_super, d_sub, sup, sub, model.offspring)
+
+
+def phase_verdict(d_super: float, d_sub: float | None,
+                  sup: tuple[float, float], sub: tuple[float, float] | None,
+                  offspring: OffspringLaw) -> PhaseVerdict:
+    """The verdict of both criterion values, taken at the test points sup
+    and sub (None for an unbounded N): a phase is claimed only beyond the
+    +/- STRICTNESS_BAND band, the supercritical test first."""
     if d_super > STRICTNESS_BAND:
         verdict = SUPERCRITICAL
     elif d_sub is not None and d_sub < -STRICTNESS_BAND:
@@ -123,8 +155,8 @@ def classify(model: ModelSpec) -> PhaseVerdict:
     else:
         verdict = UNDETERMINED
     details = {"s_super": sup[0], "s_sub": None if sub is None else sub[0],
-               "offspring_mean": model.offspring.mean,
-               "offspring_bound": model.offspring.bound}
+               "offspring_mean": offspring.mean,
+               "offspring_bound": offspring.bound}
     return PhaseVerdict(verdict, d_super, d_sub, details)
 
 

@@ -10,10 +10,13 @@ is `evolution._spectral_powers`, which `evolution.step` takes once a power
 would cost more than `_DIRECT_CONV_OPS` multiply-adds.
 
 A law's `pgf_pair`/`log_pgf_pair` methods are the one way to evaluate
-E s^X and its derivative at a point, in float64 and in log space.  Weights
-go through two array cores, `_pgf_pair` and `_log_pgf_pair`, each one pass
-over the support; `_pgf_pair` returns inf without evaluating when
-s^(support_max-1) is certain to overflow.  `pgf_eval`, `pgf_deriv`,
+E s^X and its derivative at a point, in float64 and in log space, and its
+`diverges(s)` the one test of whether E s^X is infinite there (only a
+geometric law's can be).  Weights go through two array cores, `_pgf_pair`
+and `_log_pgf_pair`, each one pass over the support; `_pgf_pair` returns
+inf without evaluating when s^(support_max-1) is certain to overflow.
+`two_point_pgf_pair` evaluates a whole array of two-point laws at once,
+each with the digits of its own `pgf_pair`.  `pgf_eval`, `pgf_deriv`,
 `log_pgf_eval` and `log_pgf_deriv` are one side of a `FinitePmf`'s pairs.
 
 An initial law is a `FinitePmf`, a `GeometricPmf`, which keeps
@@ -139,6 +142,10 @@ class FinitePmf:
         """Retained first moment (a lower bound when leaked_mass > 0)."""
         return float(np.dot(self.probs, np.arange(float(self.probs.size))))
 
+    def diverges(self, s: float) -> bool:
+        """Whether E s^X diverges: never, a finite sum."""
+        return False
+
     def pgf_pair(self, s: float) -> tuple[float, float]:
         """(E s^X, d/ds E s^X) over the retained weights; overflow: quiet inf."""
         with np.errstate(over="ignore"):
@@ -175,12 +182,16 @@ class GeometricPmf:
         """E X = (1-r) / r."""
         return (1.0 - self.r) / self.r
 
+    def diverges(self, s: float) -> bool:
+        """Whether E s^X diverges: from the radius on, (1-r) s >= 1."""
+        return (1.0 - self.r) * s >= 1.0
+
     def pgf_pair(self, s: float) -> tuple[float, float]:
         """(E s^X, d/ds E s^X); (inf, inf) where the series diverges."""
         _check_argument(s)
-        q = 1.0 - self.r
-        if q * s >= 1.0:
+        if self.diverges(s):
             return math.inf, math.inf
+        q = 1.0 - self.r
         den = 1.0 - q * s
         return self.r / den, self.r * q / den ** 2
 
@@ -205,9 +216,11 @@ class TwoPointPmf:
     array of FinitePmf.from_dict({0: 1 - p, high: p}), so its values equal
     that law's bit for bit: the same overflow test, the powers from
     np.power's array path (`_two_point_powers`, shared by a family's
-    members, which share their test points) and the value from a two-term
-    np.dot.  log_pgf_pair and the weight-reading consumers (`as_finite`)
-    use `cut`, that FinitePmf, built on first use and kept.
+    members, which share their test points) and the value from the ddot of
+    a two-term np.dot, in `two_point_pgf_pair`, the array core a scan
+    family evaluates all its members with.  log_pgf_pair and the
+    weight-reading consumers (`as_finite`) use `cut`, that FinitePmf,
+    built on first use and kept.
     """
 
     high: int
@@ -231,15 +244,15 @@ class TwoPointPmf:
         """E X = high p, as the cut's weights give it."""
         return self.high * self.p
 
+    def diverges(self, s: float) -> bool:
+        """Whether E s^X diverges: never, a sum of two terms."""
+        return False
+
     def pgf_pair(self, s: float) -> tuple[float, float]:
         """(E s^X, d/ds E s^X); (inf, inf) where s^(high-1) must overflow."""
         _check_argument(s)
-        h = self.high
-        if s > 1.0 and (h - 1.0) * math.log(s) > _LOG_OVERFLOW:
-            return math.inf, math.inf
-        powers, shifted = _two_point_powers(float(s), h)
-        value = float(np.dot(self.weights, powers))
-        return value, self.p if h == 1 else self.p * h * shifted
+        value, deriv = two_point_pgf_pair(self.weights, self.p, self.high, s)
+        return float(value), float(deriv)
 
     def log_pgf_pair(self, s: float) -> tuple[float, float]:
         """(log E s^X, log d/ds E s^X), over the weights of `cut`."""
@@ -250,6 +263,25 @@ class TwoPointPmf:
         """FinitePmf.from_dict({0: 1 - p, high: p}), built on first use and
         kept."""
         return FinitePmf.from_dict({0: 1.0 - self.p, self.high: self.p})
+
+
+def two_point_pgf_pair(weights: np.ndarray, p: float | np.ndarray,
+                       high: int, s: float):
+    """(E s^X, d/ds E s^X) of the laws {0: 1-p, high: p} whose weight rows
+    [1-p, p] form the last axis of `weights`: one member's (2,) array with
+    its float p, or a (G, 2) array of a family's members, which share s
+    and high, with the array p of their parameters.
+
+    The value is np.vecdot over each row, which runs the cblas ddot of a
+    two-term np.dot (`_pgf_pair`), so every member's digits are those of
+    its FinitePmf; the derivative is p high s^(high-1).  Where s^(high-1)
+    must overflow, as `_pgf_pair` tests, both are inf without evaluating;
+    otherwise an array derivative may overflow, with numpy's warning."""
+    if s > 1.0 and (high - 1.0) * math.log(s) > _LOG_OVERFLOW:
+        inf = np.full(np.shape(p), math.inf)
+        return inf, inf
+    powers, shifted = _two_point_powers(float(s), high)
+    return np.vecdot(weights, powers), p if high == 1 else p * high * shifted
 
 
 @functools.lru_cache(maxsize=256)

@@ -11,10 +11,19 @@ the two-point law is affine in p, and the geometric law's generating
 function is rational in s.  `bisect_boundary` (named after the bisection
 it replaced, which the tests keep as their oracle) places an interval of
 width tol around the root and certifies it by the criterion's sign at both
-ends: four criterion evaluations per boundary.  A family member's x0 is
-a closed-form law, a `dists.TwoPointPmf` or a `dists.GeometricPmf`, so
-neither a scan nor a classify builds a weight array; a two-point member's
-criterion values equal those of its FinitePmf bit for bit.
+ends: four criterion evaluations per boundary, each on the member's law
+(`law`) and the family's a.  A family member's x0 is a closed-form law, a
+`dists.TwoPointPmf` or a `dists.GeometricPmf`, so neither a scan nor a
+classify builds a weight array; a two-point member's criterion values
+equal those of its FinitePmf bit for bit.
+
+`scan` evaluates each criterion once per family over its whole grid
+(`criterion_values`) and shares `criteria.phase_verdict` with `classify`,
+so its verdicts equal `classify(family.model(p))` bit for bit.  A
+two-point family takes the grid as arrays (`dists.two_point_pgf_pair`)
+and builds no law or ModelSpec per member, except where s^(high-1)
+overflows and a member's value comes from its law's log pair; a
+geometric-x0 family goes member by member.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from .criteria import PhaseVerdict
 # geometric_x0_pmf lives in dists, whose as_finite builds it; this
 # re-export is kept for perfbench/tracer.py, which wraps it here
 from .dists import (GeometricPmf, ModelSpec, OffspringLaw, TwoPointPmf,
-                    geometric_x0_pmf)
+                    geometric_x0_pmf, two_point_pgf_pair)
 
 # Families are swept over the open unit interval, inset by this margin
 # (endpoints would give a constant initial law).
@@ -70,9 +79,22 @@ class TwoPointFamily:
         if self.high_value < 1:
             raise ValueError(f"high_value must be >= 1, got {self.high_value}")
 
+    def law(self, param: float) -> TwoPointPmf:
+        return TwoPointPmf(self.high_value, param)
+
     def model(self, param: float) -> ModelSpec:
-        return ModelSpec(self.a, TwoPointPmf(self.high_value, param),
-                         self.offspring)
+        return ModelSpec(self.a, self.law(param), self.offspring)
+
+    def criterion_values(self, params: np.ndarray, s: float,
+                         m: float) -> list[float]:
+        """d0 at (s, m) of the members at params, over the whole array at
+        once and with each member's digits; only a member whose terms leave
+        float64 range builds its law, for d0's log path."""
+        weights = np.stack((1.0 - params, params), axis=-1)
+        with np.errstate(over="ignore"):
+            f, fp = two_point_pgf_pair(weights, params, self.high_value, s)
+        return criteria.d0_values(f, fp, self.a, s, m,
+                                  lambda i: self.law(float(params[i])))
 
     def root(self, which: str) -> float:
         """d0 = p (s^h ((m-1) h - a) + a) - a at h = high_value, affine
@@ -91,8 +113,19 @@ class GeometricX0Family:
     a: int
     offspring: OffspringLaw
 
+    def law(self, param: float) -> GeometricPmf:
+        return GeometricPmf(param)
+
     def model(self, param: float) -> ModelSpec:
-        return ModelSpec(self.a, GeometricPmf(param), self.offspring)
+        return ModelSpec(self.a, self.law(param), self.offspring)
+
+    def criterion_values(self, params: np.ndarray, s: float,
+                         m: float) -> list[float]:
+        """d0 at (s, m) of the members at params, member by member: the
+        closed form's den ** 2 is C pow, whose last bit numpy's square
+        does not always match."""
+        return [criteria.d0(self.law(r), self.a, s, m)
+                for r in params.tolist()]
 
     def root(self, which: str) -> float:
         """d0 = F(s) ((m-1) s q / (1 - q s) - a) with q = 1 - r and
@@ -122,17 +155,29 @@ class BoundaryReport:
 
 
 def scan(family, grid_points: int) -> list[tuple[float, PhaseVerdict]]:
-    """Classify the family on a uniform grid over (EPS_PARAM, 1-EPS_PARAM)."""
+    """Classify the family on a uniform grid over (EPS_PARAM, 1-EPS_PARAM):
+    each criterion once over the whole grid (`criterion_values`), with the
+    verdicts and values `criteria.classify` gives each member."""
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     params = np.linspace(EPS_PARAM, 1.0 - EPS_PARAM, grid_points)
-    return [(float(p), criteria.classify(family.model(float(p))))
-            for p in params]
+    sup = criteria.super_point(family)
+    sub = criteria.sub_point(family)
+    d_super = family.criterion_values(params, *sup)
+    if sub is None:
+        d_sub = [None] * grid_points
+    elif sub == sup:
+        d_sub = d_super
+    else:
+        d_sub = family.criterion_values(params, *sub)
+    return [(p, criteria.phase_verdict(ds, db, sup, sub, family.offspring))
+            for p, ds, db in zip(params.tolist(), d_super, d_sub)]
 
 
 def _criterion_value(family, which: str, param: float) -> float:
     """The chosen criterion alone, at the family member `param`."""
-    return criteria.d0(family.model(param), *_test_point(family, which))
+    return criteria.d0(family.law(param), family.a,
+                       *_test_point(family, which))
 
 
 def bisect_boundary(family, which: str,

@@ -276,7 +276,7 @@ def test_criterion_07_supercritical_growth_floor(battery):
         mu = model.offspring.mean
         s_star = mu ** (1.0 / model.a)
         grid = [c * s_star for c in (0.9, 0.95, 0.99) if c * s_star > 1.0]
-        points = [s for s in grid if d0(model, s, mu) > 0.0]
+        points = [s for s in grid if d0(model.x0, model.a, s, mu) > 0.0]
         if not points:
             continue
         audited_models += 1

@@ -15,6 +15,7 @@ import mpmath
 import pytest
 
 from drphase import cli, criteria, dists
+from drphase.dists import ModelSpec, OffspringLaw
 from drphase.logreal import LogReal
 
 
@@ -725,6 +726,23 @@ def test_check_lemmas_geometric_x0_past_its_radius_builds_no_cut(
                         "s=1.5 and s=2)")
 
 
+def test_converging_points_read_no_log_pair(monkeypatch):
+    # only a geometric x0 diverges, and its radius decides where: the laws'
+    # diverges(s), not a log pair evaluated for its inf
+    def refuse(law, s):
+        raise AssertionError(f"log_pgf_pair({s}) was evaluated")
+    for cls in (dists.FinitePmf, dists.GeometricPmf, dists.TwoPointPmf):
+        monkeypatch.setattr(cls, "log_pgf_pair", refuse)
+    law = OffspringLaw.deterministic(2)
+    for x0 in (dists.FinitePmf.from_dict({0: 0.5, 2: 0.5}),
+               dists.TwoPointPmf(1500, 0.5)):
+        assert cli._converging(ModelSpec(1, x0, law), (1.5, 2.0, 1e300)) \
+            == ([1.5, 2.0, 1e300], "")
+    geometric = ModelSpec(1, dists.GeometricPmf(0.35), law)
+    assert cli._converging(geometric, (1.5, 2.0, 4.0)) \
+        == ([1.5], "E s^X0 diverges at s=2 and s=4")
+
+
 def test_check_lemmas_reads_the_geometric_law_not_its_cut(tmp_path, capsys):
     # x0 geometric r = .35 converges for s < 1/0.65: lemma4 audits s = 1.5
     # and skips s = 2, and lemma1's grid (1.8, 1.9, 1.98) lies past it
@@ -844,7 +862,7 @@ def test_check_lemmas_contraction_holds_in_the_fft_regime(tmp_path, capsys):
     model = cli.parse_model(doc)
     s_star, mu = criteria.super_point(model)
     points = [c * s_star for c in (0.9, 0.95, 0.99)]
-    assert all(criteria.d0(model, s, mu) > 0.0 for s in points)
+    assert all(criteria.d0(model.x0, model.a, s, mu) > 0.0 for s in points)
     worst = min(
         cli._rel_margin(row.lhs_log - row.floor_log, row.floor_log)
         for s in points

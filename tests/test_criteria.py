@@ -37,8 +37,8 @@ def two_point(p, a=1, high=2, law=None):
 def test_d0_symbolic_line_a1():
     # a=1, x0={0:1-p, 2:p}: d0(2, 2) = 5p - 1
     for p in (0.1, 0.2, 0.5, 0.9):
-        assert d0(two_point(p), 2.0, 2.0) == pytest.approx(5.0 * p - 1.0,
-                                                           abs=1e-14)
+        assert d0(two_point(p).x0, 1, 2.0, 2.0) \
+            == pytest.approx(5.0 * p - 1.0, abs=1e-14)
 
 
 def test_d0_symbolic_line_a2():
@@ -46,9 +46,9 @@ def test_d0_symbolic_line_a2():
     for p in (0.3, 0.5):
         model = two_point(p, a=2, high=3)
         expect = (2.0 * math.sqrt(2.0) + 2.0) * p - 2.0
-        assert d0(model, math.sqrt(2.0), 2.0) == pytest.approx(expect,
-                                                               abs=1e-13)
-    assert d0(two_point(0.5, a=2, high=3), math.sqrt(2.0), 2.0) \
+        assert d0(model.x0, 2, math.sqrt(2.0), 2.0) \
+            == pytest.approx(expect, abs=1e-13)
+    assert d0(two_point(0.5, a=2, high=3).x0, 2, math.sqrt(2.0), 2.0) \
         == pytest.approx(0.41421356, abs=1e-7)
 
 
@@ -58,9 +58,9 @@ def test_d0_with_unit_m_is_negative():
         model = rand_model_light(rng)
         s = 1.0 + 2.0 * float(rng.random())
         from drphase.dists import pgf_eval
-        assert d0(model, s, 1.0) == pytest.approx(
+        assert d0(model.x0, model.a, s, 1.0) == pytest.approx(
             -model.a * pgf_eval(model.x0, s), rel=1e-14)
-        assert d0(model, s, 1.0) < 0.0
+        assert d0(model.x0, model.a, s, 1.0) < 0.0
 
 
 def test_d0_linear_in_weights():
@@ -75,9 +75,8 @@ def test_d0_linear_in_weights():
         mixed[max(mixed)] += 1.0 - sum(mixed.values())  # float repair
         mp = ModelSpec(a=1, x0=FinitePmf.from_dict(mixed), offspring=law)
         s, m = 1.7, 2.0
-        lhs = d0(mp, s, m)
-        rhs = (lam * d0(ModelSpec(a=1, x0=p, offspring=law), s, m)
-               + (1.0 - lam) * d0(ModelSpec(a=1, x0=q, offspring=law), s, m))
+        lhs = d0(mp.x0, 1, s, m)
+        rhs = lam * d0(p, 1, s, m) + (1.0 - lam) * d0(q, 1, s, m)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 

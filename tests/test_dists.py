@@ -360,13 +360,21 @@ def test_geometric_pmf_pairs_are_inf_from_the_radius_on(r):
         edge = math.nextafter(edge, math.inf)
     below = math.nextafter(edge, 0.0)
     assert math.isfinite(law.pgf_pair(below)[0])
+    assert not law.diverges(below)
     for s in (edge, 1.5 * edge, 1e300):
+        assert law.diverges(s)
         assert law.pgf_pair(s) == (math.inf, math.inf)
         assert law.log_pgf_pair(s) == (math.inf, math.inf)
     with pytest.raises(ValueError):
         law.pgf_pair(0.0)
     with pytest.raises(ValueError):
         law.log_pgf_pair(-1.0)
+
+
+def test_finite_and_two_point_laws_never_diverge():
+    for law in (FinitePmf.from_dict({0: 0.5, 40: 0.5}), TwoPointPmf(5000, 0.5)):
+        for s in (0.5, 2.0, 1e300):
+            assert not law.diverges(s)
 
 
 def test_geometric_pmf_validation():
@@ -430,12 +438,10 @@ def test_two_point_law_equals_its_finite_pmf_bit_for_bit(h):
                 assert repr(law.log_pgf_pair(s)) \
                     == repr(ref.log_pgf_pair(s)), (p, s)
             for a in (1, 2, 3):
-                exact = ModelSpec(a, law, SWEEP_LAWS[0])
-                cut = ModelSpec(a, ref, SWEEP_LAWS[0])
                 for s, m in points + [(s, 2.0) for s in
                                       two_point_edge_points(h)]:
-                    assert repr(criteria.d0(exact, s, m)) \
-                        == repr(criteria.d0(cut, s, m)), (p, a, s, m)
+                    assert repr(criteria.d0(law, a, s, m)) \
+                        == repr(criteria.d0(ref, a, s, m)), (p, a, s, m)
 
 
 def test_two_point_law_is_cut_once_as_its_finite_pmf():

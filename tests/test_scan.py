@@ -133,9 +133,10 @@ def test_criterion_unavailable_for_unbounded_offspring():
 def test_unavailable_criterion_builds_no_law(monkeypatch, family):
     built = []
     cls = type(family)
-    real = cls.model
-    monkeypatch.setattr(cls, "model",
-                        lambda self, p: built.append(p) or real(self, p))
+    for name in ("law", "model"):
+        real = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda self, p, real=real:
+                            built.append(p) or real(self, p))
     with pytest.raises(CriterionUnavailable,
                        match="requires a bounded offspring law"):
         bisect_boundary(family, "sub")
@@ -260,6 +261,77 @@ def test_classify_and_reports_on_sweep_families_equal_old_code(monkeypatch):
         assert (rep.super_boundary, rep.sub_boundary, rep.undetermined_band) \
             == (old.super_boundary, old.sub_boundary, old.undetermined_band)
         assert all(same_verdict(v, w) for (_, v), (_, w) in zip(rep.grid, old.grid))
+
+
+# -- the family grid against per-member classify ------------------------------
+
+@pytest.mark.parametrize("grid_points", [2, 9, 41, 101])
+def test_family_grid_equals_per_member_classify(grid_points):
+    # h = 1500 and 5000 put s^(h-1) past float64 range at most test points,
+    # so their members take d0's per-member log path
+    families = [TwoPointFamily(a, high, law) for a in (1, 2, 3)
+                for high in (*range(1, 7), 1500, 5000) for law in SWEEP_LAWS]
+    families += [GeometricX0Family(a, law) for a in (1, 2, 3)
+                 for law in SWEEP_LAWS]
+    for fam in families:
+        grid = scan(fam, grid_points)
+        assert len(grid) == grid_points
+        for p, v in grid:
+            assert same_verdict(v, criteria.classify(fam.model(p))), (fam, p)
+
+
+def test_family_criterion_values_equal_each_members_d0():
+    params = np.linspace(scan_module.EPS_PARAM, 1.0 - scan_module.EPS_PARAM,
+                         41)
+    for fam in sweep_families() + [TwoPointFamily(1, 1024, SWEEP_LAWS[0]),
+                                   GeometricX0Family(2, SWEEP_LAWS[2])]:
+        for which in ("super", "sub"):
+            point = scan_module._test_point(fam, which)
+            if point is None:
+                continue
+            got = fam.criterion_values(params, *point)
+            want = [criteria.d0(fam.law(p), fam.a, *point)
+                    for p in params.tolist()]
+            assert list(map(repr, got)) == list(map(repr, want)), (fam, which)
+
+
+def test_vecdot_over_two_term_rows_equals_dot_row_by_row():
+    # the family grid's values rest on np.vecdot running the ddot of a
+    # member's two-term np.dot; a numpy whose two differ fails here
+    rng = np.random.default_rng(19)
+    p = np.concatenate([rng.random(20_000), [1e-6, 0.5, 1.0 - 1e-6]])
+    rows = np.stack((1.0 - p, p), axis=-1)
+    for s, high in [(2.0, 3), (math.sqrt(2.0), 5), (1.5, 1), (3.0, 6)]:
+        powers, _ = dists._two_point_powers(s, high)
+        got = np.vecdot(rows, powers)
+        want = np.array([np.dot(row, powers) for row in rows])
+        assert got.tobytes() == want.tobytes(), (s, high)
+    big = np.exp(rng.uniform(0.0, 700.0, p.size))
+    got = np.vecdot(rows, np.stack((np.ones_like(big), big), axis=-1))
+    want = np.array([np.dot(row, (1.0, b)) for row, b in zip(rows, big)])
+    assert got.tobytes() == want.tobytes()
+
+
+def count_builds(monkeypatch, cls):
+    """The number of cls instances built from now on."""
+    built = []
+    real = cls.__post_init__
+    monkeypatch.setattr(cls, "__post_init__",
+                        lambda self: built.append(1) or real(self))
+    return built
+
+
+def test_scan_builds_no_law_and_no_model_per_member(monkeypatch):
+    laws = count_builds(monkeypatch, dists.TwoPointPmf)
+    models = count_builds(monkeypatch, dists.ModelSpec)
+    for law in SWEEP_LAWS:
+        grid = scan(TwoPointFamily(2, 3, law), 41)
+        assert len(grid) == 41
+    assert (laws, models) == ([], [])
+    # where s^(high-1) overflows, each member builds its law for d0's log
+    # path, and still no model
+    scan(TwoPointFamily(1, 1500, OffspringLaw.deterministic(2)), 9)
+    assert (len(laws), models) == (9, [])
 
 
 def count_evaluations(monkeypatch):
