@@ -1,26 +1,32 @@
 """Before/after timings of family scans, classify and the CLI import.
 
 Times `GeometricX0Family(1, N=2).model(r)` plus `criteria.classify` on it
-for r in 1e-2 ... 1e-5 (a cut law of 3.2k to 3.2M entries, where the
-family builds one), `boundary_report(family, 41, 1e-9)` on a two-point
+for r in 1e-2 ... 1e-5 (a closed-form `GeometricPmf`, whose cut would
+hold 3.2k to 3.2M entries), per call from batches of CLASSIFY_BATCH calls
+as `timeit` does, so that a sample spans milliseconds rather than one
+call of a few microseconds; `boundary_report(family, 41, 1e-9)` on a two-point
 and on a geometric-x0 family, each with both boundaries, the same report
 on the 90 two-point families of perfbench's `scan` sweep (a in 1..3, high
 in 1..6, five N laws) in one pass, at 41, at 9 (the CLI default) and at
 101 grid points, and `import drphase.cli` in a fresh interpreter (timed
 inside it), for a baseline revision and the working tree (see passes.py
 for the pass scheme).  BENCH_scan.json also holds each side's outputs (the
-verdicts, criterion values, verdict details and boundary intervals; for
-each sweep, the sha256 of its 90 reports' reprs) and whether the two
-sides' outputs are identical.
+verdicts, criterion values and boundary intervals; for each sweep, the
+sha256 of its 90 reports' reprs) and whether the two sides' outputs are
+identical.
 
     python benchmarks/bench_scan.py --baseline REV
 """
+
+import timeit
 
 from passes import REPEATS, best_of, main, outputs_identical, versions
 
 GEOMETRIC_R = (1e-2, 1e-3, 1e-4, 1e-5)
 GRID = 41
 TOL = 1e-9
+# classify calls per timed sample of a model_classify case
+CLASSIFY_BATCH = 1000
 # the sweep's grid sizes and case-name suffixes: perfbench's 41, the CLI
 # default 9 and a fine 101
 SWEEP_GRIDS = ((GRID, ""), (9, "_grid9"), (101, "_grid101"))
@@ -38,45 +44,42 @@ def import_cli_s():
 
 def report_repr(rep):
     return repr((rep.super_boundary, rep.sub_boundary, rep.undetermined_band,
-                 [(p, v.verdict, v.d_super, v.d_sub, v.details)
-                  for p, v in rep.grid]))
+                 [(p, v.verdict, v.d_super, v.d_sub) for p, v in rep.grid]))
 
 
 def measure():
     """Timings (s) and outputs of the drphase found on sys.path."""
     import hashlib
-    import importlib
     from drphase import criteria
     from drphase.dists import OffspringLaw
-    # the package re-exports scan.scan, which shadows the module attribute
-    scan = importlib.import_module("drphase.scan")
+    from drphase.scan import GeometricX0Family, TwoPointFamily, boundary_report
     timings, outputs = {}, {}
-    geometric = scan.GeometricX0Family(1, OffspringLaw.deterministic(2))
+    geometric = GeometricX0Family(1, OffspringLaw.deterministic(2))
     for r in GEOMETRIC_R:
         case = f"model_classify.geometric_x0_r{r:g}"
         v = criteria.classify(geometric.model(r))
-        outputs[case] = repr((v.verdict, v.d_super, v.d_sub, v.details))
-        timings[case] = best_of(
-            lambda: criteria.classify(geometric.model(r)))
+        outputs[case] = repr((v.verdict, v.d_super, v.d_sub))
+        timings[case] = min(timeit.repeat(
+            lambda: criteria.classify(geometric.model(r)),
+            repeat=REPEATS, number=CLASSIFY_BATCH)) / CLASSIFY_BATCH
     families = {
-        "two_point_a2_high3": scan.TwoPointFamily(
+        "two_point_a2_high3": TwoPointFamily(
             2, 3, OffspringLaw.finite_support({1: 0.5, 3: 0.5})),
         "geometric_x0_a1_N2": geometric}
     for name, family in families.items():
         case = f"boundary_report.{name}"
-        outputs[case] = report_repr(scan.boundary_report(family, GRID, TOL))
-        timings[case] = best_of(
-            lambda: scan.boundary_report(family, GRID, TOL))
+        outputs[case] = report_repr(boundary_report(family, GRID, TOL))
+        timings[case] = best_of(lambda: boundary_report(family, GRID, TOL))
     laws = (OffspringLaw.deterministic(2), OffspringLaw.deterministic(3),
             OffspringLaw.finite_support({1: 0.5, 3: 0.5}),
             OffspringLaw.finite_support({1: 0.5, 2: 0.5}),
             OffspringLaw.geometric(0.5))
-    sweep = [scan.TwoPointFamily(a, high, law) for a in (1, 2, 3)
+    sweep = [TwoPointFamily(a, high, law) for a in (1, 2, 3)
              for high in range(1, 7) for law in laws]
 
     for grid, suffix in SWEEP_GRIDS:
         def run_sweep():
-            return [scan.boundary_report(fam, grid, TOL) for fam in sweep]
+            return [boundary_report(fam, grid, TOL) for fam in sweep]
         case = f"boundary_report.two_point_sweep_90{suffix}"
         digest = hashlib.sha256(
             "\n".join(map(report_repr, run_sweep())).encode())

@@ -66,7 +66,6 @@ from .scan import (
     TwoPointFamily,
     bisect_boundary,
     boundary_report,
-    scan,
 )
 
 __version__ = "0.1.0"
@@ -91,6 +90,6 @@ __all__ = [
     "ancestor_counts", "tree_sample",
     "BoundaryReport", "TwoPointFamily", "GeometricX0Family",
     "NoSignChange", "CriterionUnavailable",
-    "scan", "bisect_boundary", "boundary_report", "geometric_x0_pmf",
+    "bisect_boundary", "boundary_report", "geometric_x0_pmf",
     "__version__",
 ]

@@ -26,8 +26,6 @@ from . import criteria, evolution, montecarlo
 from .dists import FinitePmf, GeometricPmf, ModelSpec, OffspringLaw
 from .evolution import DEFAULT_STEPS, EvolutionStopped
 from .logreal import LogReal
-# the package re-exports scan.scan, so "from . import scan" would grab the
-# function; import the names this module needs instead
 from .scan import (DEFAULT_TOL, BoundaryNotCertified, CriterionUnavailable,
                    GeometricX0Family, TwoPointFamily, boundary_report)
 
@@ -270,16 +268,15 @@ def _emit_rows(header: list[str], rows: list[list], output: str,
 def cmd_classify(cfg: dict, args) -> int:
     model = parse_model(cfg)
     verdict = criteria.classify(model)
-    det = verdict.details
     pairs: list[tuple[str, object]] = [
         ("verdict", verdict.verdict),
         ("d_super", verdict.d_super),
-        ("s_super", det["s_super"])]
+        ("s_super", criteria.super_point(model)[0])]
     if verdict.d_sub is None:
         pairs.append(("d_sub", "n/a: N unbounded"))
     else:
         pairs.append(("d_sub", verdict.d_sub))
-        pairs.append(("s_sub", det["s_sub"]))
+        pairs.append(("s_sub", criteria.sub_point(model)[0]))
     _emit_kv(pairs, args.output)
     return 0
 
@@ -451,6 +448,9 @@ def _converging(model: ModelSpec, points) -> tuple[list[float], str]:
 def _lemma1_audit(model: ModelSpec, steps: int) -> tuple[str, str]:
     s_star, mu = criteria.super_point(model)
     grid = [c * s_star for c in (0.9, 0.95, 0.99) if c * s_star > 1.0]
+    if not grid:
+        return "SKIPPED", (f"s-grid 0.9, 0.95, 0.99 times s*={_fmt(s_star)} "
+                           f"lies at or below 1")
     # positive criterion values; d0 is +inf where E s^X0 diverges
     audited, skipped = _converging(model, [
         s for s in grid if criteria.d0(model.x0, model.a, s, mu) > 0.0])

@@ -9,7 +9,8 @@ for the supercritical test, and s = 1 + (M-1)/a with m = M (the essential
 supremum) for the subcritical test (`super_point`, `sub_point`).  Both
 conditions are sufficient, not necessary, so three verdicts exist; values
 within a narrow band of zero are never promoted to a phase claim
-(`phase_verdict`, the one rule behind `classify` and `scan.scan`).
+(`PhaseVerdict.verdict`, the one rule, read from the two values that
+`classify` and `scan.scan` record).
 `d0(x0, a, s, m)` reads only the initial law and the tax, so a scan family
 needs no model per member, and `d0_values` gives a whole family's values
 from arrays of F(s) and F'(s), with each member's digits.
@@ -54,17 +55,25 @@ UNDETERMINED = "Undetermined"
 
 @dataclass(frozen=True)
 class PhaseVerdict:
-    """Outcome of both sufficient conditions on one model.
+    """Both criterion values of one model, and the verdict they decide.
 
     d_sub is None when the offspring law is unbounded: the subcritical
     condition is only proved for essentially bounded counts, so such models
     can never be declared Subcritical here.
     """
 
-    verdict: str
     d_super: float
     d_sub: float | None
-    details: dict
+
+    @property
+    def verdict(self) -> str:
+        """A phase is claimed only beyond the +/- STRICTNESS_BAND band,
+        the supercritical test first."""
+        if self.d_super > STRICTNESS_BAND:
+            return SUPERCRITICAL
+        if self.d_sub is not None and self.d_sub < -STRICTNESS_BAND:
+            return SUBCRITICAL
+        return UNDETERMINED
 
     def __str__(self) -> str:
         return self.verdict
@@ -139,25 +148,7 @@ def classify(model: ModelSpec) -> PhaseVerdict:
     d_sub: float | None = None
     if sub is not None:
         d_sub = d_super if sub == sup else d0(model.x0, model.a, *sub)
-    return phase_verdict(d_super, d_sub, sup, sub, model.offspring)
-
-
-def phase_verdict(d_super: float, d_sub: float | None,
-                  sup: tuple[float, float], sub: tuple[float, float] | None,
-                  offspring: OffspringLaw) -> PhaseVerdict:
-    """The verdict of both criterion values, taken at the test points sup
-    and sub (None for an unbounded N): a phase is claimed only beyond the
-    +/- STRICTNESS_BAND band, the supercritical test first."""
-    if d_super > STRICTNESS_BAND:
-        verdict = SUPERCRITICAL
-    elif d_sub is not None and d_sub < -STRICTNESS_BAND:
-        verdict = SUBCRITICAL
-    else:
-        verdict = UNDETERMINED
-    details = {"s_super": sup[0], "s_sub": None if sub is None else sub[0],
-               "offspring_mean": offspring.mean,
-               "offspring_bound": offspring.bound}
-    return PhaseVerdict(verdict, d_super, d_sub, details)
+    return PhaseVerdict(d_super, d_sub)
 
 
 def _d_log(f: LogReal, fp: LogReal, s: float, m: float, a: int) -> LogReal:

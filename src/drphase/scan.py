@@ -18,12 +18,12 @@ classify builds a weight array; a two-point member's criterion values
 equal those of its FinitePmf bit for bit.
 
 `scan` evaluates each criterion once per family over its whole grid
-(`criterion_values`) and shares `criteria.phase_verdict` with `classify`,
-so its verdicts equal `classify(family.model(p))` bit for bit.  A
-two-point family takes the grid as arrays (`dists.two_point_pgf_pair`)
-and builds no law or ModelSpec per member, except where s^(high-1)
-overflows and a member's value comes from its law's log pair; a
-geometric-x0 family goes member by member.
+(`criterion_values`) and records each member's two values as a
+`criteria.PhaseVerdict`, so its verdicts equal `classify(family.model(p))`
+bit for bit.  A two-point family takes the grid as arrays
+(`dists.two_point_pgf_pair`) and builds no law or ModelSpec per member,
+except where s^(high-1) overflows and a member's value comes from its
+law's log pair; a geometric-x0 family goes member by member.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ def scan(family, grid_points: int) -> list[tuple[float, PhaseVerdict]]:
         d_sub = d_super
     else:
         d_sub = family.criterion_values(params, *sub)
-    return [(p, criteria.phase_verdict(ds, db, sup, sub, family.offspring))
+    return [(p, PhaseVerdict(ds, db))
             for p, ds, db in zip(params.tolist(), d_super, d_sub)]
 
 

@@ -726,6 +726,25 @@ def test_check_lemmas_geometric_x0_past_its_radius_builds_no_cut(
                         "s=1.5 and s=2)")
 
 
+def test_check_lemmas_lemma1_names_an_empty_s_grid(tmp_path, capsys):
+    # geometric N p = .99 has mean 1/.99, so a = 1 puts s* at 1.0101 and
+    # every grid point c s* (c = .9, .95, .99) at or below 1: lemma1 has no
+    # point to audit, though the criterion value at s* is positive
+    cfg = write_config(tmp_path, base_config(
+        x0={"type": "finite", "pmf": [[0, 0.5], [400, 0.5]]},
+        N={"type": "geometric", "p": 0.99}, **SHORT_BLOCKS))
+    code, out, err = run_main(["classify", "--config", cfg], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:3] == ["verdict: Supercritical",
+                                    "d_super: 84.188309987383647",
+                                    "s_super: 1.0101010101010102"]
+    code, out, err = run_main(["check-lemmas", "--config", cfg], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == (
+        "lemma1 growth-floor: SKIPPED (s-grid 0.9, 0.95, 0.99 times "
+        "s*=1.0101010101010102 lies at or below 1)")
+
+
 def test_converging_points_read_no_log_pair(monkeypatch):
     # only a geometric x0 diverges, and its radius decides where: the laws'
     # diverges(s), not a log pair evaluated for its inf

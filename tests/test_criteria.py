@@ -87,7 +87,7 @@ def test_classify_supercritical_pinned():
     assert v.verdict == SUPERCRITICAL
     assert v.d_super == pytest.approx(1.5, abs=1e-14)
     assert v.d_sub == pytest.approx(1.5, abs=1e-14)
-    assert v.details["offspring_mean"] == 2.0
+    assert criteria.super_point(two_point(0.5)) == (2.0, 2.0)
 
 
 def test_classify_subcritical_pinned():
@@ -135,7 +135,31 @@ def test_classify_criteria_coincide_for_unit_tax_deterministic():
         model = ModelSpec(a=1, x0=p, offspring=OffspringLaw.deterministic(3))
         v = classify(model)
         assert v.d_sub == pytest.approx(v.d_super, rel=1e-14)
-        assert v.details["s_super"] == pytest.approx(v.details["s_sub"])
+        assert criteria.super_point(model)[0] \
+            == pytest.approx(criteria.sub_point(model)[0])
+
+
+BAND_UP = math.nextafter(STRICTNESS_BAND, math.inf)
+BAND_DOWN = math.nextafter(-STRICTNESS_BAND, -math.inf)
+
+
+@pytest.mark.parametrize("d_super, d_sub, verdict", [
+    (STRICTNESS_BAND, 0.0, UNDETERMINED),
+    (BAND_UP, 0.0, SUPERCRITICAL),
+    (0.0, -STRICTNESS_BAND, UNDETERMINED),
+    (0.0, BAND_DOWN, SUBCRITICAL),
+    (-1.0, None, UNDETERMINED),
+    (BAND_DOWN, None, UNDETERMINED),
+    (BAND_UP, None, SUPERCRITICAL),
+    (BAND_UP, BAND_DOWN, SUPERCRITICAL),
+    (1.0, -1.0, SUPERCRITICAL),
+])
+def test_verdict_rule_at_the_band_edges(d_super, d_sub, verdict):
+    # a value on the band's edge claims nothing, the next float out does;
+    # no subcritical value (unbounded N) never gives Subcritical, and the
+    # supercritical test wins when both fire
+    v = criteria.PhaseVerdict(d_super, d_sub)
+    assert (v.verdict, str(v)) == (verdict, verdict)
 
 
 def test_classify_depends_only_on_the_pmf():

@@ -636,7 +636,8 @@ def test_offspring_bound_is_the_essential_supremum():
                 for law in (zero_top, plain)]
     assert [v.verdict for v in verdicts] == [SUBCRITICAL, SUBCRITICAL]
     assert verdicts[0].d_sub == verdicts[1].d_sub == pytest.approx(-0.6)
-    assert verdicts[0].details["s_sub"] == 3.0
+    assert criteria.sub_point(ModelSpec(a=1, x0=x0, offspring=zero_top)) \
+        == (3.0, 3.0)
     with pytest.raises(ValueError, match="ending at a positive weight"):
         OffspringLaw("finite", 2.0, [0.0, 0.5, 0.0, 0.5, 0.0], 4)
 

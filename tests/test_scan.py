@@ -1,6 +1,6 @@
 """Parameter-family scans and their closed-form boundaries."""
 
-import importlib
+import inspect
 import json
 import math
 
@@ -8,9 +8,10 @@ import mpmath
 import numpy as np
 import pytest
 
+import drphase
+import drphase.scan as scan_module
 from drphase import cli, criteria, dists, evolution, montecarlo
-from drphase.criteria import (SUBCRITICAL, SUPERCRITICAL, UNDETERMINED,
-                              PhaseVerdict)
+from drphase.criteria import SUBCRITICAL, SUPERCRITICAL, UNDETERMINED
 from drphase.dists import ModelSpec, OffspringLaw, geometric_x0_pmf
 from drphase.logreal import LogReal
 from drphase.scan import (
@@ -25,8 +26,13 @@ from drphase.scan import (
 from test_dists import (SWEEP_LAWS, old_log_pgf_deriv, old_log_pgf_eval,
                         old_pgf_deriv, old_pgf_eval)
 
-# the package re-exports scan.scan, which shadows the module attribute
-scan_module = importlib.import_module("drphase.scan")
+
+def test_drphase_scan_is_the_module():
+    # the package re-exports the scanner's names, not the scan function,
+    # so the attribute and "import drphase.scan" reach the module
+    assert inspect.ismodule(scan_module)
+    assert drphase.scan is scan_module
+    assert scan_module.scan is scan
 
 
 def unit_family():
@@ -201,7 +207,8 @@ def old_d0(model, s, m):
 
 
 def old_classify(model):
-    """classify as it was: both criteria, each evaluated on its own."""
+    """classify as it was, each criterion evaluated on its own and the
+    verdict rule applied here: (verdict, d_super, d_sub, s_super, s_sub)."""
     mu = model.offspring.mean
     a = model.a
     s_super = mu ** (1.0 / a)
@@ -217,9 +224,7 @@ def old_classify(model):
         verdict = SUBCRITICAL
     else:
         verdict = UNDETERMINED
-    details = {"s_super": s_super, "s_sub": s_sub,
-               "offspring_mean": mu, "offspring_bound": bound}
-    return PhaseVerdict(verdict, d_super, d_sub, details)
+    return verdict, d_super, d_sub, s_super, s_sub
 
 
 def sweep_families():
@@ -228,39 +233,47 @@ def sweep_families():
             for a in (1, 2, 3) for high in range(1, 7) for law in SWEEP_LAWS]
 
 
-def same_verdict(v, w):
-    return (v.verdict, repr(v.d_super), repr(v.d_sub), v.details) \
-        == (w.verdict, repr(w.d_super), repr(w.d_sub), w.details)
+def record(v, model):
+    """The PhaseVerdict v of model (or of a member of the family model) in
+    old_classify's layout, its test points from super_point/sub_point."""
+    sub = criteria.sub_point(model)
+    return (v.verdict, v.d_super, v.d_sub, criteria.super_point(model)[0],
+            None if sub is None else sub[0])
+
+
+def same(r, t):
+    """Equal records, float for float by repr (so bit for bit)."""
+    return list(map(repr, r)) == list(map(repr, t))
 
 
 @pytest.mark.parametrize("r", [1e-2, 1e-3, 1e-4, 1e-5])
 def test_classify_on_geometric_x0_equals_old_code(r):
     model = ModelSpec(1, geometric_x0_pmf(r), OffspringLaw.deterministic(2))
-    assert same_verdict(criteria.classify(model), old_classify(model))
+    assert same(record(criteria.classify(model), model), old_classify(model))
 
 
 def test_classify_and_reports_on_sweep_families_equal_old_code(monkeypatch):
     families = sweep_families()
     for fam in families:
         for p, v in scan(fam, 41):
-            assert same_verdict(v, old_classify(fam.model(p))), (fam, p)
+            assert same(record(v, fam), old_classify(fam.model(p))), (fam, p)
     reports = [boundary_report(fam, 41, 1e-9) for fam in families]
 
     def old_criterion_value(family, which, param):
-        verdict = old_classify(family.model(param))
+        _, d_super, d_sub, _, _ = old_classify(family.model(param))
         if which == "super":
-            return verdict.d_super
-        if verdict.d_sub is None:
+            return d_super
+        if d_sub is None:
             raise CriterionUnavailable("unbounded")
-        return verdict.d_sub
+        return d_sub
 
     monkeypatch.setattr(scan_module, "_criterion_value", old_criterion_value)
-    monkeypatch.setattr(criteria, "classify", old_classify)
     for fam, rep in zip(families, reports):
         old = boundary_report(fam, 41, 1e-9)
         assert (rep.super_boundary, rep.sub_boundary, rep.undetermined_band) \
             == (old.super_boundary, old.sub_boundary, old.undetermined_band)
-        assert all(same_verdict(v, w) for (_, v), (_, w) in zip(rep.grid, old.grid))
+        assert all(same(record(v, fam), record(w, fam))
+                   for (_, v), (_, w) in zip(rep.grid, old.grid))
 
 
 # -- the family grid against per-member classify ------------------------------
@@ -277,7 +290,9 @@ def test_family_grid_equals_per_member_classify(grid_points):
         grid = scan(fam, grid_points)
         assert len(grid) == grid_points
         for p, v in grid:
-            assert same_verdict(v, criteria.classify(fam.model(p))), (fam, p)
+            model = fam.model(p)
+            assert same(record(v, fam),
+                        record(criteria.classify(model), model)), (fam, p)
 
 
 def test_family_criterion_values_equal_each_members_d0():
