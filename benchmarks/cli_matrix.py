@@ -6,17 +6,17 @@ revision REV (exported with `passes.export_src`) and under the working
 tree's `src/`: `classify`, `evolve`, `estimate-q`, `simulate` and
 `check-lemmas` in table, csv and json on five models (the README model, a
 geometric-N model, a geometric-x0 model with geometric N, a finite-N model
-and a subcritical model), `evolve` and `estimate-q` on the README model with
-no command block (both exit 3 at n = 23, past the default leak budget, so
-the partial-output paths are compared too), and `scan` on five
-`two_point` families (high 3; high 1; geometric N, where the sub boundary
-is n/a; high 1024, where s^high overflows and the criterion takes the log
-path through the law's weights; high 1500, where s^(high-1) is known to
-overflow before any power is taken, so every grid member takes that path)
-and one `geometric_x0` family, each in the three formats: 99 invocations
-per side.  Each invocation's stdout, stderr and exit code must be equal on
-both sides.  Prints one line per difference and a summary, and exits 1 if
-there is any difference, 0 otherwise.
+and a subcritical model), `evolve` and `estimate-q` on the README model and
+on the finite-N model with no command block (all four exit 3 at generation
+23, past the default leak budget, so the partial-output paths are compared
+too), and `scan` on five `two_point` families (high 3; high 1; geometric
+N, where the sub boundary is n/a; high 1024, where s^high overflows and
+the criterion takes the log path through the law's weights; high 1500,
+where s^(high-1) is known to overflow before any power is taken, so every
+grid member takes that path) and one `geometric_x0` family, each in the
+three formats: 105 invocations per side.  Each invocation's stdout, stderr
+and exit code must be equal on both sides.  Prints one line per difference
+and a summary, and exits 1 if there is any difference, 0 otherwise.
 
     python benchmarks/cli_matrix.py --baseline REV
 """
@@ -78,7 +78,8 @@ def cases(tmp):
     """(label, argv) of every invocation; the configs are written to tmp."""
     runs = [(command, name, {**model, **BLOCKS}) for command in COMMANDS
             for name, model in MODELS.items()]
-    runs += [(command, "readme-defaults", MODELS["readme"])
+    runs += [(command, f"{name}-defaults", MODELS[name])
+             for name in ("readme", "finite-n")
              for command in ("evolve", "estimate-q")]
     runs += [("scan", name, doc) for name, doc in FAMILIES.items()]
     out = []

@@ -163,8 +163,8 @@ def main(doc, script, measure, finish=None):
         fh.write("\n")
     print(f"{'case':<38} {'before':>9} {'after':>9} (median ms)")
     for k, c in result["compare"].items():
-        print(f"{k:<38} {before[k]['median'] * 1e3:>9.2f} "
-              f"{after[k]['median'] * 1e3:>9.2f} "
+        print(f"{k:<38} {before[k]['median'] * 1e3:>9.4g} "
+              f"{after[k]['median'] * 1e3:>9.4g} "
               f"{c['speedup_median']:>6.2f}x"
               f"{'' if c['resolved'] else '  (quartiles overlap)'}")
     return 0

@@ -37,6 +37,11 @@ from .logreal import ONE, LogReal
 DEFAULT_TAIL_EPS = 1e-14
 DEFAULT_LEAK_BUDGET = 1e-9
 DEFAULT_STEPS = 30
+# Rounded operations per offspring count behind _leak_floor's margin, and
+# the fixed remainder (see _leak_floor).
+LEAK_ROUNDING_OPS_PER_COUNT = 6
+LEAK_ROUNDING_OPS = 5
+_UNIT_ROUNDOFF = 2.0 ** -53
 # Above this log-magnitude of mu^n the bounds are computed in log space.
 _LOG_SPACE_CUTOFF = 280.0 * math.log(10.0)
 
@@ -69,7 +74,8 @@ class EvolutionTrace:
 class EvolutionStopped(RuntimeError):
     """An evolution stopped at a generation that broke one of its limits.
 
-    rows holds the trace completed so far, last row being the offender.
+    rows holds the trace completed so far.  A leak stop's rows all lie
+    within the budget; a support-cap stop's last row is the offender.
     """
 
     def __init__(self, message: str, rows: tuple[TraceRow, ...]):
@@ -214,29 +220,75 @@ def _trace_row(x: FinitePmf, n: int, model: ModelSpec) -> TraceRow:
     return TraceRow(n, m, upper, lower, x.support_max, x.leaked_mass)
 
 
+def _leak_floor(leak: float, law: OffspringLaw) -> float:
+    """A lower bound on the cumulative leak that step() books from a law
+    that has leaked `leak`, rounding included (NaN when leak > 1).
+
+    step() books t_N (law.truncation_leak), w_k times power k's leak, which
+    is at least 1 - (1 - leak)^k, and then a weight sweep and a tail cut,
+    both >= 0: at least F = t_N + sum_k w_k (1 - (1 - leak)^k).  F is
+    returned lowered by (LEAK_ROUNDING_OPS_PER_COUNT K + LEAK_ROUNDING_OPS)
+    u relative, u = 2^-53, K = N's largest count: float64 resolution, not
+    a tolerance.  Counted to first order; every quantity is >= 0, so no
+    sum cancels.  step() forms power k's leak in k - 1 combinations of 5
+    each (in l + leak - l leak the sum and the product together 3, the
+    difference 1; the sweep's addition 1) or, past the direct budget, in
+    _spectral_powers' 5 (two log1p, a product, a sum, and expm1, whose
+    argument is < 0, so it passes a relative error on unamplified), then
+    its weight's product and at most K + 2 sums: at most 5K - 1 in all.
+    F here takes at most K + 4 (log1p, a product, expm1, the weight's
+    product, K sums), and the lowering 2.  So LEAK_ROUNDING_OPS_PER_COUNT
+    = 6 and LEAK_ROUNDING_OPS = 5.
+    """
+    w = law.weights[1:]
+    counts = np.arange(1, w.size + 1, dtype=np.float64)
+    floor = law.truncation_leak + float(
+        np.sum(w * -np.expm1(counts * math.log1p(-leak))))
+    ops = LEAK_ROUNDING_OPS_PER_COUNT * w.size + LEAK_ROUNDING_OPS
+    return floor * (1.0 - ops * _UNIT_ROUNDOFF)
+
+
 def evolve(model: ModelSpec, steps: int = DEFAULT_STEPS, *,
            tail_eps: float = DEFAULT_TAIL_EPS,
            leak_budget: float = DEFAULT_LEAK_BUDGET,
            keep_pmfs: bool = False,
            support_cap: int | None = None) -> EvolutionTrace:
     """Iterate step() from x0 (a geometric x0 cut by dists.as_finite),
-    collecting the bracket row per generation."""
+    collecting the bracket row per generation.
+
+    A generation whose cumulative leak passes leak_budget stops the run
+    with LeakBudgetExceeded carrying the rows before it, so every row lies
+    within the budget.  When _leak_floor already passes the budget, the
+    step is not taken; otherwise the step's own leak decides.  A generation
+    whose support passes support_cap stops it with SupportCapExceeded,
+    its row included.
+    """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
+    law = model.offspring
     x = dists.as_finite(model.x0)
     rows = [_trace_row(x, 0, model)]
     pmfs = [x] if keep_pmfs else None
     for n in range(1, steps + 1):
+        # 1 - (1 - l)^k <= k l bounds the floor by t_N + mu l, so a step
+        # far from the budget pays one compare
+        if law.truncation_leak + law.mean * x.leaked_mass > leak_budget:
+            floor = _leak_floor(x.leaked_mass, law)
+            if floor > leak_budget:
+                raise LeakBudgetExceeded(
+                    f"cumulative leak of at least {floor:.3e} would exceed "
+                    f"budget {leak_budget:.3e} at generation {n}",
+                    tuple(rows))
         x = step(x, model, tail_eps)
-        rows.append(_trace_row(x, n, model))
         if support_cap is not None and x.support_max > support_cap:
             raise SupportCapExceeded(
                 f"support max {x.support_max} exceeds cap {support_cap} "
-                f"at generation {n}", tuple(rows))
+                f"at generation {n}", (*rows, _trace_row(x, n, model)))
         if x.leaked_mass > leak_budget:
             raise LeakBudgetExceeded(
                 f"cumulative leak {x.leaked_mass:.3e} exceeds budget "
                 f"{leak_budget:.3e} at generation {n}", tuple(rows))
+        rows.append(_trace_row(x, n, model))
         if keep_pmfs:
             pmfs.append(x)
     return EvolutionTrace(tuple(rows),

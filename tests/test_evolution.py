@@ -26,7 +26,8 @@ from drphase.evolution import (
     step,
 )
 
-from conftest import rand_model_light  # noqa: F401  (fixture-less helper)
+from conftest import (  # fixture-less helpers
+    _draw_offspring, _draw_x0, rand_model_light)
 
 
 def base_model():
@@ -550,13 +551,78 @@ def test_evolve_keep_pmfs():
 
 
 def test_evolve_leak_budget_failure_carries_partial_rows():
+    # the rows stop before the generation that breaches the budget
     model = base_model()
     with pytest.raises(LeakBudgetExceeded) as exc:
         evolve(model, 10, tail_eps=1e-3, leak_budget=1e-12)
     rows = exc.value.rows
     assert len(rows) >= 2
     assert rows[0].mean_xn == 1.0
-    assert rows[-1].cumulative_leak > 1e-12
+    assert all(r.cumulative_leak <= 1e-12 for r in rows)
+    last = evolve(model, rows[-1].n, tail_eps=1e-3, leak_budget=1.0,
+                  keep_pmfs=True).pmfs[-1]
+    assert step(last, model, tail_eps=1e-3).leaked_mass > 1e-12
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_leak_floor_predicts_the_leak_stop(seed, monkeypatch):
+    # battery-style models, one in four with geometric N (whose cut leaks
+    # from the first step on), under budgets at and around the leak floor
+    # and the leak of one leaking generation g
+    rng = np.random.default_rng([seed, 21])
+    law = (OffspringLaw.geometric(float(rng.uniform(0.5, 0.9)))
+           if seed % 4 == 0 else _draw_offspring(rng))
+    model = ModelSpec(int(rng.integers(1, 4)), _draw_x0(rng), law)
+    tail_eps, steps = 10.0 ** rng.uniform(-12, -4), 8
+    laws = [dists.as_finite(model.x0)]
+    for _ in range(steps):
+        laws.append(step(laws[-1], model, tail_eps))
+    leaks = [x.leaked_mass for x in laws]
+    floors = [evolution._leak_floor(leak, law) for leak in leaks[:-1]]
+    assert all(f <= leak for f, leak in zip(floors, leaks[1:]))
+    g = next(n for n in range(1, steps + 1) if floors[n - 1] > 0.0)
+    f, leak = floors[g - 1], leaks[g]
+    full = evolve(model, steps, tail_eps=tail_eps, leak_budget=1.0).rows
+    for budget in (np.nextafter(f, 0.0), f, np.nextafter(f, 1.0),
+                   (f + leak) / 2.0, np.nextafter(leak, 0.0), leak):
+        budget = float(budget)
+        want = next((n for n in range(1, steps + 1) if leaks[n] > budget),
+                    None)
+        try:
+            rows = evolve(model, steps, tail_eps=tail_eps,
+                          leak_budget=budget).rows
+            stop, predicted = None, False
+        except LeakBudgetExceeded as exc:
+            rows, stop = exc.rows, len(exc.rows)
+            predicted = "would exceed" in str(exc)
+        # the stop generation is the first whose step() passes the budget
+        assert stop == want
+        if predicted:
+            assert step(laws[stop - 1], model, tail_eps).leaked_mass > budget
+        if budget < f and leaks[g - 1] <= budget:
+            assert (stop, predicted) == (g, True)
+        assert rows == full[:len(rows)]
+        assert all(r.cumulative_leak <= budget for r in rows)
+        if law.truncation_leak == 0.0:
+            with monkeypatch.context() as m:
+                m.setattr(evolution, "_leak_floor", None)  # never called
+                evolve(model, steps, tail_eps=0.0, leak_budget=budget)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_leak_floor_is_below_the_booked_leak(seed):
+    # with tail_eps = 0 a step books the floor's terms and a sweep only, so
+    # the floor's sum before its lowering can round above the booked leak
+    rng = np.random.default_rng([seed, 22])
+    law = (OffspringLaw.geometric(float(rng.uniform(0.3, 0.95)))
+           if seed % 2 else _draw_offspring(rng))
+    model = ModelSpec(int(rng.integers(1, 3)), _draw_x0(rng), law)
+    leak = float(rng.uniform(1e-14, 1e-6))
+    x = FinitePmf(model.x0.probs * (1.0 - leak), leak)
+    for _ in range(3):
+        floor = evolution._leak_floor(x.leaked_mass, law)
+        x = step(x, model, tail_eps=0.0)
+        assert 0.0 < floor <= x.leaked_mass
 
 
 def test_evolve_support_cap_failure_carries_partial_rows():
