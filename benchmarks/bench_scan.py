@@ -4,8 +4,12 @@ Times `GeometricX0Family(1, N=2).model(r)` plus `criteria.classify` on it
 for r in 1e-2 ... 1e-5 (a closed-form `GeometricPmf`, whose cut would
 hold 3.2k to 3.2M entries), per call from batches of CLASSIFY_BATCH calls
 as `timeit` does, so that a sample spans milliseconds rather than one
-call of a few microseconds; `boundary_report(family, 41, 1e-9)` on a two-point
-and on a geometric-x0 family, each with both boundaries, the same report
+call of a few microseconds; `cli.parse_model` plus `classify` on a config
+whose x0 is {0: .999, 2e7: .001}, the finite x0 the CLI reads, best of
+single calls; `boundary_report(family, 41, 1e-9)` on a two-point
+and on a geometric-x0 family, each with both boundaries, and on the
+two-point family a = 1, high = 1e6, N = 2, whose every criterion value
+takes the log path; the same report
 on the 90 two-point families of perfbench's `scan` sweep (a in 1..3, high
 in 1..6, five N laws) in one pass, at 41, at 9 (the CLI default) and at
 101 grid points, and `import drphase.cli` in a fresh interpreter (timed
@@ -30,6 +34,9 @@ CLASSIFY_BATCH = 1000
 # the sweep's grid sizes and case-name suffixes: perfbench's 41, the CLI
 # default 9 and a fine 101
 SWEEP_GRIDS = ((GRID, ""), (9, "_grid9"), (101, "_grid101"))
+CONFIG_H2E7 = {"a": 1, "N": {"type": "deterministic", "n": 2},
+               "x0": {"type": "finite",
+                      "pmf": [[0, 0.999], [20_000_000, 0.001]]}}
 IMPORT_CLI = ("import time; t = time.perf_counter(); import drphase.cli; "
               "print(time.perf_counter() - t)")
 
@@ -50,7 +57,7 @@ def report_repr(rep):
 def measure():
     """Timings (s) and outputs of the drphase found on sys.path."""
     import hashlib
-    from drphase import criteria
+    from drphase import cli, criteria
     from drphase.dists import OffspringLaw
     from drphase.scan import GeometricX0Family, TwoPointFamily, boundary_report
     timings, outputs = {}, {}
@@ -62,10 +69,17 @@ def measure():
         timings[case] = min(timeit.repeat(
             lambda: criteria.classify(geometric.model(r)),
             repeat=REPEATS, number=CLASSIFY_BATCH)) / CLASSIFY_BATCH
+    case = "model_classify.config_two_point_h2e7"
+    v = criteria.classify(cli.parse_model(CONFIG_H2E7))
+    outputs[case] = repr((v.verdict, v.d_super, v.d_sub))
+    timings[case] = best_of(
+        lambda: criteria.classify(cli.parse_model(CONFIG_H2E7)))
     families = {
         "two_point_a2_high3": TwoPointFamily(
             2, 3, OffspringLaw.finite_support({1: 0.5, 3: 0.5})),
-        "geometric_x0_a1_N2": geometric}
+        "geometric_x0_a1_N2": geometric,
+        "two_point_a1_high1e6": TwoPointFamily(
+            1, 10**6, OffspringLaw.deterministic(2))}
     for name, family in families.items():
         case = f"boundary_report.{name}"
         outputs[case] = report_repr(boundary_report(family, GRID, TOL))

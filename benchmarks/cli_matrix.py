@@ -4,17 +4,20 @@ working tree.
 Runs a fixed matrix of `python -m drphase` invocations under the `src/` of
 revision REV (exported with `passes.export_src`) and under the working
 tree's `src/`: `classify`, `evolve`, `estimate-q`, `simulate` and
-`check-lemmas` in table, csv and json on five models (the README model, a
-geometric-N model, a geometric-x0 model with geometric N, a finite-N model
-and a subcritical model), `evolve` and `estimate-q` on the README model and
+`check-lemmas` in table, csv and json on six models (the README model, a
+geometric-N model, a geometric-x0 model with geometric N, a finite-N model,
+a subcritical model and a model whose x0 has three atoms with gaps),
+`classify` on an x0 {0: .999, 1e6: .001}, `evolve` and `estimate-q` on the
+README model and
 on the finite-N model with no command block (all four exit 3 at generation
 23, past the default leak budget, so the partial-output paths are compared
 too), and `scan` on five `two_point` families (high 3; high 1; geometric
 N, where the sub boundary is n/a; high 1024, where s^high overflows and
 the criterion takes the log path through the law's weights; high 1500,
 where s^(high-1) is known to overflow before any power is taken, so every
-grid member takes that path) and one `geometric_x0` family, each in the
-three formats: 105 invocations per side.  Each invocation's stdout, stderr
+grid member takes that path; high 3 with the three-atom x0, which the
+scan validates and ignores) and one `geometric_x0` family, each in the
+three formats: 126 invocations per side.  Each invocation's stdout, stderr
 and exit code must be equal on both sides.  Prints one line per difference
 and a summary, and exits 1 if there is any difference, 0 otherwise.
 
@@ -41,6 +44,7 @@ BLOCKS = {
                      "contraction_steps": 6, "association_steps": 4},
 }
 FINITE = {"type": "finite", "pmf": [[0, 0.5], [2, 0.5]]}
+SPARSE = {"type": "finite", "pmf": [[0, 0.3], [2, 0.45], [7, 0.25]]}
 MODELS = {
     "readme": {"a": 1, "x0": FINITE, "N": {"type": "deterministic", "n": 2}},
     "geometric-n": {"a": 1, "x0": FINITE, "N": {"type": "geometric", "p": 0.5}},
@@ -51,7 +55,11 @@ MODELS = {
     "subcritical": {"a": 1,
                     "x0": {"type": "finite", "pmf": [[0, 0.9], [2, 0.1]]},
                     "N": {"type": "deterministic", "n": 2}},
+    "sparse-x0": {"a": 1, "x0": SPARSE, "N": {"type": "deterministic", "n": 2}},
 }
+# a two-point x0 whose dense weights would hold 1e6 + 1 entries
+HIGH_X0 = {"a": 1, "N": {"type": "deterministic", "n": 2},
+           "x0": {"type": "finite", "pmf": [[0, 0.999], [10**6, 0.001]]}}
 FAMILIES = {
     "two-point": {"a": 2, "N": {"type": "deterministic", "n": 2},
                   "scan": {"family": {"type": "two_point", "high": 3},
@@ -68,6 +76,10 @@ FAMILIES = {
                                  "N": {"type": "deterministic", "n": 2},
                                  "scan": {"family": {"type": "two_point",
                                                      "high": 1500}}},
+    "two-point-sparse-x0": {"a": 2, "x0": SPARSE,
+                            "N": {"type": "deterministic", "n": 2},
+                            "scan": {"family": {"type": "two_point",
+                                                "high": 3}}},
     "geometric-x0": {"a": 1, "N": {"type": "finite",
                                    "pmf": [[1, 0.6], [3, 0.4]]},
                      "scan": {"family": {"type": "geometric_x0"}}},
@@ -81,6 +93,7 @@ def cases(tmp):
     runs += [(command, f"{name}-defaults", MODELS[name])
              for name in ("readme", "finite-n")
              for command in ("evolve", "estimate-q")]
+    runs += [("classify", "high-x0", HIGH_X0)]
     runs += [("scan", name, doc) for name, doc in FAMILIES.items()]
     out = []
     for command, name, doc in runs:

@@ -23,7 +23,7 @@ import math
 import sys
 
 from . import criteria, evolution, montecarlo
-from .dists import FinitePmf, GeometricPmf, ModelSpec, OffspringLaw
+from .dists import AtomPmf, GeometricPmf, ModelSpec, OffspringLaw
 from .evolution import DEFAULT_STEPS, EvolutionStopped
 from .logreal import LogReal
 from .scan import (DEFAULT_TOL, BoundaryNotCertified, CriterionUnavailable,
@@ -138,12 +138,12 @@ def _typed_object(node, path: str, keys_by_type: dict) -> tuple[dict, str]:
     return node, kind
 
 
-def _parse_x0(node, path: str) -> FinitePmf | GeometricPmf:
+def _parse_x0(node, path: str) -> AtomPmf | GeometricPmf:
     node, kind = _typed_object(node, path, _X0_KEYS)
     if kind == "finite":
         pmf = _parse_pmf(_get(node, "pmf", path), f"{path}.pmf")
         try:
-            return FinitePmf.from_dict(pmf)
+            return AtomPmf.from_dict(pmf)
         except ValueError as exc:
             raise ConfigError(f"{path}.pmf: {exc}") from exc
     p = _get(node, "p", path, kind=(int, float))

@@ -11,9 +11,10 @@ conditions are sufficient, not necessary, so three verdicts exist; values
 within a narrow band of zero are never promoted to a phase claim
 (`PhaseVerdict.verdict`, the one rule, read from the two values that
 `classify` and `scan.scan` record).
-`d0(x0, a, s, m)` reads only the initial law and the tax, so a scan family
-needs no model per member, and `d0_values` gives a whole family's values
-from arrays of F(s) and F'(s), with each member's digits.
+`d0(x0, a, s, m)` reads only the initial law and the tax, through its
+pgf pair (any initial law: a FinitePmf, an AtomPmf or a GeometricPmf), so
+a scan family needs no model per member, and `d0_values` gives a whole
+family's values from arrays of F(s) and F'(s), with each member's digits.
 
 The lemma*_check functions re-verify the inequality chain behind the
 criteria: lemmas 1 and 3 along the generating-function orbit
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import FinitePmf, GeometricPmf, ModelSpec, OffspringLaw, TwoPointPmf
+from .dists import AtomPmf, FinitePmf, GeometricPmf, ModelSpec, OffspringLaw
 from .evolution import evolve, gf_orbit
 from .logreal import LogReal
 
@@ -79,7 +80,7 @@ class PhaseVerdict:
         return self.verdict
 
 
-def d0(x0: FinitePmf | GeometricPmf | TwoPointPmf, a: int, s: float,
+def d0(x0: FinitePmf | AtomPmf | GeometricPmf, a: int, s: float,
        m: float) -> float:
     """Criterion functional of the initial law x0 under tax a at s, with
     multiplier m."""
@@ -324,7 +325,7 @@ def _contraction_holds(d_next: LogReal, bound: LogReal) -> bool:
     return (d_next - rhs).sign <= 0
 
 
-def lemma4_association_check_log(p: FinitePmf | GeometricPmf | TwoPointPmf,
+def lemma4_association_check_log(p: FinitePmf | AtomPmf | GeometricPmf,
                                  s: float) -> tuple[LogReal, LogReal]:
     """(E X s^X, E X * E s^X) of any initial law p, from its log_pgf_pair
     and mean, in signed log space, where neither overflows; the first

@@ -12,27 +12,31 @@ would cost more than `_DIRECT_CONV_OPS` multiply-adds.
 A law's `pgf_pair`/`log_pgf_pair` methods are the one way to evaluate
 E s^X and its derivative at a point, in float64 and in log space, and its
 `diverges(s)` the one test of whether E s^X is infinite there (only a
-geometric law's can be).  Weights go through two array cores, `_pgf_pair`
-and `_log_pgf_pair`, each one pass over the support; `_pgf_pair` returns
-inf without evaluating when s^(support_max-1) is certain to overflow.
-`two_point_pgf_pair` evaluates a whole array of two-point laws at once,
-each with the digits of its own `pgf_pair`.  `pgf_eval`, `pgf_deriv`,
-`log_pgf_eval` and `log_pgf_deriv` are one side of a `FinitePmf`'s pairs.
+geometric law's can be).  Every finite law is evaluated by two array
+cores, `_pgf_pair` and `_log_pgf_pair`, each one pass over a support
+tuple (w, k, j, dense): its positive weights w, their values k, the index
+j of the first value >= 1 and whether k is 0, 1, ..., len(k)-1.
+`_support` derives the tuple from a dense weight array (a `FinitePmf`, an
+`OffspringLaw`), an `AtomPmf` keeps it, and a scan family's (G, K) matrix
+of member weights shares one k; `_pgf_pair` returns inf without
+evaluating when s^(support_max-1) is certain to overflow.  `pgf_eval`,
+`pgf_deriv`, `log_pgf_eval` and `log_pgf_deriv` are one side of a
+`FinitePmf`'s pairs.
 
-An initial law is a `FinitePmf`, a `GeometricPmf`, which keeps
-P(X = k) = r (1-r)^k in closed form, or a `TwoPointPmf`, the member
-{0: 1-p, high: p} of a two-point family kept as its two numbers; neither
-of the last two has a weight array.  Only `evolution.evolve`, the x0 draws
-and `evolution.gf_orbit`'s clip heads read weights, from `as_finite`, which
-builds each law's `cut` once (`geometric_x0_pmf` for a geometric law, the
-two weights for a two-point law); everything else reads pairs and `mean`.
+An initial law is a `FinitePmf`; an `AtomPmf`, a finite law kept as its
+atoms (the CLI's finite x0, a two-point family member); or a
+`GeometricPmf`, which keeps P(X = k) = r (1-r)^k in closed form.  Neither
+of the last two has an array over 0..support_max.  Only the consumers that
+read weights (`evolution.evolve`, the x0 draws, `evolution.gf_orbit`'s
+clip heads), through `as_finite`, and an `AtomPmf`'s `mean` build one:
+each law's `cut`, built once; everything else reads pairs and `mean`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -53,6 +57,11 @@ GEOMETRIC_TAIL = 1e-14
 _DIRECT_CONV_OPS = 1 << 24
 # s^k overflows float64 for k log s above log(DBL_MAX) = 709.78...
 _LOG_OVERFLOW = 710.0
+# below this k_max log s no power or derivative term of a law can overflow
+_LOG_QUIET = 660.0
+# supports of up to this many values have their powers cached
+# (_cached_powers): 256 entries of this size hold under 100 kB
+_CACHED_ATOMS = 8
 # numpy refuses a float64 array of this many entries or more with a
 # ValueError: its byte count does not fit in intp.
 _MAX_LENGTH = np.iinfo(np.intp).max // 8 + 1
@@ -148,13 +157,12 @@ class FinitePmf:
 
     def pgf_pair(self, s: float) -> tuple[float, float]:
         """(E s^X, d/ds E s^X) over the retained weights; overflow: quiet inf."""
-        with np.errstate(over="ignore"):
-            return _pgf_pair(self.probs, s)
+        return _law_pgf_pair(_support(self.probs), s)
 
     def log_pgf_pair(self, s: float) -> tuple[float, float]:
         """(log E s^X, log d/ds E s^X), stable far beyond float64 range."""
         _check_argument(s)
-        return _log_pgf_pair(self.probs, math.log(s))
+        return _log_pgf_pair(_support(self.probs), math.log(s))
 
 
 @dataclass(frozen=True)
@@ -207,93 +215,84 @@ class GeometricPmf:
         return geometric_x0_pmf(self.r)
 
 
-@dataclass(frozen=True)
-class TwoPointPmf:
-    """P(X = 0) = 1 - p, P(X = high) = p: a scan.TwoPointFamily member,
-    kept as its two numbers.
+@dataclass(eq=False)
+class AtomPmf:
+    """A finite law kept as its atoms: P(X = k[i]) = w[i], with no array
+    over 0..support_max.
 
-    pgf_pair repeats the operations `_pgf_pair` performs on the weight
-    array of FinitePmf.from_dict({0: 1 - p, high: p}), so its values equal
-    that law's bit for bit: the same overflow test, the powers from
-    np.power's array path (`_two_point_powers`, shared by a family's
-    members, which share their test points) and the value from the ddot of
-    a two-term np.dot, in `two_point_pgf_pair`, the array core a scan
-    family evaluates all its members with.  log_pgf_pair and the
-    weight-reading consumers (`as_finite`) use `cut`, that FinitePmf,
-    built on first use and kept.
+    `atoms` is the (w, k, j, dense) support tuple that `_support` derives
+    from the same law's FinitePmf weights, and `slopes` = w[j:] k[j:], the
+    weights of the derivative.  `from_dict` builds one from a value ->
+    probability mapping, checks it as FinitePmf.from_dict does and makes
+    its arrays read-only; a scan.TwoPointFamily builds its members on the
+    values (0, high), one read-only array that they all share.  Not frozen,
+    and a member's own arrays are not flagged: a frozen __init__ and the
+    flags made a scan's bisections, which build hundreds of members, 10%
+    slower.  Its pairs equal those of its FinitePmf bit for bit.  Only `mean` and the consumers that read weights
+    (`as_finite`) read `cut`, that FinitePmf, built on first use and kept.
     """
 
-    high: int
-    p: float
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    atoms: tuple[np.ndarray, np.ndarray, int, bool]
+    slopes: np.ndarray
 
-    def __post_init__(self):
-        if not isinstance(self.high, (int, np.integer)) or self.high < 1:
-            raise ValueError(
-                f"the high value must be an integer >= 1, got {self.high!r}")
-        p = float(self.p)
-        if not 0.0 < p < 1.0:
-            raise ValueError(
-                f"the weight of the high value must lie in (0, 1), got {self.p}")
-        object.__setattr__(self, "high", int(self.high))
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "weights", np.array([1.0 - p, p]))
+    @classmethod
+    def from_dict(cls, weights: Mapping[int, float]) -> "AtomPmf":
+        """The law of a value -> probability mapping; exact zeros are
+        dropped.  Checked in FinitePmf's order and with its messages."""
+        for v in weights:
+            if not isinstance(v, (int, np.integer)) or v < 0:
+                raise ValueError(f"support value {v!r} is not a nonnegative integer")
+        values = sorted(weights)
+        w = np.array([weights[v] for v in values], dtype=np.float64)
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
+        if np.any(w < 0.0):
+            raise ValueError("weights must be nonnegative")
+        keep = w > 0.0
+        w = w[keep]
+        # the sum of the atoms, which can differ from the dense law's
+        # pairwise sum in the last bits
+        total = float(w.sum())
+        if abs(total - 1.0) > MASS_TOL:
+            raise ValueError(f"total mass {total!r} outside the 1 +/- {MASS_TOL} band")
+        k = np.array(values, dtype=np.float64)[keep]
+        j = int(k[0] == 0.0)
+        slopes = w[j:] * k[j:]
+        for array in (w, k, slopes):
+            array.setflags(write=False)
+        return cls((w, k, j, bool(k[-1] == k.size - 1)), slopes)
+
+    @property
+    def support(self) -> np.ndarray:
+        """The values of positive weight, as float64."""
+        return self.atoms[1]
 
     @property
     def mean(self) -> float:
-        """E X = high p, as the cut's weights give it."""
-        return self.high * self.p
+        """E X, from the cut: a dot over the atoms alone can differ from
+        the dense law's in the last bit."""
+        return self.cut.mean
 
     def diverges(self, s: float) -> bool:
-        """Whether E s^X diverges: never, a sum of two terms."""
+        """Whether E s^X diverges: never, a finite sum."""
         return False
 
     def pgf_pair(self, s: float) -> tuple[float, float]:
-        """(E s^X, d/ds E s^X); (inf, inf) where s^(high-1) must overflow."""
-        _check_argument(s)
-        value, deriv = two_point_pgf_pair(self.weights, self.p, self.high, s)
-        return float(value), float(deriv)
+        """(E s^X, d/ds E s^X); overflow: quiet inf."""
+        return _law_pgf_pair(self.atoms, s, self.slopes)
 
     def log_pgf_pair(self, s: float) -> tuple[float, float]:
-        """(log E s^X, log d/ds E s^X), over the weights of `cut`."""
-        return self.cut.log_pgf_pair(s)
+        """(log E s^X, log d/ds E s^X), stable far beyond float64 range."""
+        _check_argument(s)
+        return _log_pgf_pair(self.atoms, math.log(s))
 
     @functools.cached_property
     def cut(self) -> FinitePmf:
-        """FinitePmf.from_dict({0: 1 - p, high: p}), built on first use and
-        kept."""
-        return FinitePmf.from_dict({0: 1.0 - self.p, self.high: self.p})
-
-
-def two_point_pgf_pair(weights: np.ndarray, p: float | np.ndarray,
-                       high: int, s: float):
-    """(E s^X, d/ds E s^X) of the laws {0: 1-p, high: p} whose weight rows
-    [1-p, p] form the last axis of `weights`: one member's (2,) array with
-    its float p, or a (G, 2) array of a family's members, which share s
-    and high, with the array p of their parameters.
-
-    The value is np.vecdot over each row, which runs the cblas ddot of a
-    two-term np.dot (`_pgf_pair`), so every member's digits are those of
-    its FinitePmf; the derivative is p high s^(high-1).  Where s^(high-1)
-    must overflow, as `_pgf_pair` tests, both are inf without evaluating;
-    otherwise an array derivative may overflow, with numpy's warning."""
-    if s > 1.0 and (high - 1.0) * math.log(s) > _LOG_OVERFLOW:
-        inf = np.full(np.shape(p), math.inf)
-        return inf, inf
-    powers, shifted = _two_point_powers(float(s), high)
-    return np.vecdot(weights, powers), p if high == 1 else p * high * shifted
-
-
-@functools.lru_cache(maxsize=256)
-def _two_point_powers(s: float, high: int) -> tuple[np.ndarray, float]:
-    """(s^[0, high], s^(high-1)) as `_pgf_pair` takes them for a two-point
-    weight array: from np.power's array path, whose last bit can differ
-    from a scalar pow's.  The array is read-only; an overflow is inf."""
-    with np.errstate(over="ignore"):
-        powers = np.power(s, np.array([0.0, high]))
-        shifted = float(np.power(s, np.array([high - 1.0]))[0])
-    powers.setflags(write=False)
-    return powers, shifted
+        """The law's FinitePmf, built on first use and kept."""
+        w, k, _, _ = self.atoms
+        probs = zeros(int(k[-1]) + 1)
+        probs[k.astype(np.intp)] = w
+        return FinitePmf(probs)
 
 
 def geometric_x0_pmf(r: float) -> FinitePmf:
@@ -325,10 +324,10 @@ def _geometric_weights(p: float, tail: float) -> tuple[np.ndarray, float]:
     return p * np.power(q, np.arange(n, dtype=np.float64)), float(q ** n)
 
 
-def as_finite(x0: FinitePmf | GeometricPmf | TwoPointPmf) -> FinitePmf:
+def as_finite(x0: FinitePmf | AtomPmf | GeometricPmf) -> FinitePmf:
     """An initial law as weights, for the consumers that read them
     (evolution.evolve, the clip heads of evolution.gf_orbit, the x0 draws):
-    a FinitePmf as it is, a GeometricPmf or a TwoPointPmf as its `cut`."""
+    a FinitePmf as it is, an AtomPmf or a GeometricPmf as its `cut`."""
     return x0 if isinstance(x0, FinitePmf) else x0.cut
 
 
@@ -388,31 +387,83 @@ def _logsumexp(t: np.ndarray) -> float:
     return float(np.log1p(s) + np.log(m) + top)
 
 
-def _pgf_pair(probs: np.ndarray, s: float) -> tuple[float, float]:
-    """(E s^X, d/ds E s^X) of a weight array.
+def _pgf_pair(support: tuple, s: float, slopes: np.ndarray | None = None,
+              quiet: bool = False):
+    """(E s^X, d/ds E s^X) of the laws whose weights form the last axis of
+    w in the support tuple (w, k, j, dense): one law's weights, or a (G, K)
+    matrix of G laws on the same values k, each row evaluated as if alone.
+    slopes are the derivative's weights w[..., j:] k[j:], formed here
+    unless the caller keeps them.
 
     When (support_max - 1) log s > 710, s^(support_max - 1) is certain to
     overflow, so both sums are inf; they are returned as such without
-    evaluating anything.  A dense array's derivative reads its powers
-    s^(k-1) off the value's s^k.
+    evaluating anything.  A matrix goes through np.vecdot, which runs
+    np.dot's cblas ddot on each row, so a row's digits are its own law's;
+    one law's one-term derivative (a two-point law's) is its product, the
+    ddot's digits without the call.  Supports of up to _CACHED_ATOMS
+    values take their powers from `_cached_powers`, so a scan family's
+    members, which share values and test points, compute them once.
+    With `quiet` an overflow is a quiet inf; the errstate that quiets it
+    costs microseconds, so it is entered only from support_max log s =
+    _LOG_QUIET on, below which neither s^k nor k s^(k-1) can overflow
+    (log k < 44 for every k < 2^63).
     """
+    w, k, j, dense = support
+    if k.size and s > 1.0:
+        log_s = math.log(s)
+        log_top = (k.item(-1) - 1.0) * log_s
+        if log_top > _LOG_OVERFLOW:
+            inf = np.full(w.shape[:-1], math.inf)
+            return inf, inf
+        if quiet and log_top + log_s > _LOG_QUIET:
+            with np.errstate(over="ignore"):
+                return _pgf_pair(support, s, slopes)
+    s = float(s)
+    powers, shifted = (_cached_powers(s, k.tobytes(), j, dense)
+                       if k.size <= _CACHED_ATOMS else _powers(s, k, j, dense))
+    if slopes is None:
+        slopes = w[..., j:] * k[j:]
+    if w.ndim > 1:
+        return np.vecdot(w, powers), np.vecdot(slopes, shifted)
+    if shifted.size == 1:
+        return np.dot(w, powers), slopes.item(0) * shifted.item(0)
+    return np.dot(w, powers), np.dot(slopes, shifted)
+
+
+def _law_pgf_pair(support: tuple, s: float,
+                  slopes: np.ndarray | None = None) -> tuple[float, float]:
+    """One law's quiet `_pgf_pair`, as floats."""
     _check_argument(s)
-    w, k, j, dense = _support(probs)
-    if k.size and s > 1.0 and (k[-1] - 1.0) * math.log(s) > _LOG_OVERFLOW:
-        return math.inf, math.inf
-    powers = np.power(float(s), k)
-    value = float(np.dot(w, powers))
-    k1 = k[j:]
-    shifted = powers[:-1] if dense else np.power(float(s), k1 - 1.0)
-    return value, float(np.dot(w[j:] * k1, shifted))
+    value, deriv = _pgf_pair(support, s, slopes, quiet=True)
+    return float(value), float(deriv)
 
 
-def _log_pgf_pair(probs: np.ndarray, log_s: float) -> tuple[float, float]:
-    """Log pair of a weight array, from log s, so that s itself may lie
-    beyond float64 range (the F_n(s) of evolution.gf_orbit).  One pass over
-    the support and the log weights; a dense array's (k-1) log s terms are
-    read off the value's k log s terms."""
-    w, k, j, dense = _support(probs)
+def _powers(s: float, k: np.ndarray, j: int,
+            dense: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(s^k, s^(k[j:] - 1)) from np.power's array path, whose last bit can
+    differ from a scalar pow's; a dense k's second part is read off the
+    first."""
+    powers = np.power(s, k)
+    return powers, powers[:-1] if dense else np.power(s, k[j:] - 1.0)
+
+
+@functools.lru_cache(maxsize=256)
+def _cached_powers(s: float, values: bytes, j: int,
+                   dense: bool) -> tuple[np.ndarray, np.ndarray]:
+    """_powers of the float64 values in `values`, by (s, values), as
+    read-only arrays, which every law on those values shares."""
+    powers, shifted = _powers(s, np.frombuffer(values), j, dense)
+    powers.setflags(write=False)
+    shifted.setflags(write=False)
+    return powers, shifted
+
+
+def _log_pgf_pair(support: tuple, log_s: float) -> tuple[float, float]:
+    """Log pair of one law's support tuple, from log s, so that s itself
+    may lie beyond float64 range (the F_n(s) of evolution.gf_orbit).  One
+    pass over the support and the log weights; a dense support's
+    (k-1) log s terms are read off the value's k log s terms."""
+    w, k, j, dense = support
     if k.size == 0:
         return -math.inf, -math.inf
     log_w = np.log(w)
@@ -576,7 +627,7 @@ class OffspringLaw:
         """(E v^N, d/dv E v^N) of the ideal law: closed form for geometric,
         sums over the weights otherwise."""
         if self.kind != "geometric":
-            return _pgf_pair(self.weights, v)
+            return _law_pgf_pair(_support(self.weights), v)
         p, q = self.success_prob, 1.0 - self.success_prob
         if q * v >= 1.0:
             raise ValueError(f"geometric pgf diverges at argument {v}")
@@ -585,30 +636,31 @@ class OffspringLaw:
     def log_pgf_pair(self, *, log_v: float) -> tuple[float, float]:
         """(log E v^N, log d/dv E v^N) over the weights, from log v, which
         is keyword-only: the x0 laws' log_pgf_pair take s itself."""
-        return _log_pgf_pair(self.weights, log_v)
+        return _log_pgf_pair(_support(self.weights), log_v)
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     """One recursion instance: X' = (sum of N replicas of X, minus a)+.
 
-    x0 is a FinitePmf, a GeometricPmf or a TwoPointPmf; the last two need
-    no check here, being leak-free and never constant."""
+    x0 is a FinitePmf, an AtomPmf or a GeometricPmf; the last needs no
+    check here, being leak-free and never constant, and an AtomPmf carries
+    no leak."""
 
     a: int
-    x0: FinitePmf | GeometricPmf | TwoPointPmf
+    x0: FinitePmf | AtomPmf | GeometricPmf
     offspring: OffspringLaw
 
     def __post_init__(self):
         if not isinstance(self.a, (int, np.integer)) or self.a < 1:
             raise ValueError(f"the tax a must be an integer >= 1, got {self.a!r}")
         object.__setattr__(self, "a", int(self.a))
-        if isinstance(self.x0, (GeometricPmf, TwoPointPmf)):
+        if isinstance(self.x0, GeometricPmf):
             return
-        if not isinstance(self.x0, FinitePmf):
-            raise ValueError(f"x0 must be a FinitePmf, a GeometricPmf or a "
-                             f"TwoPointPmf, got {type(self.x0).__name__}")
-        if self.x0.leaked_mass != 0.0:
+        if not isinstance(self.x0, (FinitePmf, AtomPmf)):
+            raise ValueError(f"x0 must be a FinitePmf, an AtomPmf or a "
+                             f"GeometricPmf, got {type(self.x0).__name__}")
+        if getattr(self.x0, "leaked_mass", 0.0) != 0.0:
             raise ValueError("the initial law must carry no leaked mass")
         if self.x0.support.size < 2:
             raise ValueError("the initial law is not a constant in this model class; "

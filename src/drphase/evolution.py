@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dists
-from .dists import (FinitePmf, GeometricPmf, ModelSpec, OffspringLaw,
-                    TwoPointPmf)
+from .dists import AtomPmf, FinitePmf, GeometricPmf, ModelSpec, OffspringLaw
 from .logreal import ONE, LogReal
 
 DEFAULT_TAIL_EPS = 1e-14
@@ -253,8 +252,9 @@ def evolve(model: ModelSpec, steps: int = DEFAULT_STEPS, *,
            leak_budget: float = DEFAULT_LEAK_BUDGET,
            keep_pmfs: bool = False,
            support_cap: int | None = None) -> EvolutionTrace:
-    """Iterate step() from x0 (a geometric x0 cut by dists.as_finite),
-    collecting the bracket row per generation.
+    """Iterate step() from x0 (an AtomPmf or a geometric x0 as the
+    FinitePmf dists.as_finite gives), collecting the bracket row per
+    generation.
 
     A generation whose cumulative leak passes leak_budget stops the run
     with LeakBudgetExceeded carrying the rows before it, so every row lies
@@ -334,7 +334,7 @@ def _clip_heads(x0: np.ndarray, weights: np.ndarray, a: int, steps: int
     return heads
 
 
-def gf_orbit(x0: FinitePmf | GeometricPmf | TwoPointPmf, law: OffspringLaw,
+def gf_orbit(x0: FinitePmf | AtomPmf | GeometricPmf, law: OffspringLaw,
              a: int, s: float, steps: int
              ) -> list[tuple[LogReal, LogReal, float]]:
     """(F_n(s), F_n'(s), log G(F_n(s))) for n = 0..steps, F_n(s) = E s^X_n

@@ -16,7 +16,7 @@ scheduling, and every sampler draws in whole arrays: the pool generation
 and the tree sizes in the `kernels` table, and the tree sampler's stream
 up front, in blocks, before its recursion reads it.  The kernels take the
 `OffspringLaw` itself, and the x0 draws here and a finite N's counts share
-`kernels.inverse_cdf`; a geometric x0 is drawn from the cut law of
+`kernels.inverse_cdf`; an atom or geometric x0 is drawn from its cut,
 `dists.as_finite`.  A geometric N is drawn from the untruncated law
 (the cdf scan saturates only below 1e-18 mass), so no truncation cutoff is
 consulted here.

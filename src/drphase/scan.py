@@ -12,18 +12,20 @@ function is rational in s.  `bisect_boundary` (named after the bisection
 it replaced, which the tests keep as their oracle) places an interval of
 width tol around the root and certifies it by the criterion's sign at both
 ends: four criterion evaluations per boundary, each on the member's law
-(`law`) and the family's a.  A family member's x0 is a closed-form law, a
-`dists.TwoPointPmf` or a `dists.GeometricPmf`, so neither a scan nor a
-classify builds a weight array; a two-point member's criterion values
-equal those of its FinitePmf bit for bit.
+(`law`) and the family's a.  A family member's x0 is a `dists.AtomPmf` on
+the values (0, high), which all members share, or a `dists.GeometricPmf`,
+so neither a scan nor a classify builds an array over 0..support_max; a
+two-point member's criterion values equal those of its FinitePmf bit for
+bit.
 
 `scan` evaluates each criterion once per family over its whole grid
 (`criterion_values`) and records each member's two values as a
 `criteria.PhaseVerdict`, so its verdicts equal `classify(family.model(p))`
-bit for bit.  A two-point family takes the grid as arrays
-(`dists.two_point_pgf_pair`) and builds no law or ModelSpec per member,
-except where s^(high-1) overflows and a member's value comes from its
-law's log pair; a geometric-x0 family goes member by member.
+bit for bit.  A two-point family takes the grid as one (G, 2) weight
+matrix through the finite laws' array core (`dists._pgf_pair`) and builds
+no law or ModelSpec per member, except where s^(high-1) overflows and a
+member's value comes from its law's log pair; a geometric-x0 family goes
+member by member.
 """
 
 from __future__ import annotations
@@ -33,12 +35,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import criteria
+from . import criteria, dists
 from .criteria import PhaseVerdict
 # geometric_x0_pmf lives in dists, whose as_finite builds it; this
 # re-export is kept for perfbench/tracer.py, which wraps it here
-from .dists import (GeometricPmf, ModelSpec, OffspringLaw, TwoPointPmf,
-                    geometric_x0_pmf, two_point_pgf_pair)
+from .dists import (AtomPmf, GeometricPmf, ModelSpec, OffspringLaw,
+                    geometric_x0_pmf)
 
 # Families are swept over the open unit interval, inset by this margin
 # (endpoints would give a constant initial law).
@@ -69,18 +71,33 @@ def _test_point(family, which: str) -> tuple[float, float] | None:
 @dataclass(frozen=True)
 class TwoPointFamily:
     """Initial law {0: 1-p, high_value: p}, parameterized by p; each
-    member is an exact dists.TwoPointPmf, with no weight array."""
+    member is a dists.AtomPmf on `values`, the read-only array (0, high)
+    that all members share."""
 
     a: int
     high_value: int
     offspring: OffspringLaw
+    values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.high_value < 1:
-            raise ValueError(f"high_value must be >= 1, got {self.high_value}")
+        high = self.high_value
+        if not isinstance(high, (int, np.integer)):
+            raise ValueError(f"high_value must be an integer, got {high!r}")
+        if high < 1:
+            raise ValueError(f"high_value must be >= 1, got {high}")
+        values = np.array([0.0, high], dtype=np.float64)
+        values.setflags(write=False)
+        object.__setattr__(self, "high_value", int(high))
+        object.__setattr__(self, "values", values)
 
-    def law(self, param: float) -> TwoPointPmf:
-        return TwoPointPmf(self.high_value, param)
+    def law(self, param: float) -> AtomPmf:
+        p = float(param)
+        if not 0.0 < p < 1.0:
+            raise ValueError(
+                f"the weight of the high value must lie in (0, 1), got {param}")
+        # the derivative's weight p high is from_dict's w[1:] * k[1:]
+        return AtomPmf((np.array([1.0 - p, p]), self.values, 1,
+                        self.high_value == 1), np.array([p * self.high_value]))
 
     def model(self, param: float) -> ModelSpec:
         return ModelSpec(self.a, self.law(param), self.offspring)
@@ -90,9 +107,10 @@ class TwoPointFamily:
         """d0 at (s, m) of the members at params, over the whole array at
         once and with each member's digits; only a member whose terms leave
         float64 range builds its law, for d0's log path."""
-        weights = np.stack((1.0 - params, params), axis=-1)
-        with np.errstate(over="ignore"):
-            f, fp = two_point_pgf_pair(weights, params, self.high_value, s)
+        weights = np.column_stack((1.0 - params, params))
+        # the members' support tuple: j = 1, dense for high 1
+        f, fp = dists._pgf_pair((weights, self.values, 1, self.high_value == 1),
+                                s, quiet=True)
         return criteria.d0_values(f, fp, self.a, s, m,
                                   lambda i: self.law(float(params[i])))
 

@@ -10,6 +10,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath
 import pytest
@@ -753,11 +754,11 @@ def test_converging_points_read_no_log_pair(monkeypatch):
     # diverges(s), not a log pair evaluated for its inf
     def refuse(law, s):
         raise AssertionError(f"log_pgf_pair({s}) was evaluated")
-    for cls in (dists.FinitePmf, dists.GeometricPmf, dists.TwoPointPmf):
+    for cls in (dists.FinitePmf, dists.GeometricPmf, dists.AtomPmf):
         monkeypatch.setattr(cls, "log_pgf_pair", refuse)
     law = OffspringLaw.deterministic(2)
     for x0 in (dists.FinitePmf.from_dict({0: 0.5, 2: 0.5}),
-               dists.TwoPointPmf(1500, 0.5)):
+               dists.AtomPmf.from_dict({0: 0.5, 1500: 0.5})):
         assert cli._converging(ModelSpec(1, x0, law), (1.5, 2.0, 1e300)) \
             == ([1.5, 2.0, 1e300], "")
     geometric = ModelSpec(1, dists.GeometricPmf(0.35), law)
@@ -950,19 +951,17 @@ def test_check_lemmas_unallocatable_head_is_a_numerical_failure(tmp_path,
 
 
 # lengths of 2^60 float64 and more, which numpy refuses with a ValueError
-# rather than the MemoryError of a smaller failed allocation
+# rather than the MemoryError of a smaller failed allocation; x0's weights
+# are an array only where evolve reads them
 @pytest.mark.parametrize("command,doc", [
     ("check-lemmas", base_config(a=10**20)),
     ("check-lemmas", base_config(check_lemmas={"growth_steps": 10**19})),
-    ("scan", base_config(scan={"family": {"type": "two_point",
-                                          "high": 10**20}})),
-    ("classify", base_config(x0={"type": "finite",
-                                 "pmf": [[0, 0.5], [10**20, 0.5]]})),
+    ("evolve", base_config(x0={"type": "finite",
+                               "pmf": [[0, 0.5], [10**20, 0.5]]})),
     ("classify", base_config(N={"type": "finite",
                                 "pmf": [[1, 0.5], [10**20, 0.5]]})),
     ("classify", base_config(N={"type": "deterministic", "n": 10**20})),
-], ids=["a", "growth_steps", "two_point_high", "x0_value", "N_value",
-        "deterministic_n"])
+], ids=["a", "growth_steps", "x0_value", "N_value", "deterministic_n"])
 def test_array_beyond_numpy_limit_is_a_numerical_failure(tmp_path, capsys,
                                                         command, doc):
     cfg = write_config(tmp_path, doc)
@@ -970,6 +969,62 @@ def test_array_beyond_numpy_limit_is_a_numerical_failure(tmp_path, capsys,
     assert code == 3
     assert out == ""
     assert err.startswith("numerical failure: cannot allocate ")
+
+
+def test_classify_and_scan_read_no_array_past_numpys_limit(tmp_path, capsys):
+    # a finite x0 is its atoms, and a two-point family member too: only
+    # evolve's weights (above) would be an array
+    for command, doc in (
+            ("classify", base_config(x0={"type": "finite",
+                                         "pmf": [[0, 0.5], [10**20, 0.5]]})),
+            ("scan", base_config(scan={"family": {"type": "two_point",
+                                                  "high": 10**20}}))):
+        code, out, err = run_main([command, "--config",
+                                   write_config(tmp_path, doc)], capsys)
+        assert (code, err) == (0, ""), command
+        assert out.startswith("verdict: " if command == "classify"
+                              else "parameter"), command
+
+
+def peak_traced_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_classify_of_a_sparse_config_x0_allocates_no_weight_array(tmp_path,
+                                                                   capsys):
+    cfg = write_config(tmp_path, base_config(
+        x0={"type": "finite", "pmf": [[0, 0.999], [20_000_000, 0.001]]}))
+    run_main(["classify", "--config", cfg], capsys)  # imports and caches
+    peak = peak_traced_bytes(
+        lambda: run_main(["classify", "--config", cfg], capsys))
+    assert peak < 1 << 20
+    code, out, err = run_main(["classify", "--config", cfg], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == ["verdict: Supercritical", "d_super: inf"]
+
+
+def test_scan_validates_its_ignored_x0_without_allocating(tmp_path, capsys):
+    cfg = write_config(tmp_path, base_config(
+        x0={"type": "finite", "pmf": [[0, 0.5], [10**12, 0.5]]},
+        scan={"family": {"type": "two_point", "high": 3}, "grid_points": 5}))
+    run_main(["scan", "--config", cfg], capsys)
+    peak = peak_traced_bytes(lambda: run_main(["scan", "--config", cfg],
+                                              capsys))
+    assert peak < 1 << 20
+    code, out, err = run_main(["scan", "--config", cfg], capsys)
+    assert (code, err) == (0, "")
+    bad = write_config(tmp_path, base_config(
+        x0={"type": "finite", "pmf": [[0, 0.5], [10**12, 0.4]]},
+        scan={"family": {"type": "two_point", "high": 3}}), "bad.json")
+    code, out, err = run_main(["scan", "--config", bad], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("config error: x0.pmf: total mass 0.9 outside the "
+                   "1 +/- 1e-12 band\n")
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from drphase.criteria import (
     lemma4_association_check_log,
     offspring_association_check,
 )
-from drphase.dists import (GEOMETRIC_TAIL, FinitePmf, GeometricPmf, ModelSpec,
-                           OffspringLaw, TwoPointPmf)
+from drphase.dists import (GEOMETRIC_TAIL, AtomPmf, FinitePmf, GeometricPmf,
+                           ModelSpec, OffspringLaw)
 from drphase.logreal import LogReal
 
 from conftest import rand_model_light
@@ -321,7 +321,7 @@ def test_lemma4_pinned_pairs():
     assert rhs == pytest.approx(26.0, rel=1e-13)
     with pytest.raises(ValueError, match="E s\\^X diverges at s=2.0"):
         lemma4_association_check_log(GeometricPmf(0.35), 2.0)
-    law = TwoPointPmf(3, 0.25)
+    law = AtomPmf.from_dict({0: 0.75, 3: 0.25})
     assert lemma4_floats(law, 2.0) == lemma4_floats(law.cut, 2.0)
 
 

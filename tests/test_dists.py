@@ -13,11 +13,11 @@ from drphase import criteria, dists
 from drphase.criteria import SUBCRITICAL, classify
 from drphase.dists import (
     GEOMETRIC_TAIL,
+    AtomPmf,
     FinitePmf,
     GeometricPmf,
     ModelSpec,
     OffspringLaw,
-    TwoPointPmf,
     convolve,
     log_pgf_deriv,
     log_pgf_eval,
@@ -25,6 +25,12 @@ from drphase.dists import (
     pgf_eval,
     truncate,
 )
+from drphase.scan import TwoPointFamily
+
+
+def two_point(high, p):
+    """The law {0: 1-p, high: p} as a two-point scan family builds it."""
+    return TwoPointFamily(1, high, OffspringLaw.deterministic(2)).law(p)
 
 
 def rand_pmf(rng, max_val=8, max_pts=5):
@@ -80,7 +86,7 @@ def test_mean_enumeration():
     assert GeometricPmf(0.3).mean == pytest.approx(GeometricPmf(0.3).cut.mean,
                                                    rel=1e-12)
     for high, p in ((3, 0.25), (7, 0.1), (1024, 1e-3)):
-        law = TwoPointPmf(high, p)
+        law = two_point(high, p)
         assert law.mean == law.cut.mean == high * p
 
 
@@ -305,10 +311,10 @@ def test_pgf_pair_skips_a_certain_overflow():
     # past 710 the array core evaluates nothing, so no overflow is ever
     # raised; short of it the sums overflow
     with np.errstate(over="raise"):
-        assert dists._pgf_pair(w, math.exp(710.001 / 999)) \
+        assert dists._pgf_pair(dists._support(w), math.exp(710.001 / 999)) \
             == (math.inf, math.inf)
         with pytest.raises(FloatingPointError):
-            dists._pgf_pair(w, math.exp(709.9 / 999))
+            dists._pgf_pair(dists._support(w), math.exp(709.9 / 999))
         # the law's pair turns such an overflow into a quiet inf
         assert p.pgf_pair(math.exp(709.9 / 999)) == (math.inf, math.inf)
         assert p.pgf_pair(math.exp(710.001 / 999)) == (math.inf, math.inf)
@@ -372,7 +378,7 @@ def test_geometric_pmf_pairs_are_inf_from_the_radius_on(r):
 
 
 def test_finite_and_two_point_laws_never_diverge():
-    for law in (FinitePmf.from_dict({0: 0.5, 40: 0.5}), TwoPointPmf(5000, 0.5)):
+    for law in (FinitePmf.from_dict({0: 0.5, 40: 0.5}), two_point(5000, 0.5)):
         for s in (0.5, 2.0, 1e300):
             assert not law.diverges(s)
 
@@ -429,7 +435,7 @@ def test_two_point_law_equals_its_finite_pmf_bit_for_bit(h):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for p in ps:
-            law = TwoPointPmf(h, p)
+            law = two_point(h, p)
             ref = FinitePmf.from_dict({0: 1.0 - p, h: p})
             for s in args:
                 with np.errstate(over="ignore"):
@@ -445,11 +451,14 @@ def test_two_point_law_equals_its_finite_pmf_bit_for_bit(h):
 
 
 def test_two_point_law_is_cut_once_as_its_finite_pmf():
-    law = TwoPointPmf(3, 0.25)
+    law = two_point(3, 0.25)
     cut = dists.as_finite(law)
     assert cut is law.cut is dists.as_finite(law)
     assert cut.probs.tolist() == [0.75, 0.0, 0.0, 0.25]
-    assert ModelSpec(1, law, SWEEP_LAWS[0]).x0 == TwoPointPmf(3, 0.25)
+    x0 = ModelSpec(1, law, SWEEP_LAWS[0]).x0
+    assert x0 is law
+    assert (x0.atoms[0].tolist(), x0.atoms[1].tolist()) == ([0.75, 0.25],
+                                                            [0.0, 3.0])
     with pytest.raises(ValueError):
         law.pgf_pair(0.0)
 
@@ -459,7 +468,73 @@ def test_two_point_law_is_cut_once_as_its_finite_pmf():
     (0, 0.5), (-3, 0.5), (2.0, 0.5)])
 def test_two_point_law_validation(high, p):
     with pytest.raises(ValueError):
-        TwoPointPmf(high, p)
+        two_point(high, p)
+
+
+# -- the atom law ------------------------------------------------------------
+
+def random_weight_dicts(rng):
+    """Dense (values 0..K-1) and sparse value -> probability dicts, K up to
+    1e5, sparse ones with and without the value 0."""
+    for size in (1, 2, 3, 7, 8, 9, 100, 1001, 20_000, 100_000):
+        w = rng.random(size) + 0.01
+        w /= w.sum()
+        yield dict(zip(range(size), w.tolist()))
+        for with_zero in (True, False):
+            values = np.sort(rng.choice(10 * size + 10, size, replace=False))
+            if with_zero:
+                values[0] = 0
+            else:
+                values += 1
+            yield dict(zip(values.tolist(), w.tolist()))
+
+
+def test_atom_law_equals_its_finite_pmf_bit_for_bit():
+    rng = np.random.default_rng(22)
+    for d in random_weight_dicts(rng):
+        law, ref = AtomPmf.from_dict(d), FinitePmf.from_dict(d)
+        w, k, j, dense = dists._support(ref.probs)
+        aw, ak, aj, adense = law.atoms
+        assert (aw.tobytes(), ak.tobytes(), aj, adense) \
+            == (w.tobytes(), k.tobytes(), j, dense), len(d)
+        assert law.slopes.tobytes() == (w[j:] * k[j:]).tobytes()
+        assert repr(law.mean) == repr(ref.mean)
+        top = ref.support_max
+        points = [0.3, 0.999, 1.0, 1.5, 2.0, 25.0]
+        if top >= 3:
+            points += [math.exp(t / (top - 1)) for t in EDGE_EXPONENTS]
+        for s in points:
+            assert law.diverges(s) is ref.diverges(s) is False
+            assert repr(law.pgf_pair(s)) == repr(ref.pgf_pair(s)), (len(d), s)
+            assert repr(law.log_pgf_pair(s)) \
+                == repr(ref.log_pgf_pair(s)), (len(d), s)
+        assert dists.as_finite(law).probs.tobytes() == ref.probs.tobytes()
+        assert dists.as_finite(law) is law.cut
+
+
+@pytest.mark.parametrize("weights", [
+    {-1: 1.0}, {1.5: 1.0}, {0: math.nan, 1: 1.0}, {0: math.inf},
+    {0: -0.5, 1: 1.5}, {0: 0.5, 2: 0.4}, {0: 0.5, 2: 0.5, 5: 1e-11}, {}],
+    ids=["negative value", "float value", "nan", "inf", "negative weight",
+         "mass short", "mass over", "empty"])
+def test_atom_law_is_checked_as_its_finite_pmf(weights):
+    with pytest.raises(ValueError) as dense:
+        FinitePmf.from_dict(weights)
+    with pytest.raises(ValueError) as atoms:
+        AtomPmf.from_dict(weights)
+    assert str(atoms.value) == str(dense.value)
+
+
+def test_atom_law_builds_no_array_over_its_values():
+    law = AtomPmf.from_dict({0: 0.999, 10**12: 0.001, 3 * 10**12: 0.0})
+    assert law.support.tolist() == [0.0, 1e12]
+    assert all(a.nbytes <= 16 for a in (*law.atoms[:2], law.slopes))
+    assert all(not a.flags.writeable for a in (*law.atoms[:2], law.slopes))
+    assert law.pgf_pair(2.0) == (math.inf, math.inf)
+    log_f, log_fp = law.log_pgf_pair(2.0)
+    assert log_f == pytest.approx(math.log(0.001) + 1e12 * math.log(2.0))
+    with pytest.raises(ValueError, match="is not a constant"):
+        ModelSpec(1, AtomPmf.from_dict({7: 1.0}), OffspringLaw.deterministic(2))
 
 
 def test_offspring_log_pgf_pair_takes_log_v_by_keyword_only():
@@ -703,8 +778,8 @@ def test_model_spec_validation():
     with pytest.raises(ValueError, match="is not a constant"):
         ModelSpec(a=1, x0=FinitePmf.delta(2), offspring=law)
     # a ValueError naming x0 and the three laws, not an AttributeError
-    with pytest.raises(ValueError, match="^x0 must be a FinitePmf, a "
-                                         "GeometricPmf or a TwoPointPmf, "
+    with pytest.raises(ValueError, match="^x0 must be a FinitePmf, an "
+                                         "AtomPmf or a GeometricPmf, "
                                          "got dict$"):
         ModelSpec(a=1, x0={0: 0.5, 2: 0.5}, offspring=law)
     m = ModelSpec(a=1, x0=x0, offspring=law)

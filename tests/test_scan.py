@@ -24,7 +24,8 @@ from drphase.scan import (
     scan,
 )
 from test_dists import (SWEEP_LAWS, old_log_pgf_deriv, old_log_pgf_eval,
-                        old_pgf_deriv, old_pgf_eval)
+                        old_pgf_deriv, old_pgf_eval, sweep_test_points,
+                        two_point_edge_points)
 
 
 def test_drphase_scan_is_the_module():
@@ -310,6 +311,37 @@ def test_family_criterion_values_equal_each_members_d0():
             assert list(map(repr, got)) == list(map(repr, want)), (fam, which)
 
 
+def test_family_matrix_core_equals_each_members_pair():
+    # the (G, 2) weight matrix through the finite laws' core, row by row
+    # against each member's own pgf_pair: h = 1 (dense), sums that overflow
+    # and the certain-overflow skip included
+    params = np.concatenate([
+        np.linspace(scan_module.EPS_PARAM, 1.0 - scan_module.EPS_PARAM, 41),
+        [1e-3, 0.5]])
+    weights = np.stack((1.0 - params, params), axis=-1)
+    for h in (1, 2, 3, 6, 1024, 1500, 10**5):
+        fam = TwoPointFamily(1, h, SWEEP_LAWS[0])
+        for s in [s for s, _ in sweep_test_points()] + two_point_edge_points(h):
+            f, fp = dists._pgf_pair((weights, fam.values, 1, h == 1), s,
+                                    quiet=True)
+            for i, p in enumerate(params.tolist()):
+                assert repr(fam.law(p).pgf_pair(s)) \
+                    == repr((float(f[i]), float(fp[i]))), (h, s, p)
+
+
+@pytest.mark.parametrize("high", [2.5, 3.0, np.float64(3.0), "3", None])
+def test_two_point_family_needs_an_integer_high_value(high):
+    # a non-integer high value used to scan silently, a "law" at 2.5
+    law = OffspringLaw.deterministic(2)
+    with pytest.raises(ValueError, match="^high_value must be an integer"):
+        TwoPointFamily(1, high, law)
+    fam = TwoPointFamily(1, np.int64(3), law)
+    assert type(fam.high_value) is int and fam.high_value == 3
+    assert fam.values.tolist() == [0.0, 3.0] and not fam.values.flags.writeable
+    with pytest.raises(ValueError, match="^high_value must be >= 1, got 0$"):
+        TwoPointFamily(1, 0, law)
+
+
 def test_vecdot_over_two_term_rows_equals_dot_row_by_row():
     # the family grid's values rest on np.vecdot running the ddot of a
     # member's two-term np.dot; a numpy whose two differ fails here
@@ -317,7 +349,7 @@ def test_vecdot_over_two_term_rows_equals_dot_row_by_row():
     p = np.concatenate([rng.random(20_000), [1e-6, 0.5, 1.0 - 1e-6]])
     rows = np.stack((1.0 - p, p), axis=-1)
     for s, high in [(2.0, 3), (math.sqrt(2.0), 5), (1.5, 1), (3.0, 6)]:
-        powers, _ = dists._two_point_powers(s, high)
+        powers, _ = dists._powers(s, np.array([0.0, high]), 1, high == 1)
         got = np.vecdot(rows, powers)
         want = np.array([np.dot(row, powers) for row in rows])
         assert got.tobytes() == want.tobytes(), (s, high)
@@ -330,14 +362,14 @@ def test_vecdot_over_two_term_rows_equals_dot_row_by_row():
 def count_builds(monkeypatch, cls):
     """The number of cls instances built from now on."""
     built = []
-    real = cls.__post_init__
-    monkeypatch.setattr(cls, "__post_init__",
-                        lambda self: built.append(1) or real(self))
+    real = cls.__init__
+    monkeypatch.setattr(cls, "__init__", lambda self, *args, **kwargs:
+                        built.append(1) or real(self, *args, **kwargs))
     return built
 
 
 def test_scan_builds_no_law_and_no_model_per_member(monkeypatch):
-    laws = count_builds(monkeypatch, dists.TwoPointPmf)
+    laws = count_builds(monkeypatch, dists.AtomPmf)
     models = count_builds(monkeypatch, dists.ModelSpec)
     for law in SWEEP_LAWS:
         grid = scan(TwoPointFamily(2, 3, law), 41)
@@ -352,12 +384,12 @@ def test_scan_builds_no_law_and_no_model_per_member(monkeypatch):
 def count_evaluations(monkeypatch):
     """The points at which a two-point family member's pgf_pair runs."""
     calls = []
-    real = dists.TwoPointPmf.pgf_pair
+    real = dists.AtomPmf.pgf_pair
 
     def counted(law, s):
         calls.append(s)
         return real(law, s)
-    monkeypatch.setattr(dists.TwoPointPmf, "pgf_pair", counted)
+    monkeypatch.setattr(dists.AtomPmf, "pgf_pair", counted)
     return calls
 
 
