@@ -18,26 +18,23 @@ tuple (w, k, j, dense): its positive weights w, their values k, the index
 j of the first value >= 1 and whether k is 0, 1, ..., len(k)-1.
 `_support` derives the tuple from a dense weight array (a `FinitePmf`, an
 `OffspringLaw`), an `AtomPmf` keeps it, and a scan family's (G, K) matrix
-of member weights shares one k; `_pgf_pair` returns inf without
-evaluating when s^(support_max-1) is certain to overflow.  `pgf_eval`,
-`pgf_deriv`, `log_pgf_eval` and `log_pgf_deriv` are one side of a
-`FinitePmf`'s pairs.
+of member weights shares one k.  `pgf_eval`, `pgf_deriv`, `log_pgf_eval`
+and `log_pgf_deriv` are one side of a `FinitePmf`'s pairs.
 
 An initial law is a `FinitePmf`; an `AtomPmf`, a finite law kept as its
 atoms (the CLI's finite x0, a two-point family member); or a
-`GeometricPmf`, which keeps P(X = k) = r (1-r)^k in closed form.  Neither
-of the last two has an array over 0..support_max.  Only the consumers that
-read weights (`evolution.evolve`, the x0 draws, `evolution.gf_orbit`'s
-clip heads), through `as_finite`, and an `AtomPmf`'s `mean` build one:
-each law's `cut`, built once; everything else reads pairs and `mean`.
+`GeometricPmf`, P(X = k) = r (1-r)^k in closed form.  The last two build
+an array over 0..support_max, their `cut`, once, and only for the readers
+of weights: `as_finite` (`evolution.evolve`, the x0 draws,
+`evolution.gf_orbit`'s clip heads) and an `AtomPmf`'s `mean`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, field
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -58,10 +55,8 @@ _DIRECT_CONV_OPS = 1 << 24
 # s^k overflows float64 for k log s above log(DBL_MAX) = 709.78...
 _LOG_OVERFLOW = 710.0
 # below this k_max log s no power or derivative term of a law can overflow
+# (log k < 44 for every k < 2^63), so `_pgf_pair` needs no errstate
 _LOG_QUIET = 660.0
-# supports of up to this many values have their powers cached
-# (_cached_powers): 256 entries of this size hold under 100 kB
-_CACHED_ATOMS = 8
 # numpy refuses a float64 array of this many entries or more with a
 # ValueError: its byte count does not fit in intp.
 _MAX_LENGTH = np.iinfo(np.intp).max // 8 + 1
@@ -92,30 +87,30 @@ class FinitePmf:
         probs = np.asarray(self.probs, dtype=np.float64)
         if probs.ndim != 1:
             raise ValueError("weights must form a one-dimensional array")
-        if probs.size and not np.all(np.isfinite(probs)):
-            raise ValueError("weights must be finite")
-        if np.any(probs < 0.0):
-            raise ValueError("weights must be nonnegative")
         probs = probs[: _trimmed_size(probs)]
         leak = float(self.leaked_mass)
-        if not 0.0 <= leak <= 1.0 + MASS_TOL:
-            raise ValueError(f"leaked_mass {leak} outside [0, 1]")
-        total = float(probs.sum()) + leak
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValueError(f"total mass {total!r} outside the 1 +/- {MASS_TOL} band")
+        _check_weights(probs, leak)
         probs = probs.copy()
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "leaked_mass", leak)
 
     @classmethod
+    def _checked(cls, probs: np.ndarray) -> "FinitePmf":
+        """The leak-free law on probs as they are: an AtomPmf's cut, whose
+        atoms passed `_check_weights` (its dense sum can differ)."""
+        law = object.__new__(cls)
+        probs.setflags(write=False)
+        object.__setattr__(law, "probs", probs)
+        object.__setattr__(law, "leaked_mass", 0.0)
+        return law
+
+    @classmethod
     def from_dict(cls, weights: Mapping[int, float], leaked_mass: float = 0.0) -> "FinitePmf":
         """Build from a value -> probability mapping; exact zeros are dropped."""
         if not weights:
             return cls(np.zeros(0), leaked_mass)
-        for v in weights:
-            if not isinstance(v, (int, np.integer)) or v < 0:
-                raise ValueError(f"support value {v!r} is not a nonnegative integer")
+        _check_values(weights)
         top = max(weights)
         probs = zeros(int(top) + 1)
         for v, w in weights.items():
@@ -215,46 +210,61 @@ class GeometricPmf:
         return geometric_x0_pmf(self.r)
 
 
+def _powers(s: float, k: np.ndarray, j: int,
+            dense: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(s^k, s^(k[j:] - 1)) from np.power's array path, whose last bit can
+    differ from a scalar pow's; a dense k's second part is read off the
+    first."""
+    powers = np.power(s, k)
+    return powers, powers[:-1] if dense else np.power(s, k[j:] - 1.0)
+
+
+def _shared_powers(s: float, k: np.ndarray, j: int,
+                   dense: bool) -> tuple[np.ndarray, np.ndarray]:
+    """`_powers` of values many laws share and evaluate at the same points
+    (a scan.TwoPointFamily's members), cached by (s, values), read-only."""
+    return _cached_powers(s, k.tobytes(), j, dense)
+
+
+@functools.lru_cache(maxsize=256)
+def _cached_powers(s: float, values: bytes, j: int,
+                   dense: bool) -> tuple[np.ndarray, np.ndarray]:
+    powers, shifted = _powers(s, np.frombuffer(values), j, dense)
+    powers.setflags(write=False)
+    shifted.setflags(write=False)
+    return powers, shifted
+
+
 @dataclass(eq=False)
 class AtomPmf:
     """A finite law kept as its atoms: P(X = k[i]) = w[i], with no array
     over 0..support_max.
 
     `atoms` is the (w, k, j, dense) support tuple that `_support` derives
-    from the same law's FinitePmf weights, and `slopes` = w[j:] k[j:], the
-    weights of the derivative.  `from_dict` builds one from a value ->
-    probability mapping, checks it as FinitePmf.from_dict does and makes
-    its arrays read-only; a scan.TwoPointFamily builds its members on the
-    values (0, high), one read-only array that they all share.  Not frozen,
-    and a member's own arrays are not flagged: a frozen __init__ and the
-    flags made a scan's bisections, which build hundreds of members, 10%
-    slower.  Its pairs equal those of its FinitePmf bit for bit.  Only `mean` and the consumers that read weights
-    (`as_finite`) read `cut`, that FinitePmf, built on first use and kept.
+    from the same law's FinitePmf weights, `slopes` = w[j:] k[j:] and
+    `powers` `_pgf_pair`'s.  `from_dict` makes its arrays read-only; a
+    scan.TwoPointFamily's members share their values (0, high) and
+    `_shared_powers`.  Not frozen, and a member's own arrays are not
+    flagged: that made a scan's bisections 10% slower.  Its pairs equal its
+    FinitePmf's bit for bit; only `mean` and `as_finite` read that
+    FinitePmf, `cut`, built on first use and kept.
     """
 
     atoms: tuple[np.ndarray, np.ndarray, int, bool]
     slopes: np.ndarray
+    powers: Callable = field(default=_powers, repr=False)
 
     @classmethod
     def from_dict(cls, weights: Mapping[int, float]) -> "AtomPmf":
         """The law of a value -> probability mapping; exact zeros are
-        dropped.  Checked in FinitePmf's order and with its messages."""
-        for v in weights:
-            if not isinstance(v, (int, np.integer)) or v < 0:
-                raise ValueError(f"support value {v!r} is not a nonnegative integer")
+        dropped.  Checked as FinitePmf.from_dict checks it, except that the
+        mass is the sum of the atoms."""
+        _check_values(weights)
         values = sorted(weights)
         w = np.array([weights[v] for v in values], dtype=np.float64)
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        if np.any(w < 0.0):
-            raise ValueError("weights must be nonnegative")
+        _check_weights(w)
         keep = w > 0.0
         w = w[keep]
-        # the sum of the atoms, which can differ from the dense law's
-        # pairwise sum in the last bits
-        total = float(w.sum())
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValueError(f"total mass {total!r} outside the 1 +/- {MASS_TOL} band")
         k = np.array(values, dtype=np.float64)[keep]
         j = int(k[0] == 0.0)
         slopes = w[j:] * k[j:]
@@ -279,7 +289,7 @@ class AtomPmf:
 
     def pgf_pair(self, s: float) -> tuple[float, float]:
         """(E s^X, d/ds E s^X); overflow: quiet inf."""
-        return _law_pgf_pair(self.atoms, s, self.slopes)
+        return _law_pgf_pair(self.atoms, s, self.slopes, self.powers)
 
     def log_pgf_pair(self, s: float) -> tuple[float, float]:
         """(log E s^X, log d/ds E s^X), stable far beyond float64 range."""
@@ -288,11 +298,12 @@ class AtomPmf:
 
     @functools.cached_property
     def cut(self) -> FinitePmf:
-        """The law's FinitePmf, built on first use and kept."""
+        """The law's FinitePmf, built on first use and kept, on the weights
+        that passed from_dict's checks."""
         w, k, _, _ = self.atoms
         probs = zeros(int(k[-1]) + 1)
         probs[k.astype(np.intp)] = w
-        return FinitePmf(probs)
+        return FinitePmf._checked(probs)
 
 
 def geometric_x0_pmf(r: float) -> FinitePmf:
@@ -348,6 +359,26 @@ def _trimmed_size(probs: np.ndarray) -> int:
     return end
 
 
+def _check_values(weights: Mapping[int, float]) -> None:
+    for v in weights:
+        if not isinstance(v, (int, np.integer)) or v < 0:
+            raise ValueError(f"support value {v!r} is not a nonnegative integer")
+
+
+def _check_weights(w: np.ndarray, leak: float = 0.0) -> None:
+    """Finite, nonnegative weights w whose w.sum() + leak, leak in [0, 1],
+    lies inside the 1 +/- MASS_TOL band."""
+    if w.size and not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
+    if np.any(w < 0.0):
+        raise ValueError("weights must be nonnegative")
+    if not 0.0 <= leak <= 1.0 + MASS_TOL:
+        raise ValueError(f"leaked_mass {leak} outside [0, 1]")
+    total = float(w.sum()) + leak
+    if abs(total - 1.0) > MASS_TOL:
+        raise ValueError(f"total mass {total!r} outside the 1 +/- {MASS_TOL} band")
+
+
 def _check_argument(s: float) -> None:
     if s <= 0.0:
         raise ValueError(f"pgf argument must be positive, got {s}")
@@ -388,74 +419,44 @@ def _logsumexp(t: np.ndarray) -> float:
 
 
 def _pgf_pair(support: tuple, s: float, slopes: np.ndarray | None = None,
-              quiet: bool = False):
+              powers=_powers):
     """(E s^X, d/ds E s^X) of the laws whose weights form the last axis of
     w in the support tuple (w, k, j, dense): one law's weights, or a (G, K)
-    matrix of G laws on the same values k, each row evaluated as if alone.
-    slopes are the derivative's weights w[..., j:] k[j:], formed here
-    unless the caller keeps them.
+    matrix of laws on the same values k, each row evaluated as if alone
+    (np.vecdot runs np.dot's cblas ddot on each row).  slopes are the
+    derivative's weights w[..., j:] k[j:], formed here unless the caller
+    keeps them, and `powers` gives (s^k, s^(k[j:] - 1)).
 
     When (support_max - 1) log s > 710, s^(support_max - 1) is certain to
-    overflow, so both sums are inf; they are returned as such without
-    evaluating anything.  A matrix goes through np.vecdot, which runs
-    np.dot's cblas ddot on each row, so a row's digits are its own law's;
-    one law's one-term derivative (a two-point law's) is its product, the
-    ddot's digits without the call.  Supports of up to _CACHED_ATOMS
-    values take their powers from `_cached_powers`, so a scan family's
-    members, which share values and test points, compute them once.
-    With `quiet` an overflow is a quiet inf; the errstate that quiets it
-    costs microseconds, so it is entered only from support_max log s =
-    _LOG_QUIET on, below which neither s^k nor k s^(k-1) can overflow
-    (log k < 44 for every k < 2^63).
+    overflow, so both sums are inf without evaluating anything.  Short of
+    that an overflow is a quiet inf, under an errstate (microseconds)
+    entered only from support_max log s = _LOG_QUIET on.
     """
     w, k, j, dense = support
+    s = float(s)
+    if slopes is None:
+        slopes = w[..., j:] * k[j:]
+    dot = np.vecdot if w.ndim > 1 else np.dot
     if k.size and s > 1.0:
         log_s = math.log(s)
         log_top = (k.item(-1) - 1.0) * log_s
         if log_top > _LOG_OVERFLOW:
             inf = np.full(w.shape[:-1], math.inf)
             return inf, inf
-        if quiet and log_top + log_s > _LOG_QUIET:
+        if log_top + log_s > _LOG_QUIET:
             with np.errstate(over="ignore"):
-                return _pgf_pair(support, s, slopes)
-    s = float(s)
-    powers, shifted = (_cached_powers(s, k.tobytes(), j, dense)
-                       if k.size <= _CACHED_ATOMS else _powers(s, k, j, dense))
-    if slopes is None:
-        slopes = w[..., j:] * k[j:]
-    if w.ndim > 1:
-        return np.vecdot(w, powers), np.vecdot(slopes, shifted)
-    if shifted.size == 1:
-        return np.dot(w, powers), slopes.item(0) * shifted.item(0)
-    return np.dot(w, powers), np.dot(slopes, shifted)
+                s_k, shifted = powers(s, k, j, dense)
+                return dot(w, s_k), dot(slopes, shifted)
+    s_k, shifted = powers(s, k, j, dense)
+    return dot(w, s_k), dot(slopes, shifted)
 
 
-def _law_pgf_pair(support: tuple, s: float,
-                  slopes: np.ndarray | None = None) -> tuple[float, float]:
-    """One law's quiet `_pgf_pair`, as floats."""
+def _law_pgf_pair(support: tuple, s: float, slopes: np.ndarray | None = None,
+                  powers=_powers) -> tuple[float, float]:
+    """One law's `_pgf_pair`, as floats."""
     _check_argument(s)
-    value, deriv = _pgf_pair(support, s, slopes, quiet=True)
+    value, deriv = _pgf_pair(support, s, slopes, powers)
     return float(value), float(deriv)
-
-
-def _powers(s: float, k: np.ndarray, j: int,
-            dense: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(s^k, s^(k[j:] - 1)) from np.power's array path, whose last bit can
-    differ from a scalar pow's; a dense k's second part is read off the
-    first."""
-    powers = np.power(s, k)
-    return powers, powers[:-1] if dense else np.power(s, k[j:] - 1.0)
-
-
-@functools.lru_cache(maxsize=256)
-def _cached_powers(s: float, values: bytes, j: int,
-                   dense: bool) -> tuple[np.ndarray, np.ndarray]:
-    """_powers of the float64 values in `values`, by (s, values), as
-    read-only arrays, which every law on those values shares."""
-    powers, shifted = _powers(s, np.frombuffer(values), j, dense)
-    powers.setflags(write=False)
-    shifted.setflags(write=False)
-    return powers, shifted
 
 
 def _log_pgf_pair(support: tuple, log_s: float) -> tuple[float, float]:

@@ -97,7 +97,8 @@ class TwoPointFamily:
                 f"the weight of the high value must lie in (0, 1), got {param}")
         # the derivative's weight p high is from_dict's w[1:] * k[1:]
         return AtomPmf((np.array([1.0 - p, p]), self.values, 1,
-                        self.high_value == 1), np.array([p * self.high_value]))
+                        self.high_value == 1), np.array([p * self.high_value]),
+                       dists._shared_powers)
 
     def model(self, param: float) -> ModelSpec:
         return ModelSpec(self.a, self.law(param), self.offspring)
@@ -110,7 +111,7 @@ class TwoPointFamily:
         weights = np.column_stack((1.0 - params, params))
         # the members' support tuple: j = 1, dense for high 1
         f, fp = dists._pgf_pair((weights, self.values, 1, self.high_value == 1),
-                                s, quiet=True)
+                                s, powers=dists._shared_powers)
         return criteria.d0_values(f, fp, self.a, s, m,
                                   lambda i: self.law(float(params[i])))
 

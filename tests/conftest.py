@@ -29,6 +29,19 @@ TRIAL_SUPPORT_CAP = 1 << 21
 GF_SUPPORT_CAP = 2048
 GF_STEPS = 8
 
+# x0 atoms whose sum lies inside the mass band, and whose dense weights,
+# summed with the zeros between them (numpy's pairwise grouping), do not
+EDGE_ATOMS = {
+    2: 0.03827914291891157, 3: 0.04073319535415992, 5: 0.060470106036827564,
+    9: 0.031909823704542775, 13: 0.05652215283126987,
+    19: 0.054725970707167476, 25: 0.07172661456038747,
+    26: 0.008844636031522062, 29: 0.05610132812547892,
+    32: 0.07136986999645575, 35: 0.0744867198364601,
+    36: 0.0011317230892060929, 38: 0.06646138735709323,
+    40: 0.0755078236492762, 42: 0.07366206970682361,
+    43: 0.011448128396827916, 45: 0.07484861006368582,
+    48: 0.0684849538130789, 55: 0.06328574381982474}
+
 
 class BatteryEntry(NamedTuple):
     draw: int  # 0-based index of the candidate among the seed's draws

@@ -19,6 +19,8 @@ from drphase import cli, criteria, dists
 from drphase.dists import ModelSpec, OffspringLaw
 from drphase.logreal import LogReal
 
+from conftest import EDGE_ATOMS
+
 
 def write_config(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
@@ -1025,6 +1027,19 @@ def test_scan_validates_its_ignored_x0_without_allocating(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err == ("config error: x0.pmf: total mass 0.9 outside the "
                    "1 +/- 1e-12 band\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify"], ["evolve", "--steps", "0"], ["estimate-q", "--steps", "0"],
+    ["check-lemmas"], ["simulate", "--steps", "0", "--seed", "1"]],
+    ids=lambda argv: argv[0])
+def test_x0_mass_is_checked_once(tmp_path, capsys, argv):
+    # atoms inside the mass band whose dense sum is not: the commands that
+    # read the dense weights take them as the atoms were checked
+    cfg = write_config(tmp_path, base_config(
+        x0={"type": "finite", "pmf": [[v, w] for v, w in EDGE_ATOMS.items()]}))
+    code, out, err = run_main(argv + ["--config", cfg], capsys)
+    assert (code, err) == (0, "") and out
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,8 @@ from drphase.dists import (
 )
 from drphase.scan import TwoPointFamily
 
+from conftest import EDGE_ATOMS
+
 
 def two_point(high, p):
     """The law {0: 1-p, high: p} as a two-point scan family builds it."""
@@ -308,14 +310,25 @@ def test_pgf_pairs_equal_the_old_functions_bit_for_bit():
 def test_pgf_pair_skips_a_certain_overflow():
     w = np.full(1001, 1.0 / 1001)
     p = FinitePmf(w)
-    # past 710 the array core evaluates nothing, so no overflow is ever
-    # raised; short of it the sums overflow
+    evaluated = []
+
+    def counted(*args):
+        evaluated.append(args[0])
+        return dists._powers(*args)
+
+    # past 710 the array core evaluates nothing; short of it the sums
+    # overflow, to a quiet inf even where an overflow raises, and below
+    # _LOG_QUIET nothing overflows
     with np.errstate(over="raise"):
-        assert dists._pgf_pair(dists._support(w), math.exp(710.001 / 999)) \
-            == (math.inf, math.inf)
-        with pytest.raises(FloatingPointError):
-            dists._pgf_pair(dists._support(w), math.exp(709.9 / 999))
-        # the law's pair turns such an overflow into a quiet inf
+        assert dists._pgf_pair(dists._support(w), math.exp(710.001 / 999),
+                               powers=counted) == (math.inf, math.inf)
+        assert evaluated == []
+        assert dists._pgf_pair(dists._support(w), math.exp(709.9 / 999),
+                               powers=counted) == (math.inf, math.inf)
+        assert len(evaluated) == 1
+        f, fp = dists._pgf_pair(dists._support(w), math.exp(659.9 / 1000))
+        assert math.isfinite(f) and math.isfinite(fp)
+        # the law's pair is the core's, as floats
         assert p.pgf_pair(math.exp(709.9 / 999)) == (math.inf, math.inf)
         assert p.pgf_pair(math.exp(710.001 / 999)) == (math.inf, math.inf)
         assert pgf_eval(p, math.exp(711.0 / 999)) == math.inf
@@ -523,6 +536,33 @@ def test_atom_law_is_checked_as_its_finite_pmf(weights):
     with pytest.raises(ValueError) as atoms:
         AtomPmf.from_dict(weights)
     assert str(atoms.value) == str(dense.value)
+
+
+def test_atom_law_checks_its_mass_once():
+    # the mass is checked on the atoms; the cut does not check it again
+    with pytest.raises(ValueError, match="^total mass 0.999999999998999"):
+        FinitePmf.from_dict(EDGE_ATOMS)
+    law = AtomPmf.from_dict(EDGE_ATOMS)
+    x = dists.as_finite(law)
+    dense = np.zeros(56)
+    dense[list(EDGE_ATOMS)] = list(EDGE_ATOMS.values())
+    assert x.probs.tobytes() == dense.tobytes() and x.leaked_mass == 0.0
+    assert not x.probs.flags.writeable
+    assert repr(law.mean) == repr(float(np.dot(dense, np.arange(56.0))))
+
+
+def test_only_shared_values_have_their_powers_cached():
+    # FinitePmf, OffspringLaw and from_dict laws compute their powers; a
+    # two-point family's members share theirs
+    dists._cached_powers.cache_clear()
+    for s in (0.5, 1.5, 2.5):
+        AtomPmf.from_dict({0: 0.5, 3: 0.5}).pgf_pair(s)
+        FinitePmf.from_dict({0: 0.5, 3: 0.5}).pgf_pair(s)
+        OffspringLaw.finite_support({1: 0.5, 3: 0.5}).pgf_pair(s)
+    assert dists._cached_powers.cache_info().currsize == 0
+    for p in (0.25, 0.5):
+        two_point(3, p).pgf_pair(1.5)
+    assert dists._cached_powers.cache_info()[:2] == (1, 1)
 
 
 def test_atom_law_builds_no_array_over_its_values():

@@ -323,7 +323,7 @@ def test_family_matrix_core_equals_each_members_pair():
         fam = TwoPointFamily(1, h, SWEEP_LAWS[0])
         for s in [s for s, _ in sweep_test_points()] + two_point_edge_points(h):
             f, fp = dists._pgf_pair((weights, fam.values, 1, h == 1), s,
-                                    quiet=True)
+                                    powers=dists._shared_powers)
             for i, p in enumerate(params.tolist()):
                 assert repr(fam.law(p).pgf_pair(s)) \
                     == repr((float(f[i]), float(fp[i]))), (h, s, p)
