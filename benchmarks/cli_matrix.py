@@ -4,9 +4,10 @@ working tree.
 Runs a fixed matrix of `python -m drphase` invocations under the `src/` of
 revision REV (exported with `passes.export_src`) and under the working
 tree's `src/`: `classify`, `evolve`, `estimate-q`, `simulate` and
-`check-lemmas` in table, csv and json on six models (the README model, a
+`check-lemmas` in table, csv and json on seven models (the README model, a
 geometric-N model, a geometric-x0 model with geometric N, a finite-N model,
-a subcritical model and a model whose x0 has three atoms with gaps),
+a finite N of one count, {3: 1}, which is the deterministic law, a
+subcritical model and a model whose x0 has three atoms with gaps),
 `classify` on an x0 {0: .999, 1e6: .001}, `evolve` and `estimate-q` on the
 README model and
 on the finite-N model with no command block (all four exit 3 at generation
@@ -17,7 +18,7 @@ the criterion takes the log path through the law's weights; high 1500,
 where s^(high-1) is known to overflow before any power is taken, so every
 grid member takes that path; high 3 with the three-atom x0, which the
 scan validates and ignores) and one `geometric_x0` family, each in the
-three formats: 126 invocations per side.  Each invocation's stdout, stderr
+three formats: 141 invocations per side.  Each invocation's stdout, stderr
 and exit code must be equal on both sides.  Prints one line per difference
 and a summary, and exits 1 if there is any difference, 0 otherwise.
 
@@ -52,6 +53,8 @@ MODELS = {
                      "N": {"type": "geometric", "p": 0.5}},
     "finite-n": {"a": 1, "x0": {"type": "finite", "pmf": [[0, 0.6], [2, 0.4]]},
                  "N": {"type": "finite", "pmf": [[1, 0.6], [3, 0.4]]}},
+    "single-count-n": {"a": 1, "x0": FINITE,
+                       "N": {"type": "finite", "pmf": [[3, 1.0]]}},
     "subcritical": {"a": 1,
                     "x0": {"type": "finite", "pmf": [[0, 0.9], [2, 0.1]]},
                     "N": {"type": "deterministic", "n": 2}},

@@ -363,9 +363,8 @@ def cmd_simulate(cfg: dict, args) -> int:
         rows = evolution.evolve(model, steps,
                                 support_cap=AUDIT_SUPPORT_CAP).rows
     except EvolutionStopped as exc:
-        # a cap stop's last row is past the cap; a leak stop's rows are kept
-        rows = [r for r in exc.rows if r.support_max <= AUDIT_SUPPORT_CAP
-                and r.cumulative_leak <= evolution.DEFAULT_LEAK_BUDGET]
+        # a cap stop's last row is past the cap; the other stops' rows are kept
+        rows = [r for r in exc.rows if r.support_max <= AUDIT_SUPPORT_CAP]
     for row in rows:
         exact[row.n] = row.mean_xn
 

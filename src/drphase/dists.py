@@ -26,7 +26,8 @@ atoms (the CLI's finite x0, a two-point family member); or a
 `GeometricPmf`, P(X = k) = r (1-r)^k in closed form.  The last two build
 an array over 0..support_max, their `cut`, once, and only for the readers
 of weights: `as_finite` (`evolution.evolve`, the x0 draws,
-`evolution.gf_orbit`'s clip heads) and an `AtomPmf`'s `mean`.
+`evolution.gf_orbit`'s clip heads) and an `AtomPmf`'s `mean`.  An
+`OffspringLaw` is its weights: its kind, mean and bound derive from them.
 """
 
 from __future__ import annotations
@@ -539,43 +540,44 @@ def truncate(p: FinitePmf, tail_eps: float) -> FinitePmf:
 
 @dataclass(frozen=True)
 class OffspringLaw:
-    """Law of the number of replicas summed per step.
-
-    kind is 'deterministic', 'finite', or 'geometric'.  weights is a dense
-    pmf over counts (weights[0] == 0) ending at its last positive weight.
-    A geometric law's weights stop at the smallest cutoff whose upper tail
-    is below GEOMETRIC_TAIL, with the cut mass recorded in truncation_leak;
-    success_prob keeps the uncut law for the samplers.  mean is exact for
-    all three kinds (1/p for geometric, independent of any cutoff).  bound
-    is the essential supremum, absent for geometric laws: they stay
-    unbounded no matter the cutoff, so criteria that need a bound never see
-    one.
+    """Law of the number of replicas summed per step: its weights, a dense
+    pmf over counts (weights[0] == 0) ending at its last positive weight,
+    of which a geometric law keeps those up to the smallest cutoff whose
+    upper tail is below GEOMETRIC_TAIL, the cut mass in truncation_leak
+    and the uncut law in success_prob.  Derived from these: kind
+    ('geometric' when success_prob is set, else 'deterministic' for one
+    positive count, else 'finite'), mean, exact for all three kinds (1/p
+    at any cutoff), and bound, the essential supremum, None for geometric
+    laws, which stay unbounded at any cutoff.
     """
 
-    kind: str
-    mean: float
     weights: np.ndarray
-    bound: int | None = None
     truncation_leak: float = 0.0
     success_prob: float | None = None
+    kind: str = field(init=False)
+    mean: float = field(init=False)
+    bound: int | None = field(init=False)
 
     def __post_init__(self):
-        if self.kind not in ("deterministic", "finite", "geometric"):
-            raise ValueError(f"unknown offspring kind {self.kind!r}")
-        if (self.bound is not None) != (self.kind != "geometric"):
-            raise ValueError("bound must be present exactly for non-geometric kinds")
-        if self.mean <= 1.0:
-            raise ValueError(f"offspring mean must exceed 1, got {self.mean}")
-        w = np.asarray(self.weights, dtype=np.float64)
-        if (w.ndim != 1 or w.size < 2 or w[0] != 0.0 or w[-1] <= 0.0
-                or np.any(w < 0.0)):
+        w = np.array(self.weights, dtype=np.float64)
+        if w.ndim != 1 or w.size < 2 or w[0] != 0.0 or w[-1] <= 0.0:
             raise ValueError("offspring weights must be a dense pmf over counts "
                              ">= 1 ending at a positive weight")
-        if abs(float(w.sum()) + self.truncation_leak - 1.0) > MASS_TOL:
-            raise ValueError("offspring weights plus truncation_leak must sum to 1")
-        w = w.copy()
+        _check_weights(w, self.truncation_leak)
+        geometric = self.success_prob is not None
+        mean = (1.0 / self.success_prob if geometric
+                else float(np.dot(w, np.arange(float(w.size)))))
+        # P(N > 1) > 0: the last weight is positive; float64 needs both tests
+        if w.size < 3:
+            raise ValueError("the replica count must exceed 1 with positive probability")
+        if mean <= 1.0:
+            raise ValueError(f"offspring mean must exceed 1, got {mean}")
         w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        kind = ("geometric" if geometric else "deterministic"
+                if np.count_nonzero(w) == 1 else "finite")
+        for name, value in (("weights", w), ("kind", kind), ("mean", mean),
+                            ("bound", None if geometric else w.size - 1)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def deterministic(cls, n: int) -> "OffspringLaw":
@@ -584,7 +586,7 @@ class OffspringLaw:
                              "(the count must exceed 1 with positive probability)")
         w = zeros(int(n) + 1)
         w[int(n)] = 1.0
-        return cls("deterministic", float(n), w, int(n))
+        return cls(w)
 
     @classmethod
     def finite_support(cls, pmf: Mapping[int, float]) -> "OffspringLaw":
@@ -593,10 +595,7 @@ class OffspringLaw:
         for k in pmf:
             if not isinstance(k, (int, np.integer)) or k < 1:
                 raise ValueError(f"offspring count {k!r} is not an integer >= 1")
-        law = FinitePmf.from_dict(pmf)
-        if float(law.probs[2:].sum()) <= 0.0:
-            raise ValueError("the replica count must exceed 1 with positive probability")
-        return cls("finite", law.mean, law.probs, law.support_max)
+        return cls(FinitePmf.from_dict(pmf).probs)
 
     @classmethod
     def geometric(cls, p: float) -> "OffspringLaw":
@@ -622,7 +621,7 @@ class OffspringLaw:
         # can leave the MASS_TOL band; only then re-pin the largest weight.
         if abs(float(w.sum()) + leak - 1.0) > MASS_TOL:
             w[1] += float((1.0 - leak) - np.sum(w, dtype=np.longdouble))
-        return cls("geometric", 1.0 / p, w, None, leak, p)
+        return cls(w, leak, p)
 
     def pgf_pair(self, v: float) -> tuple[float, float]:
         """(E v^N, d/dv E v^N) of the ideal law: closed form for geometric,

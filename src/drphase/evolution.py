@@ -74,7 +74,8 @@ class EvolutionStopped(RuntimeError):
     """An evolution stopped at a generation that broke one of its limits.
 
     rows holds the trace completed so far.  A leak stop's rows all lie
-    within the budget; a support-cap stop's last row is the offender.
+    within the budget; a support-cap stop's last row is the offender; a
+    stop on a law that leaves the mass band keeps the rows before it.
     """
 
     def __init__(self, message: str, rows: tuple[TraceRow, ...]):
@@ -261,10 +262,14 @@ def evolve(model: ModelSpec, steps: int = DEFAULT_STEPS, *,
     within the budget.  When _leak_floor already passes the budget, the
     step is not taken; otherwise the step's own leak decides.  A generation
     whose support passes support_cap stops it with SupportCapExceeded,
-    its row included.
+    its row included.  A generation whose law fails FinitePmf's checks
+    (a mass at the band's edge leaves it within a step) stops it with
+    EvolutionStopped carrying the rows before it.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
+    if not 0.0 <= tail_eps < 1.0:
+        raise ValueError(f"tail_eps must lie in [0, 1), got {tail_eps}")
     law = model.offspring
     x = dists.as_finite(model.x0)
     rows = [_trace_row(x, 0, model)]
@@ -279,7 +284,11 @@ def evolve(model: ModelSpec, steps: int = DEFAULT_STEPS, *,
                     f"cumulative leak of at least {floor:.3e} would exceed "
                     f"budget {leak_budget:.3e} at generation {n}",
                     tuple(rows))
-        x = step(x, model, tail_eps)
+        try:
+            x = step(x, model, tail_eps)
+        except ValueError as exc:  # the arguments passed: a law's check
+            raise EvolutionStopped(f"the law of generation {n}: {exc}",
+                                   tuple(rows)) from exc
         if support_cap is not None and x.support_max > support_cap:
             raise SupportCapExceeded(
                 f"support max {x.support_max} exceeds cap {support_cap} "

@@ -1042,6 +1042,27 @@ def test_x0_mass_is_checked_once(tmp_path, capsys, argv):
     assert (code, err) == (0, "") and out
 
 
+def test_x0_at_the_mass_bands_edge_stops_with_partial_output(tmp_path, capsys):
+    # the x0's mass 1 - 9e-13 passes; its square, generation 1's, leaves the
+    # band, which stops the evolution as its leak and cap stops do
+    cfg = write_config(tmp_path, base_config(
+        x0={"type": "finite", "pmf": [[0, 0.5], [2, 0.4999999999991]]},
+        simulate={"seed": 1, "pop_size": 10}))
+    band = "the law of generation 1: total mass 0.9999999999982001 outside"
+    code, out, err = run_main(["evolve", "--steps", "1", "--output", "csv",
+                               "--config", cfg], capsys)
+    assert code == 3 and band in err
+    assert [row[0] for row in read_csv_rows(out)[1]] == ["0"]
+    code, out, err = run_main(["estimate-q", "--steps", "1",
+                               "--config", cfg], capsys)
+    assert (code, out) == (3, "") and band in err
+    assert "partial bracket at n=0" in err
+    code, out, err = run_main(["simulate", "--steps", "2", "--output", "csv",
+                               "--config", cfg], capsys)
+    assert (code, err) == (0, "")
+    assert [row[3] for row in read_csv_rows(out)[1]] == ["0.9999999999982", "", ""]
+
+
 # ---------------------------------------------------------------------------
 # output plumbing
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Exact-distribution layer: pinned enumeration oracles plus property loops."""
 
+import hashlib
 import math
 import types
 import warnings
@@ -754,7 +755,75 @@ def test_offspring_bound_is_the_essential_supremum():
     assert criteria.sub_point(ModelSpec(a=1, x0=x0, offspring=zero_top)) \
         == (3.0, 3.0)
     with pytest.raises(ValueError, match="ending at a positive weight"):
-        OffspringLaw("finite", 2.0, [0.0, 0.5, 0.0, 0.5, 0.0], 4)
+        OffspringLaw([0.0, 0.5, 0.0, 0.5, 0.0])
+
+
+def _finite_offspring_dicts(count=320, seed=24):
+    """Seeded finite N laws on counts 1..15: single counts, and about one
+    in five with a zero-weight count above the largest positive one."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        counts = sorted({int(c) for c in rng.integers(1, 13, int(rng.integers(1, 7)))})
+        if counts == [1]:
+            continue
+        w = rng.random(len(counts)) + 0.05
+        w /= w.sum()
+        pmf = dict(zip(counts, w.tolist()))
+        if rng.random() < 0.2:
+            pmf[counts[-1] + int(rng.integers(1, 4))] = 0.0
+        out.append(pmf)
+    return out
+
+
+def test_offspring_derived_values_are_bit_identical():
+    # digest of (mean, bound, leak, kind, weights) over 11 deterministic,
+    # 320 finite (48 of one count) and 16 geometric laws, computed when
+    # mean, bound and kind were stored: only the single-count finite laws'
+    # kind changed, from 'finite' to 'deterministic', as the digest reads
+    laws = [OffspringLaw.deterministic(n) for n in range(2, 13)]
+    laws += [OffspringLaw.finite_support(pmf)
+             for pmf in _finite_offspring_dicts()]
+    for p in (0.999, 0.9, 0.5, 0.45, 0.2, 1e-3, 1e-4, 3e-5):
+        law = OffspringLaw.geometric(p)
+        laws += [law, law.with_cutoff(1e-10)]
+    digest = hashlib.sha256()
+    for law in laws:
+        digest.update(f"{law.mean.hex()}|{law.bound}|"
+                      f"{law.truncation_leak.hex()}|{law.kind}|".encode())
+        digest.update(law.weights.tobytes())
+    assert digest.hexdigest() == ("1bbdef1e8c4d384a789c8e01194d0fa5"
+                                  "5ea2df80e7750f4173e498c76e258ca7")
+    assert sum(law.kind == "deterministic" for law in laws) == 11 + 48
+
+
+def test_offspring_law_is_its_weights():
+    law = OffspringLaw([0.0, 0.5, 0.5])
+    assert (law.mean, law.bound, law.kind) == (1.5, 2, "finite")
+    assert law.truncation_leak == 0.0 and law.success_prob is None
+    assert OffspringLaw.finite_support({3: 1.0}).kind == "deterministic"
+    x0 = FinitePmf.from_dict({0: 0.9, 3: 0.1})
+    direct, built = (classify(ModelSpec(1, x0, n)) for n in
+                     (law, OffspringLaw.finite_support({1: 0.5, 2: 0.5})))
+    assert direct.verdict == built.verdict
+    assert [direct.d_super.hex(), direct.d_sub.hex()] == \
+        [built.d_super.hex(), built.d_sub.hex()]
+
+
+@pytest.mark.parametrize("weights, leak, message", [
+    ([0.0, math.nan, 1.0], 0.0, "weights must be finite"),
+    ([0.0, -0.5, 1.5], 0.0, "nonnegative"),
+    ([0.0, 0.5, 0.4], 0.0, "band"),
+    ([0.0, 0.5, 0.5], 1.5, "leaked_mass"),
+    ([0.5, 0.5], 0.0, "dense pmf"),
+    ([[0.0, 1.0]], 0.0, "dense pmf"),
+    # the growth checks: each fails where the other passes
+    ([0.0, 1.0 + 1e-13], 0.0, "exceed 1 with positive probability"),
+    ([0.0, 1.0 - 1e-16, 1e-17], 0.0, "mean must exceed 1"),
+])
+def test_offspring_law_checks_its_weights(weights, leak, message):
+    with pytest.raises(ValueError, match=message):
+        OffspringLaw(weights, leak)
 
 
 def test_offspring_geometric_cutoff_contract():

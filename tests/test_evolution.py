@@ -10,6 +10,7 @@ from scipy import fft as sp_fft
 from drphase import dists, evolution
 from drphase.dists import (
     MASS_TOL,
+    AtomPmf,
     FinitePmf,
     ModelSpec,
     OffspringLaw,
@@ -18,6 +19,7 @@ from drphase.dists import (
 )
 from drphase.logreal import LogReal
 from drphase.evolution import (
+    EvolutionStopped,
     LeakBudgetExceeded,
     SupportCapExceeded,
     evolve,
@@ -548,6 +550,19 @@ def test_evolve_keep_pmfs():
     assert len(tr.pmfs) == 4
     assert tr.pmfs[1].as_dict() == pytest.approx({0: 0.25, 1: 0.5, 3: 0.25})
     assert evolve(base_model(), 3).pmfs is None
+
+
+def test_evolve_stops_on_a_law_that_leaves_the_mass_band():
+    # mass 1 - 9e-13 passes; squared (N = 2), generation 1's leaves the band
+    model = ModelSpec(1, AtomPmf.from_dict({0: 0.5, 2: 0.4999999999991}),
+                      OffspringLaw.deterministic(2))
+    with pytest.raises(EvolutionStopped, match="law of generation 1") as exc:
+        evolve(model, 3)
+    assert [r.n for r in exc.value.rows] == [0]
+    # a bad argument stays a ValueError, before any step
+    for tail_eps in (-0.1, 1.0):
+        with pytest.raises(ValueError, match="tail_eps"):
+            evolve(model, 3, tail_eps=tail_eps)
 
 
 def test_evolve_leak_budget_failure_carries_partial_rows():

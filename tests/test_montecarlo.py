@@ -208,6 +208,19 @@ def test_tree_sample_wide_node_extends_past_doubling():
                 tree_sample_recursive(model, depth, seed)
 
 
+def test_one_count_law_samples_alike_from_either_constructor():
+    # finite_support({3: 1.0}) is deterministic(3): same kind, same draws
+    x0 = FinitePmf.from_dict({0: 0.5, 2: 0.5})
+    one, det = (ModelSpec(1, x0, law) for law in (
+        OffspringLaw.finite_support({3: 1.0}), OffspringLaw.deterministic(3)))
+    assert [tree_sample(one, 4, s) for s in range(8)] == \
+        [tree_sample(det, 4, s) for s in range(8)]
+    pop = init_population(det, 500, master_seed=3)
+    assert np.array_equal(mc_step(pop, one).samples, mc_step(pop, det).samples)
+    assert np.array_equal(ancestor_counts(one.offspring, 5, 20, 7),
+                          ancestor_counts(det.offspring, 5, 20, 7))
+
+
 @pytest.mark.parametrize("x0,pop_size", [
     ({0: 1 / 7, 1: 2 / 7, 2: 1 / 7, 4: 3 / 7}, 1),
     ({0: 0.3, 1: 0.7}, 9),
