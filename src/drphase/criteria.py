@@ -241,12 +241,11 @@ def lemma2_tail_check(model: ModelSpec, steps: int) -> float:
     for x in trace.pmfs:
         if x.probs.size <= a + 1:
             continue
+        # every tail holds the law's last weight, which is positive
         suffix = np.cumsum(x.probs[::-1])[::-1]
         kmax = (x.support_max - 1) // a
         for k in range(1, kmax + 1):
             tail = float(suffix[a * k + 1])
-            if tail <= 0.0:
-                continue
             log_ratio = math.log(tail) + log_pref + k * log_mu
             worst = max(worst, math.exp(min(log_ratio, 700.0)))
     return worst
@@ -332,9 +331,9 @@ def lemma4_association_check_log(p: FinitePmf | AtomPmf | GeometricPmf,
     dominates for s > 1.  ValueError where E s^X diverges."""
     if s <= 1.0:
         raise ValueError(f"association inequality is claimed for s > 1, got {s}")
-    log_f, log_fp = p.log_pgf_pair(s)
-    if log_f == math.inf:
+    if p.diverges(s):
         raise ValueError(f"E s^X diverges at s={s}")
+    log_f, log_fp = p.log_pgf_pair(s)
     lhs = LogReal.from_float(s) * LogReal.from_log(log_fp)
     rhs = LogReal.from_float(p.mean) * LogReal.from_log(log_f)
     return lhs, rhs

@@ -14,12 +14,12 @@ E s^X and its derivative at a point, in float64 and in log space, and its
 `diverges(s)` the one test of whether E s^X is infinite there (only a
 geometric law's can be).  Every finite law is evaluated by two array
 cores, `_pgf_pair` and `_log_pgf_pair`, each one pass over a support
-tuple (w, k, j, dense): its positive weights w, their values k, the index
-j of the first value >= 1 and whether k is 0, 1, ..., len(k)-1.
-`_support` derives the tuple from a dense weight array (a `FinitePmf`, an
-`OffspringLaw`), an `AtomPmf` keeps it, and a scan family's (G, K) matrix
-of member weights shares one k.  `pgf_eval`, `pgf_deriv`, `log_pgf_eval`
-and `log_pgf_deriv` are one side of a `FinitePmf`'s pairs.
+tuple (w, k, j, dense, slopes): positive weights w, their values k, the
+index j of the first k >= 1, whether k is 0..len(k)-1, and w[j:] k[j:];
+`_support` derives it from dense weights, an `AtomPmf` and an `OffspringLaw`
+keep theirs, a scan family's (G, K) weight matrix shares one k, and the
+powers of at most two values are cached by (s, k).  `pgf_eval`, `pgf_deriv`,
+`log_pgf_eval` and `log_pgf_deriv` are one side of a `FinitePmf`'s pairs.
 
 An initial law is a `FinitePmf`; an `AtomPmf`, a finite law kept as its
 atoms (the CLI's finite x0, a two-point family member); or a
@@ -27,7 +27,7 @@ atoms (the CLI's finite x0, a two-point family member); or a
 an array over 0..support_max, their `cut`, once, and only for the readers
 of weights: `as_finite` (`evolution.evolve`, the x0 draws,
 `evolution.gf_orbit`'s clip heads) and an `AtomPmf`'s `mean`.  An
-`OffspringLaw` is its weights: its kind, mean and bound derive from them.
+`OffspringLaw` is its weights: kind, mean, bound and atoms derive from them.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -175,11 +175,7 @@ class GeometricPmf:
     r: float
 
     def __post_init__(self):
-        r = float(self.r)
-        if not 0.0 < r < 1.0:
-            raise ValueError(
-                f"success probability must lie in (0, 1), got {self.r}")
-        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "r", _success_prob(self.r))
 
     @property
     def mean(self) -> float:
@@ -213,24 +209,25 @@ class GeometricPmf:
 
 def _powers(s: float, k: np.ndarray, j: int,
             dense: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(s^k, s^(k[j:] - 1)) from np.power's array path, whose last bit can
-    differ from a scalar pow's; a dense k's second part is read off the
-    first."""
+    """(s^k, s^(k[j:] - 1)), cached for at most two values, which many
+    laws share (a scan.TwoPointFamily's members)."""
+    if k.size <= 2:
+        return _cached_powers(s, k.tobytes(), j, dense)
+    return _computed_powers(s, k, j, dense)
+
+
+def _computed_powers(s: float, k: np.ndarray, j: int,
+                     dense: bool) -> tuple[np.ndarray, np.ndarray]:
+    """`_powers` from np.power's array path, whose last bit can differ from
+    a scalar pow's; a dense k's second part is read off the first."""
     powers = np.power(s, k)
     return powers, powers[:-1] if dense else np.power(s, k[j:] - 1.0)
-
-
-def _shared_powers(s: float, k: np.ndarray, j: int,
-                   dense: bool) -> tuple[np.ndarray, np.ndarray]:
-    """`_powers` of values many laws share and evaluate at the same points
-    (a scan.TwoPointFamily's members), cached by (s, values), read-only."""
-    return _cached_powers(s, k.tobytes(), j, dense)
 
 
 @functools.lru_cache(maxsize=256)
 def _cached_powers(s: float, values: bytes, j: int,
                    dense: bool) -> tuple[np.ndarray, np.ndarray]:
-    powers, shifted = _powers(s, np.frombuffer(values), j, dense)
+    powers, shifted = _computed_powers(s, np.frombuffer(values), j, dense)
     powers.setflags(write=False)
     shifted.setflags(write=False)
     return powers, shifted
@@ -241,19 +238,16 @@ class AtomPmf:
     """A finite law kept as its atoms: P(X = k[i]) = w[i], with no array
     over 0..support_max.
 
-    `atoms` is the (w, k, j, dense) support tuple that `_support` derives
-    from the same law's FinitePmf weights, `slopes` = w[j:] k[j:] and
-    `powers` `_pgf_pair`'s.  `from_dict` makes its arrays read-only; a
-    scan.TwoPointFamily's members share their values (0, high) and
-    `_shared_powers`.  Not frozen, and a member's own arrays are not
-    flagged: that made a scan's bisections 10% slower.  Its pairs equal its
-    FinitePmf's bit for bit; only `mean` and `as_finite` read that
-    FinitePmf, `cut`, built on first use and kept.
+    `atoms` is the (w, k, j, dense, slopes) support tuple that `_support`
+    derives from the same law's FinitePmf weights.  `from_dict` makes its
+    arrays read-only; a scan.TwoPointFamily's members share their values
+    (0, high).  Not frozen, and a member's own arrays are not flagged: that
+    made a scan's bisections 10% slower.  Its pairs equal its FinitePmf's
+    bit for bit; only `mean` and `as_finite` read that FinitePmf, `cut`,
+    built on first use and kept.
     """
 
-    atoms: tuple[np.ndarray, np.ndarray, int, bool]
-    slopes: np.ndarray
-    powers: Callable = field(default=_powers, repr=False)
+    atoms: tuple[np.ndarray, np.ndarray, int, bool, np.ndarray]
 
     @classmethod
     def from_dict(cls, weights: Mapping[int, float]) -> "AtomPmf":
@@ -271,7 +265,7 @@ class AtomPmf:
         slopes = w[j:] * k[j:]
         for array in (w, k, slopes):
             array.setflags(write=False)
-        return cls((w, k, j, bool(k[-1] == k.size - 1)), slopes)
+        return cls((w, k, j, bool(k[-1] == k.size - 1), slopes))
 
     @property
     def support(self) -> np.ndarray:
@@ -290,7 +284,7 @@ class AtomPmf:
 
     def pgf_pair(self, s: float) -> tuple[float, float]:
         """(E s^X, d/ds E s^X); overflow: quiet inf."""
-        return _law_pgf_pair(self.atoms, s, self.slopes, self.powers)
+        return _law_pgf_pair(self.atoms, s)
 
     def log_pgf_pair(self, s: float) -> tuple[float, float]:
         """(log E s^X, log d/ds E s^X), stable far beyond float64 range."""
@@ -301,7 +295,7 @@ class AtomPmf:
     def cut(self) -> FinitePmf:
         """The law's FinitePmf, built on first use and kept, on the weights
         that passed from_dict's checks."""
-        w, k, _, _ = self.atoms
+        w, k = self.atoms[:2]
         probs = zeros(int(k[-1]) + 1)
         probs[k.astype(np.intp)] = w
         return FinitePmf._checked(probs)
@@ -310,8 +304,6 @@ class AtomPmf:
 def geometric_x0_pmf(r: float) -> FinitePmf:
     """P(X0 = k) = r (1-r)^k with the upper tail beyond GEOMETRIC_TAIL cut off,
     left unnormalized (the missing mass stays under the conservation band)."""
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"success probability must lie in (0, 1), got {r}")
     w, tail = _geometric_weights(r, GEOMETRIC_TAIL)
     # np.power's relative error grows ~3e-17 * k, and the cutoff scales as
     # 1/r, so below r ~ 1e-4 the float total drifts out of the conservation
@@ -326,6 +318,7 @@ def _geometric_weights(p: float, tail: float) -> tuple[np.ndarray, float]:
     """(w, q^n): w[k] = p q^k for k < n, q = 1 - p, n >= 2 the fewest
     weights whose upper tail q^n is below `tail`.  A p below float
     resolution (1 - p rounds to 1) has no such n: OverflowError."""
+    p = _success_prob(p)
     q = 1.0 - p
     if q == 1.0:
         raise OverflowError(f"geometric success probability {p!r} is below "
@@ -368,16 +361,26 @@ def _check_values(weights: Mapping[int, float]) -> None:
 
 def _check_weights(w: np.ndarray, leak: float = 0.0) -> None:
     """Finite, nonnegative weights w whose w.sum() + leak, leak in [0, 1],
-    lies inside the 1 +/- MASS_TOL band."""
-    if w.size and not np.all(np.isfinite(w)):
+    lies inside the 1 +/- MASS_TOL band; a sum that overflows is not
+    finite."""
+    total = float(w.sum())
+    if not math.isfinite(total):
         raise ValueError("weights must be finite")
-    if np.any(w < 0.0):
+    if w.size and w.min() < 0.0:
         raise ValueError("weights must be nonnegative")
     if not 0.0 <= leak <= 1.0 + MASS_TOL:
         raise ValueError(f"leaked_mass {leak} outside [0, 1]")
-    total = float(w.sum()) + leak
+    total += leak
     if abs(total - 1.0) > MASS_TOL:
         raise ValueError(f"total mass {total!r} outside the 1 +/- {MASS_TOL} band")
+
+
+def _success_prob(p: float) -> float:
+    """p as the float success probability of a geometric law, in (0, 1)."""
+    r = float(p)
+    if not 0.0 < r < 1.0:
+        raise ValueError(f"success probability must lie in (0, 1), got {p}")
+    return r
 
 
 def _check_argument(s: float) -> None:
@@ -385,19 +388,21 @@ def _check_argument(s: float) -> None:
         raise ValueError(f"pgf argument must be positive, got {s}")
 
 
-def _support(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    """(w, k, j, dense): the positive weights of probs, their values as
-    float64, the index of the first value >= 1, and whether probs has no
-    zero weight.
+def _support(probs: np.ndarray) -> tuple:
+    """(w, k, j, dense, slopes): the positive weights of probs, their values
+    as float64, the index of the first value >= 1, whether probs has no
+    zero weight, and the derivative's weights w[j:] k[j:].
 
     A dense array gives probs itself and an arange: the numbers flatnonzero
     and fancy indexing would copy out, without the copies.
     """
     if np.count_nonzero(probs) == probs.size:
-        return probs, np.arange(probs.size, dtype=np.float64), 1, True
+        k = np.arange(probs.size, dtype=np.float64)
+        return probs, k, 1, True, probs[1:] * k[1:]
     idx = np.flatnonzero(probs)
     j = int(idx.size > 0 and idx[0] == 0)
-    return probs[idx], idx.astype(np.float64), j, False
+    w, k = probs[idx], idx.astype(np.float64)
+    return w, k, j, False, w[j:] * k[j:]
 
 
 def _logsumexp(t: np.ndarray) -> float:
@@ -419,24 +424,20 @@ def _logsumexp(t: np.ndarray) -> float:
     return float(np.log1p(s) + np.log(m) + top)
 
 
-def _pgf_pair(support: tuple, s: float, slopes: np.ndarray | None = None,
-              powers=_powers):
+def _pgf_pair(support: tuple, s: float):
     """(E s^X, d/ds E s^X) of the laws whose weights form the last axis of
-    w in the support tuple (w, k, j, dense): one law's weights, or a (G, K)
-    matrix of laws on the same values k, each row evaluated as if alone
-    (np.vecdot runs np.dot's cblas ddot on each row).  slopes are the
-    derivative's weights w[..., j:] k[j:], formed here unless the caller
-    keeps them, and `powers` gives (s^k, s^(k[j:] - 1)).
+    w in the support tuple (w, k, j, dense, slopes): one law's weights, or
+    a (G, K) matrix of laws on the same values k, each row evaluated as if
+    alone (np.vecdot runs np.dot's cblas ddot on each row), whose slopes
+    are then the matrix w[:, j:] k[j:].
 
     When (support_max - 1) log s > 710, s^(support_max - 1) is certain to
     overflow, so both sums are inf without evaluating anything.  Short of
     that an overflow is a quiet inf, under an errstate (microseconds)
     entered only from support_max log s = _LOG_QUIET on.
     """
-    w, k, j, dense = support
+    w, k, j, dense, slopes = support
     s = float(s)
-    if slopes is None:
-        slopes = w[..., j:] * k[j:]
     dot = np.vecdot if w.ndim > 1 else np.dot
     if k.size and s > 1.0:
         log_s = math.log(s)
@@ -446,17 +447,16 @@ def _pgf_pair(support: tuple, s: float, slopes: np.ndarray | None = None,
             return inf, inf
         if log_top + log_s > _LOG_QUIET:
             with np.errstate(over="ignore"):
-                s_k, shifted = powers(s, k, j, dense)
+                s_k, shifted = _powers(s, k, j, dense)
                 return dot(w, s_k), dot(slopes, shifted)
-    s_k, shifted = powers(s, k, j, dense)
+    s_k, shifted = _powers(s, k, j, dense)
     return dot(w, s_k), dot(slopes, shifted)
 
 
-def _law_pgf_pair(support: tuple, s: float, slopes: np.ndarray | None = None,
-                  powers=_powers) -> tuple[float, float]:
+def _law_pgf_pair(support: tuple, s: float) -> tuple[float, float]:
     """One law's `_pgf_pair`, as floats."""
     _check_argument(s)
-    value, deriv = _pgf_pair(support, s, slopes, powers)
+    value, deriv = _pgf_pair(support, s)
     return float(value), float(deriv)
 
 
@@ -465,7 +465,7 @@ def _log_pgf_pair(support: tuple, log_s: float) -> tuple[float, float]:
     may lie beyond float64 range (the F_n(s) of evolution.gf_orbit).  One
     pass over the support and the log weights; a dense support's
     (k-1) log s terms are read off the value's k log s terms."""
-    w, k, j, dense = support
+    w, k, j, dense, _ = support
     if k.size == 0:
         return -math.inf, -math.inf
     log_w = np.log(w)
@@ -544,11 +544,11 @@ class OffspringLaw:
     pmf over counts (weights[0] == 0) ending at its last positive weight,
     of which a geometric law keeps those up to the smallest cutoff whose
     upper tail is below GEOMETRIC_TAIL, the cut mass in truncation_leak
-    and the uncut law in success_prob.  Derived from these: kind
-    ('geometric' when success_prob is set, else 'deterministic' for one
-    positive count, else 'finite'), mean, exact for all three kinds (1/p
-    at any cutoff), and bound, the essential supremum, None for geometric
-    laws, which stay unbounded at any cutoff.
+    and the uncut law in success_prob, the p of the weights.  Derived:
+    kind ('geometric' when success_prob is set, else 'deterministic' for
+    one positive count, else 'finite'), mean, exact for all three kinds
+    (1/p at any cutoff), bound, the essential supremum, None for geometric
+    laws, unbounded at any cutoff, and atoms, the weights' support tuple.
     """
 
     weights: np.ndarray
@@ -557,6 +557,7 @@ class OffspringLaw:
     kind: str = field(init=False)
     mean: float = field(init=False)
     bound: int | None = field(init=False)
+    atoms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=np.float64)
@@ -564,18 +565,27 @@ class OffspringLaw:
             raise ValueError("offspring weights must be a dense pmf over counts "
                              ">= 1 ending at a positive weight")
         _check_weights(w, self.truncation_leak)
-        geometric = self.success_prob is not None
-        mean = (1.0 / self.success_prob if geometric
-                else float(np.dot(w, np.arange(float(w.size)))))
         # P(N > 1) > 0: the last weight is positive; float64 needs both tests
         if w.size < 3:
             raise ValueError("the replica count must exceed 1 with positive probability")
+        p = self.success_prob
+        geometric = p is not None
+        if geometric:
+            p = _success_prob(p)
+            # the tail and the second weight of _cut_geometric(p, tail)
+            if (self.truncation_leak != (1.0 - p) ** (w.size - 1)
+                    or w[2] != p * (1.0 - p)):
+                raise ValueError(f"success probability {p} does not match "
+                                 f"the geometric weights")
+        mean = (1.0 / p if geometric
+                else float(np.dot(w, np.arange(float(w.size)))))
         if mean <= 1.0:
             raise ValueError(f"offspring mean must exceed 1, got {mean}")
         w.setflags(write=False)
         kind = ("geometric" if geometric else "deterministic"
                 if np.count_nonzero(w) == 1 else "finite")
-        for name, value in (("weights", w), ("kind", kind), ("mean", mean),
+        for name, value in (("weights", w), ("success_prob", p), ("kind", kind),
+                            ("mean", mean), ("atoms", _support(w)),
                             ("bound", None if geometric else w.size - 1)):
             object.__setattr__(self, name, value)
 
@@ -601,9 +611,7 @@ class OffspringLaw:
     def geometric(cls, p: float) -> "OffspringLaw":
         """Success-probability p law on {1, 2, ...}; P(N = k) = p (1-p)^(k-1),
         with weights cut at GEOMETRIC_TAIL."""
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"geometric success probability must lie in (0, 1), got {p}")
-        return cls._cut_geometric(float(p), GEOMETRIC_TAIL)
+        return cls._cut_geometric(p, GEOMETRIC_TAIL)
 
     def with_cutoff(self, tail: float) -> "OffspringLaw":
         """A geometric law recut at another tail; other kinds as they are."""
@@ -627,7 +635,7 @@ class OffspringLaw:
         """(E v^N, d/dv E v^N) of the ideal law: closed form for geometric,
         sums over the weights otherwise."""
         if self.kind != "geometric":
-            return _law_pgf_pair(_support(self.weights), v)
+            return _law_pgf_pair(self.atoms, v)
         p, q = self.success_prob, 1.0 - self.success_prob
         if q * v >= 1.0:
             raise ValueError(f"geometric pgf diverges at argument {v}")
@@ -636,7 +644,7 @@ class OffspringLaw:
     def log_pgf_pair(self, *, log_v: float) -> tuple[float, float]:
         """(log E v^N, log d/dv E v^N) over the weights, from log v, which
         is keyword-only: the x0 laws' log_pgf_pair take s itself."""
-        return _log_pgf_pair(_support(self.weights), log_v)
+        return _log_pgf_pair(self.atoms, log_v)
 
 
 @dataclass(frozen=True)

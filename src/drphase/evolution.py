@@ -349,8 +349,8 @@ def gf_orbit(x0: FinitePmf | AtomPmf | GeometricPmf, law: OffspringLaw,
     """(F_n(s), F_n'(s), log G(F_n(s))) for n = 0..steps, F_n(s) = E s^X_n
     along the recursion from x0, G the generating function of law's
     weights (for geometric N the cut weights that step() uses too).
-    F_0(s), F_0'(s) are x0's log_pgf_pair(s) (ValueError where infinite: a
-    geometric x0 past its radius); the clip heads read dists.as_finite(x0).
+    F_0(s), F_0'(s) are x0's log_pgf_pair(s) (ValueError where x0 diverges:
+    a geometric x0 past its radius); the clip heads read dists.as_finite(x0).
 
     The generating-function recursion (Collet, Eckmann, Glaser & Martin,
     CMP 1984; Derrida & Retaux, JSP 2014, with G in place of v -> v^2):
@@ -366,9 +366,9 @@ def gf_orbit(x0: FinitePmf | AtomPmf | GeometricPmf, law: OffspringLaw,
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    log_f, log_fp = x0.log_pgf_pair(s)
-    if log_f == math.inf:
+    if x0.diverges(s):
         raise ValueError(f"E s^X diverges at s={s}")
+    log_f, log_fp = x0.log_pgf_pair(s)
     heads = _clip_heads(dists.as_finite(x0).probs, law.weights, a, steps)
     log_s = math.log(s)
     f, fp = LogReal.from_log(log_f), LogReal.from_log(log_fp)

@@ -77,13 +77,18 @@ def _uniforms_np(h: np.ndarray) -> np.ndarray:
     return u
 
 
+def stream_hashes(h: int, start: int, stop: int) -> np.ndarray:
+    """Hashes start..stop-1 of the counter stream under prefix hash `h`:
+    hash i is splitmix64(h ^ i), so with h = hash_path(seed, *path) it is
+    hash_path(seed, *path, i)."""
+    with np.errstate(over="ignore"):
+        return _sm64_np(np.uint64(h) ^ np.arange(start, stop, dtype=np.uint64))
+
+
 def stream_uniforms(h: int, start: int, stop: int) -> np.ndarray:
     """Draws start..stop-1 of the counter stream under prefix hash `h`:
-    draw i is uniform53(splitmix64(h ^ i)), so with h = hash_path(seed,
-    *path) it is uniform53(hash_path(seed, *path, i))."""
-    with np.errstate(over="ignore"):
-        keys = np.uint64(h) ^ np.arange(start, stop, dtype=np.uint64)
-        return _uniforms_np(_sm64_np(keys))
+    draw i is uniform53 of `stream_hashes`' hash i."""
+    return _uniforms_np(stream_hashes(h, start, stop))
 
 
 def inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -96,10 +101,10 @@ def inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _draw_counts_np(u: np.ndarray, law: OffspringLaw) -> np.ndarray:
     """Vectorized inverse-cdf draw of offspring counts (all >= 1) from a 1-d
-    array of uniforms; each count depends on its own uniform alone."""
-    if law.kind == "deterministic":
-        return np.full(u.shape, law.bound, dtype=np.int64)
-    if law.kind == "finite":  # count k is knot k - 1 of the cdf
+    array of uniforms; each count depends on its own uniform alone.  The
+    samplers draw no count for a deterministic law; drawn here, it takes
+    the finite path, whose cdf is 0 up to the count and 1 from it."""
+    if law.kind != "geometric":  # count k is knot k - 1 of the cdf
         n = inverse_cdf(np.cumsum(law.weights[1:]), u)
         n += 1
         return n
@@ -128,8 +133,7 @@ def _mc_step(samples: np.ndarray, a: int, master: int, gen: int,
     gen, i); the samples still drawing summand j shrink as j grows."""
     npop = samples.shape[0]
     with np.errstate(over="ignore"):
-        prefix = np.uint64(hash_path(master, gen))
-        base = _sm64_np(prefix ^ np.arange(npop, dtype=np.uint64))
+        base = stream_hashes(hash_path(master, gen), 0, npop)
         if law.kind == "deterministic":  # draws no count
             counts, top = None, law.bound
         else:

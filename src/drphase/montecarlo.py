@@ -132,9 +132,7 @@ def ancestor_counts(offspring: OffspringLaw, depth: int, n_trees: int,
         raise ValueError(f"depth must be >= 0, got {depth}")
     if n_trees < 1:
         raise ValueError(f"n_trees must be >= 1, got {n_trees}")
-    with np.errstate(over="ignore"):
-        base = np.uint64(kernels.splitmix64(seed & 0xFFFFFFFFFFFFFFFF))
-        seeds = kernels._sm64_np(base ^ np.arange(n_trees, dtype=np.uint64))
+    seeds = kernels.stream_hashes(kernels.hash_path(seed), 0, n_trees)
     return kernels.get_backend().gw_sizes(seeds, depth, offspring)
 
 

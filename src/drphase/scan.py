@@ -16,7 +16,7 @@ ends: four criterion evaluations per boundary, each on the member's law
 the values (0, high), which all members share, or a `dists.GeometricPmf`,
 so neither a scan nor a classify builds an array over 0..support_max; a
 two-point member's criterion values equal those of its FinitePmf bit for
-bit.
+bit.  Where the two test points coincide, so do the two criteria.
 
 `scan` evaluates each criterion once per family over its whole grid
 (`criterion_values`) and records each member's two values as a
@@ -97,8 +97,7 @@ class TwoPointFamily:
                 f"the weight of the high value must lie in (0, 1), got {param}")
         # the derivative's weight p high is from_dict's w[1:] * k[1:]
         return AtomPmf((np.array([1.0 - p, p]), self.values, 1,
-                        self.high_value == 1), np.array([p * self.high_value]),
-                       dists._shared_powers)
+                        self.high_value == 1, np.array([p * self.high_value])))
 
     def model(self, param: float) -> ModelSpec:
         return ModelSpec(self.a, self.law(param), self.offspring)
@@ -110,8 +109,8 @@ class TwoPointFamily:
         float64 range builds its law, for d0's log path."""
         weights = np.column_stack((1.0 - params, params))
         # the members' support tuple: j = 1, dense for high 1
-        f, fp = dists._pgf_pair((weights, self.values, 1, self.high_value == 1),
-                                s, powers=dists._shared_powers)
+        f, fp = dists._pgf_pair((weights, self.values, 1, self.high_value == 1,
+                                 weights[:, 1:] * self.values[1:]), s)
         return criteria.d0_values(f, fp, self.a, s, m,
                                   lambda i: self.law(float(params[i])))
 
@@ -242,21 +241,24 @@ def bisect_boundary(family, which: str,
 def boundary_report(family, grid_points: int = 9,
                     tol: float = DEFAULT_TOL) -> BoundaryReport:
     """Grid verdicts plus both boundaries; missing boundaries become None,
-    with the reason kept in super_missing/sub_missing."""
+    with the reason kept in super_missing/sub_missing; where the two test
+    points coincide, the sub ones are the super ones."""
     grid = tuple(scan(family, grid_points))
     found: dict[str, tuple[float, float] | None] = {}
     missing: dict[str, RuntimeError | None] = {"super": None, "sub": None}
-    for which in ("super", "sub"):
+    shared = criteria.sub_point(family) == criteria.super_point(family)
+    for which in ("super",) if shared else ("super", "sub"):
         try:
             found[which] = bisect_boundary(family, which, tol)
         except (NoSignChange, CriterionUnavailable) as exc:
             # without its traceback, whose frames would keep the laws alive
             found[which], missing[which] = None, exc.with_traceback(None)
+    if shared:
+        found["sub"], missing["sub"] = found["super"], missing["super"]
     super_b, sub_b = found["super"], found["sub"]
     band = None
     if super_b is not None and sub_b is not None:
-        lo = min(super_b[1], sub_b[1])
-        hi = max(super_b[0], sub_b[0])
+        lo, hi = min(super_b[1], sub_b[1]), max(super_b[0], sub_b[0])
         if lo < hi:
             band = (lo, hi)
     return BoundaryReport(grid, super_b, sub_b, band,

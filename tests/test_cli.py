@@ -898,6 +898,14 @@ def test_check_lemmas_contraction_holds_in_the_fft_regime(tmp_path, capsys):
                         f"worst lhs margin {cli._fmt(worst)} of the floor)")
 
 
+def test_rel_margin_against_an_infinite_reference():
+    # a margin relative to an infinite reference keeps only its sign
+    inf = LogReal.from_log(math.inf)
+    assert cli._rel_margin(LogReal.from_float(-2.0), inf) == -math.inf
+    assert cli._rel_margin(LogReal.from_float(3.0), inf) == math.inf
+    assert cli._rel_margin(LogReal.from_float(0.0), inf) == 0.0
+
+
 def test_check_lemmas_zero_growth_steps_has_no_margin(tmp_path, capsys):
     cfg = write_config(tmp_path, base_config(check_lemmas={"growth_steps": 0}))
     code, out, _ = run_main(["check-lemmas", "--config", cfg], capsys)

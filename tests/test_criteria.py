@@ -1,6 +1,7 @@
 """Phase criteria and the four inequality audits."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -352,6 +353,21 @@ def test_lemma4_association_property():
             assert (lhs - rhs + slack).sign >= 0
 
 
+def test_lemma4_evaluates_no_log_pair_where_x0_diverges(monkeypatch):
+    def no_log_pair(self, s):
+        raise AssertionError(f"log pair evaluated at s={s}")
+    monkeypatch.setattr(GeometricPmf, "log_pgf_pair", no_log_pair)
+    for s in (1.0 / 0.65, 2.0, 1e300):
+        message = f"^E s\\^X diverges at s={re.escape(str(s))}$"
+        with pytest.raises(ValueError, match=message):
+            lemma4_association_check_log(GeometricPmf(0.35), s)
+
+
+def test_log_real_to_float_underflows_to_zero():
+    assert LogReal.from_log(-746.0, -1).to_float() == 0.0
+    assert LogReal.from_log(-744.0).to_float() == math.exp(-744.0) > 0.0
+
+
 def test_lemma4_requires_s_above_one():
     with pytest.raises(ValueError):
         lemma4_association_check_log(FinitePmf.from_dict({0: 0.5, 1: 0.5}),
@@ -371,6 +387,9 @@ def test_offspring_association_pinned():
     vgp, lower, _ = offspring_association_check(law, 1.0)
     assert vgp == pytest.approx(law.mean)
     assert lower == pytest.approx(law.mean)
+    with pytest.raises(ValueError, match="^offspring sandwich is claimed for "
+                                         "v >= 1, got 0.5$"):
+        offspring_association_check(law, 0.5)
 
 
 def test_offspring_association_geometric_has_no_upper():

@@ -308,24 +308,26 @@ def test_pgf_pairs_equal_the_old_functions_bit_for_bit():
         assert (log_pgf_eval(p, s), log_pgf_deriv(p, s)) == (log_f, log_fp)
 
 
-def test_pgf_pair_skips_a_certain_overflow():
+def test_pgf_pair_skips_a_certain_overflow(monkeypatch):
     w = np.full(1001, 1.0 / 1001)
     p = FinitePmf(w)
     evaluated = []
+    powers = dists._powers
 
     def counted(*args):
         evaluated.append(args[0])
-        return dists._powers(*args)
+        return powers(*args)
 
+    monkeypatch.setattr(dists, "_powers", counted)
     # past 710 the array core evaluates nothing; short of it the sums
     # overflow, to a quiet inf even where an overflow raises, and below
     # _LOG_QUIET nothing overflows
     with np.errstate(over="raise"):
-        assert dists._pgf_pair(dists._support(w), math.exp(710.001 / 999),
-                               powers=counted) == (math.inf, math.inf)
+        assert dists._pgf_pair(dists._support(w), math.exp(710.001 / 999)) \
+            == (math.inf, math.inf)
         assert evaluated == []
-        assert dists._pgf_pair(dists._support(w), math.exp(709.9 / 999),
-                               powers=counted) == (math.inf, math.inf)
+        assert dists._pgf_pair(dists._support(w), math.exp(709.9 / 999)) \
+            == (math.inf, math.inf)
         assert len(evaluated) == 1
         f, fp = dists._pgf_pair(dists._support(w), math.exp(659.9 / 1000))
         assert math.isfinite(f) and math.isfinite(fp)
@@ -507,11 +509,12 @@ def test_atom_law_equals_its_finite_pmf_bit_for_bit():
     rng = np.random.default_rng(22)
     for d in random_weight_dicts(rng):
         law, ref = AtomPmf.from_dict(d), FinitePmf.from_dict(d)
-        w, k, j, dense = dists._support(ref.probs)
-        aw, ak, aj, adense = law.atoms
+        w, k, j, dense, slopes = dists._support(ref.probs)
+        aw, ak, aj, adense, aslopes = law.atoms
         assert (aw.tobytes(), ak.tobytes(), aj, adense) \
             == (w.tobytes(), k.tobytes(), j, dense), len(d)
-        assert law.slopes.tobytes() == (w[j:] * k[j:]).tobytes()
+        assert aslopes.tobytes() == slopes.tobytes() \
+            == (w[j:] * k[j:]).tobytes()
         assert repr(law.mean) == repr(ref.mean)
         top = ref.support_max
         points = [0.3, 0.999, 1.0, 1.5, 2.0, 25.0]
@@ -553,24 +556,33 @@ def test_atom_law_checks_its_mass_once():
 
 
 def test_only_shared_values_have_their_powers_cached():
-    # FinitePmf, OffspringLaw and from_dict laws compute their powers; a
-    # two-point family's members share theirs
+    # laws of three or more positive weights compute their powers, whatever
+    # their kind; those of at most two values (a two-point family's
+    # members, a two-atom x0, N = 2) are cached by (s, values)
     dists._cached_powers.cache_clear()
     for s in (0.5, 1.5, 2.5):
-        AtomPmf.from_dict({0: 0.5, 3: 0.5}).pgf_pair(s)
-        FinitePmf.from_dict({0: 0.5, 3: 0.5}).pgf_pair(s)
-        OffspringLaw.finite_support({1: 0.5, 3: 0.5}).pgf_pair(s)
+        AtomPmf.from_dict({0: 0.5, 3: 0.25, 4: 0.25}).pgf_pair(s)
+        FinitePmf.from_dict({0: 0.5, 3: 0.25, 4: 0.25}).pgf_pair(s)
+        OffspringLaw.finite_support({1: 0.5, 2: 0.25, 3: 0.25}).pgf_pair(s)
     assert dists._cached_powers.cache_info().currsize == 0
     for p in (0.25, 0.5):
         two_point(3, p).pgf_pair(1.5)
     assert dists._cached_powers.cache_info()[:2] == (1, 1)
+    # the from_dict law on the same values shares the members' entry
+    AtomPmf.from_dict({0: 0.5, 3: 0.5}).pgf_pair(1.5)
+    assert dists._cached_powers.cache_info()[:2] == (2, 1)
+    for law in (OffspringLaw.deterministic(2),
+                OffspringLaw.finite_support({1: 0.5, 2: 0.5})):
+        law.pgf_pair(1.5)
+    assert dists._cached_powers.cache_info()[:2] == (2, 3)
 
 
 def test_atom_law_builds_no_array_over_its_values():
     law = AtomPmf.from_dict({0: 0.999, 10**12: 0.001, 3 * 10**12: 0.0})
     assert law.support.tolist() == [0.0, 1e12]
-    assert all(a.nbytes <= 16 for a in (*law.atoms[:2], law.slopes))
-    assert all(not a.flags.writeable for a in (*law.atoms[:2], law.slopes))
+    arrays = (*law.atoms[:2], law.atoms[4])
+    assert all(a.nbytes <= 16 for a in arrays)
+    assert all(not a.flags.writeable for a in arrays)
     assert law.pgf_pair(2.0) == (math.inf, math.inf)
     log_f, log_fp = law.log_pgf_pair(2.0)
     assert log_f == pytest.approx(math.log(0.001) + 1e12 * math.log(2.0))
@@ -670,6 +682,26 @@ def test_finite_pmf_rejects_bad_mass():
         FinitePmf.from_dict({0: -0.1, 1: 1.1})
     with pytest.raises(ValueError):
         FinitePmf.from_dict({-1: 0.5, 1: 0.5})
+    # one sum checks finiteness: a sum that overflows reads as not finite
+    with np.errstate(over="ignore"), \
+            pytest.raises(ValueError, match="^weights must be finite$"):
+        FinitePmf(np.array([1e308, 1e308]))
+    with pytest.raises(ValueError, match="^weights must be nonnegative$"):
+        FinitePmf(np.array([-0.5, 1.5]))
+    with pytest.raises(ValueError, match="^weights must form a "
+                                         "one-dimensional array$"):
+        FinitePmf(np.full((2, 2), 0.25))
+
+
+def test_empty_law_convolves_and_truncates_to_the_empty_law():
+    empty = FinitePmf(np.zeros(0), 1.0)
+    p = FinitePmf.from_dict({0: 0.5, 2: 0.5})
+    for q in (convolve(empty, p), convolve(p, empty)):
+        assert q.probs.size == 0 and q.leaked_mass == 1.0
+    assert truncate(empty, 0.1) is empty
+    for eps in (-0.1, 1.0, math.nan):
+        with pytest.raises(ValueError, match="^tail_eps must lie in"):
+            truncate(p, eps)
 
 
 def test_finite_pmf_drops_explicit_zeros():
@@ -826,6 +858,44 @@ def test_offspring_law_checks_its_weights(weights, leak, message):
         OffspringLaw(weights, leak)
 
 
+@pytest.mark.parametrize("weights, leak, p, message", [
+    # a law on {1, 2} that once passed for the success-0.9 geometric law,
+    # with that law's mean 1/0.9 and no bound
+    ([0.0, 0.5, 0.5], 0.0, 0.9,
+     "^success probability 0.9 does not match the geometric weights$"),
+    ([0.0, 0.5, 0.5], 0.0, 0.0,
+     r"^success probability must lie in \(0, 1\), got 0.0$"),
+    ([0.0, 0.5, 0.5], 0.0, math.nan, "must lie in"),
+    # the leak is q^2, the second weight is not p q
+    ([0.0, 0.6, 0.15], 0.25, 0.5, "does not match"),
+])
+def test_offspring_success_prob_is_the_p_of_its_weights(weights, leak, p,
+                                                        message):
+    with pytest.raises(ValueError, match=message):
+        OffspringLaw(weights, leak, p)
+    # the success-0.5 law cut after two counts
+    assert OffspringLaw([0.0, 0.5, 0.25], 0.25, 0.5).mean == 2.0
+
+
+# the 13 success probabilities from 0.999 down to 3e-5 at which a
+# geometric N's cut and its mass re-pin were checked
+GEOMETRIC_PS = (0.999, 0.9, 0.6, 0.52, 0.51, 0.5, 0.45, 0.35, 0.3, 0.2,
+                0.05, 1e-3, 3e-5)
+
+
+def test_built_geometric_laws_carry_their_own_success_prob():
+    for p in GEOMETRIC_PS:
+        law = OffspringLaw.geometric(p)
+        for tail in (1e-14, 1e-10, 1e-3):
+            cut = law.with_cutoff(tail)
+            q = 1.0 - p
+            assert cut.truncation_leak == q ** (cut.weights.size - 1), (p, tail)
+            assert cut.weights[2] == p * q and cut.mean == 1.0 / p, (p, tail)
+    with pytest.raises(ValueError, match=r"^success probability must lie in "
+                                         r"\(0, 1\), got 1.5$"):
+        OffspringLaw.geometric(1.5)
+
+
 def test_offspring_geometric_cutoff_contract():
     law = OffspringLaw.geometric(0.5)
     assert law.mean == 2.0
@@ -842,6 +912,9 @@ def test_offspring_geometric_cutoff_contract():
         OffspringLaw.geometric(0.0)
     with pytest.raises(ValueError):
         OffspringLaw.geometric(1.0)
+    # a bounded law has no cutoff to move
+    bounded = OffspringLaw.finite_support({1: 0.5, 3: 0.5})
+    assert bounded.with_cutoff(1e-3) is bounded
 
 
 def test_offspring_pgf_closed_form_and_truncated_agree():
@@ -891,5 +964,8 @@ def test_model_spec_validation():
                                          "AtomPmf or a GeometricPmf, "
                                          "got dict$"):
         ModelSpec(a=1, x0={0: 0.5, 2: 0.5}, offspring=law)
+    with pytest.raises(ValueError, match="^the initial law must carry no "
+                                         "leaked mass$"):
+        ModelSpec(a=1, x0=FinitePmf(np.array([0.5, 0.4]), 0.1), offspring=law)
     m = ModelSpec(a=1, x0=x0, offspring=law)
     assert m.a == 1

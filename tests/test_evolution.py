@@ -1,6 +1,7 @@
 """Law evolution: pinned one-step oracles, bound formulas, trace invariants."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -425,6 +426,37 @@ def test_orbit_starts_from_the_law_not_its_cut(monkeypatch):
         gf_orbit(dists.GeometricPmf(0.35), law, 1, 2.0, 2)
 
 
+def test_orbit_evaluates_no_log_pair_where_x0_diverges(monkeypatch):
+    # the radius of r = 0.35 is 1/0.65; diverges() refuses the orbit there
+    # and beyond without a log pair
+    def no_log_pair(self, s):
+        raise AssertionError(f"log pair evaluated at s={s}")
+    monkeypatch.setattr(dists.GeometricPmf, "log_pgf_pair", no_log_pair)
+    law = OffspringLaw.deterministic(2)
+    for s in (1.0 / 0.65, 2.0, 1e300):
+        message = f"^E s\\^X diverges at s={re.escape(str(s))}$"
+        with pytest.raises(ValueError, match=message):
+            gf_orbit(dists.GeometricPmf(0.35), law, 1, s, 2)
+
+
+@pytest.mark.parametrize("law", [
+    OffspringLaw.deterministic(2), OffspringLaw.finite_support({1: .5, 3: .5}),
+    OffspringLaw.geometric(0.5)], ids=["deterministic", "finite", "geometric"])
+def test_orbit_builds_no_support_per_step(law, monkeypatch):
+    # the law's support tuple is built with the law; the orbit's only
+    # _support is the one a FinitePmf x0's log pair builds at n = 0
+    calls = []
+    support = dists._support
+    monkeypatch.setattr(dists, "_support",
+                        lambda probs: calls.append(probs.size) or support(probs))
+    for x0, built in ((FinitePmf.from_dict({0: 0.5, 2: 0.5}), 1),
+                      (AtomPmf.from_dict({0: 0.5, 2: 0.5}), 0)):
+        for steps in (1, 4, 12):
+            calls.clear()
+            gf_orbit(x0, law, 1, 1.1, steps)
+            assert len(calls) == built, (x0, steps)
+
+
 def test_orbit_matches_evolved_laws(battery):
     # Leak-free rows (leaked_mass == 0) of the battery's n <= 8 laws; rows
     # with floor-swept weights are left out, because s^k amplifies the
@@ -483,6 +515,15 @@ def test_q_bounds_log_space_deep():
     assert math.isfinite(up) and math.isfinite(lo)
     assert lo <= up
     assert up >= 0.0
+    # mean a/(mu - 1) = 1 puts the lower bound's numerator at exactly 0;
+    # 2^1000 is past the float path's cutoff too
+    up, lo = q_bounds(1.0, 1000, model)
+    assert lo == 0.0 and up == pytest.approx(2.0 ** -1000, rel=1e-12)
+
+
+def test_empty_law_steps_to_the_empty_law():
+    x = step(FinitePmf(np.zeros(0), 1.0), base_model())
+    assert x.probs.size == 0 and x.leaked_mass == 1.0
 
 
 def test_q_bounds_rejects_unit_mean():
@@ -649,3 +690,6 @@ def test_evolve_support_cap_failure_carries_partial_rows():
 def test_evolve_rejects_negative_steps():
     with pytest.raises(ValueError):
         evolve(base_model(), -1)
+    model = base_model()
+    with pytest.raises(ValueError, match="^steps must be >= 0, got -1$"):
+        gf_orbit(model.x0, model.offspring, model.a, 1.5, -1)

@@ -146,6 +146,20 @@ def test_ancestor_counts_reproducible():
     assert not np.array_equal(a, c)
 
 
+def test_sampler_argument_checks():
+    model = super_model()
+    with pytest.raises(ValueError, match="^population size must be >= 1, "
+                                         "got 0$"):
+        init_population(model, 0, 1)
+    with pytest.raises(ValueError, match="^population is empty$"):
+        mc_step(Population(np.zeros(0, dtype=np.int64), 0, 1), model)
+    law = OffspringLaw.deterministic(2)
+    with pytest.raises(ValueError, match="^depth must be >= 0, got -1$"):
+        ancestor_counts(law, -1, 1, seed=1)
+    with pytest.raises(ValueError, match="^n_trees must be >= 1, got 0$"):
+        ancestor_counts(law, 1, 0, seed=1)
+
+
 def test_tree_sample_depth_limit():
     with pytest.raises(ValueError):
         tree_sample(super_model(), TREE_DEPTH_LIMIT + 1, seed=0)

@@ -113,6 +113,35 @@ def test_boundary_report_unit_tax_band_collapses():
         rep.undetermined_band[1] - rep.undetermined_band[0] <= 2e-9
 
 
+@pytest.mark.parametrize("high", [1, 2, 3])
+def test_boundary_report_bisects_once_where_the_test_points_coincide(
+        high, monkeypatch):
+    # deterministic N with a = 1: the sub test point is the super one, so
+    # is the sub boundary, or its reason for missing (high 1: no sign
+    # change on the range)
+    fam = TwoPointFamily(1, high, OffspringLaw.deterministic(3))
+    assert criteria.sub_point(fam) == criteria.super_point(fam)
+    bisect = scan_module.bisect_boundary
+    calls = []
+
+    def counted(family, which, tol):
+        calls.append(which)
+        return bisect(family, which, tol)
+    monkeypatch.setattr(scan_module, "bisect_boundary", counted)
+    rep = boundary_report(fam, 9)
+    assert calls == ["super"]
+    assert rep.sub_boundary == rep.super_boundary
+    assert rep.sub_missing is rep.super_missing
+    try:
+        assert bisect(fam, "sub", scan_module.DEFAULT_TOL) == rep.sub_boundary
+    except NoSignChange:
+        assert rep.sub_boundary is None
+        assert isinstance(rep.sub_missing, NoSignChange)
+    calls.clear()
+    boundary_report(TwoPointFamily(2, high, OffspringLaw.deterministic(3)), 9)
+    assert calls == ["super", "sub"]
+
+
 def test_no_sign_change_is_an_explicit_outcome():
     # a=3 with high=2 keeps the supercritical criterion negative on (0,1)
     fam = TwoPointFamily(a=3, high_value=2,
@@ -322,8 +351,8 @@ def test_family_matrix_core_equals_each_members_pair():
     for h in (1, 2, 3, 6, 1024, 1500, 10**5):
         fam = TwoPointFamily(1, h, SWEEP_LAWS[0])
         for s in [s for s, _ in sweep_test_points()] + two_point_edge_points(h):
-            f, fp = dists._pgf_pair((weights, fam.values, 1, h == 1), s,
-                                    powers=dists._shared_powers)
+            f, fp = dists._pgf_pair((weights, fam.values, 1, h == 1,
+                                     weights[:, 1:] * fam.values[1:]), s)
             for i, p in enumerate(params.tolist()):
                 assert repr(fam.law(p).pgf_pair(s)) \
                     == repr((float(f[i]), float(fp[i]))), (h, s, p)
