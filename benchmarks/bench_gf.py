@@ -3,7 +3,10 @@
 Times `FinitePmf.pgf_pair` and `FinitePmf.log_pgf_pair`, the one-pass
 pairs that classify and the audits evaluate, on laws of 10, 150, 2,000 and
 100,000 positive weights and on `geometric_x0_pmf(1e-5)` (about 3.2M
-entries), and `drphase check-lemmas` in-process on the README model and on
+entries); both pairs of one 20,000-weight law at the seven s-points that
+check-lemmas reads on the README model; `criteria.d0` on a 1,000-atom law
+with values up to 10^12, past float64 range, so through its log path; and
+`drphase check-lemmas` in-process on the README model and on
 the bounded-N model of perfbench's exact-evolve workload, for a baseline
 revision and the working tree (see passes.py for the pass scheme).
 BENCH_gf.json also holds each side's outputs, the pgf values and the
@@ -19,6 +22,9 @@ from passes import best_of, main, outputs_identical, versions
 
 S = 1.2
 SIZES = (10, 150, 2_000, 100_000)
+# check-lemmas' s-points on the README model (s* = 2): lemma1's 0.9, 0.95
+# and 0.99 s*, lemma3's s_sub and 2 s_sub, lemma4's 1.5 and 2
+AUDIT_POINTS = (0.9 * 2.0, 0.95 * 2.0, 0.99 * 2.0, 2.0, 4.0, 1.5, 2.0)
 # (name, a, x0, N): the README model and a bounded-N one
 MODELS = (
     ("readme", 1, [[0, 0.5], [2, 0.5]], {"type": "deterministic", "n": 2}),
@@ -52,13 +58,30 @@ def measure():
     import json
     import os
     import tempfile
-    from drphase.dists import FinitePmf
+    import numpy as np
+    from drphase import criteria
+    from drphase.dists import AtomPmf, FinitePmf
     timings, outputs = {}, {}
     for name, p in pgf_cases():
         for fn in (FinitePmf.pgf_pair, FinitePmf.log_pgf_pair):
             case = f"{fn.__name__}.{name}"
             outputs[case] = repr(fn(p, S))
             timings[case] = best_of(lambda: fn(p, S))
+    rng = np.random.default_rng(26)
+    w = rng.random(20_000) + 0.01
+    dense = FinitePmf(w / w.sum())
+
+    def audit_pairs():
+        return [(dense.pgf_pair(s), dense.log_pgf_pair(s))
+                for s in AUDIT_POINTS]
+    outputs["audit_points.n20000"] = repr(audit_pairs())
+    timings["audit_points.n20000"] = best_of(audit_pairs)
+    values = np.unique(rng.integers(1, 10**12, 999)).tolist()
+    w = rng.random(len(values) + 1) + 0.01
+    wide = AtomPmf.from_dict(dict(zip([0, *values], (w / w.sum()).tolist())))
+    outputs["d0_log_path.wide1000"] = repr(criteria.d0(wide, 1, 2.0, 2.0))
+    timings["d0_log_path.wide1000"] = best_of(
+        lambda: criteria.d0(wide, 1, 2.0, 2.0))
     with tempfile.TemporaryDirectory() as tmp:
         for name, a, x0, law in MODELS:
             path = os.path.join(tmp, f"{name}.json")

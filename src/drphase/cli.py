@@ -18,6 +18,7 @@ Lemmas 1, 3 and 4 read x0 as classify does, and SKIP where E s^X0 diverges.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -589,7 +590,9 @@ _FLAG_READERS = {"steps": ("evolve", "estimate-q", "simulate"),
                  "seed": ("simulate",)}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: main only reads it."""
     parser = argparse.ArgumentParser(
         prog="drphase",
         description="Exact evolution, phase classification and audits for "

@@ -34,9 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dists
 from .dists import AtomPmf, FinitePmf, GeometricPmf, ModelSpec, OffspringLaw
 from .evolution import evolve, gf_orbit
-from .logreal import LogReal
+from .logreal import ZERO, LogReal
 
 # |value| <= band counts as "indistinguishable from zero": no phase claim.
 STRICTNESS_BAND = 1e-12
@@ -94,10 +95,17 @@ def d0(x0: FinitePmf | AtomPmf | GeometricPmf, a: int, s: float,
         return math.inf
     # Past float64 range: either the sums overflowed or pgf_pair saw before
     # evaluating that s^(support_max-1) must overflow and returned inf.
-    # Only the sign decides the verdict, so the value comes from log space.
-    log_f, log_fp = x0.log_pgf_pair(s)
-    return _d_log(LogReal.from_log(log_f), LogReal.from_log(log_fp), s, m,
-                  a).to_float()
+    # Only the sign decides the verdict, so the value comes from log space,
+    # as d0 = sum_k w_k c_k s^k with c_k = (m-1) k - a, its positive and
+    # negative terms each summed there: the difference of log F and log F',
+    # both near k log s, would round away a gap below their ulp.
+    w, k = x0.atoms[:2]
+    c = (m - 1.0) * k - a
+    log_terms = np.log(w) + k * math.log(s)
+    parts = [LogReal.from_log(dists._logsumexp(log_terms[side]
+                                               + np.log(np.abs(c[side]))))
+             if side.any() else ZERO for side in (c > 0.0, c < 0.0)]
+    return (parts[0] - parts[1]).to_float()
 
 
 def d0_values(f: np.ndarray, fp: np.ndarray, a: int, s: float, m: float,

@@ -16,18 +16,20 @@ geometric law's can be).  Every finite law is evaluated by two array
 cores, `_pgf_pair` and `_log_pgf_pair`, each one pass over a support
 tuple (w, k, j, dense, slopes): positive weights w, their values k, the
 index j of the first k >= 1, whether k is 0..len(k)-1, and w[j:] k[j:];
-`_support` derives it from dense weights, an `AtomPmf` and an `OffspringLaw`
-keep theirs, a scan family's (G, K) weight matrix shares one k, and the
-powers of at most two values are cached by (s, k).  `pgf_eval`, `pgf_deriv`,
-`log_pgf_eval` and `log_pgf_deriv` are one side of a `FinitePmf`'s pairs.
+`_support` derives it from dense weights (a `FinitePmf`'s, once), an
+`AtomPmf` and an `OffspringLaw` keep theirs, a scan family's (G, K)
+weight matrix shares one k, and the powers of at most two values are
+cached by (s, k).  `pgf_eval`, `pgf_deriv`, `log_pgf_eval` and
+`log_pgf_deriv` are one side of a `FinitePmf`'s pairs.
 
-An initial law is a `FinitePmf`; an `AtomPmf`, a finite law kept as its
-atoms (the CLI's finite x0, a two-point family member); or a
-`GeometricPmf`, P(X = k) = r (1-r)^k in closed form.  The last two build
-an array over 0..support_max, their `cut`, once, and only for the readers
-of weights: `as_finite` (`evolution.evolve`, the x0 draws,
-`evolution.gf_orbit`'s clip heads) and an `AtomPmf`'s `mean`.  An
-`OffspringLaw` is its weights: kind, mean, bound and atoms derive from them.
+An initial law is a finite law, a `FinitePmf` or an `AtomPmf` (kept as
+its atoms: the CLI's finite x0, a two-point family member), read by
+`_FiniteLaw` from its support tuple `atoms` and its weights `cut`; or a
+`GeometricPmf`, P(X = k) = r (1-r)^k in closed form.  Each answers `cut`
+for the readers of weights (`evolution.evolve`, the x0 draws, the clip
+heads of `evolution.gf_orbit`, `mean`): a FinitePmf is its own cut, the
+others build theirs once, on first use.  An `OffspringLaw` is its
+weights: kind, mean, bound and atoms derive from them.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ MASS_TOL = 1e-12
 # Weights below this are swept into leaked_mass during convolution.
 WEIGHT_FLOOR = 1e-300
 # Upper-tail mass cut from a geometric law's weights: an offspring law
-# books it as truncation_leak; an initial law (as_finite) leaves it out
+# books it as truncation_leak; an initial law (GeometricPmf.cut) leaves it out
 # unrecorded, being small enough that the retained weights still pass the
 # mass-conservation band with zero leak.
 GEOMETRIC_TAIL = 1e-14
@@ -72,13 +74,43 @@ def zeros(length: int) -> np.ndarray:
     return np.zeros(length)
 
 
+class _FiniteLaw:
+    """The readers a FinitePmf and an AtomPmf share, from the law's support
+    tuple `atoms` and its weights `cut`, a FinitePmf; leak-free unless a
+    FinitePmf books a leak."""
+
+    leaked_mass = 0.0
+
+    @property
+    def mean(self) -> float:
+        """Retained first moment (a lower bound when leaked_mass > 0), over
+        the dense weights: a dot over the atoms alone can differ in the
+        last bit."""
+        probs = self.cut.probs
+        return float(np.dot(probs, np.arange(float(probs.size))))
+
+    def diverges(self, s: float) -> bool:
+        """Whether E s^X diverges: never, a finite sum."""
+        return False
+
+    def pgf_pair(self, s: float) -> tuple[float, float]:
+        """(E s^X, d/ds E s^X) over the retained weights; overflow: quiet inf."""
+        return _law_pgf_pair(self.atoms, s)
+
+    def log_pgf_pair(self, s: float) -> tuple[float, float]:
+        """(log E s^X, log d/ds E s^X), stable far beyond float64 range."""
+        _check_argument(s)
+        return _log_pgf_pair(self.atoms, math.log(s))
+
+
 @dataclass(frozen=True)
-class FinitePmf:
+class FinitePmf(_FiniteLaw):
     """Dense pmf over {0, 1, ..., support_max} plus mass tracked as leaked.
 
     probs[v] is the retained probability of value v; trailing zeros are
     trimmed at construction so support_max == len(probs) - 1.  The invariant
-    sum(probs) + leaked_mass == 1 is enforced to MASS_TOL.
+    sum(probs) + leaked_mass == 1 is enforced to MASS_TOL.  The law is its
+    own `cut`; its `atoms` are built on first use and kept.
     """
 
     probs: np.ndarray
@@ -143,22 +175,12 @@ class FinitePmf:
         return 0.0
 
     @property
-    def mean(self) -> float:
-        """Retained first moment (a lower bound when leaked_mass > 0)."""
-        return float(np.dot(self.probs, np.arange(float(self.probs.size))))
+    def cut(self) -> "FinitePmf":
+        return self
 
-    def diverges(self, s: float) -> bool:
-        """Whether E s^X diverges: never, a finite sum."""
-        return False
-
-    def pgf_pair(self, s: float) -> tuple[float, float]:
-        """(E s^X, d/ds E s^X) over the retained weights; overflow: quiet inf."""
-        return _law_pgf_pair(_support(self.probs), s)
-
-    def log_pgf_pair(self, s: float) -> tuple[float, float]:
-        """(log E s^X, log d/ds E s^X), stable far beyond float64 range."""
-        _check_argument(s)
-        return _log_pgf_pair(_support(self.probs), math.log(s))
+    @functools.cached_property
+    def atoms(self) -> tuple:
+        return _support(self.probs)
 
 
 @dataclass(frozen=True)
@@ -168,8 +190,8 @@ class GeometricPmf:
     E s^X = r / (1 - (1-r) s) and its derivative r (1-r) / (1 - (1-r) s)^2
     are finite for (1-r) s < 1; at and beyond that radius both pairs
     return +inf.  No weight array exists until a consumer that reads
-    weights asks `as_finite` for one: `cut`, built by geometric_x0_pmf on
-    first use and kept, so all of one model's consumers share one array.
+    weights asks for one: `cut`, built by geometric_x0_pmf on first use and
+    kept, so all of one model's consumers share one array.
     """
 
     r: float
@@ -234,7 +256,7 @@ def _cached_powers(s: float, values: bytes, j: int,
 
 
 @dataclass(eq=False)
-class AtomPmf:
+class AtomPmf(_FiniteLaw):
     """A finite law kept as its atoms: P(X = k[i]) = w[i], with no array
     over 0..support_max.
 
@@ -243,8 +265,8 @@ class AtomPmf:
     arrays read-only; a scan.TwoPointFamily's members share their values
     (0, high).  Not frozen, and a member's own arrays are not flagged: that
     made a scan's bisections 10% slower.  Its pairs equal its FinitePmf's
-    bit for bit; only `mean` and `as_finite` read that FinitePmf, `cut`,
-    built on first use and kept.
+    bit for bit; only `mean` and the readers of weights read that
+    FinitePmf, `cut`, built on first use and kept.
     """
 
     atoms: tuple[np.ndarray, np.ndarray, int, bool, np.ndarray]
@@ -271,25 +293,6 @@ class AtomPmf:
     def support(self) -> np.ndarray:
         """The values of positive weight, as float64."""
         return self.atoms[1]
-
-    @property
-    def mean(self) -> float:
-        """E X, from the cut: a dot over the atoms alone can differ from
-        the dense law's in the last bit."""
-        return self.cut.mean
-
-    def diverges(self, s: float) -> bool:
-        """Whether E s^X diverges: never, a finite sum."""
-        return False
-
-    def pgf_pair(self, s: float) -> tuple[float, float]:
-        """(E s^X, d/ds E s^X); overflow: quiet inf."""
-        return _law_pgf_pair(self.atoms, s)
-
-    def log_pgf_pair(self, s: float) -> tuple[float, float]:
-        """(log E s^X, log d/ds E s^X), stable far beyond float64 range."""
-        _check_argument(s)
-        return _log_pgf_pair(self.atoms, math.log(s))
 
     @functools.cached_property
     def cut(self) -> FinitePmf:
@@ -327,13 +330,6 @@ def _geometric_weights(p: float, tail: float) -> tuple[np.ndarray, float]:
     while q ** n >= tail:
         n += 1
     return p * np.power(q, np.arange(n, dtype=np.float64)), float(q ** n)
-
-
-def as_finite(x0: FinitePmf | AtomPmf | GeometricPmf) -> FinitePmf:
-    """An initial law as weights, for the consumers that read them
-    (evolution.evolve, the clip heads of evolution.gf_orbit, the x0 draws):
-    a FinitePmf as it is, an AtomPmf or a GeometricPmf as its `cut`."""
-    return x0 if isinstance(x0, FinitePmf) else x0.cut
 
 
 def _trimmed_size(probs: np.ndarray) -> int:
@@ -651,9 +647,8 @@ class OffspringLaw:
 class ModelSpec:
     """One recursion instance: X' = (sum of N replicas of X, minus a)+.
 
-    x0 is a FinitePmf, an AtomPmf or a GeometricPmf; the last needs no
-    check here, being leak-free and never constant, and an AtomPmf carries
-    no leak."""
+    x0 is a finite law (a FinitePmf or an AtomPmf) or a GeometricPmf; the
+    last needs no check here, being leak-free and never constant."""
 
     a: int
     x0: FinitePmf | AtomPmf | GeometricPmf
@@ -665,10 +660,10 @@ class ModelSpec:
         object.__setattr__(self, "a", int(self.a))
         if isinstance(self.x0, GeometricPmf):
             return
-        if not isinstance(self.x0, (FinitePmf, AtomPmf)):
+        if not isinstance(self.x0, _FiniteLaw):
             raise ValueError(f"x0 must be a FinitePmf, an AtomPmf or a "
                              f"GeometricPmf, got {type(self.x0).__name__}")
-        if getattr(self.x0, "leaked_mass", 0.0) != 0.0:
+        if self.x0.leaked_mass != 0.0:
             raise ValueError("the initial law must carry no leaked mass")
         if self.x0.support.size < 2:
             raise ValueError("the initial law is not a constant in this model class; "

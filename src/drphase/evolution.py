@@ -253,9 +253,8 @@ def evolve(model: ModelSpec, steps: int = DEFAULT_STEPS, *,
            leak_budget: float = DEFAULT_LEAK_BUDGET,
            keep_pmfs: bool = False,
            support_cap: int | None = None) -> EvolutionTrace:
-    """Iterate step() from x0 (an AtomPmf or a geometric x0 as the
-    FinitePmf dists.as_finite gives), collecting the bracket row per
-    generation.
+    """Iterate step() from x0's weights, `cut`, collecting the bracket row
+    per generation.
 
     A generation whose cumulative leak passes leak_budget stops the run
     with LeakBudgetExceeded carrying the rows before it, so every row lies
@@ -271,7 +270,7 @@ def evolve(model: ModelSpec, steps: int = DEFAULT_STEPS, *,
     if not 0.0 <= tail_eps < 1.0:
         raise ValueError(f"tail_eps must lie in [0, 1), got {tail_eps}")
     law = model.offspring
-    x = dists.as_finite(model.x0)
+    x = model.x0.cut
     rows = [_trace_row(x, 0, model)]
     pmfs = [x] if keep_pmfs else None
     for n in range(1, steps + 1):
@@ -350,7 +349,7 @@ def gf_orbit(x0: FinitePmf | AtomPmf | GeometricPmf, law: OffspringLaw,
     along the recursion from x0, G the generating function of law's
     weights (for geometric N the cut weights that step() uses too).
     F_0(s), F_0'(s) are x0's log_pgf_pair(s) (ValueError where x0 diverges:
-    a geometric x0 past its radius); the clip heads read dists.as_finite(x0).
+    a geometric x0 past its radius); the clip heads read x0.cut.
 
     The generating-function recursion (Collet, Eckmann, Glaser & Martin,
     CMP 1984; Derrida & Retaux, JSP 2014, with G in place of v -> v^2):
@@ -369,7 +368,7 @@ def gf_orbit(x0: FinitePmf | AtomPmf | GeometricPmf, law: OffspringLaw,
     if x0.diverges(s):
         raise ValueError(f"E s^X diverges at s={s}")
     log_f, log_fp = x0.log_pgf_pair(s)
-    heads = _clip_heads(dists.as_finite(x0).probs, law.weights, a, steps)
+    heads = _clip_heads(x0.cut.probs, law.weights, a, steps)
     log_s = math.log(s)
     f, fp = LogReal.from_log(log_f), LogReal.from_log(log_fp)
     rows = []

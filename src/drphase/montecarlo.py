@@ -16,10 +16,9 @@ scheduling, and every sampler draws in whole arrays: the pool generation
 and the tree sizes in the `kernels` table, and the tree sampler's stream
 up front, in blocks, before its recursion reads it.  The kernels take the
 `OffspringLaw` itself, and the x0 draws here and a finite N's counts share
-`kernels.inverse_cdf`; an atom or geometric x0 is drawn from its cut,
-`dists.as_finite`.  A geometric N is drawn from the untruncated law
-(the cdf scan saturates only below 1e-18 mass), so no truncation cutoff is
-consulted here.
+`kernels.inverse_cdf`; every x0 is drawn from its weights, `cut`.  A
+geometric N is drawn from the untruncated law (the cdf scan saturates
+only below 1e-18 mass), so no truncation cutoff is consulted here.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import dists, kernels
+from . import kernels
 from .dists import ModelSpec, OffspringLaw
 from .evolution import q_bounds
 
@@ -79,7 +78,7 @@ def init_population(model: ModelSpec, pop_size: int, master_seed: int
     remainder slots drawn from the fractional residuals."""
     if pop_size < 1:
         raise ValueError(f"population size must be >= 1, got {pop_size}")
-    x0 = dists.as_finite(model.x0)
+    x0 = model.x0.cut
     values = x0.support
     weights = x0.probs[values]
     counts = np.floor(pop_size * weights).astype(np.int64)
@@ -145,7 +144,7 @@ def tree_sample(model: ModelSpec, n: int, seed: int) -> int:
     if not 0 <= n <= TREE_DEPTH_LIMIT:
         raise ValueError(f"tree sampling supports 0 <= n <= {TREE_DEPTH_LIMIT}, "
                          f"got {n}")
-    x0 = dists.as_finite(model.x0)
+    x0 = model.x0.cut
     values = x0.support
     x0_cdf = np.cumsum(x0.probs[values])
     law = model.offspring

@@ -11,8 +11,9 @@ the two-point law is affine in p, and the geometric law's generating
 function is rational in s.  `bisect_boundary` (named after the bisection
 it replaced, which the tests keep as their oracle) places an interval of
 width tol around the root and certifies it by the criterion's sign at both
-ends: four criterion evaluations per boundary, each on the member's law
-(`law`) and the family's a.  A family member's x0 is a `dists.AtomPmf` on
+ends: four criterion evaluations per boundary (two in `boundary_report`,
+whose grid holds the range's ends), each on the member's law (`law`) and
+the family's a.  A family member's x0 is a `dists.AtomPmf` on
 the values (0, high), which all members share, or a `dists.GeometricPmf`,
 so neither a scan nor a classify builds an array over 0..support_max; a
 two-point member's criterion values equal those of its FinitePmf bit for
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import criteria, dists
 from .criteria import PhaseVerdict
-# geometric_x0_pmf lives in dists, whose as_finite builds it; this
+# geometric_x0_pmf lives in dists, whose GeometricPmf.cut builds it; this
 # re-export is kept for perfbench/tracer.py, which wraps it here
 from .dists import (AtomPmf, GeometricPmf, ModelSpec, OffspringLaw,
                     geometric_x0_pmf)
@@ -208,6 +209,14 @@ def bisect_boundary(family, which: str,
     invariant bisection keeps; when it does not, BoundaryNotCertified is
     raised.
     """
+    _check_request(family, which, tol)
+    return _certified_root(family, which, tol,
+                           _criterion_value(family, which, EPS_PARAM),
+                           _criterion_value(family, which, 1.0 - EPS_PARAM))
+
+
+def _check_request(family, which: str, tol: float) -> None:
+    """bisect_boundary's argument checks, made before any evaluation."""
     if which not in ("super", "sub"):
         raise ValueError(f"which must be 'super' or 'sub', got {which!r}")
     if not tol > 0.0:  # NaN too
@@ -216,9 +225,13 @@ def bisect_boundary(family, which: str,
         # known from the family alone: build no law to learn it
         raise CriterionUnavailable(
             "the subcritical criterion requires a bounded offspring law")
+
+
+def _certified_root(family, which: str, tol: float, f_lo: float,
+                    f_hi: float) -> tuple[float, float]:
+    """bisect_boundary's interval, from the criterion's values f_lo and
+    f_hi at the ends of the range."""
     lo, hi = EPS_PARAM, 1.0 - EPS_PARAM
-    f_lo = _criterion_value(family, which, lo)
-    f_hi = _criterion_value(family, which, hi)
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise NoSignChange(
             f"criterion '{which}' has the same sign at both ends of "
@@ -240,7 +253,8 @@ def bisect_boundary(family, which: str,
 
 def boundary_report(family, grid_points: int = 9,
                     tol: float = DEFAULT_TOL) -> BoundaryReport:
-    """Grid verdicts plus both boundaries; missing boundaries become None,
+    """Grid verdicts plus both boundaries, as bisect_boundary gives them
+    from the range ends the grid holds; missing boundaries become None,
     with the reason kept in super_missing/sub_missing; where the two test
     points coincide, the sub ones are the super ones."""
     grid = tuple(scan(family, grid_points))
@@ -249,7 +263,9 @@ def boundary_report(family, grid_points: int = 9,
     shared = criteria.sub_point(family) == criteria.super_point(family)
     for which in ("super",) if shared else ("super", "sub"):
         try:
-            found[which] = bisect_boundary(family, which, tol)
+            _check_request(family, which, tol)
+            f_lo, f_hi = (getattr(grid[i][1], f"d_{which}") for i in (0, -1))
+            found[which] = _certified_root(family, which, tol, f_lo, f_hi)
         except (NoSignChange, CriterionUnavailable) as exc:
             # without its traceback, whose frames would keep the laws alive
             found[which], missing[which] = None, exc.with_traceback(None)

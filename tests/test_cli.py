@@ -364,6 +364,18 @@ def test_override_flags_a_command_does_not_read_exit_2(tmp_path, capsys,
     assert f"{command} takes no {flag[2:]}" in err
 
 
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    cfg = write_config(tmp_path, base_config())
+    for argv in (["evolve", "--steps", "1"], ["classify"]):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["classify", "--config", cfg, "--seed", "2"])
+            assert exc.value.code == 2
+            assert "classify takes no seed" in capsys.readouterr().err
+        assert run_main([*argv, "--config", cfg], capsys)[0] == 0
+
+
 def test_evolve_leak_budget_exit3_with_partial_rows(tmp_path, capsys):
     cfg = write_config(tmp_path, base_config(
         evolve={"steps": 30, "tail_eps": 1e-3, "leak_budget": 1e-12}))

@@ -3,6 +3,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -82,6 +83,62 @@ def test_d0_linear_in_weights():
 
 
 # -- classification -----------------------------------------------------------
+
+def exact_d0_sign(weights, a, s, m):
+    """Sign of sum_k w_k ((m-1) k - a) s^k at the float inputs, in mpmath
+    at 400 bits."""
+    with mpmath.workprec(400):
+        s_, m_ = mpmath.mpf(s), mpmath.mpf(m)
+        d = mpmath.fsum(mpmath.mpf(w) * ((m_ - 1) * k - a) * s_ ** k
+                        for k, w in weights.items())
+        return int(mpmath.sign(d))
+
+
+def takes_the_log_path(law, a, s, m):
+    f, fp = law.pgf_pair(s)
+    return not (math.isfinite((m - 1.0) * s * fp) and math.isfinite(a * f))
+
+
+def test_d0_decides_wide_laws_with_the_exact_sign():
+    # Past float64 range d0 sums its positive and its negative terms apart
+    # in log space: log F and log F' near 10^20 have an ulp of 8192, and
+    # their difference read 0.
+    rng = np.random.default_rng(26)
+    cases = [({0: 0.5, 10**20: 0.5}, 1, 2.0),
+             # an atom at a/(m-1), whose term is 0
+             ({1: 0.3, 2: 0.3, 10**19: 0.4}, 2, 2.0),
+             # no atom below a/(m-1): no negative term
+             ({1: 0.5, 10**18: 0.5}, 1, 3.0),
+             ({2: 0.25, 7: 0.25, 3 * 10**17: 0.5}, 1, 2.0)]
+    for _ in range(300):
+        top = int(10.0 ** rng.uniform(3, 19))
+        values = {top, *rng.integers(0, min(top, 50), int(rng.integers(1, 4)))
+                  .tolist()}
+        w = rng.dirichlet(np.ones(len(values)))
+        a, m = int(rng.choice([1, 2, 3])), float(rng.choice([1.5, 2.0, 3.0]))
+        cases.append((dict(zip(sorted(values), w.tolist())), a, m))
+    logs = 0
+    for weights, a, m in cases:
+        law, s = AtomPmf.from_dict(weights), m ** (1.0 / a)
+        if not takes_the_log_path(law, a, s, m):
+            continue
+        logs += 1
+        exact = exact_d0_sign(dict(zip(law.atoms[1].tolist(),
+                                       law.atoms[0].tolist())), a, s, m)
+        value = d0(law, a, s, m)
+        assert abs(value) > STRICTNESS_BAND, (weights, a, m, value)
+        assert np.sign(value) == exact, (weights, a, m, value)
+    assert logs > 250
+    # a FinitePmf's log path reads the same atoms
+    dense = {0: 0.5, 2000: 0.5}
+    assert takes_the_log_path(FinitePmf.from_dict(dense), 1, 2.0, 2.0)
+    assert d0(FinitePmf.from_dict(dense), 1, 2.0, 2.0) \
+        == d0(AtomPmf.from_dict(dense), 1, 2.0, 2.0) == math.inf
+    v = classify(ModelSpec(1, AtomPmf.from_dict({0: 0.5, 10**20: 0.5}),
+                           OffspringLaw.deterministic(2)))
+    assert (v.verdict, v.d_super, v.d_sub) == (SUPERCRITICAL, math.inf,
+                                               math.inf)
+
 
 def test_classify_supercritical_pinned():
     v = classify(two_point(0.5))

@@ -468,8 +468,8 @@ def test_two_point_law_equals_its_finite_pmf_bit_for_bit(h):
 
 def test_two_point_law_is_cut_once_as_its_finite_pmf():
     law = two_point(3, 0.25)
-    cut = dists.as_finite(law)
-    assert cut is law.cut is dists.as_finite(law)
+    cut = law.cut
+    assert cut is law.cut is law.cut
     assert cut.probs.tolist() == [0.75, 0.0, 0.0, 0.25]
     x0 = ModelSpec(1, law, SWEEP_LAWS[0]).x0
     assert x0 is law
@@ -525,8 +525,8 @@ def test_atom_law_equals_its_finite_pmf_bit_for_bit():
             assert repr(law.pgf_pair(s)) == repr(ref.pgf_pair(s)), (len(d), s)
             assert repr(law.log_pgf_pair(s)) \
                 == repr(ref.log_pgf_pair(s)), (len(d), s)
-        assert dists.as_finite(law).probs.tobytes() == ref.probs.tobytes()
-        assert dists.as_finite(law) is law.cut
+        assert law.cut.probs.tobytes() == ref.probs.tobytes()
+        assert law.cut is law.cut
 
 
 @pytest.mark.parametrize("weights", [
@@ -547,7 +547,7 @@ def test_atom_law_checks_its_mass_once():
     with pytest.raises(ValueError, match="^total mass 0.999999999998999"):
         FinitePmf.from_dict(EDGE_ATOMS)
     law = AtomPmf.from_dict(EDGE_ATOMS)
-    x = dists.as_finite(law)
+    x = law.cut
     dense = np.zeros(56)
     dense[list(EDGE_ATOMS)] = list(EDGE_ATOMS.values())
     assert x.probs.tobytes() == dense.tobytes() and x.leaked_mass == 0.0

@@ -9,6 +9,7 @@ import pytest
 from scipy import fft as sp_fft
 
 from drphase import dists, evolution
+from drphase.criteria import classify
 from drphase.dists import (
     MASS_TOL,
     AtomPmf,
@@ -443,18 +444,20 @@ def test_orbit_evaluates_no_log_pair_where_x0_diverges(monkeypatch):
     OffspringLaw.deterministic(2), OffspringLaw.finite_support({1: .5, 3: .5}),
     OffspringLaw.geometric(0.5)], ids=["deterministic", "finite", "geometric"])
 def test_orbit_builds_no_support_per_step(law, monkeypatch):
-    # the law's support tuple is built with the law; the orbit's only
-    # _support is the one a FinitePmf x0's log pair builds at n = 0
+    # the laws' support tuples are built once per law: an OffspringLaw's and
+    # an AtomPmf's with the law, a FinitePmf x0's at its first pair, kept
+    # across repeated orbits and classify
     calls = []
     support = dists._support
     monkeypatch.setattr(dists, "_support",
                         lambda probs: calls.append(probs.size) or support(probs))
     for x0, built in ((FinitePmf.from_dict({0: 0.5, 2: 0.5}), 1),
                       (AtomPmf.from_dict({0: 0.5, 2: 0.5}), 0)):
+        calls.clear()
         for steps in (1, 4, 12):
-            calls.clear()
             gf_orbit(x0, law, 1, 1.1, steps)
-            assert len(calls) == built, (x0, steps)
+            classify(ModelSpec(1, x0, law))
+        assert len(calls) == built, x0
 
 
 def test_orbit_matches_evolved_laws(battery):
@@ -630,7 +633,7 @@ def test_leak_floor_predicts_the_leak_stop(seed, monkeypatch):
            if seed % 4 == 0 else _draw_offspring(rng))
     model = ModelSpec(int(rng.integers(1, 4)), _draw_x0(rng), law)
     tail_eps, steps = 10.0 ** rng.uniform(-12, -4), 8
-    laws = [dists.as_finite(model.x0)]
+    laws = [model.x0.cut]
     for _ in range(steps):
         laws.append(step(laws[-1], model, tail_eps))
     leaks = [x.leaked_mass for x in laws]

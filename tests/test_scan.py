@@ -122,12 +122,13 @@ def test_boundary_report_bisects_once_where_the_test_points_coincide(
     fam = TwoPointFamily(1, high, OffspringLaw.deterministic(3))
     assert criteria.sub_point(fam) == criteria.super_point(fam)
     bisect = scan_module.bisect_boundary
+    certified = scan_module._certified_root
     calls = []
 
-    def counted(family, which, tol):
+    def counted(family, which, *args):
         calls.append(which)
-        return bisect(family, which, tol)
-    monkeypatch.setattr(scan_module, "bisect_boundary", counted)
+        return certified(family, which, *args)
+    monkeypatch.setattr(scan_module, "_certified_root", counted)
     rep = boundary_report(fam, 9)
     assert calls == ["super"]
     assert rep.sub_boundary == rep.super_boundary
@@ -140,6 +141,23 @@ def test_boundary_report_bisects_once_where_the_test_points_coincide(
     calls.clear()
     boundary_report(TwoPointFamily(2, high, OffspringLaw.deterministic(3)), 9)
     assert calls == ["super", "sub"]
+
+
+def test_boundary_report_evaluates_no_range_end(monkeypatch):
+    # the grid holds the criterion at both ends of the range; only the
+    # ends of the two certified intervals are evaluated again
+    fam = TwoPointFamily(2, 3, SWEEP_LAWS[2])
+    value = scan_module._criterion_value
+    params = []
+    monkeypatch.setattr(scan_module, "_criterion_value",
+                        lambda family, which, param:
+                        params.append(param) or value(family, which, param))
+    rep = boundary_report(fam, 41)
+    ends = {scan_module.EPS_PARAM, 1.0 - scan_module.EPS_PARAM}
+    assert len(params) == 4 and not ends & set(params)
+    assert rep.super_boundary == bisect_boundary(fam, "super")
+    assert rep.sub_boundary == bisect_boundary(fam, "sub")
+    assert set(params[4:]) >= ends
 
 
 def test_no_sign_change_is_an_explicit_outcome():
@@ -223,7 +241,7 @@ def test_geometric_x0_family_scans():
 def old_d0(model, s, m):
     """d0 as it was before the one-pass evaluator, on the kept functions
     and the law's weights."""
-    x = dists.as_finite(model.x0)
+    x = model.x0.cut
     with np.errstate(over="ignore"):
         first = (m - 1.0) * s * old_pgf_deriv(x, s)
         second = model.a * old_pgf_eval(x, s)
@@ -602,7 +620,7 @@ def test_array_consumers_read_the_cut_law_bit_for_bit(r):
     law = OffspringLaw.finite_support({1: 0.5, 3: 0.5})
     exact = ModelSpec(1, dists.GeometricPmf(r), law)
     cut = ModelSpec(1, geometric_x0_pmf(r), law)
-    assert dists.as_finite(exact.x0).probs.tobytes() \
+    assert exact.x0.cut.probs.tobytes() \
         == cut.x0.probs.tobytes()
     steps = 3 if r > 1e-3 else 1
     assert evolution.evolve(exact, steps).rows \
