@@ -2,13 +2,15 @@
 
 Times, for a baseline revision and the working tree (see passes.py for the
 pass scheme): one `mc_step` of a pool of 1e5 under deterministic, finite
-and geometric N; `ancestor_counts` of 1,000 trees at depth 10 under finite
+and geometric N; `mc_estimate_q` of a pool of 1e5 over 10 generations
+under each N; `ancestor_counts` of 1,000 trees at depth 10 under finite
 and geometric N; 32 `tree_sample`s at depth 8 under each N; and
 `init_population` of 1e5 samples from the geometric x0 of `r` = 1e-4
 (322,346 weights, 20,784 remainder slots).  The laws are those of
 perfbench's simulate workload.  BENCH_sampler.json also holds the sha256
-of every case's output on each side, and whether the two sides' outputs
-are identical.
+of every case's output on each side (of `mc_estimate_q`, its two bounds),
+and whether the two sides' outputs are identical, and each side's
+`mc_estimate_q` stderr apart.
 
     python benchmarks/bench_sampler.py --baseline REV
 
@@ -29,10 +31,10 @@ def measure():
     from drphase.dists import (FinitePmf, ModelSpec, OffspringLaw,
                                geometric_x0_pmf)
     from drphase.montecarlo import (ancestor_counts, init_population,
-                                    mc_step, tree_sample)
+                                    mc_estimate_q, mc_step, tree_sample)
 
-    def digest(arr):
-        data = np.asarray(arr, dtype="<i8").tobytes()
+    def digest(arr, dtype="<i8"):
+        data = np.asarray(arr, dtype=dtype).tobytes()
         return hashlib.sha256(data).hexdigest()
 
     laws = {"deterministic": OffspringLaw.deterministic(2),
@@ -45,6 +47,8 @@ def measure():
         pop = init_population(model, 100_000, SEED)
         cases[f"mc_step.{name}"] = (
             lambda pop=pop, model=model: mc_step(pop, model).samples)
+        cases[f"mc_estimate_q.{name}"] = (
+            lambda model=model: mc_estimate_q(model, 100_000, 10, SEED))
         cases[f"tree_sample.{name}"] = (
             lambda model=model: [tree_sample(model, 8, SEED + j)
                                  for j in range(32)])
@@ -55,11 +59,17 @@ def measure():
     cases["init_population.wide_x0"] = (
         lambda: init_population(wide, 100_000, SEED).samples)
 
-    timings, outputs = {}, {}
+    timings, outputs, stderr = {}, {}, {}
     for case, fn in cases.items():
-        outputs[case] = digest(fn())
+        out = fn()
+        if case.startswith("mc_estimate_q."):
+            stderr[case] = out.stderr
+            outputs[case] = digest(out[:2], "<f8")
+        else:
+            outputs[case] = digest(out)
         timings[case] = best_of(fn)
-    return {"timings_s": timings, "outputs": outputs, **versions()}
+    return {"timings_s": timings, "outputs": outputs, "stderr": stderr,
+            **versions()}
 
 
 if __name__ == "__main__":

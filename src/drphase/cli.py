@@ -25,7 +25,7 @@ import sys
 
 from . import criteria, evolution, montecarlo
 from .dists import AtomPmf, GeometricPmf, ModelSpec, OffspringLaw
-from .evolution import DEFAULT_STEPS, EvolutionStopped
+from .evolution import DEFAULT_STEPS, EvolutionStopped, SupportCapExceeded
 from .logreal import LogReal
 from .scan import (DEFAULT_TOL, BoundaryNotCertified, CriterionUnavailable,
                    GeometricX0Family, TwoPointFamily, boundary_report)
@@ -359,23 +359,17 @@ def cmd_simulate(cfg: dict, args) -> int:
         raise ConfigError(f"simulate.pop_size: must be >= 1, got {pop_size}")
 
     # exact means for as many generations as the engine can afford
-    exact: dict[int, float] = {}
     try:
         rows = evolution.evolve(model, steps,
                                 support_cap=AUDIT_SUPPORT_CAP).rows
+    except SupportCapExceeded as exc:
+        rows = exc.rows[:-1]  # its last row is the one past the cap
     except EvolutionStopped as exc:
-        # a cap stop's last row is past the cap; the other stops' rows are kept
-        rows = [r for r in exc.rows if r.support_max <= AUDIT_SUPPORT_CAP]
-    for row in rows:
-        exact[row.n] = row.mean_xn
+        rows = exc.rows  # the other stops' rows all lie within their limits
+    exact = {row.n: row.mean_xn for row in rows}
 
-    pop = montecarlo.init_population(model, pop_size, seed)
-    out = []
-    for n in range(steps + 1):
-        if n > 0:
-            pop = montecarlo.mc_step(pop, model)
-        se = pop.std() / math.sqrt(pop_size) if pop_size > 1 else 0.0
-        out.append([n, pop.mean(), se, exact.get(n)])
+    out = [[n, mean, se, exact.get(n)] for n, (mean, se) in
+           enumerate(montecarlo.pool_means(model, pop_size, steps, seed))]
     _emit_rows(["n", "mc_mean", "stderr", "exact_mean"], out, args.output)
     return 0
 

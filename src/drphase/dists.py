@@ -16,11 +16,11 @@ geometric law's can be).  Every finite law is evaluated by two array
 cores, `_pgf_pair` and `_log_pgf_pair`, each one pass over a support
 tuple (w, k, j, dense, slopes): positive weights w, their values k, the
 index j of the first k >= 1, whether k is 0..len(k)-1, and w[j:] k[j:];
-`_support` derives it from dense weights (a `FinitePmf`'s, once), an
-`AtomPmf` and an `OffspringLaw` keep theirs, a scan family's (G, K)
-weight matrix shares one k, and the powers of at most two values are
-cached by (s, k).  `pgf_eval`, `pgf_deriv`, `log_pgf_eval` and
-`log_pgf_deriv` are one side of a `FinitePmf`'s pairs.
+`_support` derives it from dense weights (a `FinitePmf`'s and an
+`OffspringLaw`'s, once, on first use), an `AtomPmf` keeps its own, a
+scan family's (G, K) weight matrix shares one k, and the powers of at
+most two values are cached by (s, k).  `pgf_eval`, `pgf_deriv`,
+`log_pgf_eval` and `log_pgf_deriv` are one side of a `FinitePmf`'s pairs.
 
 An initial law is a finite law, a `FinitePmf` or an `AtomPmf` (kept as
 its atoms: the CLI's finite x0, a two-point family member), read by
@@ -29,7 +29,7 @@ its atoms: the CLI's finite x0, a two-point family member), read by
 for the readers of weights (`evolution.evolve`, the x0 draws, the clip
 heads of `evolution.gf_orbit`, `mean`): a FinitePmf is its own cut, the
 others build theirs once, on first use.  An `OffspringLaw` is its
-weights: kind, mean, bound and atoms derive from them.
+weights: kind, mean and bound derive from them, and atoms on first use.
 """
 
 from __future__ import annotations
@@ -544,7 +544,8 @@ class OffspringLaw:
     kind ('geometric' when success_prob is set, else 'deterministic' for
     one positive count, else 'finite'), mean, exact for all three kinds
     (1/p at any cutoff), bound, the essential supremum, None for geometric
-    laws, unbounded at any cutoff, and atoms, the weights' support tuple.
+    laws, unbounded at any cutoff; and atoms, the weights' support tuple,
+    built on first use (a finite N's pgf_pair and the log pair read it).
     """
 
     weights: np.ndarray
@@ -553,7 +554,6 @@ class OffspringLaw:
     kind: str = field(init=False)
     mean: float = field(init=False)
     bound: int | None = field(init=False)
-    atoms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=np.float64)
@@ -581,9 +581,14 @@ class OffspringLaw:
         kind = ("geometric" if geometric else "deterministic"
                 if np.count_nonzero(w) == 1 else "finite")
         for name, value in (("weights", w), ("success_prob", p), ("kind", kind),
-                            ("mean", mean), ("atoms", _support(w)),
+                            ("mean", mean),
                             ("bound", None if geometric else w.size - 1)):
             object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def atoms(self) -> tuple:
+        """The weights' support tuple, built on first use and kept."""
+        return _support(self.weights)
 
     @classmethod
     def deterministic(cls, n: int) -> "OffspringLaw":

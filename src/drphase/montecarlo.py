@@ -6,7 +6,10 @@ Two independent estimators live here:
   through the recursion by resampling summands uniformly from the previous
   pool.  Cost per generation is O(P * E N); the price is an O(1/P)
   correlation bias, documented and accepted, since the exact engine is the
-  source of truth and the simulator is a sanity layer;
+  source of truth and the simulator is a sanity layer.  `pool_means` is
+  its one run, each generation's mean with a standard error that carries
+  every earlier generation's resampling error; the CLI's `simulate`
+  prints its rows and `mc_estimate_q` reads its last;
 * an exact tree sampler for small depths, with no bias at all, whose cost
   grows like (E N)^depth per sample.
 
@@ -104,20 +107,42 @@ def mc_step(pop: Population, model: ModelSpec) -> Population:
     return Population(out, gen, pop.master_seed)
 
 
+def pool_means(model: ModelSpec, pop_size: int, steps: int, seed: int
+               ) -> list[tuple[float, float]]:
+    """(pool mean, standard error) at each generation n = 0..steps of one
+    pool run: init_population, then `steps` calls of mc_step.
+
+    The pool mean at generation n carries every generation's resampling
+    error, and each later generation multiplies an error by at most
+    mu = E N, so var_n = mu^2 var_{n-1} + s_n^2 / P, with s_n the pool's
+    sample std.  The stratified start adds none (var_0 = 0), and a pool of
+    one sample, whose std is undefined, keeps se 0.
+    """
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    mu2 = model.offspring.mean ** 2
+    pop = init_population(model, pop_size, seed)
+    rows = [(pop.mean(), 0.0)]
+    var = 0.0
+    for _ in range(steps):
+        pop = mc_step(pop, model)
+        if pop_size > 1:
+            var = mu2 * var + pop.std() ** 2 / pop_size
+        rows.append((pop.mean(), math.sqrt(var)))
+    return rows
+
+
 def mc_estimate_q(model: ModelSpec, pop_size: int, steps: int, seed: int
                   ) -> QEstimate:
-    """Plug the generation-`steps` pool mean into the exact bound formulas."""
+    """Plug the generation-`steps` pool mean into the exact bound formulas;
+    the standard error is the pool run's, in q units (divided by mu^steps)."""
     if pop_size < 1000:
         raise ValueError(f"population size must be >= 1000 for estimates, "
                          f"got {pop_size}")
-    pop = init_population(model, pop_size, seed)
-    for _ in range(steps):
-        pop = mc_step(pop, model)
-    upper, lower = q_bounds(pop.mean(), steps, model)
-    std = pop.std()
-    if std > 0.0:
-        log_se = (math.log(std) - 0.5 * math.log(pop_size)
-                  - steps * math.log(model.offspring.mean))
+    mean, se = pool_means(model, pop_size, steps, seed)[-1]
+    upper, lower = q_bounds(mean, steps, model)
+    if se > 0.0:
+        log_se = math.log(se) - steps * math.log(model.offspring.mean)
         stderr = math.exp(max(log_se, -745.0))
     else:
         stderr = 0.0

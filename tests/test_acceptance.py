@@ -39,7 +39,8 @@ from drphase.dists import (
     pgf_eval,
 )
 from drphase.evolution import evolve, gf_orbit
-from drphase.montecarlo import ancestor_counts, init_population, mc_step
+from drphase.montecarlo import (ancestor_counts, init_population, mc_step,
+                                pool_means)
 from drphase.scan import TwoPointFamily, bisect_boundary, scan
 
 from conftest import _draw_offspring
@@ -318,12 +319,9 @@ def test_criterion_09_monte_carlo_consistency():
 
     t0 = time.perf_counter()
     exact = evolve(model, 10, tail_eps=0.0).rows[-1].mean_xn
-    pop = init_population(model, 100_000, master_seed=0)
-    for _ in range(10):
-        pop = mc_step(pop, model)
-    se = pop.std() / math.sqrt(100_000)
-    gap = abs(pop.mean() - exact)
-    assert gap <= 4.0 * se, (pop.mean(), exact, se)
+    mean, se = pool_means(model, 100_000, 10, seed=0)[-1]
+    gap = abs(mean - exact)
+    assert gap <= 4.0 * se, (mean, exact, se)
 
     counts = ancestor_counts(law, depth=10, n_trees=10_000, seed=7)
     tree_se = counts.std(ddof=1) / math.sqrt(counts.size)

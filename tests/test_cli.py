@@ -15,7 +15,7 @@ import tracemalloc
 import mpmath
 import pytest
 
-from drphase import cli, criteria, dists
+from drphase import cli, criteria, dists, montecarlo
 from drphase.dists import ModelSpec, OffspringLaw
 from drphase.logreal import LogReal
 
@@ -478,6 +478,32 @@ def test_simulate_tracks_exact_mean(tmp_path, capsys):
     _, rows = read_csv_rows(out)
     for n, mc_mean, stderr, exact in rows[1:]:
         assert abs(float(mc_mean) - float(exact)) <= 6.0 * float(stderr)
+
+
+def test_simulate_prints_the_pool_run(tmp_path, capsys):
+    # the mc_mean and stderr columns are montecarlo.pool_means' rows
+    cfg = write_config(tmp_path, base_config(
+        simulate={"steps": 4, "pop_size": 2000, "seed": 5}))
+    code, out, _ = run_main(["simulate", "--config", cfg,
+                             "--output", "json"], capsys)
+    assert code == 0
+    rows = [(r["mc_mean"], r["stderr"]) for r in json.loads(out)["rows"]]
+    assert rows == montecarlo.pool_means(cli.parse_model(base_config()),
+                                         2000, 4, 5)
+
+
+def test_simulate_keeps_the_rows_before_a_cap_stop(tmp_path, capsys,
+                                                    monkeypatch):
+    # x0's top value passes the cap; only the stop's last row, generation
+    # 1, is past it, so generation 0's exact mean is printed
+    monkeypatch.setattr(cli, "AUDIT_SUPPORT_CAP", 4)
+    cfg = write_config(tmp_path, base_config(
+        x0={"type": "finite", "pmf": [[0, 0.5], [5, 0.5]]},
+        simulate={"steps": 2, "pop_size": 10, "seed": 1}))
+    code, out, err = run_main(["simulate", "--config", cfg,
+                               "--output", "csv"], capsys)
+    assert (code, err) == (0, "")
+    assert [row[3] for row in read_csv_rows(out)[1]] == ["2.5", "", ""]
 
 
 def test_simulate_readme_model_exact_column_ends_at_n23(tmp_path, capsys):

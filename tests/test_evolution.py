@@ -440,24 +440,28 @@ def test_orbit_evaluates_no_log_pair_where_x0_diverges(monkeypatch):
             gf_orbit(dists.GeometricPmf(0.35), law, 1, s, 2)
 
 
-@pytest.mark.parametrize("law", [
-    OffspringLaw.deterministic(2), OffspringLaw.finite_support({1: .5, 3: .5}),
-    OffspringLaw.geometric(0.5)], ids=["deterministic", "finite", "geometric"])
-def test_orbit_builds_no_support_per_step(law, monkeypatch):
-    # the laws' support tuples are built once per law: an OffspringLaw's and
-    # an AtomPmf's with the law, a FinitePmf x0's at its first pair, kept
-    # across repeated orbits and classify
+@pytest.mark.parametrize("make_law", [
+    lambda: OffspringLaw.deterministic(2),
+    lambda: OffspringLaw.finite_support({1: .5, 3: .5}),
+    lambda: OffspringLaw.geometric(0.5)],
+    ids=["deterministic", "finite", "geometric"])
+def test_orbit_builds_no_support_per_step(make_law, monkeypatch):
+    # a FinitePmf x0 and an OffspringLaw build their support tuples on first
+    # use and keep them across repeated orbits and classify; an AtomPmf is
+    # built with its own
     calls = []
     support = dists._support
     monkeypatch.setattr(dists, "_support",
                         lambda probs: calls.append(probs.size) or support(probs))
-    for x0, built in ((FinitePmf.from_dict({0: 0.5, 2: 0.5}), 1),
-                      (AtomPmf.from_dict({0: 0.5, 2: 0.5}), 0)):
-        calls.clear()
+    for x0, built in ((FinitePmf.from_dict({0: 0.5, 2: 0.5}), 2),
+                      (AtomPmf.from_dict({0: 0.5, 2: 0.5}), 1)):
+        law = make_law()
+        assert calls == []
         for steps in (1, 4, 12):
             gf_orbit(x0, law, 1, 1.1, steps)
             classify(ModelSpec(1, x0, law))
         assert len(calls) == built, x0
+        calls.clear()
 
 
 def test_orbit_matches_evolved_laws(battery):

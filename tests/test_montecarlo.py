@@ -7,7 +7,7 @@ import pytest
 from sampler_reference import init_population_loop, tree_sample_recursive
 
 from drphase.dists import FinitePmf, ModelSpec, OffspringLaw, geometric_x0_pmf
-from drphase.evolution import evolve
+from drphase.evolution import evolve, q_bounds
 from drphase.montecarlo import (
     TREE_DEPTH_LIMIT,
     Population,
@@ -15,6 +15,7 @@ from drphase.montecarlo import (
     init_population,
     mc_estimate_q,
     mc_step,
+    pool_means,
     tree_sample,
 )
 
@@ -27,6 +28,11 @@ def super_model():
 def sub_model():
     return ModelSpec(a=1, x0=FinitePmf.from_dict({0: 0.9, 2: 0.1}),
                      offspring=OffspringLaw.deterministic(2))
+
+
+def finite_n_model():
+    return ModelSpec(a=1, x0=FinitePmf.from_dict({0: 0.6, 2: 0.4}),
+                     offspring=OffspringLaw.finite_support({1: 0.6, 3: 0.4}))
 
 
 # -- determinism --------------------------------------------------------------
@@ -110,6 +116,44 @@ def test_mc_estimate_q_zero_steps_is_plugin():
     assert est.q_lower_hat == 0.0
 
 
+def test_mc_estimate_q_reads_the_pool_runs_last_row():
+    # the bounds are q_bounds of the last pool mean, bit for bit, and the
+    # stderr is that row's se in q units
+    for model in (super_model(), sub_model()):
+        mean, se = pool_means(model, 5000, 8, 3)[-1]
+        est = mc_estimate_q(model, 5000, 8, 3)
+        assert (est.q_upper_hat, est.q_lower_hat) == q_bounds(mean, 8, model)
+        assert est.stderr == pytest.approx(se / 2.0 ** 8, rel=1e-15)
+
+
+def test_pool_se_propagates_every_generations_error():
+    # var_n = mu^2 var_{n-1} + s_n^2 / P from var_0 = 0, over the pools
+    # that init_population and mc_step give; a pool of one sample has se 0
+    model = finite_n_model()
+    rows = pool_means(model, 3000, 6, 9)
+    pop = init_population(model, 3000, 9)
+    var = 0.0
+    assert rows[0] == (pop.mean(), 0.0)
+    for mean, se in rows[1:]:
+        pop = mc_step(pop, model)
+        var = model.offspring.mean ** 2 * var + pop.std() ** 2 / 3000
+        assert (mean, se) == (pop.mean(), math.sqrt(var))
+    assert [se for _, se in pool_means(model, 1, 6, 9)] == [0.0] * 7
+
+
+def test_pool_se_is_calibrated():
+    # the error bar has the size of the error: over 12 seeds on two
+    # models, the mean z^2 at n = 10 lies in the central 99% interval of
+    # chi^2(24)/24; one generation's pool std / sqrt(P) reads about 430
+    z2 = []
+    for model in (super_model(), finite_n_model()):
+        exact = evolve(model, 10, tail_eps=0.0).rows[-1].mean_xn
+        for seed in range(12):
+            mean, se = pool_means(model, 20_000, 10, seed)[-1]
+            z2.append(((mean - exact) / se) ** 2)
+    assert 0.412 <= float(np.mean(z2)) <= 1.898, z2
+
+
 def test_mc_estimate_q_rejects_small_pool():
     with pytest.raises(ValueError, match=">= 1000"):
         mc_estimate_q(super_model(), pop_size=999, steps=1, seed=0)
@@ -153,6 +197,8 @@ def test_sampler_argument_checks():
         init_population(model, 0, 1)
     with pytest.raises(ValueError, match="^population is empty$"):
         mc_step(Population(np.zeros(0, dtype=np.int64), 0, 1), model)
+    with pytest.raises(ValueError, match="^steps must be >= 0, got -1$"):
+        pool_means(model, 10, -1, 1)
     law = OffspringLaw.deterministic(2)
     with pytest.raises(ValueError, match="^depth must be >= 0, got -1$"):
         ancestor_counts(law, -1, 1, seed=1)
