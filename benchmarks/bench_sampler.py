@@ -7,7 +7,10 @@ under each N; `ancestor_counts` of 1,000 trees at depth 10 under finite
 and geometric N; 32 `tree_sample`s at depth 8 under each N; and
 `init_population` of 1e5 samples from the geometric x0 of `r` = 1e-4
 (322,346 weights, 20,784 remainder slots).  The laws are those of
-perfbench's simulate workload.  BENCH_sampler.json also holds the sha256
+perfbench's simulate workload.  Two more cases take a geometric N of
+p = .05, whose count cdf has 750 knots: one `mc_step` of a pool of 1e5,
+and `ancestor_counts` of 1,000 trees at depth 2 (mean 20 per node, so
+depth 6 would be about 6e10 nodes).  BENCH_sampler.json also holds the sha256
 of every case's output on each side (of `mc_estimate_q`, its two bounds),
 and whether the two sides' outputs are identical, and each side's
 `mc_estimate_q` stderr apart.
@@ -55,6 +58,13 @@ def measure():
     for name in ("finite", "geometric"):
         cases[f"ancestor_counts.{name}"] = (
             lambda law=laws[name]: ancestor_counts(law, 10, 1000, SEED))
+    long_law = OffspringLaw.geometric(0.05)
+    long_model = ModelSpec(1, x0, long_law)
+    long_pop = init_population(long_model, 100_000, SEED)
+    cases["mc_step.geometric_p05"] = (
+        lambda: mc_step(long_pop, long_model).samples)
+    cases["ancestor_counts.geometric_p05"] = (
+        lambda: ancestor_counts(long_law, 2, 1000, SEED))
     wide = ModelSpec(1, geometric_x0_pmf(1e-4), laws["finite"])
     cases["init_population.wide_x0"] = (
         lambda: init_population(wide, 100_000, SEED).samples)

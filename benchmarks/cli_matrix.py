@@ -8,17 +8,18 @@ tree's `src/`: `classify`, `evolve`, `estimate-q`, `simulate` and
 geometric-N model, a geometric-x0 model with geometric N, a finite-N model,
 a finite N of one count, {3: 1}, which is the deterministic law, a
 subcritical model and a model whose x0 has three atoms with gaps),
-`classify` on an x0 {0: .999, 1e6: .001}, `evolve` and `estimate-q` on the
+`classify` on an x0 {0: .999, 1e6: .001}, `simulate` on a geometric N of
+p = .05 (a count cdf of 750 knots), `evolve` and `estimate-q` on the
 README model and
 on the finite-N model with no command block (all four exit 3 at generation
 23, past the default leak budget, so the partial-output paths are compared
-too), and `scan` on five `two_point` families (high 3; high 1; geometric
+too), and `scan` on six `two_point` families (high 3; high 1; geometric
 N, where the sub boundary is n/a; high 1024, where s^high overflows and
 the criterion takes the log path through the law's weights; high 1500,
 where s^(high-1) is known to overflow before any power is taken, so every
 grid member takes that path; high 3 with the three-atom x0, which the
 scan validates and ignores) and one `geometric_x0` family, each in the
-three formats: 141 invocations per side.  Each invocation's stdout, stderr
+three formats: 144 invocations per side.  Each invocation's stdout, stderr
 and exit code must be equal on both sides.  Prints one line per difference
 and a summary, and exits 1 if there is any difference, 0 otherwise.
 
@@ -63,6 +64,11 @@ MODELS = {
 # a two-point x0 whose dense weights would hold 1e6 + 1 entries
 HIGH_X0 = {"a": 1, "N": {"type": "deterministic", "n": 2},
            "x0": {"type": "finite", "pmf": [[0, 0.999], [10**6, 0.001]]}}
+# a geometric N of mean 20, whose count cdf has 750 knots; a pool of 2e4
+# draws its counts through a guide table of 2^10 cells
+LONG_GEOMETRIC_N = {"a": 1, "x0": FINITE,
+                    "N": {"type": "geometric", "p": 0.05},
+                    "simulate": {"steps": 2, "pop_size": 20_000, "seed": 7}}
 FAMILIES = {
     "two-point": {"a": 2, "N": {"type": "deterministic", "n": 2},
                   "scan": {"family": {"type": "two_point", "high": 3},
@@ -97,6 +103,7 @@ def cases(tmp):
              for name in ("readme", "finite-n")
              for command in ("evolve", "estimate-q")]
     runs += [("classify", "high-x0", HIGH_X0)]
+    runs += [("simulate", "long-geometric-n", LONG_GEOMETRIC_N)]
     runs += [("scan", name, doc) for name, doc in FAMILIES.items()]
     out = []
     for command, name, doc in runs:

@@ -10,11 +10,14 @@ draw in whole arrays: `_mc_step` draws every sample's count at once and
 then summand j of every sample still drawing one, and `_gw_sizes` draws
 all nodes of one level of all its trees in one pass.  The table's samplers,
 `mc_step(samples, a, master, gen, law)` and `gw_sizes(seeds, depth, law)`,
-read the `dists.OffspringLaw` itself; every inverse-cdf draw is `inverse_cdf`.
+read the `dists.OffspringLaw` itself; every inverse-cdf draw, of a finite
+or a geometric count or of an x0 value, is `inverse_cdf`, one guide-table
+lookup per uniform and a search for the few it cannot place.
 """
 
 from __future__ import annotations
 
+import math
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -29,8 +32,8 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _INV53 = 2.0 ** -53
 
-# Geometric sampling stops refining the cdf once the per-count mass falls
-# below this; the saturated count is then returned as drawn.
+# A geometric count cdf stops at the last count whose mass is above this;
+# a uniform above its last knot draws that saturated count.
 _GEOM_MASS_FLOOR = 1e-18
 
 
@@ -91,38 +94,76 @@ def stream_uniforms(h: int, start: int, stop: int) -> np.ndarray:
     return _uniforms_np(stream_hashes(h, start, stop))
 
 
+# A guide table holds about one cell per _GUIDE_LOAD uniforms, and at most
+# 2^_GUIDE_MAX_BITS cells.
+_GUIDE_LOAD = 16
+_GUIDE_MAX_BITS = 10
+
+
 def inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The one inverse-cdf draw: for each uniform, the index of the first
-    cdf knot above it, clamped to the last index."""
-    idx = np.searchsorted(cdf, u, side="right").astype(np.int64, copy=False)
-    np.minimum(idx, len(cdf) - 1, out=idx)
+    """The one inverse-cdf draw: for each uniform u >= 0, the index of the
+    first cdf knot above it, clamped to the last index, which is
+    searchsorted(cdf, u, side="right") through a guide table (Chen and
+    Asau 1974).  The table cuts [0, 1) into 2^b equal cells, and entry c
+    is the index of the first knot above c / 2^b.  A uniform's cell is
+    floor(u 2^b), exact since 2^b is a power of two (u >= 1 is clipped to
+    the last cell), so its entry is a lower bound on its index, and the
+    index itself unless that knot lies in the cell at or below the
+    uniform: only those uniforms are searched."""
+    last = len(cdf) - 1
+    bits = min(max(len(u) // _GUIDE_LOAD, 1).bit_length() - 1,
+               _GUIDE_MAX_BITS)
+    cells = 1 << bits
+    edges = np.append(np.arange(cells) / cells, np.inf)
+    guide = np.searchsorted(cdf, edges, side="right").astype(np.int64)
+    holds = guide[1:] > guide[:-1]  # the cell holds a knot above its edge
+    guide = np.minimum(guide[:-1], last)
+    cell = np.empty(len(u), dtype=np.int64)
+    np.multiply(u, cells, out=cell, casting="unsafe")
+    hit = np.flatnonzero(holds.take(cell, mode="clip"))
+    # in place (take reads each slot's cell before it writes the slot): a
+    # second array of len(u) here raised a simulate run's peak RSS by 4 MB
+    idx = guide.take(cell, mode="clip", out=cell)
+    hit = hit[cdf.take(idx[hit]) <= u[hit]]
+    found = np.searchsorted(cdf, u[hit], side="right")
+    idx[hit] = np.minimum(found, last)
     return idx
+
+
+def _geometric_cdf(p: float) -> np.ndarray:
+    """Count cdf of a geometric N on {1, 2, ...} as the scalar quantile
+    loop forms it: c_1 = p, then c_{k+1} = c_k + m_{k+1} with the
+    incremental products m_{k+1} = m_k (1 - p), up to the last count whose
+    mass m_k is above _GEOM_MASS_FLOOR.  `inverse_cdf`'s clamp to the last
+    knot then returns that count for every uniform above the cdf."""
+    q = 1.0 - p
+    # m_k = p q^(k-1) reaches the floor after about this many counts; the
+    # products drift by a few ulp, so a short guess is doubled
+    n = max(2, int(math.log(_GEOM_MASS_FLOOR / p) / math.log(q)) + 3)
+    while True:
+        mass = np.full(n, q)
+        mass[0] = p
+        np.multiply.accumulate(mass, out=mass)
+        low = np.flatnonzero(mass[1:] <= _GEOM_MASS_FLOOR)
+        if low.size:
+            break
+        n *= 2
+    knots = mass[:low[0] + 1]
+    np.add.accumulate(knots, out=knots)
+    return knots
 
 
 def _draw_counts_np(u: np.ndarray, law: OffspringLaw) -> np.ndarray:
     """Vectorized inverse-cdf draw of offspring counts (all >= 1) from a 1-d
-    array of uniforms; each count depends on its own uniform alone.  The
-    samplers draw no count for a deterministic law; drawn here, it takes
-    the finite path, whose cdf is 0 up to the count and 1 from it."""
-    if law.kind != "geometric":  # count k is knot k - 1 of the cdf
-        n = inverse_cdf(np.cumsum(law.weights[1:]), u)
-        n += 1
-        return n
-    # Geometric on {1, 2, ...}, uncut: scan the cdf with incremental powers,
-    # the float sequence of the scalar quantile loop, over the draws not yet
-    # resolved only.
-    n = np.ones(u.shape, dtype=np.int64)
-    c = m = p = law.success_prob
-    k = 1
-    idx = np.flatnonzero(u >= c)
-    while idx.size:
-        m *= 1.0 - p
-        if m <= _GEOM_MASS_FLOOR:
-            break
-        c += m
-        k += 1
-        n[idx] = k
-        idx = idx[u[idx] >= c]
+    array of uniforms; each count depends on its own uniform alone.  Count k
+    is knot k - 1 of the cdf: a finite law's cumulative weights, or a
+    geometric law's `_geometric_cdf`.  The samplers draw no count for a
+    deterministic law; drawn here, its cdf is 0 up to the count and 1 from
+    it."""
+    cdf = (_geometric_cdf(law.success_prob) if law.kind == "geometric"
+           else np.cumsum(law.weights[1:]))
+    n = inverse_cdf(cdf, u)
+    n += 1
     return n
 
 

@@ -18,15 +18,16 @@ index, draw index), so runs reproduce bit for bit regardless of host or
 scheduling, and every sampler draws in whole arrays: the pool generation
 and the tree sizes in the `kernels` table, and the tree sampler's stream
 up front, in blocks, before its recursion reads it.  The kernels take the
-`OffspringLaw` itself, and the x0 draws here and a finite N's counts share
+`OffspringLaw` itself, and the x0 draws here and every count share
 `kernels.inverse_cdf`; every x0 is drawn from its weights, `cut`.  A
-geometric N is drawn from the untruncated law (the cdf scan saturates
-only below 1e-18 mass), so no truncation cutoff is consulted here.
+geometric N is drawn from the untruncated law, whose count cdf runs to the
+last count of mass above 1e-18, so no truncation cutoff is consulted here.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -38,6 +39,8 @@ from .evolution import q_bounds
 
 # Exact tree sampling costs ~(E N)^depth draws per sample; refuse beyond this.
 TREE_DEPTH_LIMIT = 12
+# log of the largest float: math.exp of it is finite
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -107,46 +110,64 @@ def mc_step(pop: Population, model: ModelSpec) -> Population:
     return Population(out, gen, pop.master_seed)
 
 
-def pool_means(model: ModelSpec, pop_size: int, steps: int, seed: int
-               ) -> list[tuple[float, float]]:
-    """(pool mean, standard error) at each generation n = 0..steps of one
-    pool run: init_population, then `steps` calls of mc_step.
+def _pool_run(model: ModelSpec, pop_size: int, steps: int, seed: int
+              ) -> list[tuple[float, float]]:
+    """(pool mean, w) at each generation n = 0..steps of one pool run:
+    init_population, then `steps` calls of mc_step.
 
     The pool mean at generation n carries every generation's resampling
     error, and each later generation multiplies an error by at most
-    mu = E N, so var_n = mu^2 var_{n-1} + s_n^2 / P, with s_n the pool's
-    sample std.  The stratified start adds none (var_0 = 0), and a pool of
-    one sample, whose std is undefined, keeps se 0.
+    mu = E N, so its variance is mu^(2n) w_n with w_n = sum over k <= n of
+    s_k^2 / (P mu^(2k)), s_k the pool's sample std at generation k: w_n is
+    the variance in q units, which stays in float range however deep the
+    run.  The stratified start adds none (w_0 = 0), and a pool of one
+    sample, whose std is undefined, keeps w 0.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    mu2 = model.offspring.mean ** 2
+    log_mu = math.log(model.offspring.mean)
     pop = init_population(model, pop_size, seed)
     rows = [(pop.mean(), 0.0)]
-    var = 0.0
-    for _ in range(steps):
+    w = 0.0
+    for n in range(1, steps + 1):
         pop = mc_step(pop, model)
         if pop_size > 1:
-            var = mu2 * var + pop.std() ** 2 / pop_size
-        rows.append((pop.mean(), math.sqrt(var)))
+            w += (pop.std() * math.exp(-n * log_mu)) ** 2 / pop_size
+        rows.append((pop.mean(), w))
     return rows
+
+
+def pool_means(model: ModelSpec, pop_size: int, steps: int, seed: int
+               ) -> list[tuple[float, float]]:
+    """(pool mean, standard error) at each generation n = 0..steps of one
+    pool run; the se is mu^n sqrt(w_n) (see `_pool_run`), formed in log
+    space where mu^n leaves float range: inf only where the se does."""
+    mu = model.offspring.mean
+    return [(mean, _grown_se(mu, n, w)) for n, (mean, w) in
+            enumerate(_pool_run(model, pop_size, steps, seed))]
+
+
+def _grown_se(mu: float, n: int, w: float) -> float:
+    """mu^n sqrt(w), in log space where mu^n leaves float range."""
+    if w == 0.0:
+        return 0.0
+    try:
+        return mu ** n * math.sqrt(w)
+    except OverflowError:
+        log_se = n * math.log(mu) + 0.5 * math.log(w)
+        return math.exp(log_se) if log_se <= _LOG_MAX else math.inf
 
 
 def mc_estimate_q(model: ModelSpec, pop_size: int, steps: int, seed: int
                   ) -> QEstimate:
     """Plug the generation-`steps` pool mean into the exact bound formulas;
-    the standard error is the pool run's, in q units (divided by mu^steps)."""
+    the standard error is the pool run's in q units, sqrt(w_steps)."""
     if pop_size < 1000:
         raise ValueError(f"population size must be >= 1000 for estimates, "
                          f"got {pop_size}")
-    mean, se = pool_means(model, pop_size, steps, seed)[-1]
+    mean, w = _pool_run(model, pop_size, steps, seed)[-1]
     upper, lower = q_bounds(mean, steps, model)
-    if se > 0.0:
-        log_se = math.log(se) - steps * math.log(model.offspring.mean)
-        stderr = math.exp(max(log_se, -745.0))
-    else:
-        stderr = 0.0
-    return QEstimate(upper, lower, stderr)
+    return QEstimate(upper, lower, math.sqrt(w))
 
 
 def ancestor_counts(offspring: OffspringLaw, depth: int, n_trees: int,
@@ -178,15 +199,16 @@ def tree_sample(model: ModelSpec, n: int, seed: int) -> int:
     # Draw i of the stream is uniform53(hash_path(seed, i)), and the
     # recursion takes draws in depth-first order: one per leaf for its x0
     # value and one per inner node for its count (none for a deterministic
-    # N).  Both readings of every draw are made up front, in blocks that
-    # double when the recursion runs past them.
+    # N).  Both readings of every draw are made up front, in blocks of at
+    # least 1024 that double when the recursion runs past them, so that
+    # few blocks build their inverse-cdf tables.
     h0 = kernels.hash_path(seed)
     leaf: list[int] = []
     kids: list[int] = []
 
     def extend(need: int) -> None:
         start = len(leaf)
-        stop = max(2 * start, 64, need)
+        stop = max(2 * start, 1024, need)
         u = kernels.stream_uniforms(h0, start, stop)
         leaf.extend(values[kernels.inverse_cdf(x0_cdf, u)].tolist())
         if not deterministic:

@@ -73,8 +73,8 @@ def test_draw_counts_geometric_matches_closed_form():
 
 
 def test_draw_counts_geometric_saturates_in_far_tail():
-    # the incremental cdf scan stops refining once the residual mass drops
-    # below 1e-18; a u this close to 1 must return that count, not loop on
+    # the geometric cdf ends at the last count whose mass is above 1e-18;
+    # a u this close to 1 must return a count at most that one
     law = OffspringLaw.geometric(0.63)
     out = kernels._draw_counts_np(np.array([1.0 - 2.0**-53]), law)
     assert 30 <= out[0] <= 120
@@ -94,10 +94,10 @@ def test_get_backend_is_one_numpy_table():
     assert table.name == "numpy"
 
 
-def parity_uniforms(knots: np.ndarray) -> np.ndarray:
+def parity_uniforms(knots: np.ndarray, hashed: int = 10_000) -> np.ndarray:
     """Hashed uniforms plus the cdf knots, one ulp either side of each, and
     both ends of [0, 1)."""
-    hashed = np.array([uniform53(hash_path(29, i)) for i in range(10_000)])
+    hashed = np.array([uniform53(hash_path(29, i)) for i in range(hashed)])
     return np.concatenate([
         hashed, knots, np.nextafter(knots, 0.0), np.nextafter(knots, 1.0),
         [0.0, 1.0 - 2.0**-53]])
@@ -133,10 +133,76 @@ def geometric_knots(p: float) -> np.ndarray:
     return np.array([k for k in knots if k < 1.0])
 
 
-@pytest.mark.parametrize("p", [0.37, 0.5, 0.63, 0.9])
+# the scalar loop takes one pass per count, so at p = 1e-3 (34,522 knots)
+# it is fed every 1000th knot, the last three and 500 hashed uniforms
+@pytest.mark.parametrize("p", [0.37, 0.5, 0.63, 0.9, 0.999, 0.05, 1e-3])
 def test_draw_count_matches_vector_sampler_geometric(p):
-    assert_counts_match_scalar_loop(parity_uniforms(geometric_knots(p)),
+    thin, hashed = (1000, 500) if p < 0.01 else (1, 10_000)
+    knots = geometric_knots(p)
+    knots = np.concatenate([knots[::thin], knots[-3:]])
+    assert_counts_match_scalar_loop(parity_uniforms(knots, hashed),
                                     OffspringLaw.geometric(p))
+
+
+def test_geometric_cdf_is_the_scalar_loops_knots():
+    # the knots end at the last count of mass above the floor, which the
+    # loop and the clamp to the last index return from the last knot on
+    for p in (0.999, 0.63, 0.5, 0.05, 1e-3):
+        cdf = kernels._geometric_cdf(p)
+        assert cdf[cdf < 1.0].tolist() == geometric_knots(p).tolist()
+        top = cdf[-1:]
+        assert draw_counts(top, OffspringLaw.geometric(p)).tolist() == [
+            len(cdf)]
+        assert _draw_counts_np(top, OffspringLaw.geometric(p)).tolist() == [
+            len(cdf)]
+
+
+# cdf shapes for the guide table: repeated knots from zero weights, a cdf
+# ending below 1, one whose sums round above 1, a single knot, knots on
+# cell edges, 750 geometric knots
+GUIDE_CDFS = {
+    "repeated": np.cumsum([0.5, 0.0, 0.0, 0.5]),
+    "short": np.array([0.2, 0.45, 0.7]),
+    "above-one": np.array([0.3, 1.0 + 2.0**-52, 1.0 + 2.0**-51]),
+    "single": np.array([0.3]),
+    "single-one": np.array([1.0]),
+    "edges": np.array([0.25, 0.5, 0.5 + 2.0**-10, 0.75, 1.0]),
+    "geometric": kernels._geometric_cdf(0.05),
+}
+# lengths that build every table size, 1 to 2^10 cells, and its neighbours
+GUIDE_LENGTHS = [0, 1, 15, 16, 31] + [16 << b for b in range(1, 11)] + [
+    2**14 + 1]
+
+
+def guide_uniforms(cdf: np.ndarray) -> np.ndarray:
+    """0, 1 - 2^-53, 1 and above, every cell edge c / 2^10 (which holds
+    every coarser table's edges), every knot and its two neighbours, and
+    hashed uniforms."""
+    edges = np.arange(1025) / 1024
+    return np.concatenate([
+        [0.0, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, 1.5, 2.0], edges,
+        np.nextafter(edges, 0.0), cdf, np.nextafter(cdf, 0.0),
+        np.nextafter(cdf, 2.0), stream_uniforms(hash_path(3), 0, 3000)])
+
+
+@pytest.mark.parametrize("length", GUIDE_LENGTHS)
+@pytest.mark.parametrize("shape", sorted(GUIDE_CDFS))
+def test_inverse_cdf_is_clamped_searchsorted(shape, length):
+    # every uniform is drawn in a call of `length` uniforms, so in a table
+    # of the size that length builds
+    cdf = GUIDE_CDFS[shape]
+    u = guide_uniforms(cdf)
+    expect = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+    if length == 0:
+        out = kernels.inverse_cdf(cdf, u[:0])
+        assert out.dtype == np.int64 and out.size == 0
+        return
+    u = np.resize(u, -(-len(u) // length) * length)
+    expect = np.resize(expect, len(u))
+    got = np.concatenate([kernels.inverse_cdf(cdf, u[i:i + length])
+                          for i in range(0, len(u), length)])
+    assert got.dtype == np.int64
+    assert got.tolist() == expect.tolist()
 
 
 def test_draw_count_deterministic_ignores_u():

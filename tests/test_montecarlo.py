@@ -127,18 +127,37 @@ def test_mc_estimate_q_reads_the_pool_runs_last_row():
 
 
 def test_pool_se_propagates_every_generations_error():
-    # var_n = mu^2 var_{n-1} + s_n^2 / P from var_0 = 0, over the pools
-    # that init_population and mc_step give; a pool of one sample has se 0
+    # se_n = mu^n sqrt(w_n), w_n = sum_{k<=n} s_k^2 / (P mu^(2k)) from
+    # w_0 = 0, over the pools that init_population and mc_step give; the
+    # library forms each term in logs, so the sum agrees to rounding; a
+    # pool of one sample has se 0
     model = finite_n_model()
+    mu = model.offspring.mean
     rows = pool_means(model, 3000, 6, 9)
     pop = init_population(model, 3000, 9)
-    var = 0.0
+    w = 0.0
     assert rows[0] == (pop.mean(), 0.0)
-    for mean, se in rows[1:]:
+    for n, (mean, se) in enumerate(rows[1:], 1):
         pop = mc_step(pop, model)
-        var = model.offspring.mean ** 2 * var + pop.std() ** 2 / 3000
-        assert (mean, se) == (pop.mean(), math.sqrt(var))
+        w += pop.std() ** 2 / (3000 * mu ** (2 * n))
+        assert mean == pop.mean()
+        assert se == pytest.approx(mu ** n * math.sqrt(w), rel=1e-14)
     assert [se for _, se in pool_means(model, 1, 6, 9)] == [0.0] * 7
+
+
+def test_pool_se_stays_finite_on_a_dead_pool():
+    # this pool is all zeros from n = 20 on, so w stops growing: the q-space
+    # stderr of a 600-step run is the 20-step one, and a row's se is
+    # 2^n stderr until that leaves float range (n = 1031 here)
+    model = sub_model()
+    stderr = mc_estimate_q(model, 1000, 20, 1).stderr
+    assert stderr > 0.0
+    assert mc_estimate_q(model, 1000, 600, 1).stderr == stderr
+    rows = pool_means(model, 1000, 1031, 1)
+    for n in (519, 600, 1030):
+        assert rows[n] == (0.0, pytest.approx(math.ldexp(stderr, n),
+                                              rel=1e-13))
+    assert rows[1031][1] == math.inf
 
 
 def test_pool_se_is_calibrated():
