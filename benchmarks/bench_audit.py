@@ -6,9 +6,12 @@ laws go through the FFT from n = 4 and pass 2^21 entries at n = 9), on the
 README x0 with N geometric p = .5 at the default steps (revisions whose
 lemma4 audits evolved laws spend nearly all their time there), on x0
 geometric p = 1e-5 with N = 2 at 2 steps (revisions whose audits read a
-geometric x0 through its 1e-14 cut build 3.2M weights there), and on a
-model drawn like those of perfbench's audit workload, for a baseline
-revision and the working tree (see passes.py for the pass scheme).
+geometric x0 through its 1e-14 cut build 3.2M weights there), on a
+model drawn like those of perfbench's audit workload, and on N = 2 with
+the wide x0 {0: .999, 2e7: .001} and {0: .5, 1e20: .5} (revisions whose
+audits read x0's dense weights build 2e7 of them, and exit 3 on the
+second), for a baseline revision and the working tree (see passes.py for
+the pass scheme).
 BENCH_audit.json also holds each side's exit codes and stdout, and
 whether the two sides' outputs are identical.
 
@@ -40,6 +43,12 @@ CONFIGS = {
     "audit": {"a": 2, "x0": {"type": "finite",
                              "pmf": [[0, 0.58], [1, 0.13], [3, 0.29]]},
               "N": {"type": "finite", "pmf": [[1, 0.4], [2, 0.6]]}},
+    "wide_x0_2e7": {"a": 1, "x0": {"type": "finite",
+                                   "pmf": [[0, 0.999], [2 * 10**7, 0.001]]},
+                    "N": {"type": "deterministic", "n": 2}},
+    "wide_x0_1e20": {"a": 1, "x0": {"type": "finite",
+                                    "pmf": [[0, 0.5], [10**20, 0.5]]},
+                     "N": {"type": "deterministic", "n": 2}},
 }
 
 

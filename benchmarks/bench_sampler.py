@@ -6,7 +6,9 @@ and geometric N; `mc_estimate_q` of a pool of 1e5 over 10 generations
 under each N; `ancestor_counts` of 1,000 trees at depth 10 under finite
 and geometric N; 32 `tree_sample`s at depth 8 under each N; and
 `init_population` of 1e5 samples from the geometric x0 of `r` = 1e-4
-(322,346 weights, 20,784 remainder slots).  The laws are those of
+(322,346 weights, 20,784 remainder slots), and of 1e5 samples from a new
+AtomPmf x0 {0: .999, 2e7: .001} on each call (revisions that draw x0 from
+its dense weights build 2e7 of them).  The laws are those of
 perfbench's simulate workload.  Two more cases take a geometric N of
 p = .05, whose count cdf has 750 knots: one `mc_step` of a pool of 1e5,
 and `ancestor_counts` of 1,000 trees at depth 2 (mean 20 per node, so
@@ -24,6 +26,7 @@ REV must be 1da936b or later: earlier revisions have no
 from passes import best_of, main, outputs_identical, versions
 
 X0 = {0: 0.3, 1: 0.2, 2: 0.2, 5: 0.3}
+WIDE_ATOMS = {0: 0.999, 2 * 10**7: 0.001}
 SEED = 20261018
 
 
@@ -31,7 +34,7 @@ def measure():
     """Timings (s) and output digests of the drphase found on sys.path."""
     import hashlib
     import numpy as np
-    from drphase.dists import (FinitePmf, ModelSpec, OffspringLaw,
+    from drphase.dists import (AtomPmf, FinitePmf, ModelSpec, OffspringLaw,
                                geometric_x0_pmf)
     from drphase.montecarlo import (ancestor_counts, init_population,
                                     mc_estimate_q, mc_step, tree_sample)
@@ -68,6 +71,10 @@ def measure():
     wide = ModelSpec(1, geometric_x0_pmf(1e-4), laws["finite"])
     cases["init_population.wide_x0"] = (
         lambda: init_population(wide, 100_000, SEED).samples)
+    cases["init_population.wide_atoms"] = (
+        lambda: init_population(
+            ModelSpec(1, AtomPmf.from_dict(WIDE_ATOMS), laws["finite"]),
+            100_000, SEED).samples)
 
     timings, outputs, stderr = {}, {}, {}
     for case, fn in cases.items():

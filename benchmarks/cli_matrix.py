@@ -8,7 +8,10 @@ tree's `src/`: `classify`, `evolve`, `estimate-q`, `simulate` and
 geometric-N model, a geometric-x0 model with geometric N, a finite-N model,
 a finite N of one count, {3: 1}, which is the deterministic law, a
 subcritical model and a model whose x0 has three atoms with gaps),
-`classify` on an x0 {0: .999, 1e6: .001}, `simulate` on a geometric N of
+`classify` on an x0 {0: .999, 1e6: .001}, `check-lemmas` at its default
+steps on an x0 {0: .999, 2e7: .001} and on the 19 atoms of
+tests/conftest.py's EDGE_ATOMS (whose dense mean and atom mean differ in
+the last bit), `simulate` on a geometric N of
 p = .05 (a count cdf of 750 knots), `evolve` and `estimate-q` on the
 README model and
 on the finite-N model with no command block (all four exit 3 at generation
@@ -19,7 +22,7 @@ the criterion takes the log path through the law's weights; high 1500,
 where s^(high-1) is known to overflow before any power is taken, so every
 grid member takes that path; high 3 with the three-atom x0, which the
 scan validates and ignores) and one `geometric_x0` family, each in the
-three formats: 144 invocations per side.  Each invocation's stdout, stderr
+three formats: 150 invocations per side.  Each invocation's stdout, stderr
 and exit code must be equal on both sides.  Prints one line per difference
 and a summary, and exits 1 if there is any difference, 0 otherwise.
 
@@ -64,6 +67,23 @@ MODELS = {
 # a two-point x0 whose dense weights would hold 1e6 + 1 entries
 HIGH_X0 = {"a": 1, "N": {"type": "deterministic", "n": 2},
            "x0": {"type": "finite", "pmf": [[0, 0.999], [10**6, 0.001]]}}
+# x0 {0: .999, 2e7: .001}, whose dense weights would hold 2e7 + 1 entries
+WIDE_X0 = {"a": 1, "N": {"type": "deterministic", "n": 2},
+           "x0": {"type": "finite", "pmf": [[0, 0.999], [2 * 10**7, 0.001]]}}
+# tests/conftest.py's EDGE_ATOMS: a mass inside the band whose dense sum
+# is not
+EDGE_X0 = {"a": 1, "N": {"type": "deterministic", "n": 2},
+           "x0": {"type": "finite", "pmf": [
+               [2, 0.03827914291891157], [3, 0.04073319535415992],
+               [5, 0.060470106036827564], [9, 0.031909823704542775],
+               [13, 0.05652215283126987], [19, 0.054725970707167476],
+               [25, 0.07172661456038747], [26, 0.008844636031522062],
+               [29, 0.05610132812547892], [32, 0.07136986999645575],
+               [35, 0.0744867198364601], [36, 0.0011317230892060929],
+               [38, 0.06646138735709323], [40, 0.0755078236492762],
+               [42, 0.07366206970682361], [43, 0.011448128396827916],
+               [45, 0.07484861006368582], [48, 0.0684849538130789],
+               [55, 0.06328574381982474]]}}
 # a geometric N of mean 20, whose count cdf has 750 knots; a pool of 2e4
 # draws its counts through a guide table of 2^10 cells
 LONG_GEOMETRIC_N = {"a": 1, "x0": FINITE,
@@ -103,6 +123,8 @@ def cases(tmp):
              for name in ("readme", "finite-n")
              for command in ("evolve", "estimate-q")]
     runs += [("classify", "high-x0", HIGH_X0)]
+    runs += [("check-lemmas", "wide-x0", WIDE_X0),
+             ("check-lemmas", "edge-atoms", EDGE_X0)]
     runs += [("simulate", "long-geometric-n", LONG_GEOMETRIC_N)]
     runs += [("scan", name, doc) for name, doc in FAMILIES.items()]
     out = []

@@ -24,12 +24,12 @@ most two values are cached by (s, k).  `pgf_eval`, `pgf_deriv`,
 
 An initial law is a finite law, a `FinitePmf` or an `AtomPmf` (kept as
 its atoms: the CLI's finite x0, a two-point family member), read by
-`_FiniteLaw` from its support tuple `atoms` and its weights `cut`; or a
-`GeometricPmf`, P(X = k) = r (1-r)^k in closed form.  Each answers `cut`
-for the readers of weights (`evolution.evolve`, the x0 draws, the clip
-heads of `evolution.gf_orbit`, `mean`): a FinitePmf is its own cut, the
-others build theirs once, on first use.  An `OffspringLaw` is its
-weights: kind, mean and bound derive from them, and atoms on first use.
+`_FiniteLaw` from its support tuple `atoms`; or a `GeometricPmf`,
+P(X = k) = r (1-r)^k in closed form, whose `atoms` are its cut's.  Only
+`evolution.evolve` reads the dense weights, `cut` (a FinitePmf is its
+own, the others build theirs once, on first use); every other reader
+takes the atoms.  An `OffspringLaw` is its weights: kind, mean and bound
+derive from them, and atoms on first use.
 """
 
 from __future__ import annotations
@@ -76,18 +76,9 @@ def zeros(length: int) -> np.ndarray:
 
 class _FiniteLaw:
     """The readers a FinitePmf and an AtomPmf share, from the law's support
-    tuple `atoms` and its weights `cut`, a FinitePmf; leak-free unless a
-    FinitePmf books a leak."""
+    tuple `atoms`; leak-free unless a FinitePmf books a leak."""
 
     leaked_mass = 0.0
-
-    @property
-    def mean(self) -> float:
-        """Retained first moment (a lower bound when leaked_mass > 0), over
-        the dense weights: a dot over the atoms alone can differ in the
-        last bit."""
-        probs = self.cut.probs
-        return float(np.dot(probs, np.arange(float(probs.size))))
 
     def diverges(self, s: float) -> bool:
         """Whether E s^X diverges: never, a finite sum."""
@@ -175,6 +166,12 @@ class FinitePmf(_FiniteLaw):
         return 0.0
 
     @property
+    def mean(self) -> float:
+        """Retained first moment (a lower bound when leaked_mass > 0), over
+        the dense weights."""
+        return float(np.dot(self.probs, np.arange(float(self.probs.size))))
+
+    @property
     def cut(self) -> "FinitePmf":
         return self
 
@@ -191,7 +188,7 @@ class GeometricPmf:
     are finite for (1-r) s < 1; at and beyond that radius both pairs
     return +inf.  No weight array exists until a consumer that reads
     weights asks for one: `cut`, built by geometric_x0_pmf on first use and
-    kept, so all of one model's consumers share one array.
+    kept (with its `atoms`), so all of one model's consumers share one array.
     """
 
     r: float
@@ -227,6 +224,11 @@ class GeometricPmf:
     def cut(self) -> FinitePmf:
         """geometric_x0_pmf(r), built on first use and kept."""
         return geometric_x0_pmf(self.r)
+
+    @property
+    def atoms(self) -> tuple:
+        """The support tuple of the cut."""
+        return self.cut.atoms
 
 
 def _powers(s: float, k: np.ndarray, j: int,
@@ -265,8 +267,9 @@ class AtomPmf(_FiniteLaw):
     arrays read-only; a scan.TwoPointFamily's members share their values
     (0, high).  Not frozen, and a member's own arrays are not flagged: that
     made a scan's bisections 10% slower.  Its pairs equal its FinitePmf's
-    bit for bit; only `mean` and the readers of weights read that
-    FinitePmf, `cut`, built on first use and kept.
+    bit for bit; its `mean`, a dot over the atoms, can differ in the last
+    bit (numpy groups a dense dot of 16 or more entries otherwise).  Only
+    `evolution.evolve` reads that FinitePmf, `cut`, built on first use.
     """
 
     atoms: tuple[np.ndarray, np.ndarray, int, bool, np.ndarray]
@@ -293,6 +296,11 @@ class AtomPmf(_FiniteLaw):
     def support(self) -> np.ndarray:
         """The values of positive weight, as float64."""
         return self.atoms[1]
+
+    @property
+    def mean(self) -> float:
+        """E X, a dot over the atoms."""
+        return float(np.dot(*self.atoms[:2]))
 
     @functools.cached_property
     def cut(self) -> FinitePmf:

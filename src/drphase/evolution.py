@@ -349,7 +349,8 @@ def gf_orbit(x0: FinitePmf | AtomPmf | GeometricPmf, law: OffspringLaw,
     along the recursion from x0, G the generating function of law's
     weights (for geometric N the cut weights that step() uses too).
     F_0(s), F_0'(s) are x0's log_pgf_pair(s) (ValueError where x0 diverges:
-    a geometric x0 past its radius); the clip heads read x0.cut.
+    a geometric x0 past its radius); the clip heads read x0's atoms below
+    a * steps.
 
     The generating-function recursion (Collet, Eckmann, Glaser & Martin,
     CMP 1984; Derrida & Retaux, JSP 2014, with G in place of v -> v^2):
@@ -368,7 +369,11 @@ def gf_orbit(x0: FinitePmf | AtomPmf | GeometricPmf, law: OffspringLaw,
     if x0.diverges(s):
         raise ValueError(f"E s^X diverges at s={s}")
     log_f, log_fp = x0.log_pgf_pair(s)
-    heads = _clip_heads(x0.cut.probs, law.weights, a, steps)
+    w, k = x0.atoms[:2]
+    take = int(np.searchsorted(k, a * steps))
+    head = dists.zeros(a * steps)
+    head[k[:take].astype(np.intp)] = w[:take]
+    heads = _clip_heads(head, law.weights, a, steps)
     log_s = math.log(s)
     f, fp = LogReal.from_log(log_f), LogReal.from_log(log_fp)
     rows = []

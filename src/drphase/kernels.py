@@ -171,7 +171,8 @@ def _mc_step(samples: np.ndarray, a: int, master: int, gen: int,
              law: OffspringLaw) -> np.ndarray:
     """One pool generation.  Sample i draws its count from hash draw 0 and
     its j-th summand's index from hash draw j of the key hash_path(master,
-    gen, i); the samples still drawing summand j shrink as j grows."""
+    gen, i); the samples still drawing summand j shrink as j grows.  Sums
+    that could pass int64 (top count times top sample) are an OverflowError."""
     npop = samples.shape[0]
     with np.errstate(over="ignore"):
         base = stream_hashes(hash_path(master, gen), 0, npop)
@@ -180,6 +181,10 @@ def _mc_step(samples: np.ndarray, a: int, master: int, gen: int,
         else:
             counts = _draw_counts_np(_uniforms_np(_sm64_np(base)), law)
             top = int(counts.max())
+        peak = int(samples.max())
+        if top * peak > np.iinfo(np.int64).max:
+            raise OverflowError(f"pool sums of generation {gen} can pass "
+                                f"int64: {top} summands of up to {peak}")
         acc = np.zeros(npop, dtype=np.int64)
         idx = None  # the samples drawing summand j; None while all are
         for j in range(1, top + 1):

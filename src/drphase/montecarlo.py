@@ -19,9 +19,10 @@ scheduling, and every sampler draws in whole arrays: the pool generation
 and the tree sizes in the `kernels` table, and the tree sampler's stream
 up front, in blocks, before its recursion reads it.  The kernels take the
 `OffspringLaw` itself, and the x0 draws here and every count share
-`kernels.inverse_cdf`; every x0 is drawn from its weights, `cut`.  A
-geometric N is drawn from the untruncated law, whose count cdf runs to the
-last count of mass above 1e-18, so no truncation cutoff is consulted here.
+`kernels.inverse_cdf`; every x0 is drawn from its atoms, where a value of
+2^63 or more, past int64, is an OverflowError.  A geometric N is drawn
+from the untruncated law, whose count cdf runs to the last count of mass
+above 1e-18, so no truncation cutoff is consulted here.
 """
 
 from __future__ import annotations
@@ -84,11 +85,9 @@ def init_population(model: ModelSpec, pop_size: int, master_seed: int
     remainder slots drawn from the fractional residuals."""
     if pop_size < 1:
         raise ValueError(f"population size must be >= 1, got {pop_size}")
-    x0 = model.x0.cut
-    values = x0.support
-    weights = x0.probs[values]
+    weights, values = _x0_atoms(model)
     counts = np.floor(pop_size * weights).astype(np.int64)
-    samples = np.repeat(values.astype(np.int64), counts)
+    samples = np.repeat(values, counts)
     short = pop_size - int(counts.sum())
     if short > 0:
         fracs = pop_size * weights - counts
@@ -98,6 +97,14 @@ def init_population(model: ModelSpec, pop_size: int, master_seed: int
                                     short)
         samples = np.concatenate([samples, values[kernels.inverse_cdf(cdf, u)]])
     return Population(samples, 0, master_seed)
+
+
+def _x0_atoms(model: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, int64 values) of x0's atoms; OverflowError past int64."""
+    w, k = model.x0.atoms[:2]
+    if k[-1] >= 2.0 ** 63:
+        raise OverflowError(f"x0 value {int(k[-1])} does not fit in int64")
+    return w, k.astype(np.int64)
 
 
 def mc_step(pop: Population, model: ModelSpec) -> Population:
@@ -190,9 +197,8 @@ def tree_sample(model: ModelSpec, n: int, seed: int) -> int:
     if not 0 <= n <= TREE_DEPTH_LIMIT:
         raise ValueError(f"tree sampling supports 0 <= n <= {TREE_DEPTH_LIMIT}, "
                          f"got {n}")
-    x0 = model.x0.cut
-    values = x0.support
-    x0_cdf = np.cumsum(x0.probs[values])
+    weights, values = _x0_atoms(model)
+    x0_cdf = np.cumsum(weights)
     law = model.offspring
     deterministic = law.kind == "deterministic"
     a = model.a

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import criteria, dists
 from .criteria import PhaseVerdict
-# geometric_x0_pmf lives in dists, whose GeometricPmf.cut builds it; this
+# geometric_x0_pmf lives in dists, where a GeometricPmf builds its cut; this
 # re-export is kept for perfbench/tracer.py, which wraps it here
 from .dists import (AtomPmf, GeometricPmf, ModelSpec, OffspringLaw,
                     geometric_x0_pmf)

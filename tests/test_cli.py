@@ -770,6 +770,17 @@ def test_check_lemmas_geometric_x0_past_its_radius_builds_no_cut(
                         "s=1.5 and s=2)")
 
 
+def test_check_lemmas_reads_x0_as_classify_does(tmp_path, capsys):
+    # x0 {0: .5, 1e20: .5}: dense weights would need 1e20 entries; the
+    # audits read its atoms, as classify does
+    cfg = write_config(tmp_path, base_config(
+        x0={"type": "finite", "pmf": [[0, 0.5], [10**20, 0.5]]}))
+    code, out, err = run_main(["check-lemmas", "--config", cfg], capsys)
+    assert (code, err) == (0, "")
+    assert [line.split(":")[1].split()[0] for line in out.splitlines()] \
+        == ["PASS", "SKIPPED", "PASS", "PASS"]
+
+
 def test_check_lemmas_lemma1_names_an_empty_s_grid(tmp_path, capsys):
     # geometric N p = .99 has mean 1/.99, so a = 1 puts s* at 1.0101 and
     # every grid point c s* (c = .9, .95, .99) at or below 1: lemma1 has no

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from drphase import criteria, dists
+from drphase import criteria, dists, evolution, montecarlo
 from drphase.criteria import SUBCRITICAL, classify
 from drphase.dists import (
     GEOMETRIC_TAIL,
@@ -515,7 +515,11 @@ def test_atom_law_equals_its_finite_pmf_bit_for_bit():
             == (w.tobytes(), k.tobytes(), j, dense), len(d)
         assert aslopes.tobytes() == slopes.tobytes() \
             == (w[j:] * k[j:]).tobytes()
-        assert repr(law.mean) == repr(ref.mean)
+        # the mean is the dot over the atoms; numpy groups a dense dot of
+        # 16 or more entries otherwise, so the two can differ in the last bit
+        assert repr(law.mean) == repr(float(np.dot(w, k)))
+        assert abs(law.mean - ref.mean) \
+            <= ref.probs.size * 2.0 ** -53 * ref.mean
         top = ref.support_max
         points = [0.3, 0.999, 1.0, 1.5, 2.0, 25.0]
         if top >= 3:
@@ -552,7 +556,10 @@ def test_atom_law_checks_its_mass_once():
     dense[list(EDGE_ATOMS)] = list(EDGE_ATOMS.values())
     assert x.probs.tobytes() == dense.tobytes() and x.leaked_mass == 0.0
     assert not x.probs.flags.writeable
-    assert repr(law.mean) == repr(float(np.dot(dense, np.arange(56.0))))
+    w, k = law.atoms[:2]
+    assert repr(law.mean) == repr(float(np.dot(w, k)))
+    dense_mean = float(np.dot(dense, np.arange(56.0)))
+    assert abs(law.mean - dense_mean) <= 56 * 2.0 ** -53 * dense_mean
 
 
 def test_only_shared_values_have_their_powers_cached():
@@ -588,6 +595,25 @@ def test_atom_law_builds_no_array_over_its_values():
     assert log_f == pytest.approx(math.log(0.001) + 1e12 * math.log(2.0))
     with pytest.raises(ValueError, match="is not a constant"):
         ModelSpec(1, AtomPmf.from_dict({7: 1.0}), OffspringLaw.deterministic(2))
+
+
+def test_only_evolve_builds_an_atom_laws_cut():
+    # every reader but evolve takes the atoms: the criteria, the lemma
+    # audits' orbit and mean, and the x0 draws
+    x0 = AtomPmf.from_dict({0: 0.5, 3: 0.25, 1000: 0.25})
+    model = ModelSpec(1, x0, OffspringLaw.deterministic(2))
+    assert classify(model).verdict == "Supercritical"
+    criteria.lemma1_growth_check(model, 1.5, 4)
+    with pytest.raises(ValueError, match="requires a Subcritical verdict"):
+        criteria.lemma2_tail_check(model, 4)
+    criteria.lemma3_contraction_check(model, 2.0, 4)
+    criteria.lemma4_association_check_log(x0, 1.5)
+    montecarlo.init_population(model, 1000, 1)
+    montecarlo.tree_sample(model, 3, 1)
+    montecarlo.pool_means(model, 100, 3, 1)
+    assert "cut" not in x0.__dict__
+    evolution.evolve(model, 1)
+    assert "cut" in x0.__dict__
 
 
 def test_offspring_log_pgf_pair_takes_log_v_by_keyword_only():

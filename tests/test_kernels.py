@@ -1,5 +1,7 @@
 """Kernel-level checks: hashing, count draws, and batched/loop agreement."""
 
+import types
+
 import numpy as np
 import pytest
 from sampler_reference import draw_counts, gw_sizes_loop, mc_step_masked
@@ -155,6 +157,16 @@ def test_geometric_cdf_is_the_scalar_loops_knots():
             len(cdf)]
         assert _draw_counts_np(top, OffspringLaw.geometric(p)).tolist() == [
             len(cdf)]
+
+
+def test_geometric_cdf_doubles_a_short_first_guess(monkeypatch):
+    # a log that makes the first guess 4 counts: the doubled guesses reach
+    # the floor and give the same knots, the products being sequential
+    expected = {p: kernels._geometric_cdf(p) for p in (0.5, 0.05, 1e-3)}
+    monkeypatch.setattr(kernels, "math", types.SimpleNamespace(
+        log=lambda x: 1.0))
+    for p, knots in expected.items():
+        assert kernels._geometric_cdf(p).tobytes() == knots.tobytes()
 
 
 # cdf shapes for the guide table: repeated knots from zero weights, a cdf

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from sampler_reference import init_population_loop, tree_sample_recursive
 
-from drphase.dists import FinitePmf, ModelSpec, OffspringLaw, geometric_x0_pmf
+from drphase.dists import (AtomPmf, FinitePmf, ModelSpec, OffspringLaw,
+                           geometric_x0_pmf)
 from drphase.evolution import evolve, q_bounds
 from drphase.montecarlo import (
     TREE_DEPTH_LIMIT,
@@ -270,10 +271,13 @@ TREE_LAWS = {
 def test_tree_sample_matches_recursive_stream(law, depth):
     # depth 7 reads past the first block of 64 draws, so the stream is
     # extended while the recursion runs
-    model = ModelSpec(2, FinitePmf.from_dict({0: 0.3, 1: 0.2, 3: 0.5}),
-                      TREE_LAWS[law])
+    # the AtomPmf x0 draws as its FinitePmf does
+    x0 = {0: 0.3, 1: 0.2, 3: 0.5}
+    model = ModelSpec(2, FinitePmf.from_dict(x0), TREE_LAWS[law])
+    atoms = ModelSpec(2, AtomPmf.from_dict(x0), TREE_LAWS[law])
     for seed in range(12):
         assert tree_sample(model, depth, seed) == \
+            tree_sample(atoms, depth, seed) == \
             tree_sample_recursive(model, depth, seed)
 
 
@@ -304,16 +308,46 @@ def test_one_count_law_samples_alike_from_either_constructor():
     ({0: 1 / 7, 1: 2 / 7, 2: 1 / 7, 4: 3 / 7}, 1),
     ({0: 0.3, 1: 0.7}, 9),
     (None, 5000),
+    ({0: 0.25, 3: 0.45, 10**6: 0.3}, 1001),
 ])
 def test_init_population_matches_slot_loop(x0, pop_size):
     # None: a geometric x0 of 32,221 weights, which leaves 1,739 of the
-    # 5,000 slots to the remainder draw
+    # 5,000 slots to the remainder draw; a finite x0 draws alike as an
+    # AtomPmf and as a FinitePmf
     pmf = geometric_x0_pmf(1e-3) if x0 is None else FinitePmf.from_dict(x0)
     model = ModelSpec(1, pmf, OffspringLaw.deterministic(2))
+    laws = [pmf] if x0 is None else [pmf, AtomPmf.from_dict(x0)]
     for seed in (0, 9, 2**63 + 5):
-        pop = init_population(model, pop_size, seed)
-        assert pop.samples.tolist() == \
-            init_population_loop(model, pop_size, seed).tolist()
+        expected = init_population_loop(model, pop_size, seed).tolist()
+        for law in laws:
+            pop = init_population(ModelSpec(1, law, model.offspring),
+                                  pop_size, seed)
+            assert pop.samples.tolist() == expected
+
+
+def test_x0_draws_refuse_a_value_past_int64():
+    law = OffspringLaw.deterministic(2)
+    # 2^63 - 1024 is the largest float value below 2^63
+    top = 2**63 - 1024
+    model = ModelSpec(1, AtomPmf.from_dict({0: 0.5, top: 0.5}), law)
+    assert init_population(model, 4, 1).samples.tolist() == [0, 0, top, top]
+    assert tree_sample(model, 0, 1) in (0, top)
+    wide = ModelSpec(1, AtomPmf.from_dict({0: 0.5, 2**63: 0.5}), law)
+    for draw in (lambda: init_population(wide, 4, 1),
+                 lambda: tree_sample(wide, 0, 1)):
+        with pytest.raises(OverflowError, match="does not fit in int64"):
+            draw()
+
+
+def test_pool_sums_that_could_pass_int64_raise():
+    # the pool mean grows like 5e6 4^n: at generation 21 the top count 4
+    # times the largest sample passes 2^63 - 1, where int64 sums would wrap
+    model = ModelSpec(1, AtomPmf.from_dict({0: 0.5, 10**7: 0.5}),
+                      OffspringLaw.deterministic(4))
+    rows = pool_means(model, 2000, 20, 3)
+    assert rows[-1] == (5.430075815699027e+18, 7.115778270725854e+16)
+    with pytest.raises(OverflowError, match="generation 21 can pass int64"):
+        pool_means(model, 2000, 21, 3)
 
 
 def test_mc_step_single_sample_pool():
