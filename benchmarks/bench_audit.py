@@ -11,12 +11,20 @@ model drawn like those of perfbench's audit workload, and on N = 2 with
 the wide x0 {0: .999, 2e7: .001} and {0: .5, 1e20: .5} (revisions whose
 audits read x0's dense weights build 2e7 of them, and exit 3 on the
 second), for a baseline revision and the working tree (see passes.py for
-the pass scheme).
-BENCH_audit.json also holds each side's exit codes and stdout, and
-whether the two sides' outputs are identical.
+the pass scheme).  The README x0 with N geometric p = 1e-3 and 1e-4
+(32,221 and 322,346 weights, whose log pairs the orbit evaluates at
+every s-point) takes seconds per call, so those two cases run once per
+pass, each in a fresh process, which also reports its peak RSS.
+BENCH_audit.json also holds each side's exit codes and stdout, whether
+the two sides' outputs are identical, and the first pass's peak RSS (MB)
+of each fresh-process case.
 
     python benchmarks/bench_audit.py --baseline REV
 """
+
+import json
+import subprocess
+import sys
 
 from passes import best_of, main, outputs_identical, versions
 
@@ -51,6 +59,34 @@ CONFIGS = {
                      "N": {"type": "deterministic", "n": 2}},
 }
 
+# one check-lemmas per fresh process: its time, peak RSS and output
+FRESH = {f"geometric_n_{p}": {"a": 1,
+                              "x0": {"type": "finite",
+                                     "pmf": [[0, 0.5], [2, 0.5]]},
+                              "N": {"type": "geometric", "p": float(p)}}
+         for p in ("1e-3", "1e-4")}
+FRESH_RUN = """
+import io, json, resource, sys, time
+from contextlib import redirect_stdout
+from drphase import cli
+out = io.StringIO()
+t0 = time.perf_counter()
+with redirect_stdout(out):
+    code = cli.main(["check-lemmas", "--config", sys.argv[1]])
+elapsed = time.perf_counter() - t0
+rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps([elapsed, rss_mb, code, out.getvalue()]))
+"""
+
+
+def fresh_check_lemmas(path):
+    """(seconds, peak RSS in MB, (exit code, stdout)) of check-lemmas in a
+    fresh process, on the drphase of this process's PYTHONPATH."""
+    proc = subprocess.run([sys.executable, "-c", FRESH_RUN, path],
+                          check=True, capture_output=True, text=True)
+    elapsed, rss_mb, code, out = json.loads(proc.stdout)
+    return elapsed, rss_mb, (code, out)
+
 
 def check_lemmas(path):
     import io
@@ -63,20 +99,25 @@ def check_lemmas(path):
 
 
 def measure():
-    """Timings (s) and outputs of the drphase found on sys.path."""
-    import json
+    """Timings (s), outputs and fresh-process peak RSS (MB) of the drphase
+    found on sys.path."""
     import os
     import tempfile
-    timings, outputs = {}, {}
+    timings, outputs, rss = {}, {}, {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, doc in CONFIGS.items():
+        for name, doc in {**CONFIGS, **FRESH}.items():
             path = os.path.join(tmp, f"{name}.json")
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
             case = f"cli.check_lemmas.{name}"
+            if name in FRESH:
+                timings[case], rss[case], outputs[case] = \
+                    fresh_check_lemmas(path)
+                continue
             outputs[case] = check_lemmas(path)
             timings[case] = best_of(lambda: check_lemmas(path))
-    return {"timings_s": timings, "outputs": outputs, **versions()}
+    return {"timings_s": timings, "outputs": outputs, "peak_rss_mb": rss,
+            **versions()}
 
 
 if __name__ == "__main__":

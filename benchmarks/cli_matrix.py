@@ -11,7 +11,9 @@ subcritical model and a model whose x0 has three atoms with gaps),
 `classify` on an x0 {0: .999, 1e6: .001}, `check-lemmas` at its default
 steps on an x0 {0: .999, 2e7: .001} and on the 19 atoms of
 tests/conftest.py's EDGE_ATOMS (whose dense mean and atom mean differ in
-the last bit), `simulate` on a geometric N of
+the last bit), `check-lemmas` in table format only on the README x0 with
+a geometric N of p = 1e-3 (lemma1's 3 s-points over 32,221 weights, whose
+log pairs take two passes), `simulate` on a geometric N of
 p = .05 (a count cdf of 750 knots), `evolve` and `estimate-q` on the
 README model and
 on the finite-N model with no command block (all four exit 3 at generation
@@ -22,7 +24,7 @@ the criterion takes the log path through the law's weights; high 1500,
 where s^(high-1) is known to overflow before any power is taken, so every
 grid member takes that path; high 3 with the three-atom x0, which the
 scan validates and ignores) and one `geometric_x0` family, each in the
-three formats: 150 invocations per side.  Each invocation's stdout, stderr
+three formats: 151 invocations per side.  Each invocation's stdout, stderr
 and exit code must be equal on both sides.  Prints one line per difference
 and a summary, and exits 1 if there is any difference, 0 otherwise.
 
@@ -84,6 +86,10 @@ EDGE_X0 = {"a": 1, "N": {"type": "deterministic", "n": 2},
                [42, 0.07366206970682361], [43, 0.011448128396827916],
                [45, 0.07484861006368582], [48, 0.0684849538130789],
                [55, 0.06328574381982474]]}}
+# a geometric N of p = 1e-3, whose 32,221 weights take the orbit's log
+# pairs two s-points per pass (dists._LOG_PAIR_ELEMENTS); about 2 s per side
+LONG_GEOMETRIC_N_AUDIT = {"a": 1, "x0": FINITE,
+                          "N": {"type": "geometric", "p": 1e-3}}
 # a geometric N of mean 20, whose count cdf has 750 knots; a pool of 2e4
 # draws its counts through a guide table of 2^10 cells
 LONG_GEOMETRIC_N = {"a": 1, "x0": FINITE,
@@ -127,14 +133,17 @@ def cases(tmp):
              ("check-lemmas", "edge-atoms", EDGE_X0)]
     runs += [("simulate", "long-geometric-n", LONG_GEOMETRIC_N)]
     runs += [("scan", name, doc) for name, doc in FAMILIES.items()]
+    runs = [(*run, FORMATS) for run in runs]
+    runs += [("check-lemmas", "long-geometric-n", LONG_GEOMETRIC_N_AUDIT,
+              ("table",))]
     out = []
-    for command, name, doc in runs:
+    for command, name, doc, formats in runs:
         path = os.path.join(tmp, f"{command}-{name}.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
         out += [(f"{command} {name} {fmt}",
                  [command, "--config", path, "--output", fmt])
-                for fmt in FORMATS]
+                for fmt in formats]
     return out
 
 

@@ -10,8 +10,9 @@ fails.
 
 check-lemmas audits lemmas 1 and 3 along the generating-function orbit
 (evolution.gf_orbit), which evolves no law and so has no support cap, no
-leak and no FFT regime, and lemma4 on the model's inputs, x0 and N's
-sandwich.  Only lemma2 (uncapped, Subcritical models only) evolves a law.
+leak and no FFT regime, in one orbit pass per lemma for all its s-points,
+and lemma4 on the model's inputs, x0 and N's sandwich.  Only lemma2
+(uncapped, Subcritical models only) evolves a law.
 Lemmas 1, 3 and 4 read x0 as classify does, and SKIP where E s^X0 diverges.
 """
 
@@ -456,9 +457,11 @@ def _lemma1_audit(model: ModelSpec, steps: int) -> tuple[str, str]:
     worst = math.inf
     slack = LogReal.from_float(criteria.GROWTH_SLACK)
     unresolved = 0
-    for s in audited:
+    # one orbit pass for every point; rows are read s first, then n
+    for s, rows in zip(audited, criteria.lemma1_growth_check(model, audited,
+                                                             steps)):
         # row 0 is lhs(0) against itself, a margin of 0 whatever the model
-        for row in criteria.lemma1_growth_check(model, s, steps)[1:]:
+        for row in rows[1:]:
             gap = _rel_margin(row.lhs_log - row.floor_log, row.floor_log)
             if not row.holds:
                 return "FAIL", (f"s={_fmt(s)} n={row.n}: lhs below "
@@ -495,8 +498,9 @@ def _lemma3_audit(model: ModelSpec, steps: int) -> tuple[str, str]:
     if not points:
         return "SKIPPED", skipped
     worst = math.inf
-    for s in points:
-        for row in criteria.lemma3_contraction_check(model, s, steps):
+    for s, rows in zip(points, criteria.lemma3_contraction_check(
+            model, points, steps)):
+        for row in rows:
             if row.bound_log is None:
                 continue
             gap = _rel_margin(row.bound_log - row.d_next_log, row.bound_log)

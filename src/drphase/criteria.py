@@ -18,7 +18,8 @@ family's values from arrays of F(s) and F'(s), with each member's digits.
 
 The lemma*_check functions re-verify the inequality chain behind the
 criteria: lemmas 1 and 3 along the generating-function orbit
-(evolution.gf_orbit), which evolves no law, lemma 2 on evolved laws,
+(evolution.gf_orbit), which evolves no law, at a set of s-points in one
+orbit pass (one row list per point), lemma 2 on evolved laws,
 lemma 4 on the CLI's x0 alone (it holds for every law and sub-law).  Like
 d0, they read x0 through its pgf pairs and mean (ValueError where E s^X0
 diverges).  They return evidence rows rather than booleans so the CLI
@@ -102,8 +103,8 @@ def d0(x0: FinitePmf | AtomPmf | GeometricPmf, a: int, s: float,
     w, k = x0.atoms[:2]
     c = (m - 1.0) * k - a
     log_terms = np.log(w) + k * math.log(s)
-    parts = [LogReal.from_log(dists._logsumexp(log_terms[side]
-                                               + np.log(np.abs(c[side]))))
+    parts = [LogReal.from_log(float(dists._logsumexp(
+        log_terms[side] + np.log(np.abs(c[side])))))
              if side.any() else ZERO for side in (c > 0.0, c < 0.0)]
     return (parts[0] - parts[1]).to_float()
 
@@ -177,33 +178,40 @@ class GrowthRow:
     floor_log: LogReal
 
 
-def lemma1_growth_check(model: ModelSpec, s: float, steps: int
-                        ) -> list[GrowthRow]:
+def lemma1_growth_check(model: ModelSpec, points, steps: int
+                        ) -> list[list[GrowthRow]]:
     """Audit lhs(n) >= (mu/s^a)^n * lhs(0) along the generating-function
-    orbit (evolution.gf_orbit).
+    orbit (evolution.gf_orbit) at each s in `points`, one orbit pass for
+    all of them: one row list per point, in order.
 
     lhs(n) = (mu-1) s F_n'(s) - a F_n(s); the claim is the geometric growth
     of the supercritical criterion value, valid for 1 < s < mu^(1/a).
     Each row holds within the slack of _growth_holds.
     """
     s_max, mu = super_point(model)
-    if not 1.0 < s < s_max:
-        raise ValueError(
-            f"s must lie in the open interval (1, {s_max}), got {s}")
+    points = list(points)
+    for s in points:
+        if not 1.0 < s < s_max:
+            raise ValueError(
+                f"s must lie in the open interval (1, {s_max}), got {s}")
     a = model.a
-    log_rate = math.log(mu) - a * math.log(s)
-    log_first, log_second = math.log((mu - 1.0) * s), math.log(a)
-    rows: list[GrowthRow] = []
-    for n, (f, fp, _) in enumerate(gf_orbit(model.x0, model.offspring, a, s,
-                                            steps)):
-        lhs = _d_log(f, fp, s, mu, a)
-        if n == 0:
-            lhs0 = lhs
-        floor = lhs0 * LogReal.from_log(n * log_rate)
-        holds = _growth_holds(lhs, floor, max(log_first + fp.log,
-                                              log_second + f.log))
-        rows.append(GrowthRow(n, holds, lhs, floor))
-    return rows
+    log_second = math.log(a)
+    audits = []
+    for s, orbit in zip(points, gf_orbit(model.x0, model.offspring, a,
+                                         points, steps)):
+        log_rate = math.log(mu) - a * math.log(s)
+        log_first = math.log((mu - 1.0) * s)
+        rows: list[GrowthRow] = []
+        for n, (f, fp, _) in enumerate(orbit):
+            lhs = _d_log(f, fp, s, mu, a)
+            if n == 0:
+                lhs0 = lhs
+            floor = lhs0 * LogReal.from_log(n * log_rate)
+            holds = _growth_holds(lhs, floor, max(log_first + fp.log,
+                                                  log_second + f.log))
+            rows.append(GrowthRow(n, holds, lhs, floor))
+        audits.append(rows)
+    return audits
 
 
 def _growth_holds(lhs: LogReal, floor: LogReal, terms_log: float) -> bool:
@@ -269,10 +277,11 @@ class ContractionRow:
     bound_log: LogReal | None
 
 
-def lemma3_contraction_check(model: ModelSpec, s: float, steps: int
-                             ) -> list[ContractionRow]:
+def lemma3_contraction_check(model: ModelSpec, points, steps: int
+                             ) -> list[list[ContractionRow]]:
     """Audit D_{n+1}(s) <= (M G(F_n(s)) / (F_n(s) s^a)) * D_n(s) along the
-    generating-function orbit (evolution.gf_orbit).
+    generating-function orbit (evolution.gf_orbit) at each s in `points`,
+    one orbit pass for all of them: one row list per point, in order.
 
     Requires an essentially bounded offspring law (bound M) and
     s >= 1 + (M-1)/a.  A negative D being contracted stays negative, which
@@ -283,25 +292,31 @@ def lemma3_contraction_check(model: ModelSpec, s: float, steps: int
     if point is None:
         raise ValueError("contraction audit requires bounded offspring counts")
     threshold, m = point
-    if s < threshold:
-        raise ValueError(f"s must be >= {threshold}, got {s}")
+    points = list(points)
+    for s in points:
+        if s < threshold:
+            raise ValueError(f"s must be >= {threshold}, got {s}")
     a = model.a
-    log_s = math.log(s)
-    rows: list[ContractionRow] = []
-    d_prev: LogReal | None = None
-    factor_prev: LogReal | None = None
-    for n, (f, fp, log_g) in enumerate(gf_orbit(model.x0, model.offspring,
-                                                a, s, steps)):
-        d_here = _d_log(f, fp, s, m, a)
-        if n == 0:
-            rows.append(ContractionRow(0, True, d_here, None))
-        else:
-            bnd = factor_prev * d_prev
-            rows.append(ContractionRow(n, _contraction_holds(d_here, bnd),
-                                       d_here, bnd))
-        factor_prev = LogReal.from_log(math.log(m) + log_g - f.log - a * log_s)
-        d_prev = d_here
-    return rows
+    audits = []
+    for s, orbit in zip(points, gf_orbit(model.x0, model.offspring, a,
+                                         points, steps)):
+        log_s = math.log(s)
+        rows: list[ContractionRow] = []
+        d_prev: LogReal | None = None
+        factor_prev: LogReal | None = None
+        for n, (f, fp, log_g) in enumerate(orbit):
+            d_here = _d_log(f, fp, s, m, a)
+            if n == 0:
+                rows.append(ContractionRow(0, True, d_here, None))
+            else:
+                bnd = factor_prev * d_prev
+                rows.append(ContractionRow(n, _contraction_holds(d_here, bnd),
+                                           d_here, bnd))
+            factor_prev = LogReal.from_log(math.log(m) + log_g - f.log
+                                           - a * log_s)
+            d_prev = d_here
+        audits.append(rows)
+    return audits
 
 
 def _contraction_holds(d_next: LogReal, bound: LogReal) -> bool:

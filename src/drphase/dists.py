@@ -19,7 +19,9 @@ index j of the first k >= 1, whether k is 0..len(k)-1, and w[j:] k[j:];
 `_support` derives it from dense weights (a `FinitePmf`'s and an
 `OffspringLaw`'s, once, on first use), an `AtomPmf` keeps its own, a
 scan family's (G, K) weight matrix shares one k, and the powers of at
-most two values are cached by (s, k).  `pgf_eval`, `pgf_deriv`,
+most two values are cached by (s, k).  `_log_pgf_pair` takes a sequence
+of log s: a law's method passes one, evolution.gf_orbit a whole orbit
+generation's.  `pgf_eval`, `pgf_deriv`,
 `log_pgf_eval` and `log_pgf_deriv` are one side of a `FinitePmf`'s pairs.
 
 An initial law is a finite law, a `FinitePmf` or an `AtomPmf` (kept as
@@ -60,6 +62,9 @@ _LOG_OVERFLOW = 710.0
 # below this k_max log s no power or derivative term of a law can overflow
 # (log k < 44 for every k < 2^63), so `_pgf_pair` needs no errstate
 _LOG_QUIET = 660.0
+# terms per chunk of _log_pgf_pair's points: each temporary stays near
+# 512 KB, and a point of more terms is a chunk of its own
+_LOG_PAIR_ELEMENTS = 1 << 16
 # numpy refuses a float64 array of this many entries or more with a
 # ValueError: its byte count does not fit in intp.
 _MAX_LENGTH = np.iinfo(np.intp).max // 8 + 1
@@ -91,7 +96,8 @@ class _FiniteLaw:
     def log_pgf_pair(self, s: float) -> tuple[float, float]:
         """(log E s^X, log d/ds E s^X), stable far beyond float64 range."""
         _check_argument(s)
-        return _log_pgf_pair(self.atoms, math.log(s))
+        value, deriv = _log_pgf_pair(self.atoms, [math.log(s)])
+        return value.item(), deriv.item()
 
 
 @dataclass(frozen=True)
@@ -409,23 +415,26 @@ def _support(probs: np.ndarray) -> tuple:
     return w, k, j, False, w[j:] * k[j:]
 
 
-def _logsumexp(t: np.ndarray) -> float:
-    """log(sum(exp(t))) for a non-empty array of finite terms.
+def _logsumexp(t: np.ndarray) -> np.ndarray:
+    """log(sum(exp(t))) along the last axis of an array of finite terms
+    whose last axis is not empty: one value per row, a numpy scalar for a
+    one-dimensional t.
 
     The max-shifted sum with the maximal terms split off (Blanchard, Higham
     & Higham, IMA J. Numer. Anal. 41(4), 2021), in exactly the operations
     scipy.special.logsumexp performs, so results agree bit for bit, without
-    its fixed per-call cost.  The numpy scalar log1p/log are kept on
-    purpose: math.log1p and math.log can differ in the last bit.
+    its fixed per-call cost.  Each row is reduced as if alone: numpy sums a
+    contiguous row pairwise whatever the rows around it.  The numpy log1p
+    and log are kept on purpose: math.log1p and math.log can differ in the
+    last bit.
     """
-    top = t.max()
+    top = t.max(axis=-1, keepdims=True)
     at_top = t == top
-    m = np.count_nonzero(at_top)
+    m = at_top.sum(axis=-1, dtype=np.float64)
     e = t - top
     np.exp(e, out=e)
     e[at_top] = 0.0
-    s = e.sum() / m
-    return float(np.log1p(s) + np.log(m) + top)
+    return np.log1p(e.sum(axis=-1) / m) + np.log(m) + top[..., 0]
 
 
 def _pgf_pair(support: tuple, s: float):
@@ -464,22 +473,37 @@ def _law_pgf_pair(support: tuple, s: float) -> tuple[float, float]:
     return float(value), float(deriv)
 
 
-def _log_pgf_pair(support: tuple, log_s: float) -> tuple[float, float]:
-    """Log pair of one law's support tuple, from log s, so that s itself
-    may lie beyond float64 range (the F_n(s) of evolution.gf_orbit).  One
-    pass over the support and the log weights; a dense support's
-    (k-1) log s terms are read off the value's k log s terms."""
+def _log_pgf_pair(support: tuple, log_s) -> tuple[np.ndarray, np.ndarray]:
+    """Log pairs of one law's support tuple at each point of the sequence
+    log_s, as two arrays, from log s, so that s itself may lie beyond
+    float64 range (the F_n(s) of evolution.gf_orbit).  One pass over the
+    support and the log weights per chunk of points, each point's terms a
+    row reduced by _logsumexp as if alone, so a point's pair is the same
+    bits in any batch; a dense support's (k-1) log s terms are read off the
+    value's k log s terms.  A chunk holds at most _LOG_PAIR_ELEMENTS terms,
+    or one point's when a point has more, so a batch takes no more memory
+    than one point's pass of that size."""
     w, k, j, dense, _ = support
+    log_s = np.asarray(log_s, dtype=np.float64)
+    value, deriv = np.full((2, log_s.size), -math.inf)
     if k.size == 0:
-        return -math.inf, -math.inf
+        return value, deriv
     log_w = np.log(w)
-    k_log_s = k * log_s
-    log_value = _logsumexp(log_w + k_log_s)
     k1 = k[j:]
-    if k1.size == 0:
-        return log_value, -math.inf
-    shifted = k_log_s[:-1] if dense else (k1 - 1.0) * log_s
-    return log_value, _logsumexp(log_w[j:] + np.log(k1) + shifted)
+    rows = max(1, _LOG_PAIR_ELEMENTS // k.size)
+    for start in range(0, log_s.size, rows):
+        chunk = slice(start, start + rows)
+        x = log_s[chunk, None]
+        k_log_s = k * x
+        if k1.size:
+            deriv[chunk] = _logsumexp(log_w[j:] + np.log(k1) + (
+                k_log_s[:, :-1] if dense else (k1 - 1.0) * x))
+        # the value's terms take k_log_s's place, and are freed before the
+        # next chunk's: a pass holds one chunk's arrays at a time
+        k_log_s += log_w
+        value[chunk] = _logsumexp(k_log_s)
+        del k_log_s
+    return value, deriv
 
 
 def pgf_eval(p: FinitePmf, s: float) -> float:
@@ -652,8 +676,11 @@ class OffspringLaw:
 
     def log_pgf_pair(self, *, log_v: float) -> tuple[float, float]:
         """(log E v^N, log d/dv E v^N) over the weights, from log v, which
-        is keyword-only: the x0 laws' log_pgf_pair take s itself."""
-        return _log_pgf_pair(self.atoms, log_v)
+        is keyword-only: the x0 laws' log_pgf_pair take s itself.
+        evolution.gf_orbit calls `_log_pgf_pair` on a generation's batch
+        of log v: the same pass."""
+        value, deriv = _log_pgf_pair(self.atoms, [log_v])
+        return value.item(), deriv.item()
 
 
 @dataclass(frozen=True)

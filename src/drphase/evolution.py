@@ -3,8 +3,8 @@
 Two independent routes to the same object: step() pushes the pmf forward by
 explicit convolution powers, while gf_orbit maps the generating function
 F(s) = E s^X forward in closed form, from a head of the initial law and
-without evolving any law.  They must agree, and the test suite holds them
-to 1e-10 of each other.
+without evolving any law, at a whole set of s-points in one pass.  They
+must agree, and the test suite holds them to 1e-10 of each other.
 
 Per-step free-energy bounds: with mu = E N,
 
@@ -343,14 +343,14 @@ def _clip_heads(x0: np.ndarray, weights: np.ndarray, a: int, steps: int
 
 
 def gf_orbit(x0: FinitePmf | AtomPmf | GeometricPmf, law: OffspringLaw,
-             a: int, s: float, steps: int
-             ) -> list[tuple[LogReal, LogReal, float]]:
-    """(F_n(s), F_n'(s), log G(F_n(s))) for n = 0..steps, F_n(s) = E s^X_n
-    along the recursion from x0, G the generating function of law's
-    weights (for geometric N the cut weights that step() uses too).
-    F_0(s), F_0'(s) are x0's log_pgf_pair(s) (ValueError where x0 diverges:
-    a geometric x0 past its radius); the clip heads read x0's atoms below
-    a * steps.
+             a: int, points, steps: int
+             ) -> list[list[tuple[LogReal, LogReal, float]]]:
+    """One orbit per s in `points`: (F_n(s), F_n'(s), log G(F_n(s))) for
+    n = 0..steps, F_n(s) = E s^X_n along the recursion from x0, G the
+    generating function of law's weights (for geometric N the cut weights
+    that step() uses too).  F_0(s), F_0'(s) are x0's log_pgf_pair(s)
+    (ValueError where x0 diverges at any point: a geometric x0 past its
+    radius); the clip heads read x0's atoms below a * steps.
 
     The generating-function recursion (Collet, Eckmann, Glaser & Martin,
     CMP 1984; Derrida & Retaux, JSP 2014, with G in place of v -> v^2):
@@ -360,38 +360,54 @@ def gf_orbit(x0: FinitePmf | AtomPmf | GeometricPmf, law: OffspringLaw,
                       + sum_{p<a} c_p (a - p) s^(p-a-1),
 
     with c_p = P(S_n = p) (_clip_heads): the mass the clip at zero rounds
-    up, rebooked at value 0.  Values are signed log-space scalars; on a
-    law collapsing onto 0 the computed F_n' is cancellation noise and may
-    come out negative.
+    up, rebooked at value 0.  The heads do not depend on s, so one call
+    builds them once for all its points, and each generation evaluates
+    G's log pair at every point's F_n(s) in one pass of
+    dists._log_pgf_pair.  The rest is scalar LogReal arithmetic per point,
+    so each orbit is the same bits as that point's orbit alone.  Values
+    are signed log-space scalars; on a law collapsing onto 0 the computed
+    F_n' is cancellation noise and may come out negative.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    if x0.diverges(s):
-        raise ValueError(f"E s^X diverges at s={s}")
-    log_f, log_fp = x0.log_pgf_pair(s)
+    points = list(points)
+    for s in points:
+        if x0.diverges(s):
+            raise ValueError(f"E s^X diverges at s={s}")
+    starts = [x0.log_pgf_pair(s) for s in points]
     w, k = x0.atoms[:2]
     take = int(np.searchsorted(k, a * steps))
     head = dists.zeros(a * steps)
     head[k[:take].astype(np.intp)] = w[:take]
     heads = _clip_heads(head, law.weights, a, steps)
-    log_s = math.log(s)
-    f, fp = LogReal.from_log(log_f), LogReal.from_log(log_fp)
-    rows = []
+    log_a = math.log(a)
+    log_s = [math.log(s) for s in points]
+    # per point, 1 - s^(p-a) and s^(p-a-1) for p < a: the same every step
+    clip_terms = [[(ONE - LogReal.from_log((p - a) * ls),
+                    LogReal.from_log((p - a - 1) * ls)) for p in range(a)]
+                  for ls in log_s]
+    f = [LogReal.from_log(log_f) for log_f, _ in starts]
+    fp = [LogReal.from_log(log_fp) for _, log_fp in starts]
+    orbits = [[] for _ in points]
     for n in range(steps + 1):
-        log_g, log_gp = law.log_pgf_pair(log_v=f.log)
-        rows.append((f, fp, log_g))
+        log_g, log_gp = (v.tolist() for v in dists._log_pgf_pair(
+            law.atoms, [fi.log for fi in f]))
+        for i, orbit in enumerate(orbits):
+            orbit.append((f[i], fp[i], log_g[i]))
         if n == steps:
             break
-        f_next = LogReal.from_log(log_g - a * log_s)
-        fp_next = LogReal.from_log(log_gp + fp.log - a * log_s, fp.sign)
-        fp_next = fp_next - LogReal.from_log(log_g + math.log(a)
-                                             - (a + 1) * log_s)
-        for p, cp in enumerate(heads[n].tolist()):
-            if cp > 0.0:
-                clip = ONE - LogReal.from_log((p - a) * log_s)
-                f_next = f_next + LogReal.from_float(cp) * clip
-                fp_next = fp_next + LogReal.from_float(cp * (a - p)) \
-                    * LogReal.from_log((p - a - 1) * log_s)
-        f, fp = f_next, fp_next
-    return rows
-
+        # c_p and c_p (a - p), the same at every point
+        clips = [(p, LogReal.from_float(cp), LogReal.from_float(cp * (a - p)))
+                 for p, cp in enumerate(heads[n].tolist()) if cp > 0.0]
+        for i, ls in enumerate(log_s):
+            f_next = LogReal.from_log(log_g[i] - a * ls)
+            fp_next = LogReal.from_log(log_gp[i] + fp[i].log - a * ls,
+                                       fp[i].sign)
+            fp_next = fp_next - LogReal.from_log(log_g[i] + log_a
+                                                 - (a + 1) * ls)
+            for p, c, c_slope in clips:
+                clip, power = clip_terms[i][p]
+                f_next = f_next + c * clip
+                fp_next = fp_next + c_slope * power
+            f[i], fp[i] = f_next, fp_next
+    return orbits

@@ -3,24 +3,43 @@
 Generating-function values along the recursion overflow float64 within a
 dozen steps on growing instances, but the audits only ever need products,
 signed sums, and the signs of those values.  LogReal keeps (sign, log|x|)
-and does exactly that arithmetic.
+and does exactly that arithmetic, in scalar `math` calls: numpy's exp and
+log1p can differ from math's in the last bit.  One check-lemmas builds
+about a thousand of them, so LogReal is a slotted class, at half the
+construction cost of a frozen dataclass, compared and hashed by value;
+no code mutates one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 _EXP_OVERFLOW = 709.782712893384
 _EXP_UNDERFLOW = -745.0
 
 
-@dataclass(frozen=True)
 class LogReal:
-    """A real number stored as a sign in {-1, 0, 1} and log of its magnitude."""
+    """A real number stored as a sign in {-1, 0, 1} and log of its magnitude.
 
-    sign: int
-    log: float
+    Equal, with equal hashes, when sign and log are; repr as a dataclass's.
+    """
+
+    __slots__ = ("sign", "log")
+
+    def __init__(self, sign: int, log: float):
+        self.sign = sign
+        self.log = log
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not LogReal:
+            return NotImplemented
+        return (self.sign, self.log) == (other.sign, other.log)
+
+    def __hash__(self) -> int:
+        return hash((self.sign, self.log))
+
+    def __repr__(self) -> str:
+        return f"LogReal(sign={self.sign!r}, log={self.log!r})"
 
     @staticmethod
     def from_float(x: float) -> "LogReal":
@@ -43,9 +62,6 @@ class LogReal:
             return 0.0
         return self.sign * math.exp(self.log)
 
-    def __neg__(self) -> "LogReal":
-        return LogReal(-self.sign, self.log)
-
     def __mul__(self, other: "LogReal") -> "LogReal":
         s = self.sign * other.sign
         if s == 0:
@@ -53,30 +69,32 @@ class LogReal:
         return LogReal(s, self.log + other.log)
 
     def __add__(self, other: "LogReal") -> "LogReal":
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        if self.sign == other.sign:
-            return LogReal(self.sign, _logaddexp(self.log, other.log))
-        if self.log == other.log:
-            return ZERO
-        big, small = (self, other) if self.log > other.log else (other, self)
-        frac = math.exp(small.log - big.log)
-        if frac >= 1.0:  # magnitudes closer than one rounding step
-            return ZERO
-        return LogReal.from_log(big.log + math.log1p(-frac), big.sign)
+        return self._plus(other.sign, other.log)
 
     def __sub__(self, other: "LogReal") -> "LogReal":
-        return self + (-other)
+        return self._plus(-other.sign, other.log)
+
+    def _plus(self, sign: int, log: float) -> "LogReal":
+        """self + sign * e^log, the one signed sum behind + and -."""
+        if self.sign == 0:
+            return LogReal(sign, log)
+        if sign == 0:
+            return self
+        if self.sign == sign:
+            # log(e^a + e^b), both logs above -inf
+            hi, lo = (self.log, log) if self.log >= log else (log, self.log)
+            return LogReal(sign, hi + math.log1p(math.exp(lo - hi)))
+        if self.log == log:
+            return ZERO
+        if self.log > log:
+            big_sign, big_log, small_log = self.sign, self.log, log
+        else:
+            big_sign, big_log, small_log = sign, log, self.log
+        frac = math.exp(small_log - big_log)
+        if frac >= 1.0:  # magnitudes closer than one rounding step
+            return ZERO
+        return LogReal.from_log(big_log + math.log1p(-frac), big_sign)
 
 
 ZERO = LogReal(0, -math.inf)
 ONE = LogReal(1, 0.0)
-
-
-def _logaddexp(a: float, b: float) -> float:
-    """log(e^a + e^b) for logs above -inf: LogReal.__add__ passes no ZERO."""
-    hi, lo = (a, b) if a >= b else (b, a)
-    return hi + math.log1p(math.exp(lo - hi))
-

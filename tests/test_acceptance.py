@@ -193,7 +193,7 @@ def test_criterion_04_generating_function_oracle(battery):
                     log_f = log_pgf_eval(x, s)
                     log_fp = log_pgf_deriv(x, s)
                     lg, lgp = law.log_pgf_pair(log_v=log_f)
-                    f, fp, _ = gf_orbit(x, law, a, s, 1)[1]
+                    f, fp, _ = gf_orbit(x, law, a, [s], 1)[0][1]
                     rows = ((f.to_float(), pgf_eval(y, s), f,
                              log_pgf_eval(y, s), False),
                             (fp.to_float(), pgf_deriv(y, s), fp,
@@ -259,7 +259,7 @@ def test_criterion_06_contraction_and_sign_persistence(battery):
         bound = model.offspring.bound
         s0 = 1.0 + (bound - 1.0) / model.a
         for s in (s0, 2.0 * s0):
-            rows = lemma3_contraction_check(model, s, 10)
+            rows = lemma3_contraction_check(model, [s], 10)[0]
             assert all(r.holds for r in rows), (model, s)
             if rows[0].d_next_log.sign < 0:
                 assert all(r.d_next_log.sign < 0 for r in rows), (model, s)
@@ -282,7 +282,7 @@ def test_criterion_07_supercritical_growth_floor(battery):
             continue
         audited_models += 1
         for s in points:
-            rows = lemma1_growth_check(model, s, 8)
+            rows = lemma1_growth_check(model, [s], 8)[0]
             assert all(r.holds for r in rows), (model, s)
             audited_points += len(rows)
     assert audited_models >= 1

@@ -846,20 +846,20 @@ def test_check_lemmas_reads_the_geometric_law_not_its_cut(tmp_path, capsys):
 
 @pytest.mark.parametrize("check,fake,line", [
     ("lemma1_growth_check",
-     lambda model, s, steps: [
+     lambda model, points, steps: [[
          criteria.GrowthRow(0, True, LogReal.from_float(1.0),
                             LogReal.from_float(1.0)),
          criteria.GrowthRow(1, False, LogReal.from_float(0.5),
-                            LogReal.from_float(1.0))],
+                            LogReal.from_float(1.0))] for _ in points],
      "lemma1 growth-floor: FAIL (s=1.8 n=1: lhs below floor by 0.5 of the "
      "floor)"),
     ("lemma2_tail_check", lambda model, steps: 1.5,
      "lemma2 tail-bound: FAIL (worst tail ratio 1.5 exceeds 1)"),
     ("lemma3_contraction_check",
-     lambda model, s, steps: [
+     lambda model, points, steps: [[
          criteria.ContractionRow(0, True, LogReal.from_float(-1.0), None),
          criteria.ContractionRow(1, False, LogReal.from_float(-0.5),
-                                 LogReal.from_float(-1.0))],
+                                 LogReal.from_float(-1.0))] for _ in points],
      "lemma3 contraction: FAIL (s=2 n=1: value above contraction bound by "
      "0.5 of the bound)"),
     ("lemma4_association_check_log",
@@ -883,6 +883,26 @@ def test_check_lemmas_fail_details(tmp_path, capsys, monkeypatch, check,
     code, out, _ = run_main(["check-lemmas", "--config", cfg], capsys)
     assert code == 1
     assert line in out.splitlines()
+
+
+def test_check_lemmas_builds_clip_heads_once_per_orbit_audit(
+        tmp_path, capsys, monkeypatch):
+    # the clip heads do not depend on s: lemma1's three s-points and
+    # lemma3's two each share one orbit pass, so the README model's heads
+    # are built twice (8 and 10 steps), not once per s-point
+    steps = []
+    clip_heads = cli.evolution._clip_heads
+
+    def counted(x0, weights, a, n):
+        steps.append(n)
+        return clip_heads(x0, weights, a, n)
+    monkeypatch.setattr(cli.evolution, "_clip_heads", counted)
+    cfg = write_config(tmp_path, base_config())
+    code, out, _ = run_main(["check-lemmas", "--config", cfg], capsys)
+    assert code == 0
+    assert out.splitlines()[0].startswith(
+        "lemma1 growth-floor: PASS (3 s-points, ")
+    assert steps == [8, 10]
 
 
 def test_check_lemmas_fail_exits_one(tmp_path, capsys, monkeypatch):
@@ -940,7 +960,7 @@ def test_check_lemmas_contraction_holds_in_the_fft_regime(tmp_path, capsys):
     worst = min(
         cli._rel_margin(row.lhs_log - row.floor_log, row.floor_log)
         for s in points
-        for row in criteria.lemma1_growth_check(model, s, growth_steps)
+        for row in criteria.lemma1_growth_check(model, [s], growth_steps)[0]
         if row.n >= 1)
     assert worst > 0.0
     assert lines[0] == ("lemma1 growth-floor: PASS (3 s-points, "

@@ -257,7 +257,7 @@ def test_contraction_pointwise_inequality_grid():
 
 def test_lemma1_growth_pinned_instance():
     model = two_point(0.5)
-    rows = lemma1_growth_check(model, s=1.9, steps=8)
+    rows = lemma1_growth_check(model, [1.9], steps=8)[0]
     lhs0 = rows[0].lhs_log.to_float()
     assert lhs0 == pytest.approx(1.305, abs=1e-12)
     assert rows[0].floor_log.to_float() == pytest.approx(lhs0, rel=1e-14)
@@ -271,9 +271,9 @@ def test_lemma1_growth_pinned_instance():
 def test_lemma1_rejects_s_outside_window():
     model = two_point(0.5)
     with pytest.raises(ValueError):
-        lemma1_growth_check(model, s=1.0, steps=4)
+        lemma1_growth_check(model, [1.0], steps=4)
     with pytest.raises(ValueError):
-        lemma1_growth_check(model, s=2.0, steps=4)
+        lemma1_growth_check(model, [2.0], steps=4)
 
 
 def test_lemma2_tail_pinned_instance():
@@ -290,7 +290,7 @@ def test_lemma2_refuses_non_subcritical():
 
 def test_lemma3_contraction_pinned_instance():
     model = two_point(0.1)
-    rows = lemma3_contraction_check(model, s=2.0, steps=10)
+    rows = lemma3_contraction_check(model, [2.0], steps=10)[0]
     assert rows[0].bound_log is None  # input-only row
     for row in rows[1:]:
         assert row.holds
@@ -303,9 +303,9 @@ def test_lemma3_requires_bounded_and_threshold():
     geo = ModelSpec(a=1, x0=FinitePmf.from_dict({0: 0.9, 2: 0.1}),
                     offspring=OffspringLaw.geometric(0.5))
     with pytest.raises(ValueError):
-        lemma3_contraction_check(geo, s=2.0, steps=3)
+        lemma3_contraction_check(geo, [2.0], steps=3)
     with pytest.raises(ValueError):
-        lemma3_contraction_check(two_point(0.1), s=1.5, steps=3)  # below 1+(M-1)/a
+        lemma3_contraction_check(two_point(0.1), [1.5], steps=3)  # below 1+(M-1)/a
 
 
 def test_lemma1_and_lemma3_evolve_no_law(monkeypatch):
@@ -314,15 +314,17 @@ def test_lemma1_and_lemma3_evolve_no_law(monkeypatch):
     monkeypatch.setattr(evolution, "evolve", no_evolution)
     monkeypatch.setattr(evolution, "step", no_evolution)
     monkeypatch.setattr(criteria, "evolve", no_evolution)
-    assert all(r.holds for r in lemma1_growth_check(two_point(0.5), 1.9, 8))
-    rows = lemma3_contraction_check(two_point(0.1), 2.0, 10)
+    rows = lemma1_growth_check(two_point(0.5), [1.9], 8)[0]
+    assert all(r.holds for r in rows)
+    rows = lemma3_contraction_check(two_point(0.1), [2.0], 10)[0]
     assert len(rows) == 11 and all(r.holds for r in rows)
     # an unbounded N is audited through the cutoff step() uses
     x0 = FinitePmf.from_dict({0: 0.5, 2: 0.5})
     geo = ModelSpec(a=1, x0=x0, offspring=OffspringLaw.geometric(0.5))
     cut = ModelSpec(a=1, x0=x0,
                     offspring=geo.offspring.with_cutoff(GEOMETRIC_TAIL))
-    assert lemma1_growth_check(geo, 1.9, 6) == lemma1_growth_check(cut, 1.9, 6)
+    assert lemma1_growth_check(geo, [1.9], 6) \
+        == lemma1_growth_check(cut, [1.9], 6)
 
 
 @pytest.mark.parametrize("log_bound,over,holds", [
@@ -423,6 +425,14 @@ def test_lemma4_evaluates_no_log_pair_where_x0_diverges(monkeypatch):
 def test_log_real_to_float_underflows_to_zero():
     assert LogReal.from_log(-746.0, -1).to_float() == 0.0
     assert LogReal.from_log(-744.0).to_float() == math.exp(-744.0) > 0.0
+    # equal, with equal hashes, when sign and log are; repr as a dataclass's
+    x = LogReal.from_log(-744.0)
+    assert x == LogReal(1, -744.0) and x != LogReal(-1, -744.0)
+    assert x != LogReal(1, -745.0) and x != -744.0
+    assert hash(x) == hash(LogReal(1, -744.0)) == hash((1, -744.0))
+    assert len({x, LogReal(1, -744.0), LogReal.from_float(0.0)}) == 2
+    assert repr(x) == "LogReal(sign=1, log=-744.0)"
+    assert repr(LogReal.from_float(0.0)) == "LogReal(sign=0, log=-inf)"
 
 
 def test_lemma4_requires_s_above_one():

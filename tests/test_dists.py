@@ -224,6 +224,35 @@ def test_log_pgf_matches_scipy_expressions_bit_for_bit():
             deriv = np.log(w[idx]) + np.log(k) + (k - 1.0) * log_v
             assert law.log_pgf_pair(log_v=log_v) == (
                 float(logsumexp(value)), float(logsumexp(deriv)))
+    # a batch of points in one pass (gf_orbit's G at every point): each
+    # point's pair equals its own pass and the expressions, at log s from
+    # -30 to 1e18, on dense and sparse laws of 2 to 10^5 weights and the
+    # geometric cuts at p = .5 and 1e-3.  A chunk holds at most
+    # _LOG_PAIR_ELEMENTS terms: 6 points of the 10^4-weight laws, 2 of the
+    # cut at 1e-3 (32,221 weights), and one of the 10^5-weight laws
+    log_points = np.array([-30.0, -2.0, -1e-3, 0.0, 1e-9, 0.5, 3.0, 60.0,
+                           700.0, 1e6, 1e12, 1e18])
+    supports = []
+    for size in (2, 7, 60, 2_000, 10_000, 100_000):
+        w = rng.random(size) + 0.01
+        supports.append(FinitePmf(w / w.sum()).atoms)
+        values = np.unique(rng.integers(0, 50 * size, size)).tolist()
+        w = rng.random(len(values)) + 0.01
+        supports.append(AtomPmf.from_dict(dict(zip(values,
+                                                   (w / w.sum()).tolist())))
+                        .atoms)
+    supports += [OffspringLaw.geometric(p).atoms for p in (0.5, 1e-3)]
+    assert dists._LOG_PAIR_ELEMENTS // 10_000 == 6
+    for support in supports:
+        w, k, j = support[:3]
+        value, deriv = dists._log_pgf_pair(support, log_points)
+        for x, got in zip(log_points.tolist(), zip(value, deriv)):
+            own = dists._log_pgf_pair(support, [x])
+            assert got == (own[0][0], own[1][0]), (k.size, x)
+            assert got == (
+                float(logsumexp(np.log(w) + k * x)),
+                float(logsumexp(np.log(w[j:]) + np.log(k[j:])
+                                + (k[j:] - 1.0) * x))), (k.size, x)
 
 
 # -- one-pass evaluator against the per-function code it replaced -----------
@@ -603,10 +632,10 @@ def test_only_evolve_builds_an_atom_laws_cut():
     x0 = AtomPmf.from_dict({0: 0.5, 3: 0.25, 1000: 0.25})
     model = ModelSpec(1, x0, OffspringLaw.deterministic(2))
     assert classify(model).verdict == "Supercritical"
-    criteria.lemma1_growth_check(model, 1.5, 4)
+    criteria.lemma1_growth_check(model, [1.5], 4)
     with pytest.raises(ValueError, match="requires a Subcritical verdict"):
         criteria.lemma2_tail_check(model, 4)
-    criteria.lemma3_contraction_check(model, 2.0, 4)
+    criteria.lemma3_contraction_check(model, [2.0], 4)
     criteria.lemma4_association_check_log(x0, 1.5)
     montecarlo.init_population(model, 1000, 1)
     montecarlo.tree_sample(model, 3, 1)

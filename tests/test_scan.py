@@ -640,7 +640,7 @@ def test_a_geometric_law_is_cut_once_for_all_its_consumers(monkeypatch):
                       OffspringLaw.deterministic(2))
     evolution.evolve(model, 2)
     # inside the radius 1/0.7: gf_orbit's clip heads read the cut
-    evolution.gf_orbit(model.x0, model.offspring, 1, 1.2, 2)
+    evolution.gf_orbit(model.x0, model.offspring, 1, [1.2], 2)
     montecarlo.init_population(model, 1000, 1)
     montecarlo.tree_sample(model, 2, 1)
     assert built == [0.3]
