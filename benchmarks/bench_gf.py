@@ -3,12 +3,14 @@
 Times `FinitePmf.pgf_pair` and `FinitePmf.log_pgf_pair`, the one-pass
 pairs that classify and the audits evaluate, on laws of 10, 150, 2,000 and
 100,000 positive weights and on `geometric_x0_pmf(1e-5)` (about 3.2M
-entries); both pairs of one 20,000-weight law at the seven s-points that
-check-lemmas reads on the README model; `criteria.d0` on a 1,000-atom law
-with values up to 10^12, past float64 range, so through its log path; and
-`drphase check-lemmas` in-process on the README model and on
-the bounded-N model of perfbench's exact-evolve workload, for a baseline
-revision and the working tree (see passes.py for the pass scheme).
+entries); 1,000 calls of each pair of the two-point `AtomPmf`
+{0: .5, 3: .5}, whose powers are cached; both pairs of one 20,000-weight
+law at the seven s-points that check-lemmas reads on the README model;
+`criteria.d0` on a 1,000-atom law with values up to 10^12, past float64
+range, so through its log path; and `drphase check-lemmas` in-process on
+the README model and on the bounded-N model of perfbench's exact-evolve
+workload, for a baseline revision and the working tree (see passes.py for
+the pass scheme).
 BENCH_gf.json also holds each side's outputs, the pgf values and the
 check-lemmas stdout, and whether the two sides' outputs are identical.
 
@@ -22,6 +24,8 @@ from passes import best_of, main, outputs_identical, versions
 
 S = 1.2
 SIZES = (10, 150, 2_000, 100_000)
+# calls per timed sample of a two-point pair, of about 2 us each
+TWO_POINT_CALLS = 1000
 # check-lemmas' s-points on the README model (s* = 2): lemma1's 0.9, 0.95
 # and 0.99 s*, lemma3's s_sub and 2 s_sub, lemma4's 1.5 and 2
 AUDIT_POINTS = (0.9 * 2.0, 0.95 * 2.0, 0.99 * 2.0, 2.0, 4.0, 1.5, 2.0)
@@ -67,6 +71,12 @@ def measure():
             case = f"{fn.__name__}.{name}"
             outputs[case] = repr(fn(p, S))
             timings[case] = best_of(lambda: fn(p, S))
+    two_point = AtomPmf.from_dict({0: 0.5, 3: 0.5})
+    for fn in (AtomPmf.pgf_pair, AtomPmf.log_pgf_pair):
+        case = f"{fn.__name__}.two_point_x{TWO_POINT_CALLS}"
+        outputs[case] = repr(fn(two_point, S))
+        timings[case] = best_of(
+            lambda: [fn(two_point, S) for _ in range(TWO_POINT_CALLS)])
     rng = np.random.default_rng(26)
     w = rng.random(20_000) + 0.01
     dense = FinitePmf(w / w.sum())

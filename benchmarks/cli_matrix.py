@@ -4,10 +4,11 @@ working tree.
 Runs a fixed matrix of `python -m drphase` invocations under the `src/` of
 revision REV (exported with `passes.export_src`) and under the working
 tree's `src/`: `classify`, `evolve`, `estimate-q`, `simulate` and
-`check-lemmas` in table, csv and json on seven models (the README model, a
+`check-lemmas` in table, csv and json on eight models (the README model, a
 geometric-N model, a geometric-x0 model with geometric N, a finite-N model,
 a finite N of one count, {3: 1}, which is the deterministic law, a
-subcritical model and a model whose x0 has three atoms with gaps),
+subcritical model, a model whose x0 has three atoms with gaps and one whose
+x0 {0: .4, 1: .35, 2: .25} is dense, with finite N),
 `classify` on an x0 {0: .999, 1e6: .001}, `check-lemmas` at its default
 steps on an x0 {0: .999, 2e7: .001} and on the 19 atoms of
 tests/conftest.py's EDGE_ATOMS (whose dense mean and atom mean differ in
@@ -24,7 +25,7 @@ the criterion takes the log path through the law's weights; high 1500,
 where s^(high-1) is known to overflow before any power is taken, so every
 grid member takes that path; high 3 with the three-atom x0, which the
 scan validates and ignores) and one `geometric_x0` family, each in the
-three formats: 151 invocations per side.  Each invocation's stdout, stderr
+three formats: 166 invocations per side.  Each invocation's stdout, stderr
 and exit code must be equal on both sides.  Prints one line per difference
 and a summary, and exits 1 if there is any difference, 0 otherwise.
 
@@ -65,6 +66,10 @@ MODELS = {
                     "x0": {"type": "finite", "pmf": [[0, 0.9], [2, 0.1]]},
                     "N": {"type": "deterministic", "n": 2}},
     "sparse-x0": {"a": 1, "x0": SPARSE, "N": {"type": "deterministic", "n": 2}},
+    "dense-x0": {"a": 1,
+                 "x0": {"type": "finite",
+                        "pmf": [[0, 0.4], [1, 0.35], [2, 0.25]]},
+                 "N": {"type": "finite", "pmf": [[1, 0.5], [3, 0.5]]}},
 }
 # a two-point x0 whose dense weights would hold 1e6 + 1 entries
 HIGH_X0 = {"a": 1, "N": {"type": "deterministic", "n": 2},

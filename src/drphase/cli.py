@@ -367,6 +367,8 @@ def cmd_simulate(cfg: dict, args) -> int:
         rows = exc.rows[:-1]  # its last row is the one past the cap
     except EvolutionStopped as exc:
         rows = exc.rows  # the other stops' rows all lie within their limits
+    except MemoryError:  # x0's dense cut does not fit, and no row was made
+        rows = []
     exact = {row.n: row.mean_xn for row in rows}
 
     out = [[n, mean, se, exact.get(n)] for n, (mean, se) in

@@ -100,7 +100,7 @@ def d0(x0: FinitePmf | AtomPmf | GeometricPmf, a: int, s: float,
     # as d0 = sum_k w_k c_k s^k with c_k = (m-1) k - a, its positive and
     # negative terms each summed there: the difference of log F and log F',
     # both near k log s, would round away a gap below their ulp.
-    w, k = x0.atoms[:2]
+    w, k = x0.atoms
     c = (m - 1.0) * k - a
     log_terms = np.log(w) + k * math.log(s)
     parts = [LogReal.from_log(float(dists._logsumexp(
@@ -255,15 +255,13 @@ def lemma2_tail_check(model: ModelSpec, steps: int) -> float:
     log_pref = math.log(mu - 1.0) - math.log(a)
     worst = 0.0
     for x in trace.pmfs:
-        if x.probs.size <= a + 1:
-            continue
-        # every tail holds the law's last weight, which is positive
-        suffix = np.cumsum(x.probs[::-1])[::-1]
-        kmax = (x.support_max - 1) // a
-        for k in range(1, kmax + 1):
-            tail = float(suffix[a * k + 1])
-            log_ratio = math.log(tail) + log_pref + k * log_mu
-            worst = max(worst, math.exp(min(log_ratio, 700.0)))
+        # P(X_n >= a k + 1) for k >= 1, each holding the law's last weight,
+        # which is positive; math's log and exp, whose last bits numpy's miss
+        tails = np.cumsum(x.probs[::-1])[::-1][a + 1::a].tolist()
+        log_ratio = (np.array(list(map(math.log, tails))) + log_pref
+                     + np.arange(1.0, len(tails) + 1.0) * log_mu)
+        worst = max([worst, *map(math.exp,
+                                 np.minimum(log_ratio, 700.0).tolist())])
     return worst
 
 

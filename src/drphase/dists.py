@@ -13,10 +13,11 @@ A law's `pgf_pair`/`log_pgf_pair` methods are the one way to evaluate
 E s^X and its derivative at a point, in float64 and in log space, and its
 `diverges(s)` the one test of whether E s^X is infinite there (only a
 geometric law's can be).  Every finite law is evaluated by two array
-cores, `_pgf_pair` and `_log_pgf_pair`, each one pass over a support
-tuple (w, k, j, dense, slopes): positive weights w, their values k, the
-index j of the first k >= 1, whether k is 0..len(k)-1, and w[j:] k[j:];
-`_support` derives it from dense weights (a `FinitePmf`'s and an
+cores, `_pgf_pair` and `_log_pgf_pair`, each one pass over the law's
+`atoms` (w, k), its positive weights and their sorted float64 values,
+from which the cores alone derive, per call, the derivative's weights
+w[j:] k[j:] (k[j] the first k >= 1); `_support` takes the atoms of
+dense weights (a `FinitePmf`'s and an
 `OffspringLaw`'s, once, on first use), an `AtomPmf` keeps its own, a
 scan family's (G, K) weight matrix shares one k, and the powers of at
 most two values are cached by (s, k).  `_log_pgf_pair` takes a sequence
@@ -26,10 +27,10 @@ generation's.  `pgf_eval`, `pgf_deriv`,
 
 An initial law is a finite law, a `FinitePmf` or an `AtomPmf` (kept as
 its atoms: the CLI's finite x0, a two-point family member), read by
-`_FiniteLaw` from its support tuple `atoms`; or a `GeometricPmf`,
-P(X = k) = r (1-r)^k in closed form, whose `atoms` are its cut's.  Only
-`evolution.evolve` reads the dense weights, `cut` (a FinitePmf is its
-own, the others build theirs once, on first use); every other reader
+`_FiniteLaw` from its `atoms`; or a `GeometricPmf`, P(X = k) = r (1-r)^k
+in closed form, whose `atoms` are its cut's.  Only `evolution.evolve`
+reads the dense weights, `cut` (a FinitePmf is its own, the others build
+theirs once, on first use, with `dense_weights`); every other reader
 takes the atoms.  An `OffspringLaw` is its weights: kind, mean and bound
 derive from them, and atoms on first use.
 """
@@ -80,8 +81,8 @@ def zeros(length: int) -> np.ndarray:
 
 
 class _FiniteLaw:
-    """The readers a FinitePmf and an AtomPmf share, from the law's support
-    tuple `atoms`; leak-free unless a FinitePmf books a leak."""
+    """The readers a FinitePmf and an AtomPmf share, from the law's
+    `atoms`; leak-free unless a FinitePmf books a leak."""
 
     leaked_mass = 0.0
 
@@ -182,7 +183,7 @@ class FinitePmf(_FiniteLaw):
         return self
 
     @functools.cached_property
-    def atoms(self) -> tuple:
+    def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         return _support(self.probs)
 
 
@@ -232,32 +233,32 @@ class GeometricPmf:
         return geometric_x0_pmf(self.r)
 
     @property
-    def atoms(self) -> tuple:
-        """The support tuple of the cut."""
+    def atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """The atoms of the cut."""
         return self.cut.atoms
 
 
-def _powers(s: float, k: np.ndarray, j: int,
-            dense: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(s^k, s^(k[j:] - 1)), cached for at most two values, which many
-    laws share (a scan.TwoPointFamily's members)."""
+def _powers(s: float, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s^k, s^(k - 1) for k >= 1), cached for at most two values, which
+    many laws share (a scan.TwoPointFamily's members)."""
     if k.size <= 2:
-        return _cached_powers(s, k.tobytes(), j, dense)
-    return _computed_powers(s, k, j, dense)
+        return _cached_powers(s, k.tobytes())
+    return _computed_powers(s, k)
 
 
-def _computed_powers(s: float, k: np.ndarray, j: int,
-                     dense: bool) -> tuple[np.ndarray, np.ndarray]:
+def _computed_powers(s: float, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`_powers` from np.power's array path, whose last bit can differ from
-    a scalar pow's; a dense k's second part is read off the first."""
+    a scalar pow's.  The second part of values 0..len(k)-1 is read off the
+    first: sorted distinct values end at len(k) - 1 only then."""
     powers = np.power(s, k)
-    return powers, powers[:-1] if dense else np.power(s, k[j:] - 1.0)
+    if k.size == 0 or k.item(-1) == k.size - 1:
+        return powers, powers[:-1]
+    return powers, np.power(s, k[int(k.item(0) == 0.0):] - 1.0)
 
 
 @functools.lru_cache(maxsize=256)
-def _cached_powers(s: float, values: bytes, j: int,
-                   dense: bool) -> tuple[np.ndarray, np.ndarray]:
-    powers, shifted = _computed_powers(s, np.frombuffer(values), j, dense)
+def _cached_powers(s: float, values: bytes) -> tuple[np.ndarray, np.ndarray]:
+    powers, shifted = _computed_powers(s, np.frombuffer(values))
     powers.setflags(write=False)
     shifted.setflags(write=False)
     return powers, shifted
@@ -268,17 +269,17 @@ class AtomPmf(_FiniteLaw):
     """A finite law kept as its atoms: P(X = k[i]) = w[i], with no array
     over 0..support_max.
 
-    `atoms` is the (w, k, j, dense, slopes) support tuple that `_support`
-    derives from the same law's FinitePmf weights.  `from_dict` makes its
-    arrays read-only; a scan.TwoPointFamily's members share their values
-    (0, high).  Not frozen, and a member's own arrays are not flagged: that
-    made a scan's bisections 10% slower.  Its pairs equal its FinitePmf's
-    bit for bit; its `mean`, a dot over the atoms, can differ in the last
-    bit (numpy groups a dense dot of 16 or more entries otherwise).  Only
+    `atoms` is the (w, k) that `_support` takes from the same law's
+    FinitePmf weights.  `from_dict` makes its arrays read-only; a
+    scan.TwoPointFamily's members share their values (0, high).  Not
+    frozen, and a member's own weights are not flagged: that made a scan's
+    bisections 10% slower.  Its pairs equal its FinitePmf's bit for bit;
+    its `mean`, a dot over the atoms, can differ in the last bit (numpy
+    groups a dense dot of 16 or more entries otherwise).  Only
     `evolution.evolve` reads that FinitePmf, `cut`, built on first use.
     """
 
-    atoms: tuple[np.ndarray, np.ndarray, int, bool, np.ndarray]
+    atoms: tuple[np.ndarray, np.ndarray]
 
     @classmethod
     def from_dict(cls, weights: Mapping[int, float]) -> "AtomPmf":
@@ -292,30 +293,38 @@ class AtomPmf(_FiniteLaw):
         keep = w > 0.0
         w = w[keep]
         k = np.array(values, dtype=np.float64)[keep]
-        j = int(k[0] == 0.0)
-        slopes = w[j:] * k[j:]
-        for array in (w, k, slopes):
-            array.setflags(write=False)
-        return cls((w, k, j, bool(k[-1] == k.size - 1), slopes))
+        w.setflags(write=False)
+        k.setflags(write=False)
+        return cls((w, k))
 
     @property
     def support(self) -> np.ndarray:
         """The values of positive weight, as float64."""
-        return self.atoms[1]
+        _, k = self.atoms
+        return k
 
     @property
     def mean(self) -> float:
         """E X, a dot over the atoms."""
-        return float(np.dot(*self.atoms[:2]))
+        return float(np.dot(*self.atoms))
 
     @functools.cached_property
     def cut(self) -> FinitePmf:
         """The law's FinitePmf, built on first use and kept, on the weights
         that passed from_dict's checks."""
-        w, k = self.atoms[:2]
-        probs = zeros(int(k[-1]) + 1)
-        probs[k.astype(np.intp)] = w
-        return FinitePmf._checked(probs)
+        return FinitePmf._checked(
+            dense_weights(self.atoms, int(self.support[-1]) + 1))
+
+
+def dense_weights(atoms: tuple[np.ndarray, np.ndarray],
+                  length: int) -> np.ndarray:
+    """The atoms (w, k) of values below length, placed in a new array of
+    that many dense weights."""
+    w, k = atoms
+    take = int(np.searchsorted(k, length))
+    probs = zeros(length)
+    probs[k[:take].astype(np.intp)] = w[:take]
+    return probs
 
 
 def geometric_x0_pmf(r: float) -> FinitePmf:
@@ -398,21 +407,17 @@ def _check_argument(s: float) -> None:
         raise ValueError(f"pgf argument must be positive, got {s}")
 
 
-def _support(probs: np.ndarray) -> tuple:
-    """(w, k, j, dense, slopes): the positive weights of probs, their values
-    as float64, the index of the first value >= 1, whether probs has no
-    zero weight, and the derivative's weights w[j:] k[j:].
+def _support(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The atoms (w, k) of dense weights probs: the positive weights and
+    their values as float64.
 
     A dense array gives probs itself and an arange: the numbers flatnonzero
     and fancy indexing would copy out, without the copies.
     """
     if np.count_nonzero(probs) == probs.size:
-        k = np.arange(probs.size, dtype=np.float64)
-        return probs, k, 1, True, probs[1:] * k[1:]
+        return probs, np.arange(probs.size, dtype=np.float64)
     idx = np.flatnonzero(probs)
-    j = int(idx.size > 0 and idx[0] == 0)
-    w, k = probs[idx], idx.astype(np.float64)
-    return w, k, j, False, w[j:] * k[j:]
+    return probs[idx], idx.astype(np.float64)
 
 
 def _logsumexp(t: np.ndarray) -> np.ndarray:
@@ -437,21 +442,22 @@ def _logsumexp(t: np.ndarray) -> np.ndarray:
     return np.log1p(e.sum(axis=-1) / m) + np.log(m) + top[..., 0]
 
 
-def _pgf_pair(support: tuple, s: float):
+def _pgf_pair(atoms: tuple, s: float):
     """(E s^X, d/ds E s^X) of the laws whose weights form the last axis of
-    w in the support tuple (w, k, j, dense, slopes): one law's weights, or
-    a (G, K) matrix of laws on the same values k, each row evaluated as if
-    alone (np.vecdot runs np.dot's cblas ddot on each row), whose slopes
-    are then the matrix w[:, j:] k[j:].
+    w in the atoms (w, k): one law's weights, or a (G, K) matrix of laws on
+    the same values k, each row evaluated as if alone (np.vecdot runs
+    np.dot's cblas ddot on each row).  The derivative's weights are
+    w[..., j:] k[j:], j the index of the first k >= 1.
 
     When (support_max - 1) log s > 710, s^(support_max - 1) is certain to
     overflow, so both sums are inf without evaluating anything.  Short of
     that an overflow is a quiet inf, under an errstate (microseconds)
     entered only from support_max log s = _LOG_QUIET on.
     """
-    w, k, j, dense, slopes = support
+    w, k = atoms
     s = float(s)
     dot = np.vecdot if w.ndim > 1 else np.dot
+    j = int(k.size > 0 and k.item(0) == 0.0)
     if k.size and s > 1.0:
         log_s = math.log(s)
         log_top = (k.item(-1) - 1.0) * log_s
@@ -460,49 +466,44 @@ def _pgf_pair(support: tuple, s: float):
             return inf, inf
         if log_top + log_s > _LOG_QUIET:
             with np.errstate(over="ignore"):
-                s_k, shifted = _powers(s, k, j, dense)
-                return dot(w, s_k), dot(slopes, shifted)
-    s_k, shifted = _powers(s, k, j, dense)
-    return dot(w, s_k), dot(slopes, shifted)
+                s_k, shifted = _powers(s, k)
+                return dot(w, s_k), dot(w[..., j:] * k[j:], shifted)
+    s_k, shifted = _powers(s, k)
+    return dot(w, s_k), dot(w[..., j:] * k[j:], shifted)
 
 
-def _law_pgf_pair(support: tuple, s: float) -> tuple[float, float]:
+def _law_pgf_pair(atoms: tuple, s: float) -> tuple[float, float]:
     """One law's `_pgf_pair`, as floats."""
     _check_argument(s)
-    value, deriv = _pgf_pair(support, s)
+    value, deriv = _pgf_pair(atoms, s)
     return float(value), float(deriv)
 
 
-def _log_pgf_pair(support: tuple, log_s) -> tuple[np.ndarray, np.ndarray]:
-    """Log pairs of one law's support tuple at each point of the sequence
-    log_s, as two arrays, from log s, so that s itself may lie beyond
-    float64 range (the F_n(s) of evolution.gf_orbit).  One pass over the
-    support and the log weights per chunk of points, each point's terms a
-    row reduced by _logsumexp as if alone, so a point's pair is the same
-    bits in any batch; a dense support's (k-1) log s terms are read off the
-    value's k log s terms.  A chunk holds at most _LOG_PAIR_ELEMENTS terms,
-    or one point's when a point has more, so a batch takes no more memory
-    than one point's pass of that size."""
-    w, k, j, dense, _ = support
+def _log_pgf_pair(atoms: tuple, log_s) -> tuple[np.ndarray, np.ndarray]:
+    """Log pairs of one law's atoms at each point of the sequence log_s, as
+    two arrays, from log s, so that s itself may lie beyond float64 range
+    (the F_n(s) of evolution.gf_orbit).  One pass over the atoms and their
+    log weights per chunk of points, each point's terms a row reduced by
+    _logsumexp as if alone, so a point's pair is the same bits in any
+    batch.  A chunk holds at most _LOG_PAIR_ELEMENTS terms, or one point's
+    when a point has more, so a batch takes no more memory than one point's
+    pass of that size."""
+    w, k = atoms
     log_s = np.asarray(log_s, dtype=np.float64)
     value, deriv = np.full((2, log_s.size), -math.inf)
     if k.size == 0:
         return value, deriv
     log_w = np.log(w)
+    j = int(k.item(0) == 0.0)
     k1 = k[j:]
+    log_slopes = log_w[j:] + np.log(k1)
     rows = max(1, _LOG_PAIR_ELEMENTS // k.size)
     for start in range(0, log_s.size, rows):
         chunk = slice(start, start + rows)
         x = log_s[chunk, None]
-        k_log_s = k * x
         if k1.size:
-            deriv[chunk] = _logsumexp(log_w[j:] + np.log(k1) + (
-                k_log_s[:, :-1] if dense else (k1 - 1.0) * x))
-        # the value's terms take k_log_s's place, and are freed before the
-        # next chunk's: a pass holds one chunk's arrays at a time
-        k_log_s += log_w
-        value[chunk] = _logsumexp(k_log_s)
-        del k_log_s
+            deriv[chunk] = _logsumexp(log_slopes + (k1 - 1.0) * x)
+        value[chunk] = _logsumexp(log_w + k * x)
     return value, deriv
 
 
@@ -576,8 +577,8 @@ class OffspringLaw:
     kind ('geometric' when success_prob is set, else 'deterministic' for
     one positive count, else 'finite'), mean, exact for all three kinds
     (1/p at any cutoff), bound, the essential supremum, None for geometric
-    laws, unbounded at any cutoff; and atoms, the weights' support tuple,
-    built on first use (a finite N's pgf_pair and the log pair read it).
+    laws, unbounded at any cutoff; and atoms, the weights' (w, k), built
+    on first use (a finite N's pgf_pair and the log pair read them).
     """
 
     weights: np.ndarray
@@ -618,8 +619,8 @@ class OffspringLaw:
             object.__setattr__(self, name, value)
 
     @functools.cached_property
-    def atoms(self) -> tuple:
-        """The weights' support tuple, built on first use and kept."""
+    def atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """The weights' atoms, built on first use and kept."""
         return _support(self.weights)
 
     @classmethod

@@ -375,11 +375,8 @@ def gf_orbit(x0: FinitePmf | AtomPmf | GeometricPmf, law: OffspringLaw,
         if x0.diverges(s):
             raise ValueError(f"E s^X diverges at s={s}")
     starts = [x0.log_pgf_pair(s) for s in points]
-    w, k = x0.atoms[:2]
-    take = int(np.searchsorted(k, a * steps))
-    head = dists.zeros(a * steps)
-    head[k[:take].astype(np.intp)] = w[:take]
-    heads = _clip_heads(head, law.weights, a, steps)
+    heads = _clip_heads(dists.dense_weights(x0.atoms, a * steps),
+                        law.weights, a, steps)
     log_a = math.log(a)
     log_s = [math.log(s) for s in points]
     # per point, 1 - s^(p-a) and s^(p-a-1) for p < a: the same every step

@@ -101,7 +101,7 @@ def init_population(model: ModelSpec, pop_size: int, master_seed: int
 
 def _x0_atoms(model: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     """(weights, int64 values) of x0's atoms; OverflowError past int64."""
-    w, k = model.x0.atoms[:2]
+    w, k = model.x0.atoms
     if k[-1] >= 2.0 ** 63:
         raise OverflowError(f"x0 value {int(k[-1])} does not fit in int64")
     return w, k.astype(np.int64)

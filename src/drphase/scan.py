@@ -22,11 +22,11 @@ bit.  Where the two test points coincide, so do the two criteria.
 `scan` evaluates each criterion once per family over its whole grid
 (`criterion_values`) and records each member's two values as a
 `criteria.PhaseVerdict`, so its verdicts equal `classify(family.model(p))`
-bit for bit.  A two-point family takes the grid as one (G, 2) weight
-matrix through the finite laws' array core (`dists._pgf_pair`) and builds
-no law or ModelSpec per member, except where s^(high-1) overflows and a
-member's value comes from its law's log pair; a geometric-x0 family goes
-member by member.
+bit for bit.  A two-point family passes the grid to the finite laws'
+array core (`dists._pgf_pair`) as the atoms of all its members at once, a
+(G, 2) weight matrix on the shared values, and builds no law or ModelSpec
+per member, except where s^(high-1) overflows and a member's value comes
+from its law's log pair; a geometric-x0 family goes member by member.
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ def _test_point(family, which: str) -> tuple[float, float] | None:
 @dataclass(frozen=True)
 class TwoPointFamily:
     """Initial law {0: 1-p, high_value: p}, parameterized by p; each
-    member is a dists.AtomPmf on `values`, the read-only array (0, high)
-    that all members share."""
+    member is a dists.AtomPmf with atoms (1-p, p) on `values`, the
+    read-only array (0, high) that all members share."""
 
     a: int
     high_value: int
@@ -96,9 +96,7 @@ class TwoPointFamily:
         if not 0.0 < p < 1.0:
             raise ValueError(
                 f"the weight of the high value must lie in (0, 1), got {param}")
-        # the derivative's weight p high is from_dict's w[1:] * k[1:]
-        return AtomPmf((np.array([1.0 - p, p]), self.values, 1,
-                        self.high_value == 1, np.array([p * self.high_value])))
+        return AtomPmf((np.array([1.0 - p, p]), self.values))
 
     def model(self, param: float) -> ModelSpec:
         return ModelSpec(self.a, self.law(param), self.offspring)
@@ -109,9 +107,7 @@ class TwoPointFamily:
         once and with each member's digits; only a member whose terms leave
         float64 range builds its law, for d0's log path."""
         weights = np.column_stack((1.0 - params, params))
-        # the members' support tuple: j = 1, dense for high 1
-        f, fp = dists._pgf_pair((weights, self.values, 1, self.high_value == 1,
-                                 weights[:, 1:] * self.values[1:]), s)
+        f, fp = dists._pgf_pair((weights, self.values), s)
         return criteria.d0_values(f, fp, self.a, s, m,
                                   lambda i: self.law(float(params[i])))
 

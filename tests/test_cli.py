@@ -506,6 +506,29 @@ def test_simulate_keeps_the_rows_before_a_cap_stop(tmp_path, capsys,
     assert [row[3] for row in read_csv_rows(out)[1]] == ["2.5", "", ""]
 
 
+def test_simulate_prints_the_pool_where_the_exact_cut_does_not_fit(
+        tmp_path, capsys):
+    # x0's dense cut would hold 10^18 + 1 weights, which no allocation
+    # gives: the exact column is empty and the pool, on x0's atoms, runs.
+    # Past int64 the pool's draws refuse x0 as well
+    doc = base_config(x0={"type": "finite", "pmf": [[0, 0.5], [10**18, 0.5]]},
+                      simulate={"steps": 2, "pop_size": 1000, "seed": 1})
+    code, out, err = run_main(["simulate", "--config",
+                               write_config(tmp_path, doc), "--output", "csv"],
+                              capsys)
+    assert (code, err) == (0, "")
+    header, rows = read_csv_rows(out)
+    assert header == ["n", "mc_mean", "stderr", "exact_mean"]
+    assert [(r[0], r[3]) for r in rows] == [("0", ""), ("1", ""), ("2", "")]
+    assert float(rows[0][1]) == 5e17
+    doc["x0"]["pmf"][1][0] = 10**20
+    code, out, err = run_main(["simulate", "--config",
+                               write_config(tmp_path, doc)], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical failure: x0 value ") \
+        and "does not fit in int64" in err
+
+
 def test_simulate_readme_model_exact_column_ends_at_n23(tmp_path, capsys):
     # the exact evolution passes the default leak budget at n = 23
     cfg = write_config(tmp_path, base_config(simulate={"pop_size": 1000}))

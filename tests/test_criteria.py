@@ -276,11 +276,52 @@ def test_lemma1_rejects_s_outside_window():
         lemma1_growth_check(model, [2.0], steps=4)
 
 
+def lemma2_worst_by_k(model, steps):
+    """lemma2_tail_check's worst ratio from its former per-k loop: one
+    math.log, min, math.exp and max per tail."""
+    mu, a = model.offspring.mean, model.a
+    trace = evolution.evolve(model, steps, tail_eps=0.0, keep_pmfs=True)
+    log_mu = math.log(mu)
+    log_pref = math.log(mu - 1.0) - math.log(a)
+    worst = 0.0
+    for x in trace.pmfs:
+        if x.probs.size <= a + 1:
+            continue
+        suffix = np.cumsum(x.probs[::-1])[::-1]
+        for k in range(1, (x.support_max - 1) // a + 1):
+            log_ratio = math.log(float(suffix[a * k + 1])) + log_pref \
+                + k * log_mu
+            worst = max(worst, math.exp(min(log_ratio, 700.0)))
+    return worst
+
+
 def test_lemma2_tail_pinned_instance():
     model = two_point(0.1)
     worst = lemma2_tail_check(model, steps=20)
     assert worst <= 1.0 + 1e-9
     assert worst > 0.0
+    # the array pass gives the per-k loop's ratio to the bit, on Subcritical
+    # models with a <= 3, x0 on 2-4 values in 0..6 and N = 2 or N on {1, 2}
+    # or {1, 3}, at 20 steps
+    rng = np.random.default_rng(34)
+    models = [model]
+    while len(models) < 224:
+        values = rng.choice(7, int(rng.integers(2, 5)), replace=False)
+        w = rng.random(values.size) + 0.05
+        x0 = FinitePmf.from_dict(dict(zip(values.tolist(),
+                                          (w / w.sum()).tolist())))
+        if rng.random() < 0.4:
+            law = OffspringLaw.deterministic(2)
+        else:
+            lo = 0.2 + 0.6 * float(rng.random())
+            top = int(rng.integers(2, 4))
+            law = OffspringLaw.finite_support({1: lo, top: 1.0 - lo})
+        candidate = ModelSpec(int(rng.integers(1, 4)), x0, law)
+        if classify(candidate).verdict == SUBCRITICAL:
+            models.append(candidate)
+    for model in models:
+        assert lemma2_tail_check(model, 20).hex() \
+            == lemma2_worst_by_k(model, 20).hex(), model
 
 
 def test_lemma2_refuses_non_subcritical():

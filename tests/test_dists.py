@@ -243,11 +243,12 @@ def test_log_pgf_matches_scipy_expressions_bit_for_bit():
                         .atoms)
     supports += [OffspringLaw.geometric(p).atoms for p in (0.5, 1e-3)]
     assert dists._LOG_PAIR_ELEMENTS // 10_000 == 6
-    for support in supports:
-        w, k, j = support[:3]
-        value, deriv = dists._log_pgf_pair(support, log_points)
+    for atoms in supports:
+        w, k = atoms
+        j = int(k[0] == 0.0)
+        value, deriv = dists._log_pgf_pair(atoms, log_points)
         for x, got in zip(log_points.tolist(), zip(value, deriv)):
-            own = dists._log_pgf_pair(support, [x])
+            own = dists._log_pgf_pair(atoms, [x])
             assert got == (own[0][0], own[1][0]), (k.size, x)
             assert got == (
                 float(logsumexp(np.log(w) + k * x)),
@@ -538,12 +539,22 @@ def test_atom_law_equals_its_finite_pmf_bit_for_bit():
     rng = np.random.default_rng(22)
     for d in random_weight_dicts(rng):
         law, ref = AtomPmf.from_dict(d), FinitePmf.from_dict(d)
-        w, k, j, dense, slopes = dists._support(ref.probs)
-        aw, ak, aj, adense, aslopes = law.atoms
-        assert (aw.tobytes(), ak.tobytes(), aj, adense) \
-            == (w.tobytes(), k.tobytes(), j, dense), len(d)
-        assert aslopes.tobytes() == slopes.tobytes() \
-            == (w[j:] * k[j:]).tobytes()
+        w, k = dists._support(ref.probs)
+        aw, ak = law.atoms
+        assert (aw.tobytes(), ak.tobytes()) == (w.tobytes(), k.tobytes()), \
+            len(d)
+        # the derivative's weights w[j:] k[j:], j = 1 with mass at 0, are
+        # derived per call; so are the powers s^(k - 1) for k >= 1, which
+        # values 0..K-1 read off s^k: both are np.power on the same exponents
+        j = int(0 in d)
+        for s in (0.999, 1.5):
+            with np.errstate(over="ignore"):
+                s_k, shifted = dists._powers(s, ak)
+                power = np.power(s, k[j:] - 1.0)
+                want = (float(np.dot(w, s_k)),
+                        float(np.dot(w[j:] * k[j:], power)))
+            assert shifted.tobytes() == power.tobytes(), (len(d), s)
+            assert law.pgf_pair(s) == want, (len(d), s)
         # the mean is the dot over the atoms; numpy groups a dense dot of
         # 16 or more entries otherwise, so the two can differ in the last bit
         assert repr(law.mean) == repr(float(np.dot(w, k)))
@@ -585,7 +596,7 @@ def test_atom_law_checks_its_mass_once():
     dense[list(EDGE_ATOMS)] = list(EDGE_ATOMS.values())
     assert x.probs.tobytes() == dense.tobytes() and x.leaked_mass == 0.0
     assert not x.probs.flags.writeable
-    w, k = law.atoms[:2]
+    w, k = law.atoms
     assert repr(law.mean) == repr(float(np.dot(w, k)))
     dense_mean = float(np.dot(dense, np.arange(56.0)))
     assert abs(law.mean - dense_mean) <= 56 * 2.0 ** -53 * dense_mean
@@ -616,7 +627,8 @@ def test_only_shared_values_have_their_powers_cached():
 def test_atom_law_builds_no_array_over_its_values():
     law = AtomPmf.from_dict({0: 0.999, 10**12: 0.001, 3 * 10**12: 0.0})
     assert law.support.tolist() == [0.0, 1e12]
-    arrays = (*law.atoms[:2], law.atoms[4])
+    arrays = law.atoms
+    assert len(arrays) == 2
     assert all(a.nbytes <= 16 for a in arrays)
     assert all(not a.flags.writeable for a in arrays)
     assert law.pgf_pair(2.0) == (math.inf, math.inf)

@@ -453,6 +453,10 @@ def test_orbit_of_a_point_set_equals_each_points_own_orbit():
                             OffspringLaw.finite_support({1: 0.5, 3: 0.5})))
     models.append(ModelSpec(2, dists.GeometricPmf(0.8),
                             OffspringLaw.deterministic(3)))
+    # a dense x0 of three values, kept as its atoms as the CLI keeps it
+    models.append(ModelSpec(1, dists.AtomPmf.from_dict(
+        {0: 0.4, 1: 0.35, 2: 0.25}), OffspringLaw.finite_support(
+            {1: 0.5, 3: 0.5})))
     points = (1.05, 1.3, 1.5, 1.9, 2.0, 3.0, 4.0)
     for model in models:
         law, a = model.offspring, model.a

@@ -369,11 +369,20 @@ def test_family_matrix_core_equals_each_members_pair():
     for h in (1, 2, 3, 6, 1024, 1500, 10**5):
         fam = TwoPointFamily(1, h, SWEEP_LAWS[0])
         for s in [s for s, _ in sweep_test_points()] + two_point_edge_points(h):
-            f, fp = dists._pgf_pair((weights, fam.values, 1, h == 1,
-                                     weights[:, 1:] * fam.values[1:]), s)
+            f, fp = dists._pgf_pair((weights, fam.values), s)
             for i, p in enumerate(params.tolist()):
                 assert repr(fam.law(p).pgf_pair(s)) \
                     == repr((float(f[i]), float(fp[i]))), (h, s, p)
+    # a matrix of laws on 0..3, more values than the power cache holds,
+    # whose s^(k - 1) the core reads off s^k
+    values = np.arange(4.0)
+    rows = np.random.default_rng(33).random((40, 4)) + 0.01
+    rows /= rows.sum(axis=1, keepdims=True)
+    for s in [s for s, _ in sweep_test_points()] + [0.5, 1.0, 1e100, 1e200]:
+        f, fp = dists._pgf_pair((rows, values), s)
+        for i, row in enumerate(rows):
+            assert repr(dists.AtomPmf((row, values)).pgf_pair(s)) \
+                == repr((float(f[i]), float(fp[i]))), (s, i)
 
 
 @pytest.mark.parametrize("high", [2.5, 3.0, np.float64(3.0), "3", None])
@@ -396,7 +405,7 @@ def test_vecdot_over_two_term_rows_equals_dot_row_by_row():
     p = np.concatenate([rng.random(20_000), [1e-6, 0.5, 1.0 - 1e-6]])
     rows = np.stack((1.0 - p, p), axis=-1)
     for s, high in [(2.0, 3), (math.sqrt(2.0), 5), (1.5, 1), (3.0, 6)]:
-        powers, _ = dists._powers(s, np.array([0.0, high]), 1, high == 1)
+        powers, _ = dists._powers(s, np.array([0.0, high]))
         got = np.vecdot(rows, powers)
         want = np.array([np.dot(row, powers) for row in rows])
         assert got.tobytes() == want.tobytes(), (s, high)
