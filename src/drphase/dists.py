@@ -66,6 +66,9 @@ _LOG_QUIET = 660.0
 # terms per chunk of _log_pgf_pair's points: each temporary stays near
 # 512 KB, and a point of more terms is a chunk of its own
 _LOG_PAIR_ELEMENTS = 1 << 16
+# entries in truncate's first block of the cumsum from the top; a law of
+# at most this many takes one cumsum, as a whole reversed cumsum would
+_TAIL_BLOCK = 4096
 # numpy refuses a float64 array of this many entries or more with a
 # ValueError: its byte count does not fit in intp.
 _MAX_LENGTH = np.iinfo(np.intp).max // 8 + 1
@@ -107,8 +110,11 @@ class FinitePmf(_FiniteLaw):
 
     probs[v] is the retained probability of value v; trailing zeros are
     trimmed at construction so support_max == len(probs) - 1.  The invariant
-    sum(probs) + leaked_mass == 1 is enforced to MASS_TOL.  The law is its
-    own `cut`; its `atoms` are built on first use and kept.
+    sum(probs) + leaked_mass == 1 is enforced to MASS_TOL.  The constructor
+    copies the caller's weights; `convolve` and evolution.step hand the
+    arrays they have just allocated to `_adopt`, which trims and checks
+    them the same way without a copy.  The law is its own `cut`; its
+    `atoms` are built on first use and kept.
     """
 
     probs: np.ndarray
@@ -118,10 +124,23 @@ class FinitePmf(_FiniteLaw):
         probs = np.asarray(self.probs, dtype=np.float64)
         if probs.ndim != 1:
             raise ValueError("weights must form a one-dimensional array")
+        self._take(probs[: _trimmed_size(probs)].copy(), self.leaked_mass)
+
+    @classmethod
+    def _adopt(cls, probs: np.ndarray, leaked_mass: float = 0.0
+               ) -> "FinitePmf":
+        """The law on probs, a one-dimensional float64 array allocated for
+        it that no one else holds: trimmed and checked as the constructor
+        does, and kept without a copy."""
+        law = object.__new__(cls)
+        law._take(probs, leaked_mass)
+        return law
+
+    def _take(self, probs: np.ndarray, leaked_mass: float) -> None:
+        """Trim and check probs, then keep them, read-only, as the law's."""
         probs = probs[: _trimmed_size(probs)]
-        leak = float(self.leaked_mass)
+        leak = float(leaked_mass)
         _check_weights(probs, leak)
-        probs = probs.copy()
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "leaked_mass", leak)
@@ -382,10 +401,10 @@ def _check_weights(w: np.ndarray, leak: float = 0.0) -> None:
     """Finite, nonnegative weights w whose w.sum() + leak, leak in [0, 1],
     lies inside the 1 +/- MASS_TOL band; a sum that overflows is not
     finite."""
-    total = float(w.sum())
+    total = float(np.add.reduce(w))
     if not math.isfinite(total):
         raise ValueError("weights must be finite")
-    if w.size and w.min() < 0.0:
+    if w.size and np.minimum.reduce(w) < 0.0:
         raise ValueError("weights must be nonnegative")
     if not 0.0 <= leak <= 1.0 + MASS_TOL:
         raise ValueError(f"leaked_mass {leak} outside [0, 1]")
@@ -487,7 +506,10 @@ def _log_pgf_pair(atoms: tuple, log_s) -> tuple[np.ndarray, np.ndarray]:
     _logsumexp as if alone, so a point's pair is the same bits in any
     batch.  A chunk holds at most _LOG_PAIR_ELEMENTS terms, or one point's
     when a point has more, so a batch takes no more memory than one point's
-    pass of that size."""
+    pass of that size.  One atom (a deterministic N) is its one term,
+    log w + k log s and log(w k) + (k - 1) log s, which is what _logsumexp
+    returns for it at every finite log s; a batch with a non-finite point
+    takes the general pass."""
     w, k = atoms
     log_s = np.asarray(log_s, dtype=np.float64)
     value, deriv = np.full((2, log_s.size), -math.inf)
@@ -497,6 +519,10 @@ def _log_pgf_pair(atoms: tuple, log_s) -> tuple[np.ndarray, np.ndarray]:
     j = int(k.item(0) == 0.0)
     k1 = k[j:]
     log_slopes = log_w[j:] + np.log(k1)
+    if k.size == 1 and np.isfinite(log_s).all():
+        if k1.size:
+            deriv = log_slopes + (k1 - 1.0) * log_s
+        return log_w + k * log_s, deriv
     rows = max(1, _LOG_PAIR_ELEMENTS // k.size)
     for start in range(0, log_s.size, rows):
         chunk = slice(start, start + rows)
@@ -534,7 +560,7 @@ def convolve(p: FinitePmf, q: FinitePmf) -> FinitePmf:
     if p.probs.size == 0 or q.probs.size == 0:
         return FinitePmf(np.zeros(0), 1.0)
     w = kernels.get_backend().conv_direct(p.probs, q.probs)
-    return FinitePmf(w, leak + sweep_floor(w))
+    return FinitePmf._adopt(w, leak + sweep_floor(w))
 
 
 def sweep_floor(w: np.ndarray) -> float:
@@ -556,15 +582,33 @@ def truncate(p: FinitePmf, tail_eps: float) -> FinitePmf:
     """
     if not 0.0 <= tail_eps < 1.0:
         raise ValueError(f"tail_eps must lie in [0, 1), got {tail_eps}")
-    if p.probs.size == 0:
-        return p
-    rev_cum = np.cumsum(p.probs[::-1])
-    k = int(np.searchsorted(rev_cum, tail_eps, side="right"))
+    k = _tail_length(p.probs, tail_eps)
     if k == 0:
         return p
     keep = p.probs.size - k
-    removed = float(p.probs[keep:].sum())
+    removed = float(np.add.reduce(p.probs[keep:]))
     return FinitePmf(p.probs[:keep], p.leaked_mass + removed)
+
+
+def _tail_length(probs: np.ndarray, tail_eps: float) -> int:
+    """The number of top entries whose sum from the top down stays <=
+    tail_eps: searchsorted(cumsum(probs[::-1]), tail_eps, "right").
+
+    The cumsum runs from the top in blocks of doubling length, each led by
+    the sum so far, so every partial sum is the full cumsum's (a cumsum is
+    sequential), and it stops at the first block that passes tail_eps.
+    """
+    top = probs[::-1]
+    done, block = 0, _TAIL_BLOCK
+    part = np.cumsum(top[:block])
+    while True:
+        k = int(np.searchsorted(part, tail_eps, side="right"))
+        if k < part.size or done + part.size == top.size:
+            return done + k
+        done += part.size
+        block *= 2
+        lead = np.concatenate((part[-1:], top[done:done + block]))
+        part = np.cumsum(lead)[1:]
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,11 @@ trip at a 5-smooth length), the kept positive
 round-off noise biases E X_n, and with it both bounds, upward; those rows
 are not certified.  gf_orbit convolves only heads of a weights per
 remaining step, so it has no FFT regime.
+
+Each generation's weights live in one array that the step allocates and
+the law takes over without a copy: a zeroed accumulator in the direct
+regime, and in the FFT regime the inverse transform's own output, so no
+full-length array is zeroed, scaled or copied on the way.
 """
 
 from __future__ import annotations
@@ -116,6 +121,17 @@ def step(x: FinitePmf, model: ModelSpec,
     it on, the rest of the mixture comes from one spectrum
     (see _spectral_powers), so a step the budget keeps fully direct is
     computed exactly as by the plain loop.
+
+    The direct powers' clipped weights are summed in turn into a zeroed
+    head, (0 + w_1 p_1) + w_2 p_2 + ..., as long as a direct power can
+    reach.  In the direct regime the head, at full length, is the
+    generation's array.  In the FFT regime the array is the transform's
+    own clipped output m, its entries up to a folded into the first, with
+    the head added on: bit for bit the sum into one zeroed array, as
+    0 + m == m for m >= +0.  Where a floor-trimmed power leaves the
+    transform short, the array is zero-padded to the full length, which
+    the mass re-pin's long-double sums group by.  The law takes the array
+    over with no copy.
     """
     if x.probs.size == 0:
         return FinitePmf(np.zeros(0), 1.0)
@@ -125,7 +141,7 @@ def step(x: FinitePmf, model: ModelSpec,
     kmax = w.size - 1
     n = x.probs.size
     out_len = max(1, kmax * (n - 1) + 1 - a)
-    acc = np.zeros(out_len)
+    head = mix = None
     leak = law.truncation_leak
     pw = x
     for k in range(1, kmax + 1):
@@ -133,14 +149,25 @@ def step(x: FinitePmf, model: ModelSpec,
             if pw.probs.size * n > dists._DIRECT_CONV_OPS:
                 mix, mix_leak = _spectral_powers(pw, x, w[k:kmax + 1])
                 leak += mix_leak
-                _add_clipped(acc, 1.0, mix, a)
                 break
             pw = dists.convolve(pw, x)
         wk = float(w[k])
         if wk == 0.0:
             continue
         leak += wk * pw.leaked_mass
-        _add_clipped(acc, wk, pw.probs, a)
+        if head is None:
+            # the most entries a direct power can reach: it is convolved
+            # from at most _DIRECT_CONV_OPS // n entries
+            longest = max(n, dists._DIRECT_CONV_OPS // n + n - 1)
+            head = dists.zeros(min(out_len, max(1, longest - a)))
+        _add_clipped(head, wk, pw.probs, a)
+    if mix is None:
+        acc = _padded(head, out_len)
+    else:
+        acc = _padded(mix[a:], out_len)
+        acc[0] = float(mix[: a + 1].sum())
+        if head is not None:
+            acc[:head.size] += head
     leak += dists.sweep_floor(acc)
     # The exact mixture conserves mass, but convolution powers amplify any
     # float drift by a factor of E N per step (squaring maps 1+d to 1+2d),
@@ -151,12 +178,12 @@ def step(x: FinitePmf, model: ModelSpec,
     # more, and all of it up to 1e-9 is re-pinned without a record.
     idx = int(np.argmax(acc))
     if acc[idx] > 0.0:
-        others = float(np.sum(acc[:idx], dtype=np.longdouble)
-                       + np.sum(acc[idx + 1:], dtype=np.longdouble))
+        others = float(np.add.reduce(acc[:idx], dtype=np.longdouble)
+                       + np.add.reduce(acc[idx + 1:], dtype=np.longdouble))
         pinned = (1.0 - leak) - others
         if pinned > 0.0 and abs(pinned - acc[idx]) <= 1e-9:
             acc[idx] = pinned
-    out = FinitePmf(acc, leak)
+    out = FinitePmf._adopt(acc, leak)
     if tail_eps > 0.0:
         out = dists.truncate(out, tail_eps)
     return out
@@ -168,6 +195,16 @@ def _add_clipped(acc: np.ndarray, wk: float, pp: np.ndarray, a: int) -> None:
     tail = pp[a + 1:]
     if tail.size:
         acc[1: 1 + tail.size] += wk * tail
+
+
+def _padded(v: np.ndarray, length: int) -> np.ndarray:
+    """v itself when it has `length` entries, else a copy zero-padded to
+    that length."""
+    if v.size == length:
+        return v
+    out = dists.zeros(length)
+    out[:v.size] = v
+    return out
 
 
 def _smooth_len(n: int) -> int:
@@ -202,10 +239,11 @@ def _spectral_powers(base: FinitePmf, x: FinitePmf,
     size = base.probs.size + v.size * (n - 1)
     nfft = _smooth_len(size)
     phi = np.fft.rfft(x.probs, nfft)
-    spec = np.zeros_like(phi)
-    for vi in v[::-1]:
-        spec += vi
+    spec = np.full_like(phi, v[-1])
+    for vi in v[-2::-1]:
         spec *= phi
+        spec += vi
+    spec *= phi
     spec *= phi if base is x else np.fft.rfft(base.probs, nfft)
     mix = np.fft.irfft(spec, nfft)[:size]
     np.clip(mix, 0.0, None, out=mix)

@@ -114,6 +114,58 @@ def test_truncate_zero_eps_is_identity():
     assert out.leaked_mass == 0.0
 
 
+def _reference_truncate(p, tail_eps):
+    """truncate's cut from the whole reversed cumsum: the oracle of the
+    block-wise one."""
+    rev_cum = np.cumsum(p.probs[::-1])
+    k = int(np.searchsorted(rev_cum, tail_eps, side="right"))
+    if k == 0:
+        return p
+    keep = p.probs.size - k
+    return FinitePmf(p.probs[:keep],
+                     p.leaked_mass + float(p.probs[keep:].sum()))
+
+
+def test_truncate_cut_is_the_whole_reversed_cumsums_bit_for_bit():
+    rng = np.random.default_rng(41)
+    block = dists._TAIL_BLOCK
+    sizes = [1, 2, 3, 17, 1000, block - 1, block, block + 1, 5000,
+             3 * block - 1, 3 * block, 3 * block + 1]
+    sizes += rng.integers(1, 5001, 12).tolist()
+    cases = 0
+    for size in sizes:
+        w = rng.random(size) * np.exp(-rng.random(size) * 80.0)
+        w[rng.random(size) < 0.2] = 0.0   # exact zeros, inside and on top
+        w[0] = 1.0
+        leak = float(rng.choice([0.0, 1e-9, 0.5]))
+        p = FinitePmf(w * ((1.0 - leak) / w.sum()), leak)
+        rev_cum = np.cumsum(p.probs[::-1])
+        # a partial sum itself (the side="right" tie) at and around the
+        # block edges, random budgets, and budgets past the whole mass
+        # when the leak leaves room (whole-tail cuts)
+        at = [j for j in (0, 1, block // 2, block - 2, block - 1, block,
+                          3 * block - 1, 3 * block, p.probs.size - 1)
+              if j < p.probs.size]
+        budgets = [float(rev_cum[j]) for j in at]
+        budgets += [float(np.nextafter(b, 1.0)) for b in budgets]
+        budgets += (rng.random(4) * 1e-3).tolist() + [0.0, 1e-14, 0.6]
+        for eps in budgets:
+            if not eps < 1.0:
+                continue
+            out, want = truncate(p, eps), _reference_truncate(p, eps)
+            assert out.probs.size == want.probs.size, (size, eps)
+            assert out.probs.tobytes() == want.probs.tobytes()
+            assert out.leaked_mass == want.leaked_mass, (size, eps)
+            cases += 1
+    assert cases > 300
+    whole = FinitePmf(np.array([0.1, 0.0, 0.2]), 0.7)
+    assert truncate(whole, 0.5).probs.size == 0
+    assert truncate(whole, 0.5).leaked_mass == \
+        _reference_truncate(whole, 0.5).leaked_mass
+    empty = FinitePmf(np.zeros(0), 1.0)
+    assert truncate(empty, 0.5) is empty
+
+
 # -- property loops ---------------------------------------------------------
 
 def test_convolve_commutative_associative():
@@ -254,6 +306,40 @@ def test_log_pgf_matches_scipy_expressions_bit_for_bit():
                 float(logsumexp(np.log(w) + k * x)),
                 float(logsumexp(np.log(w[j:]) + np.log(k[j:])
                                 + (k[j:] - 1.0) * x))), (k.size, x)
+
+
+def test_one_atom_log_pair_is_the_general_pass_bit_for_bit():
+    # a deterministic N's log pair is its one term in closed form at every
+    # finite log s: exactly what _logsumexp returns for one term, from
+    # float64's fine end to overflow; a batch with an inf or NaN point
+    # takes the general pass
+    log_points = np.concatenate([-np.logspace(3, -12, 60), [-0.0, 0.0],
+                                 np.logspace(-12, 18, 120)])
+    odd = np.array([0.5, math.inf, -math.inf, math.nan, -2.0])
+
+    def general(atoms, log_s):
+        w, k = atoms
+        x = np.asarray(log_s)[:, None]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return (dists._logsumexp(np.log(w) + k * x),
+                    dists._logsumexp(np.log(w) + np.log(k) + (k - 1.0) * x))
+    for count in [*range(2, 65), 1 << 20]:
+        atoms = OffspringLaw.deterministic(count).atoms
+        assert atoms[0].tolist() == [1.0] and atoms[1].tolist() == [count]
+        for points in (log_points, odd):
+            with np.errstate(invalid="ignore", divide="ignore"):
+                got = dists._log_pgf_pair(atoms, points)
+            for have, want in zip(got, general(atoms, points)):
+                assert have.tobytes() == want.tobytes(), count
+    # counts 0 and 1 and a weight below 1 (a one-atom FinitePmf) too
+    for w, count in ((1.0, 1.0), (0.25, 1.0), (0.25, 7.0)):
+        atoms = (np.array([w]), np.array([count]))
+        got = dists._log_pgf_pair(atoms, log_points)
+        for have, want in zip(got, general(atoms, log_points)):
+            assert have.tobytes() == want.tobytes(), (w, count)
+    value, deriv = dists._log_pgf_pair((np.array([0.5]), np.array([0.0])),
+                                       log_points)
+    assert (value == math.log(0.5)).all() and (deriv == -math.inf).all()
 
 
 # -- one-pass evaluator against the per-function code it replaced -----------

@@ -109,24 +109,37 @@ def _spy(monkeypatch):
     return seen
 
 
-def _power_loop_step(x, model):
+def _power_loop_step(x, model, budget=None):
     """The per-power convolution loop of step() with tail_eps=0, kept as
-    the bit-for-bit reference of the direct regime."""
+    the bit-for-bit reference of the direct regime.  Given a budget, the
+    step on one zeroed accumulator over the full support: from the first
+    power over the budget on, the mixture's rest comes from
+    _reference_spectral_powers and is added in like a direct power, so
+    this is the bit-for-bit reference of the FFT regime too."""
     law = model.offspring
     w, a = law.weights, model.a
     kmax = int(np.flatnonzero(w)[-1])
     acc = np.zeros(max(1, kmax * (x.probs.size - 1) + 1 - a))
     leak = law.truncation_leak
+    terms = []
     pw = x
     for k in range(1, kmax + 1):
         if k > 1:
+            if budget is not None and pw.probs.size * x.probs.size > budget:
+                mix, mix_leak = _reference_spectral_powers(
+                    pw, x, w[k:kmax + 1], np.fft)
+                leak += mix_leak
+                terms.append((1.0, mix))
+                break
             pw = dists.convolve(pw, x)
         wk = float(w[k])
         if wk == 0.0:
             continue
         leak += wk * pw.leaked_mass
-        acc[0] += wk * float(pw.probs[: a + 1].sum())
-        tail = pw.probs[a + 1:]
+        terms.append((wk, pw.probs))
+    for wk, pp in terms:
+        acc[0] += wk * float(pp[: a + 1].sum())
+        tail = pp[a + 1:]
         acc[1: 1 + tail.size] += wk * tail
     tiny = (acc > 0.0) & (acc < dists.WEIGHT_FLOOR)
     leak += float(acc[tiny].sum())
@@ -140,7 +153,14 @@ def _power_loop_step(x, model):
     return FinitePmf(acc, leak)
 
 
-@pytest.mark.parametrize("law, size, leak, budget", [
+def _floor_trimmed_law(head_size, tail_size):
+    """A smooth head and a flat tail of 1e-299 weights: a power's top
+    entries fall under WEIGHT_FLOOR and are trimmed."""
+    head = _smooth_pmf(head_size).probs * (1.0 - tail_size * 1e-299)
+    return FinitePmf(np.concatenate([head, np.full(tail_size, 1e-299)]))
+
+
+_FFT_CASES = [
     # the spectrum starts at the second power (base x) ...
     (OffspringLaw.deterministic(2), 4200, 0.0, None),
     (OffspringLaw.deterministic(2), 4200, 1e-10, None),
@@ -153,7 +173,10 @@ def _power_loop_step(x, model):
     # a small budget puts 45 geometric weights and the cutoff leak into
     # one spectrum at small cost
     (OffspringLaw.geometric(0.5), 200, 1e-10, 1 << 16),
-])
+]
+
+
+@pytest.mark.parametrize("law, size, leak, budget", _FFT_CASES)
 def test_step_fft_regime_matches_direct_reference(monkeypatch, law, size,
                                                   leak, budget):
     model = ModelSpec(a=2, x0=FinitePmf.from_dict({0: 0.5, 3: 0.5}),
@@ -183,6 +206,65 @@ def test_step_fft_regime_matches_direct_reference(monkeypatch, law, size,
                                             abs=1e-300)
 
 
+@pytest.mark.parametrize("a", [1, 2, 3])
+@pytest.mark.parametrize("law, size, leak, budget", _FFT_CASES)
+def test_step_fft_regime_is_the_accumulator_step_bit_for_bit(
+        monkeypatch, a, law, size, leak, budget):
+    # step() builds the generation in the transform's own output; the
+    # reference adds it into a zeroed accumulator, as it does each power
+    model = ModelSpec(a=a, x0=FinitePmf.from_dict({0: 0.5, 3: 0.5}),
+                      offspring=law)
+    x = _smooth_pmf(size, leak)
+    if budget is not None:
+        monkeypatch.setattr(dists, "_DIRECT_CONV_OPS", budget)
+    ref = _power_loop_step(x, model, dists._DIRECT_CONV_OPS)
+    seen = _spy(monkeypatch)
+    out = step(x, model, tail_eps=0.0)
+    assert seen["spectral"] == 1
+    assert out.probs.tobytes() == ref.probs.tobytes()
+    assert out.leaked_mass == ref.leaked_mass
+
+
+_TRIMMED_BASE_LAWS = [
+    OffspringLaw.deterministic(3),
+    OffspringLaw.finite_support({1: 0.5, 3: 0.5}),
+    OffspringLaw.finite_support({1: 0.25, 2: 0.25, 4: 0.5}),
+]
+
+
+@pytest.mark.parametrize("head, tail, law, a, budget", [
+    *((2000, 2000, law, a, None) for law in _TRIMMED_BASE_LAWS
+      for a in (1, 2, 3)),
+    # short arrays, which numpy sums in one buffered block: a step whose
+    # array stops where the transform ends re-pins to another float here
+    (172, 47, _TRIMMED_BASE_LAWS[1], 2, 1 << 16),
+    (185, 44, _TRIMMED_BASE_LAWS[2], 1, 1 << 16),
+])
+def test_step_on_a_floor_trimmed_transform_base_is_the_accumulator_step(
+        monkeypatch, head, tail, law, a, budget):
+    # x^2 is direct but ends short under WEIGHT_FLOOR, so the transform
+    # that takes over from it is shorter than the step's full length: the
+    # generation's array keeps that length, zero-padded, for the re-pin's
+    # long-double sums group by length
+    model = ModelSpec(a=a, x0=FinitePmf.from_dict({0: 0.5, 3: 0.5}),
+                      offspring=law)
+    x = _floor_trimmed_law(head, tail)
+    if budget is not None:
+        monkeypatch.setattr(dists, "_DIRECT_CONV_OPS", budget)
+    bases = []
+    spectral = evolution._spectral_powers
+
+    def spy_spectral(base, x, v):
+        bases.append(base.probs.size)
+        return spectral(base, x, v)
+    monkeypatch.setattr(evolution, "_spectral_powers", spy_spectral)
+    ref = _power_loop_step(x, model, dists._DIRECT_CONV_OPS)
+    out = step(x, model, tail_eps=0.0)
+    assert len(bases) == 1 and x.probs.size < bases[0] < 2 * x.probs.size - 1
+    assert out.probs.tobytes() == ref.probs.tobytes()
+    assert out.leaked_mass == ref.leaked_mass
+
+
 @pytest.mark.parametrize("law, size", [
     (OffspringLaw.deterministic(2), 4096),
     (OffspringLaw.deterministic(4), 2365),
@@ -210,8 +292,7 @@ def test_step_stays_direct_when_the_floor_trims_powers(monkeypatch):
     # makes is direct: the step must still be the loop, bit for bit
     model = ModelSpec(a=1, x0=FinitePmf.from_dict({0: 0.5, 3: 0.5}),
                       offspring=OffspringLaw.finite_support({1: 0.75, 3: 0.25}))
-    head = _smooth_pmf(1500).probs * (1.0 - 1534e-299)
-    x = FinitePmf(np.concatenate([head, np.full(1534, 1e-299)]))
+    x = _floor_trimmed_law(1500, 1534)
     assert ((3 - 1) * (x.probs.size - 1) + 1) * x.probs.size \
         > dists._DIRECT_CONV_OPS
     ref = _power_loop_step(x, model)
@@ -231,17 +312,19 @@ def test_smooth_len_is_scipy_next_fast_len():
         assert evolution._smooth_len(n) == sp_fft.next_fast_len(n, real=True), n
 
 
-def _scipy_spectral_powers(base, x, v):
-    """_spectral_powers written on scipy.fft: the bit-for-bit reference."""
+def _reference_spectral_powers(base, x, v, fft):
+    """_spectral_powers on the transforms of `fft` (numpy.fft or
+    scipy.fft), its spectrum started from zeros and accumulated with +=:
+    with scipy.fft the bit-for-bit oracle of the numpy one."""
     size = base.probs.size + v.size * (x.probs.size - 1)
     nfft = sp_fft.next_fast_len(size, real=True)
-    phi = sp_fft.rfft(x.probs, nfft)
+    phi = fft.rfft(x.probs, nfft)
     spec = np.zeros_like(phi)
     for vi in v[::-1]:
         spec += vi
         spec *= phi
-    spec *= phi if base is x else sp_fft.rfft(base.probs, nfft)
-    mix = sp_fft.irfft(spec, nfft)[:size]
+    spec *= phi if base is x else fft.rfft(base.probs, nfft)
+    mix = fft.irfft(spec, nfft)[:size]
     np.clip(mix, 0.0, None, out=mix)
     i = np.arange(1, v.size + 1, dtype=np.float64)
     kept = np.log1p(-base.leaked_mass) + i * np.log1p(-x.leaked_mass)
@@ -280,7 +363,7 @@ def test_spectral_powers_equals_scipy_fft_bit_for_bit():
     cases.append((_random_law(rng, 350_000), big, np.array([0.6, 0.0, 0.4])))
     for base, x, v in cases:
         mix, leak = evolution._spectral_powers(base, x, v)
-        want, want_leak = _scipy_spectral_powers(base, x, v)
+        want, want_leak = _reference_spectral_powers(base, x, v, sp_fft)
         assert mix.tobytes() == want.tobytes()
         assert leak == want_leak
 
