@@ -16,7 +16,8 @@ in 1..6, five N laws) in one pass, at 41, at 9 (the CLI default) and at
 inside it), for a baseline revision and the working tree (see passes.py
 for the pass scheme).  BENCH_scan.json also holds each side's outputs (the
 verdicts, criterion values and boundary intervals; for each sweep, the
-sha256 of its 90 reports' reprs) and whether the two sides' outputs are
+sha256 of its 90 reports' reprs and of their grids' reprs, so the verdict
+objects' own repr is compared too) and whether the two sides' outputs are
 identical.
 
     python benchmarks/bench_scan.py --baseline REV
@@ -95,8 +96,8 @@ def measure():
         def run_sweep():
             return [boundary_report(fam, grid, TOL) for fam in sweep]
         case = f"boundary_report.two_point_sweep_90{suffix}"
-        digest = hashlib.sha256(
-            "\n".join(map(report_repr, run_sweep())).encode())
+        digest = hashlib.sha256("\n".join(
+            report_repr(rep) + repr(rep.grid) for rep in run_sweep()).encode())
         outputs[case] = digest.hexdigest()
         timings[case] = best_of(run_sweep)
     timings["import_drphase_cli"] = min(import_cli_s()

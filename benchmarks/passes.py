@@ -9,7 +9,9 @@ tree's `src/`.  Each side runs ROUNDS fresh-process passes, the sides
 alternating pass by pass; a pass keeps the best of REPEATS calls per case
 (`best_of`).  BENCH_<topic>.json at the repo root gets the host, every
 pass's time, the best, the quartiles over passes, whether the two sides'
-interquartile ranges are disjoint, and the first pass's other outputs.
+interquartile ranges are disjoint, and the first pass's other outputs; the
+console table shows each case's medians and both speedups, of the medians
+and of the best passes (the host's two speeds can split the medians).
 """
 
 import argparse
@@ -161,10 +163,11 @@ def main(doc, script, measure, finish=None):
               encoding="utf-8") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")
-    print(f"{'case':<38} {'before':>9} {'after':>9} (median ms)")
+    print(f"{'case':<38} {'before':>9} {'after':>9} {'speedup':>8} "
+          f"{'best':>7}  (median ms; speedup of the medians, of the best)")
     for k, c in result["compare"].items():
         print(f"{k:<38} {before[k]['median'] * 1e3:>9.4g} "
               f"{after[k]['median'] * 1e3:>9.4g} "
-              f"{c['speedup_median']:>6.2f}x"
+              f"{c['speedup_median']:>7.2f}x {c['speedup_best']:>6.2f}x"
               f"{'' if c['resolved'] else '  (quartiles overlap)'}")
     return 0

@@ -56,13 +56,15 @@ SUBCRITICAL = "Subcritical"
 UNDETERMINED = "Undetermined"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PhaseVerdict:
     """Both criterion values of one model, and the verdict they decide.
 
     d_sub is None when the offspring law is unbounded: the subcritical
     condition is only proved for essentially bounded counts, so such models
-    can never be declared Subcritical here.
+    can never be declared Subcritical here.  A scan builds one per grid
+    member, so it is slotted and not frozen (a frozen __init__ costs four
+    times as much), but hashed by value all the same: no code mutates one.
     """
 
     d_super: float
@@ -110,11 +112,18 @@ def d0(x0: FinitePmf | AtomPmf | GeometricPmf, a: int, s: float,
 
 
 def d0_values(f: np.ndarray, fp: np.ndarray, a: int, s: float, m: float,
-              member) -> list[float]:
+              top: float, member) -> list[float]:
     """d0 of a family's members from the arrays of their F(s) and F'(s),
     in the operations of d0, so each value equals the member's own d0 bit
-    for bit.  Where a term leaves float64 range the value is d0 of the
-    member's law, member(i), the only law built."""
+    for bit.  A member has mass 1 on values up to top, so no term exceeds
+    max(a, |m-1| top) max(s, 1)^top: while its log is below _LOG_QUIET,
+    no errstate (microseconds) is entered and no value rescanned.  Past it,
+    where a term left float64 range, the value is d0 of the member's law,
+    member(i), the only law built."""
+    if (top * math.log(max(s, 1.0)) + math.log(max(a, abs(m - 1.0) * top))
+            < dists._LOG_QUIET):
+        first, second = _d0_terms(f, fp, a, s, m)
+        return (first - second).tolist()
     with np.errstate(over="ignore", invalid="ignore"):
         first, second = _d0_terms(f, fp, a, s, m)
         values = (first - second).tolist()

@@ -27,10 +27,14 @@ array core (`dists._pgf_pair`) as the atoms of all its members at once, a
 (G, 2) weight matrix on the shared values, and builds no law or ModelSpec
 per member, except where s^(high-1) overflows and a member's value comes
 from its law's log pair; a geometric-x0 family goes member by member.
+Each grid, its floats and a two-point family's weight matrix on it are
+built once per size (`_grid`, `_member_weights`); an errstate is entered
+only where a term may leave float64 range (`criteria.d0_values`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -104,11 +108,12 @@ class TwoPointFamily:
     def criterion_values(self, params: np.ndarray, s: float,
                          m: float) -> list[float]:
         """d0 at (s, m) of the members at params, over the whole array at
-        once and with each member's digits; only a member whose terms leave
-        float64 range builds its law, for d0's log path."""
-        weights = np.column_stack((1.0 - params, params))
+        once and with each member's digits, from `_member_weights`; an
+        errstate is entered only where a term may leave float64 range, and
+        a law built only for a member whose terms do (`criteria.d0_values`)."""
+        weights = _member_weights(np.asarray(params, np.float64).tobytes())
         f, fp = dists._pgf_pair((weights, self.values), s)
-        return criteria.d0_values(f, fp, self.a, s, m,
+        return criteria.d0_values(f, fp, self.a, s, m, self.high_value,
                                   lambda i: self.law(float(params[i])))
 
     def root(self, which: str) -> float:
@@ -169,13 +174,30 @@ class BoundaryReport:
     sub_missing: RuntimeError | None = field(default=None, compare=False)
 
 
+@functools.lru_cache(maxsize=8)
+def _grid(grid_points: int) -> tuple[np.ndarray, tuple[float, ...]]:
+    """scan's grid of grid_points parameters, read-only, and its floats."""
+    params = np.linspace(EPS_PARAM, 1.0 - EPS_PARAM, grid_points)
+    params.setflags(write=False)
+    return params, tuple(params.tolist())
+
+
+@functools.lru_cache(maxsize=8)
+def _member_weights(params: bytes) -> np.ndarray:
+    """Read-only rows (1 - p, p) at the float64 params p, as bytes."""
+    p = np.frombuffer(params)
+    weights = np.column_stack((1.0 - p, p))
+    weights.setflags(write=False)
+    return weights
+
+
 def scan(family, grid_points: int) -> list[tuple[float, PhaseVerdict]]:
-    """Classify the family on a uniform grid over (EPS_PARAM, 1-EPS_PARAM):
-    each criterion once over the whole grid (`criterion_values`), with the
-    verdicts and values `criteria.classify` gives each member."""
+    """Classify the family on the grid over (EPS_PARAM, 1-EPS_PARAM) of
+    `_grid`: each criterion once over the whole grid (`criterion_values`),
+    with the verdicts and values `criteria.classify` gives each member."""
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
-    params = np.linspace(EPS_PARAM, 1.0 - EPS_PARAM, grid_points)
+    params, floats = _grid(grid_points)
     sup = criteria.super_point(family)
     sub = criteria.sub_point(family)
     d_super = family.criterion_values(params, *sup)
@@ -185,8 +207,7 @@ def scan(family, grid_points: int) -> list[tuple[float, PhaseVerdict]]:
         d_sub = d_super
     else:
         d_sub = family.criterion_values(params, *sub)
-    return [(p, PhaseVerdict(ds, db))
-            for p, ds, db in zip(params.tolist(), d_super, d_sub)]
+    return list(zip(floats, map(PhaseVerdict, d_super, d_sub)))
 
 
 def _criterion_value(family, which: str, param: float) -> float:

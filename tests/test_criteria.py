@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -211,6 +212,9 @@ BAND_DOWN = math.nextafter(-STRICTNESS_BAND, -math.inf)
     (BAND_UP, None, SUPERCRITICAL),
     (BAND_UP, BAND_DOWN, SUPERCRITICAL),
     (1.0, -1.0, SUPERCRITICAL),
+    (STRICTNESS_BAND, None, UNDETERMINED),
+    (-STRICTNESS_BAND, None, UNDETERMINED),
+    (0.0, None, UNDETERMINED),
 ])
 def test_verdict_rule_at_the_band_edges(d_super, d_sub, verdict):
     # a value on the band's edge claims nothing, the next float out does;
@@ -218,6 +222,42 @@ def test_verdict_rule_at_the_band_edges(d_super, d_sub, verdict):
     # supercritical test wins when both fire
     v = criteria.PhaseVerdict(d_super, d_sub)
     assert (v.verdict, str(v)) == (verdict, verdict)
+
+
+@dataclass(frozen=True)
+class FrozenVerdict:
+    """PhaseVerdict's fields as the frozen dataclass it once was."""
+
+    d_super: float
+    d_sub: float | None
+
+
+VERDICT_VALUES = [0.0, -0.0, 1.5e-13, -2.5, math.inf, -math.inf, math.nan,
+                  STRICTNESS_BAND, BAND_DOWN, 1e300, 5e-324]
+
+
+def test_phase_verdict_is_a_value_as_the_frozen_dataclass_was():
+    # equal, with equal hashes, exactly when (d_super, d_sub) are; its repr
+    # is the dataclass's, with the class name in front
+    pairs = [(d, b) for d in VERDICT_VALUES for b in VERDICT_VALUES + [None]]
+    for d_super, d_sub in pairs:
+        v = criteria.PhaseVerdict(d_super, d_sub)
+        old = FrozenVerdict(d_super, d_sub)
+        assert repr(v) == repr(old).replace("FrozenVerdict", "PhaseVerdict")
+        assert repr(v) == f"PhaseVerdict(d_super={d_super!r}, d_sub={d_sub!r})"
+        assert hash(v) == hash(old) == hash((d_super, d_sub))
+        assert (v.d_super, v.d_sub) == (d_super, d_sub)
+        for other in pairs[::7]:
+            assert (v == criteria.PhaseVerdict(*other)) \
+                == (old == FrozenVerdict(*other)) \
+                == ((d_super, d_sub) == other), (d_super, d_sub, other)
+    v = criteria.PhaseVerdict(1.0, None)
+    assert {v: 1}[criteria.PhaseVerdict(1.0, None)] == 1
+    # a non-PhaseVerdict compares unequal, through NotImplemented
+    for other in ((1.0, None), FrozenVerdict(1.0, None), None, 1.0):
+        assert v.__eq__(other) is NotImplemented
+        assert v != other and not v == other
+    assert not hasattr(v, "__dict__")
 
 
 def test_classify_depends_only_on_the_pmf():

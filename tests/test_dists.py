@@ -770,6 +770,20 @@ def test_geometric_x0_cut_is_pinned_bit_for_bit(r):
         _geometric_x0_reference(r).tobytes()
 
 
+@pytest.mark.parametrize("p, tail, n", [(0.5, 2.0 ** -10, 11),
+                                         (0.75, 0.25 ** 7, 8)])
+def test_geometric_weights_step_past_a_tail_equal_to_q_to_the_n(p, tail, n):
+    # log(tail) / log(q) is n - 1 exactly, so the first guess has q^(n-1)
+    # equal to the tail, not below it: the guard adds one weight
+    q = 1.0 - p
+    assert math.ceil(math.log(tail) / math.log(q)) == n - 1
+    assert q ** (n - 1) == tail
+    w, leak = dists._geometric_weights(p, tail)
+    assert (w.size, leak) == (n, q ** n)
+    assert w.tobytes() == (p * np.power(q, np.arange(n, dtype=np.float64))
+                           ).tobytes()
+
+
 def test_geometric_below_float_resolution_is_an_overflow():
     # 1 - 1e-17 rounds to 1: no cutoff ends the tail
     with pytest.raises(OverflowError, match="below float resolution"):

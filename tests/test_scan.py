@@ -3,6 +3,7 @@
 import inspect
 import json
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -356,6 +357,69 @@ def test_family_criterion_values_equal_each_members_d0():
             want = [criteria.d0(fam.law(p), fam.a, *point)
                     for p in params.tolist()]
             assert list(map(repr, got)) == list(map(repr, want)), (fam, which)
+
+
+def count_errstates(monkeypatch):
+    """The number of np.errstate blocks entered from now on."""
+    entered = []
+    real = np.errstate
+    monkeypatch.setattr(np, "errstate", lambda **kwargs:
+                        entered.append(1) or real(**kwargs))
+    return entered
+
+
+def test_criterion_values_skip_the_errstate_only_where_no_term_overflows(
+        monkeypatch):
+    # a = 1, N = 2: s = 2, and a term's bound max(a, |m-1| h) s^h has its
+    # log h log 2 + log h cross _LOG_QUIET between h = 942 and 943; the
+    # finite laws' core enters its own errstate from h log 2 = 660 on
+    # (h = 953), and s^h overflows from h = 1024 on
+    params = np.linspace(scan_module.EPS_PARAM, 1.0 - scan_module.EPS_PARAM,
+                         41)
+    law = OffspringLaw.deterministic(2)
+    entered = count_errstates(monkeypatch)
+    laws = count_builds(monkeypatch, dists.AtomPmf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for h in (1, 6, 941, 942, 943, 944, 952, 953, 954, 1023, 1024, 1025,
+                  1026, 1100, 1500, 10**6):
+            fam = TwoPointFamily(1, h, law)
+            entered.clear()
+            laws.clear()
+            got = fam.criterion_values(params, 2.0, 2.0)
+            quiet, built = not entered, len(laws)
+            want = [criteria.d0(fam.law(p), 1, 2.0, 2.0)
+                    for p in params.tolist()]
+            assert list(map(repr, got)) == list(map(repr, want)), h
+            assert quiet == (h <= 942), h
+            assert quiet == (h * math.log(2.0) + math.log(h)
+                             < dists._LOG_QUIET), h
+            # a member builds its law, for d0's log path, only off the
+            # quiet path, and every member does once s^h overflows (high =
+            # 10^6 included)
+            assert built == 0 or not quiet, h
+            assert (built == 41) == (h >= 1024), h
+
+
+def test_scan_grid_is_built_once_per_size_and_read_only():
+    fam = TwoPointFamily(2, 3, SWEEP_LAWS[2])
+    for n in (2, 9, 41, 101, 9, 2, 101, 41, 2):
+        want = np.linspace(scan_module.EPS_PARAM,
+                           1.0 - scan_module.EPS_PARAM, n)
+        got = np.array([p for p, _ in scan(fam, n)])
+        assert got.tobytes() == want.tobytes(), n
+        params, floats = scan_module._grid(n)
+        assert scan_module._grid(n)[0] is params
+        assert params.tobytes() == want.tobytes()
+        assert floats == tuple(want.tolist())
+        weights = scan_module._member_weights(params.tobytes())
+        assert weights is scan_module._member_weights(want.tobytes())
+        assert weights.tobytes() \
+            == np.column_stack((1.0 - want, want)).tobytes()
+        for array in (params, weights):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
 
 
 def test_family_matrix_core_equals_each_members_pair():
